@@ -1,29 +1,53 @@
 //! Hierarchical agglomerative clustering over geographic points.
 //!
-//! The implementation is exact for the thresholds the pipeline uses and
-//! scales to the paper's ~14 k locations:
+//! [`try_hac_clusters`] cuts the hierarchy at a threshold *t* without
+//! building it above *t*:
 //!
-//! 1. **Connectivity partition.** Points are first split into connected
-//!    components under the relation "within `threshold` metres" (computed
-//!    with a grid index). For complete and average linkage, any cluster
-//!    whose diameter / average spread is bounded by the threshold lies
-//!    entirely inside one such component, so clustering each component
-//!    independently is exact. For single linkage the components *are* the
-//!    flat clusters.
-//! 2. **Nearest-neighbour-chain HAC** inside each component, with
-//!    Lance–Williams distance updates over a dense matrix. NN-chain is
-//!    O(n²) time and the matrix is O(n²) memory per component, which is
-//!    fine because components are city-block sized, not city sized.
-//! 3. A **bisection safeguard**: a pathological component larger than
-//!    [`MAX_EXACT_COMPONENT`] points is split along its longer axis before
-//!    clustering (documented approximation; never triggered by the paper's
-//!    data volumes in practice).
+//! 1. **Neighbour rows.** One [`GridIndex::neighbour_rows`] pass lists, for
+//!    every point, the points within *t* and their distances, bit for bit
+//!    [`haversine_m`] with the lower index first, as [`hac_dendrogram`]
+//!    stores them.
+//! 2. **Complete linkage: a nearest-neighbour chain over the rows.** A pair
+//!    farther apart than *t* counts as +∞. Complete linkage's
+//!    Lance–Williams update takes the `max` of two distances, so a +∞ pair
+//!    stays +∞, and every merge at or below *t* joins two clusters that are
+//!    in each other's rows. A merged row is the intersection of the two
+//!    rows, each distance the larger of the pair; a neighbour in only one
+//!    row is beyond *t* and drops out. The neighbours' rows are not
+//!    rewritten on a merge: a per-slot version and a per-row freshness
+//!    mark their entries for the merged cluster stale, and the next read
+//!    repairs an entry from the merged cluster's own row. A chain top with
+//!    no neighbour left never merges at or below *t* again, since
+//!    complete-linkage distances only grow, so it is popped. Memory is
+//!    linear in the number of pairs within *t*; nothing is quadratic in a
+//!    component's size.
+//! 3. **Single and average linkage** take the connected components of the
+//!    rows. For single linkage the components are the flat clusters. Two
+//!    clusters in different components are more than *t* apart under
+//!    average linkage too, so average linkage runs the dense
+//!    [`hac_dendrogram`] on each component of up to
+//!    [`MAX_EXACT_COMPONENT`] points; a larger component is an error,
+//!    never an approximation.
+//!
+//! **Tie-break contract.** Every path breaks ties as the dense scan in
+//! [`hac_dendrogram`] does: a cluster's nearest neighbour has the smallest
+//! distance, then the lowest slot, and a merge keeps the lower slot, so a
+//! cluster's slot is its lowest member. "Distance, then lower slot, then
+//! higher slot" is then a strict total order on cluster pairs, and complete
+//! linkage never moves a pair below both pairs it came from, so a
+//! nearest-neighbour chain makes the same merges whichever cluster it
+//! starts from. The sparse chain, which starts at the lowest slot that
+//! still has a neighbour within *t*, therefore cuts to exactly the clusters
+//! of `hac_dendrogram(points, linkage).cut(t)`.
 
 use crate::linkage::Linkage;
 use crate::{ClusterError, Result};
-use moby_geo::{haversine_m, GeoPoint, GridIndex};
+use moby_geo::{haversine_m, GeoPoint, GridIndex, NeighbourRows};
 
-/// Components larger than this are recursively bisected before exact HAC.
+/// The largest connectivity component that average linkage clusters with
+/// the dense [`hac_dendrogram`] (an n² matrix of `f64`, 200 MB at this
+/// size). A larger component returns [`ClusterError::ComponentTooLarge`].
+/// Complete and single linkage have no such cap.
 pub const MAX_EXACT_COMPONENT: usize = 5_000;
 
 /// One merge step of the dendrogram: clusters `a` and `b` (indices into the
@@ -89,9 +113,10 @@ impl Dendrogram {
     }
 }
 
-/// Exact HAC dendrogram over all points (no partitioning). Quadratic memory
-/// — intended for input sizes up to a few thousand points (tests, ablations,
-/// single components).
+/// Exact HAC dendrogram over all points (no partitioning), with a dense
+/// distance matrix: quadratic memory, for up to a few thousand points. It
+/// is the reference [`try_hac_clusters`] is tested against, and the
+/// average-linkage path within one component.
 pub fn hac_dendrogram(points: &[GeoPoint], linkage: Linkage) -> Dendrogram {
     let n = points.len();
     let mut merges = Vec::new();
@@ -179,75 +204,213 @@ pub fn hac_dendrogram(points: &[GeoPoint], linkage: Linkage) -> Dendrogram {
     Dendrogram { n, merges }
 }
 
-/// Connected components of the points under "within `threshold` metres",
-/// returned as lists of point indices.
-fn threshold_components(points: &[GeoPoint], threshold: f64) -> Vec<Vec<usize>> {
-    let mut grid = GridIndex::new(threshold.max(1.0), 53.35).expect("positive cell size");
-    for (i, p) in points.iter().enumerate() {
-        grid.insert(*p, i);
+/// The rows of the "within `threshold` metres" relation over `points`.
+fn neighbour_rows(points: &[GeoPoint], threshold: f64) -> NeighbourRows {
+    // Columns as wide as the cut at the most poleward point, and so at
+    // least as wide everywhere else: each probe then spans one cell either
+    // way.
+    let reference_lat = points.iter().map(|p| p.lat().abs()).fold(0.0, f64::max);
+    let mut grid =
+        GridIndex::new(threshold.max(1.0), reference_lat).expect("positive finite cell size");
+    for p in points {
+        grid.insert(*p, ());
     }
-    let mut component = vec![usize::MAX; points.len()];
-    let mut next = 0usize;
+    grid.neighbour_rows(threshold).expect("validated threshold")
+}
+
+/// Connected components of the rows' relation, each sorted, listed by
+/// smallest member.
+fn components(rows: &NeighbourRows) -> Vec<Vec<usize>> {
+    let mut seen = vec![false; rows.len()];
+    let mut out = Vec::new();
     let mut stack = Vec::new();
-    for start in 0..points.len() {
-        if component[start] != usize::MAX {
+    for start in 0..rows.len() {
+        if seen[start] {
             continue;
         }
-        component[start] = next;
+        seen[start] = true;
         stack.push(start);
+        let mut members = Vec::new();
         while let Some(u) = stack.pop() {
-            let near = grid
-                .within_radius(points[u], threshold)
-                .expect("validated threshold");
-            for (_, &v, _) in near {
-                if component[v] == usize::MAX {
-                    component[v] = next;
+            members.push(u);
+            for &(v, _) in rows.row(u) {
+                if !seen[v] {
+                    seen[v] = true;
                     stack.push(v);
                 }
             }
         }
-        next += 1;
-    }
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); next];
-    for (i, &c) in component.iter().enumerate() {
-        out[c].push(i);
+        members.sort_unstable();
+        out.push(members);
     }
     out
 }
 
-/// Split an oversized component along the longer geographic axis until each
-/// part is at most `max_size` points.
-fn bisect_component(points: &[GeoPoint], members: Vec<usize>, max_size: usize) -> Vec<Vec<usize>> {
-    if members.len() <= max_size {
-        return vec![members];
+/// Complete-linkage clusters over threshold-sparse rows, as a
+/// nearest-neighbour chain.
+///
+/// Slot `i` holds the cluster whose lowest member is `i`. Its row
+/// `entries[start[i]..end[i]]`, sorted by slot, lists every cluster within
+/// the cut with their linkage distance, except that an entry for a
+/// neighbour that merged after the row was written is stale: `stamp` and
+/// `fresh` detect that, and the neighbour's newer row holds the current
+/// distance.
+struct SparseChain {
+    start: Vec<usize>,
+    end: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+    active: Vec<bool>,
+    /// Merge count at which slot `i`'s cluster last grew (its version).
+    stamp: Vec<usize>,
+    /// Merge count at which row `i` was last rebuilt or refreshed. Its
+    /// entry for `j` is current iff `stamp[j] <= fresh[i]`.
+    fresh: Vec<usize>,
+    merges: usize,
+}
+
+impl SparseChain {
+    fn new(rows: NeighbourRows) -> SparseChain {
+        let n = rows.len();
+        let (offsets, entries) = rows.into_parts();
+        SparseChain {
+            start: offsets[..n].to_vec(),
+            end: offsets[1..].to_vec(),
+            entries,
+            active: vec![true; n],
+            stamp: vec![0; n],
+            fresh: vec![0; n],
+            merges: 0,
+        }
     }
-    let lats: Vec<f64> = members.iter().map(|&i| points[i].lat()).collect();
-    let lons: Vec<f64> = members.iter().map(|&i| points[i].lon()).collect();
-    let lat_span = lats.iter().cloned().fold(f64::MIN, f64::max)
-        - lats.iter().cloned().fold(f64::MAX, f64::min);
-    let lon_span = lons.iter().cloned().fold(f64::MIN, f64::max)
-        - lons.iter().cloned().fold(f64::MAX, f64::min);
-    let mut sorted = members;
-    if lat_span >= lon_span {
-        sorted.sort_by(|&a, &b| {
-            points[a]
-                .lat()
-                .partial_cmp(&points[b].lat())
-                .expect("finite")
-        });
-    } else {
-        sorted.sort_by(|&a, &b| {
-            points[a]
-                .lon()
-                .partial_cmp(&points[b].lon())
-                .expect("finite")
-        });
+
+    /// The current distance between clusters `i` and `j`, given the
+    /// distance `d` that row `i` holds for `j`, or `None` once the pair is
+    /// beyond the cut.
+    fn current(&self, i: usize, j: usize, d: f64) -> Option<f64> {
+        if self.stamp[j] <= self.fresh[i] {
+            return Some(d);
+        }
+        // `j` grew after row `i` was written, so row `j` was rebuilt later
+        // and holds `i` if the pair is still within the cut.
+        let row = &self.entries[self.start[j]..self.end[j]];
+        row.binary_search_by_key(&i, |&(k, _)| k)
+            .ok()
+            .map(|at| row[at].1)
     }
-    let mid = sorted.len() / 2;
-    let right = sorted.split_off(mid);
-    let mut out = bisect_component(points, sorted, max_size);
-    out.extend(bisect_component(points, right, max_size));
-    out
+
+    /// Refresh row `top` (drop merged-away and out-of-cut neighbours,
+    /// repair stale distances) and return its nearest neighbour: the
+    /// smallest distance, then the lowest slot.
+    fn nearest(&mut self, top: usize) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        let mut kept = self.start[top];
+        for at in self.start[top]..self.end[top] {
+            let (j, d) = self.entries[at];
+            if !self.active[j] {
+                continue;
+            }
+            let Some(d) = self.current(top, j, d) else {
+                continue;
+            };
+            self.entries[kept] = (j, d);
+            kept += 1;
+            if best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((j, d));
+            }
+        }
+        self.end[top] = kept;
+        self.fresh[top] = self.merges;
+        best.map(|(j, _)| j)
+    }
+
+    /// Merge cluster `drop` into `keep` (`keep < drop`). The merged row is
+    /// the intersection of the two rows, each distance the larger of the
+    /// pair, written over `keep`'s row.
+    fn merge(&mut self, keep: usize, drop: usize) {
+        let (mut a, mut b) = (self.start[keep], self.start[drop]);
+        let mut kept = self.start[keep];
+        while a < self.end[keep] && b < self.end[drop] {
+            let ((ja, da), (jb, db)) = (self.entries[a], self.entries[b]);
+            if ja != jb {
+                if ja < jb {
+                    a += 1;
+                } else {
+                    b += 1;
+                }
+                continue;
+            }
+            a += 1;
+            b += 1;
+            if !self.active[ja] {
+                continue;
+            }
+            if let (Some(da), Some(db)) = (self.current(keep, ja, da), self.current(drop, ja, db)) {
+                self.entries[kept] = (ja, da.max(db));
+                kept += 1;
+            }
+        }
+        self.merges += 1;
+        self.end[keep] = kept;
+        self.stamp[keep] = self.merges;
+        self.fresh[keep] = self.merges;
+        self.active[drop] = false;
+    }
+}
+
+/// Flat complete-linkage clusters at the rows' cut, each sorted, listed by
+/// smallest member.
+fn complete_linkage(rows: NeighbourRows) -> Vec<Vec<usize>> {
+    let n = rows.len();
+    let mut chain_rows = SparseChain::new(rows);
+    // `parent[i] < i` once slot `i` merged into a lower one.
+    let mut parent: Vec<usize> = (0..n).collect();
+    let mut chain: Vec<usize> = Vec::new();
+    let mut next_start = 0;
+    loop {
+        if chain.is_empty() {
+            // Slots below `next_start` are merged away or have no
+            // neighbour left, and stay so.
+            while next_start < n
+                && (!chain_rows.active[next_start]
+                    || chain_rows.start[next_start] == chain_rows.end[next_start])
+            {
+                next_start += 1;
+            }
+            if next_start == n {
+                break;
+            }
+            chain.push(next_start);
+        }
+        let top = chain[chain.len() - 1];
+        match chain_rows.nearest(top) {
+            // Nothing within the cut, now or later.
+            None => {
+                chain.pop();
+            }
+            Some(best) if chain.len() >= 2 && chain[chain.len() - 2] == best => {
+                chain.truncate(chain.len() - 2);
+                let (keep, drop) = (top.min(best), top.max(best));
+                chain_rows.merge(keep, drop);
+                parent[drop] = keep;
+            }
+            Some(best) => chain.push(best),
+        }
+    }
+    // Ascending order resolves each parent before its children, and a
+    // root is its cluster's lowest member.
+    let mut index = vec![usize::MAX; n];
+    let mut clusters: Vec<Vec<usize>> = Vec::new();
+    for i in 0..n {
+        parent[i] = parent[parent[i]];
+        let root = parent[i];
+        if root == i {
+            index[i] = clusters.len();
+            clusters.push(vec![i]);
+        } else {
+            clusters[index[root]].push(i);
+        }
+    }
+    clusters
 }
 
 /// Flat clusters from constrained-scale HAC: cluster `points` with the given
@@ -259,16 +422,24 @@ fn bisect_component(points: &[GeoPoint], members: Vec<usize>, max_size: usize) -
 ///
 /// Clusters are returned as lists of indices into `points`, each sorted, and
 /// the cluster list is sorted by smallest member index.
+///
+/// # Panics
+///
+/// Where [`try_hac_clusters`] returns an error.
 pub fn hac_clusters(points: &[GeoPoint], linkage: Linkage, threshold_m: f64) -> Vec<Vec<usize>> {
-    try_hac_clusters(points, linkage, threshold_m).expect("non-negative finite threshold")
+    try_hac_clusters(points, linkage, threshold_m)
+        .expect("non-negative finite threshold within the linkage's size cap")
 }
 
-/// Checked variant of [`hac_clusters`].
+/// Checked variant of [`hac_clusters`]. The result equals
+/// `hac_dendrogram(points, linkage).cut(threshold_m)`.
 ///
 /// # Errors
 ///
-/// [`ClusterError::InvalidThreshold`] when `threshold_m` is negative or not
-/// finite.
+/// * [`ClusterError::InvalidThreshold`] when `threshold_m` is negative or
+///   not finite;
+/// * [`ClusterError::ComponentTooLarge`] when average linkage meets a
+///   connectivity component of more than [`MAX_EXACT_COMPONENT`] points.
 pub fn try_hac_clusters(
     points: &[GeoPoint],
     linkage: Linkage,
@@ -280,32 +451,35 @@ pub fn try_hac_clusters(
     if points.is_empty() {
         return Ok(Vec::new());
     }
-    let components = threshold_components(points, threshold_m);
-    let mut clusters: Vec<Vec<usize>> = Vec::new();
-    for comp in components {
-        // Single linkage: the component *is* the flat cluster at this cut.
-        if matches!(linkage, Linkage::Single) {
-            let mut c = comp;
-            c.sort_unstable();
-            clusters.push(c);
-            continue;
-        }
-        for part in bisect_component(points, comp, MAX_EXACT_COMPONENT) {
-            if part.len() == 1 {
-                clusters.push(part);
-                continue;
+    let rows = neighbour_rows(points, threshold_m);
+    match linkage {
+        Linkage::Complete => Ok(complete_linkage(rows)),
+        // The components *are* the flat single-linkage clusters.
+        Linkage::Single => Ok(components(&rows)),
+        Linkage::Average => {
+            let mut clusters = Vec::new();
+            for comp in components(&rows) {
+                if comp.len() > MAX_EXACT_COMPONENT {
+                    return Err(ClusterError::ComponentTooLarge {
+                        size: comp.len(),
+                        cap: MAX_EXACT_COMPONENT,
+                    });
+                }
+                if comp.len() == 1 {
+                    clusters.push(comp);
+                    continue;
+                }
+                let sub_points: Vec<GeoPoint> = comp.iter().map(|&i| points[i]).collect();
+                // `comp` is sorted, so sorted local members map to sorted
+                // global ones.
+                for local in hac_dendrogram(&sub_points, linkage).cut(threshold_m) {
+                    clusters.push(local.into_iter().map(|li| comp[li]).collect());
+                }
             }
-            let sub_points: Vec<GeoPoint> = part.iter().map(|&i| points[i]).collect();
-            let dendro = hac_dendrogram(&sub_points, linkage);
-            for local in dendro.cut(threshold_m) {
-                let mut global: Vec<usize> = local.into_iter().map(|li| part[li]).collect();
-                global.sort_unstable();
-                clusters.push(global);
-            }
+            clusters.sort_by_key(|c| c[0]);
+            Ok(clusters)
         }
     }
-    clusters.sort_by_key(|c| c[0]);
-    Ok(clusters)
 }
 
 /// The maximum pairwise Haversine distance (metres) among the given members.
@@ -493,13 +667,46 @@ mod tests {
     }
 
     #[test]
-    fn bisect_component_respects_max_size() {
-        let (pts, _) = three_blobs(30, 2);
-        let members: Vec<usize> = (0..pts.len()).collect();
-        let parts = bisect_component(&pts, members, 40);
-        assert!(parts.iter().all(|p| p.len() <= 40));
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, pts.len());
+    fn east_west_pairs_at_high_latitude_stay_together() {
+        // Regression: a grid sized at Dublin's latitude probed too few
+        // columns this far north and split most of these pairs, which the
+        // dense reference joins.
+        for lat in [75.0, 80.0] {
+            let mut pts = Vec::new();
+            for k in 0..200 {
+                let a = destination_point(p(lat, -6.26), 0.0, f64::from(k) * 1_000.0);
+                pts.push(a);
+                pts.push(destination_point(a, 90.0, 90.0));
+            }
+            let clusters = hac_clusters(&pts, Linkage::Complete, 100.0);
+            assert_eq!(clusters.len(), 200, "lat {lat}");
+            assert!(clusters.iter().all(|c| c.len() == 2 && c[1] == c[0] + 1));
+        }
+    }
+
+    #[test]
+    fn average_linkage_refuses_components_beyond_the_dense_cap() {
+        // Points 60 m apart in a line form one component at a 100 m cut.
+        let base = p(53.0, -7.5);
+        let chain: Vec<GeoPoint> = (0..=MAX_EXACT_COMPONENT)
+            .map(|k| destination_point(base, 90.0, 60.0 * k as f64))
+            .collect();
+        assert_eq!(
+            try_hac_clusters(&chain, Linkage::Average, 100.0),
+            Err(ClusterError::ComponentTooLarge {
+                size: MAX_EXACT_COMPONENT + 1,
+                cap: MAX_EXACT_COMPONENT,
+            })
+        );
+        // Complete and single linkage cluster it exactly, with no cap.
+        let complete = try_hac_clusters(&chain, Linkage::Complete, 100.0).unwrap();
+        assert!(complete
+            .iter()
+            .all(|c| c.len() <= 2 && cluster_diameter(&chain, c) <= 100.0));
+        assert_eq!(
+            try_hac_clusters(&chain, Linkage::Single, 100.0).unwrap(),
+            vec![(0..=MAX_EXACT_COMPONENT).collect::<Vec<_>>()]
+        );
     }
 
     #[test]

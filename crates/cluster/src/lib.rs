@@ -55,6 +55,14 @@ pub enum ClusterError {
     InvalidThreshold(f64),
     /// The operation needs at least one fixed station.
     NoFixedStations,
+    /// A connectivity component at the cut is larger than the linkage's
+    /// exact path can cluster (average linkage only).
+    ComponentTooLarge {
+        /// Points in the component.
+        size: usize,
+        /// The largest component the path accepts.
+        cap: usize,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -70,6 +78,13 @@ impl fmt::Display for ClusterError {
                 write!(
                     f,
                     "constrained clustering requires at least one fixed station"
+                )
+            }
+            ClusterError::ComponentTooLarge { size, cap } => {
+                write!(
+                    f,
+                    "a connectivity component of {size} points exceeds the exact \
+                     average-linkage cap of {cap}"
                 )
             }
         }
@@ -91,5 +106,11 @@ mod tests {
             .to_string()
             .contains("-3"));
         assert!(!ClusterError::NoFixedStations.to_string().is_empty());
+        let too_large = ClusterError::ComponentTooLarge {
+            size: 5_001,
+            cap: 5_000,
+        }
+        .to_string();
+        assert!(too_large.contains("5001") && too_large.contains("5000"));
     }
 }

@@ -116,7 +116,9 @@ impl CandidateNetwork {
 /// # Errors
 ///
 /// * [`CoreError::NoStations`] / [`CoreError::NoRentals`] for unusable data;
-/// * [`CoreError::InvalidConfig`] when the configuration fails validation.
+/// * [`CoreError::InvalidConfig`] when the configuration fails validation;
+/// * [`CoreError::Cluster`] when the constrained clustering fails, e.g. an
+///   average-linkage component beyond the exact path's size cap.
 pub fn build_candidate_network(
     dataset: &CleanDataset,
     config: &ExpansionConfig,
@@ -155,7 +157,7 @@ pub fn build_candidate_network(
             linkage: config.linkage,
         },
     )
-    .map_err(|e| CoreError::Internal(format!("constrained clustering failed: {e}")))?;
+    .map_err(CoreError::Cluster)?;
 
     // Locations absorbed into fixed stations.
     for group in &clustering.station_groups {
@@ -266,9 +268,13 @@ pub fn build_trip_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moby_cluster::hac::MAX_EXACT_COMPONENT;
+    use moby_cluster::linkage::Linkage;
+    use moby_cluster::ClusterError;
     use moby_data::clean::clean_dataset;
+    use moby_data::schema::Location;
     use moby_data::synth::{generate, SynthConfig};
-    use moby_geo::haversine_m;
+    use moby_geo::{destination_point, haversine_m};
 
     fn small_clean() -> CleanDataset {
         clean_dataset(&generate(&SynthConfig::small_test())).dataset
@@ -389,5 +395,32 @@ mod tests {
         assert!(net.node(first_station).is_some());
         assert!(net.node(999_999_999).is_none());
         assert_eq!(net.positions().len(), net.nodes.len());
+    }
+
+    #[test]
+    fn oversized_average_linkage_component_is_a_typed_cluster_error() {
+        // Free locations 60 m apart in a line, far from every station, are
+        // one component at the 100 m cut: too large for the dense
+        // average-linkage path, which must say so instead of approximating.
+        let mut ds = small_clean();
+        let next_id = ds.locations.iter().map(|l| l.id).max().unwrap() + 1;
+        let start = GeoPoint::new(53.0, -7.5).unwrap();
+        ds.locations
+            .extend((0..=MAX_EXACT_COMPONENT as u64).map(|k| Location {
+                id: next_id + k,
+                position: destination_point(start, 90.0, 60.0 * k as f64),
+                station_id: None,
+            }));
+        let cfg = ExpansionConfig {
+            linkage: Linkage::Average,
+            ..ExpansionConfig::default()
+        };
+        assert_eq!(
+            build_candidate_network(&ds, &cfg).unwrap_err(),
+            CoreError::Cluster(ClusterError::ComponentTooLarge {
+                size: MAX_EXACT_COMPONENT + 1,
+                cap: MAX_EXACT_COMPONENT,
+            })
+        );
     }
 }

@@ -73,6 +73,8 @@ pub enum CoreError {
     /// An out-of-core spilled graph build failed on I/O (temp dir not
     /// writable, disk full). Carries the rendered context + OS error.
     Spill(String),
+    /// The constrained clustering of the candidate stage failed.
+    Cluster(moby_cluster::ClusterError),
 }
 
 impl From<moby_graph::GraphError> for CoreError {
@@ -95,11 +97,19 @@ impl fmt::Display for CoreError {
             }
             CoreError::Internal(msg) => write!(f, "internal error: {msg}"),
             CoreError::Spill(msg) => write!(f, "spill I/O failed: {msg}"),
+            CoreError::Cluster(err) => write!(f, "constrained clustering failed: {err}"),
         }
     }
 }
 
-impl std::error::Error for CoreError {}
+impl std::error::Error for CoreError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CoreError::Cluster(err) => Some(err),
+            _ => None,
+        }
+    }
+}
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
@@ -124,5 +134,10 @@ mod tests {
             CoreError::from(moby_graph::GraphError::Spill("x".into())),
             CoreError::Spill("x".into())
         );
+        let cluster = CoreError::Cluster(moby_cluster::ClusterError::NoFixedStations);
+        assert!(cluster
+            .to_string()
+            .contains("constrained clustering failed"));
+        assert!(std::error::Error::source(&cluster).is_some());
     }
 }

@@ -31,9 +31,24 @@ pub fn haversine_m(a: GeoPoint, b: GeoPoint) -> f64 {
 /// can pre-convert coordinates to radians once.
 #[inline]
 pub fn haversine_rad(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
+    haversine_cos(lat1, lon1, lat1.cos(), lat2, lon2, lat2.cos())
+}
+
+/// [`haversine_rad`] with each latitude's cosine passed in, so that a loop
+/// over many pairs computes each cosine once. It performs the same
+/// operations in the same order, so the result is bit-identical.
+#[inline]
+pub(crate) fn haversine_cos(
+    lat1: f64,
+    lon1: f64,
+    cos1: f64,
+    lat2: f64,
+    lon2: f64,
+    cos2: f64,
+) -> f64 {
     let dlat = (lat1 - lat2) * 0.5;
     let dlon = (lon1 - lon2) * 0.5;
-    let h = dlat.sin().powi(2) + lat1.cos() * lat2.cos() * dlon.sin().powi(2);
+    let h = dlat.sin().powi(2) + cos1 * cos2 * dlon.sin().powi(2);
     // Clamp to guard against floating point drift pushing sqrt(h) above 1.
     2.0 * EARTH_RADIUS_M * h.sqrt().min(1.0).asin()
 }

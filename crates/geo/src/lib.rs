@@ -49,7 +49,7 @@ pub use distance::{
     bearing_deg, destination_point, equirectangular_m, haversine_m, haversine_rad, EARTH_RADIUS_M,
 };
 pub use error::GeoError;
-pub use grid::GridIndex;
+pub use grid::{GridIndex, NeighbourRows};
 pub use kdtree::KdTree;
 pub use point::GeoPoint;
 pub use polygon::{dublin_boundary, dublin_land_mask, Polygon};

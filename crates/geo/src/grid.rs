@@ -222,7 +222,10 @@ impl<T> GridIndex<T> {
         let trig: Vec<[f64; 3]> = self
             .entries
             .iter()
-            .map(|(p, _)| [p.lat_rad(), p.lon_rad(), p.lat_rad().cos()])
+            .map(|(p, _)| {
+                let lat = p.lat_rad();
+                [lat, p.lon_rad(), lat.cos()]
+            })
             .collect();
         // `haversine_m(p, q) <= radius_m` needs the Haversine term
         // `h = sin²(Δφ/2) + cos φp cos φq sin²(Δλ/2)` to be at most
@@ -293,6 +296,11 @@ impl<T> GridIndex<T> {
 
     /// The nearest indexed point to `query`, together with its payload and
     /// the exact distance in metres.
+    ///
+    /// The search stops once a ring of cells is wider than the best
+    /// distance, measuring cells at the reference latitude. Poleward of
+    /// that latitude columns are narrower, so the search can stop early;
+    /// there, use the [`crate::KdTree`].
     ///
     /// # Errors
     ///
@@ -510,8 +518,15 @@ mod tests {
     fn neighbour_rows_are_sorted_bit_exact_and_match_brute_force() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for &(lat, radius) in &[(53.35, 100.0), (78.0, 60.0), (-33.9, 250.0), (0.0, 40.0)] {
-            let mut g = GridIndex::new(radius, lat).unwrap();
+        // Cells as wide as the radius, narrower (several cells per probe)
+        // and wider, with the reference latitude off the data's.
+        for &(lat, radius, cell) in &[
+            (53.35, 100.0, 100.0),
+            (78.0, 60.0, 25.0),
+            (-33.9, 250.0, 400.0),
+            (0.0, 40.0, 40.0),
+        ] {
+            let mut g = GridIndex::new(cell, 53.35).unwrap();
             let pts: Vec<GeoPoint> = (0..400)
                 .map(|_| {
                     let base = p(lat, 10.0);

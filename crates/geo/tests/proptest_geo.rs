@@ -12,21 +12,6 @@ fn dublin_point() -> impl Strategy<Value = GeoPoint> {
         .prop_map(|(lat, lon)| GeoPoint::new(lat, lon).expect("in range"))
 }
 
-/// Points at `(bearing, distance)` offsets from an anchor `(lat, lon)`,
-/// and a query point at offset `query`.
-fn scattered(
-    anchor: (f64, f64),
-    offsets: &[(f64, f64)],
-    query: (f64, f64),
-) -> (Vec<GeoPoint>, GeoPoint) {
-    let anchor = GeoPoint::new(anchor.0, anchor.1).expect("in range");
-    let points = offsets
-        .iter()
-        .map(|&(bearing, dist)| destination_point(anchor, bearing, dist))
-        .collect();
-    (points, destination_point(anchor, query.0, query.1))
-}
-
 /// Strategy producing arbitrary valid points anywhere on Earth.
 fn any_point() -> impl Strategy<Value = GeoPoint> {
     (-89.9f64..89.9, -179.9f64..179.9)
@@ -122,7 +107,12 @@ proptest! {
         // Points around an anchor at any latitude in a grid sized at
         // Dublin's: columns narrow towards the poles, so the probe must
         // widen with the query's latitude.
-        let (points, query) = scattered(anchor, &offsets, query);
+        let anchor = GeoPoint::new(anchor.0, anchor.1).unwrap();
+        let points: Vec<GeoPoint> = offsets
+            .iter()
+            .map(|&(bearing, dist)| destination_point(anchor, bearing, dist))
+            .collect();
+        let query = destination_point(anchor, query.0, query.1);
         let mut grid = GridIndex::new(250.0, 53.35).unwrap();
         for (i, p) in points.iter().enumerate() {
             grid.insert(*p, i);
@@ -142,35 +132,6 @@ proptest! {
             .collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn grid_neighbour_rows_equal_brute_force_bit_for_bit(
-        anchor in (-89.0f64..89.0, -170.0f64..170.0),
-        offsets in prop::collection::vec((0.0f64..360.0, 0.0f64..1_500.0), 1..120),
-        radius in 10.0f64..600.0,
-        cell in 50.0f64..400.0,
-    ) {
-        let (points, _) = scattered(anchor, &offsets, (0.0, 0.0));
-        let mut grid = GridIndex::new(cell, 53.35).unwrap();
-        for p in &points {
-            grid.insert(*p, ());
-        }
-        let rows = grid.neighbour_rows(radius).unwrap();
-        prop_assert_eq!(rows.len(), points.len());
-        for i in 0..points.len() {
-            // Distances bit for bit as `haversine_m` with the lower index
-            // first, rows sorted by neighbour.
-            let want: Vec<(usize, u64)> = (0..points.len())
-                .filter(|&j| j != i)
-                .map(|j| (j, haversine_m(points[i.min(j)], points[i.max(j)])))
-                .filter(|&(_, d)| d <= radius)
-                .map(|(j, d)| (j, d.to_bits()))
-                .collect();
-            let got: Vec<(usize, u64)> =
-                rows.row(i).iter().map(|&(j, d)| (j, d.to_bits())).collect();
-            prop_assert_eq!(got, want);
-        }
     }
 
     #[test]

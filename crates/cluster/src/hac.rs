@@ -207,8 +207,8 @@ pub fn hac_dendrogram(points: &[GeoPoint], linkage: Linkage) -> Dendrogram {
 /// The rows of the "within `threshold` metres" relation over `points`.
 fn neighbour_rows(points: &[GeoPoint], threshold: f64) -> NeighbourRows {
     // Columns as wide as the cut at the most poleward point, and so at
-    // least as wide everywhere else: each probe then spans one cell either
-    // way.
+    // least as wide everywhere else: a probe then spans about one cell
+    // either way.
     let reference_lat = points.iter().map(|p| p.lat().abs()).fold(0.0, f64::max);
     let mut grid =
         GridIndex::new(threshold.max(1.0), reference_lat).expect("positive finite cell size");

@@ -38,7 +38,9 @@
 //! nearest-neighbour chain makes the same merges whichever cluster it
 //! starts from. The sparse chain, which starts at the lowest slot that
 //! still has a neighbour within *t*, therefore cuts to exactly the clusters
-//! of `hac_dendrogram(points, linkage).cut(t)`.
+//! of `hac_dendrogram(points, linkage).cut(t)`, unless two points within
+//! *t* of each other lie on either side of the ±180° meridian, which the
+//! grid does not wrap.
 
 use crate::linkage::Linkage;
 use crate::{ClusterError, Result};
@@ -432,7 +434,8 @@ pub fn hac_clusters(points: &[GeoPoint], linkage: Linkage, threshold_m: f64) -> 
 }
 
 /// Checked variant of [`hac_clusters`]. The result equals
-/// `hac_dendrogram(points, linkage).cut(threshold_m)`.
+/// `hac_dendrogram(points, linkage).cut(threshold_m)` as long as no two
+/// points within `threshold_m` of each other straddle the ±180° meridian.
 ///
 /// # Errors
 ///

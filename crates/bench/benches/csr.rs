@@ -12,7 +12,7 @@ use moby_bench::{run_pipeline, Scale};
 use moby_community::{
     louvain_csr, louvain_hashmap, modularity_csr, modularity_hashmap, LouvainConfig,
 };
-use moby_core::temporal::{build_temporal_graph, TemporalGranularity};
+use moby_core::temporal::{reference_graph, TemporalGranularity};
 use moby_graph::WeightedGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,13 +68,13 @@ fn bench_louvain_csr_vs_hashmap_dublin_medium(c: &mut Criterion) {
     let mut group = c.benchmark_group("louvain_dublin_medium");
     group.sample_size(10);
     for granularity in TemporalGranularity::ALL {
-        let temporal = build_temporal_graph(&outcome.selected.store, granularity);
+        let (builder, _) = reference_graph(&outcome.selected.trips, granularity, false);
+        let csr = builder.freeze();
         group.bench_function(format!("csr/{}", granularity.graph_name()), |bench| {
-            bench.iter(|| louvain_csr(&temporal.csr, &cfg).community_count())
+            bench.iter(|| louvain_csr(&csr, &cfg).community_count())
         });
         group.bench_function(format!("hashmap/{}", granularity.graph_name()), |bench| {
-            let builder = temporal.builder.as_ref().expect("legacy path");
-            bench.iter(|| louvain_hashmap(builder, &cfg).community_count())
+            bench.iter(|| louvain_hashmap(&builder, &cfg).community_count())
         });
     }
     group.finish();
@@ -86,14 +86,14 @@ fn bench_modularity_csr_vs_hashmap(c: &mut Criterion) {
     let mut group = c.benchmark_group("modularity_dublin_medium");
     group.sample_size(20);
     for granularity in [TemporalGranularity::TNull, TemporalGranularity::THour] {
-        let temporal = build_temporal_graph(&outcome.selected.store, granularity);
-        let partition = louvain_csr(&temporal.csr, &cfg);
+        let (builder, _) = reference_graph(&outcome.selected.trips, granularity, false);
+        let csr = builder.freeze();
+        let partition = louvain_csr(&csr, &cfg);
         group.bench_function(format!("csr/{}", granularity.graph_name()), |bench| {
-            bench.iter(|| modularity_csr(&temporal.csr, &partition))
+            bench.iter(|| modularity_csr(&csr, &partition))
         });
         group.bench_function(format!("hashmap/{}", granularity.graph_name()), |bench| {
-            let builder = temporal.builder.as_ref().expect("legacy path");
-            bench.iter(|| modularity_hashmap(builder, &partition))
+            bench.iter(|| modularity_hashmap(&builder, &partition))
         });
     }
     group.finish();

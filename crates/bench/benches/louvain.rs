@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moby_bench::{run_pipeline, Scale};
 use moby_community::{label_propagation, louvain, LabelPropagationConfig, LouvainConfig};
-use moby_core::temporal::{build_temporal_graph, TemporalGranularity};
+use moby_core::temporal::{reference_graph, TemporalGranularity};
 use moby_graph::WeightedGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,10 +61,9 @@ fn bench_temporal_graphs(c: &mut Criterion) {
     let mut group = c.benchmark_group("louvain_temporal");
     group.sample_size(10);
     for granularity in TemporalGranularity::ALL {
-        let temporal = build_temporal_graph(&outcome.selected.store, granularity);
+        let (builder, _) = reference_graph(&outcome.selected.trips, granularity, false);
         group.bench_function(granularity.graph_name(), |bench| {
-            let builder = temporal.builder.as_ref().expect("legacy path");
-            bench.iter(|| louvain(builder, &LouvainConfig::default()).community_count())
+            bench.iter(|| louvain(&builder, &LouvainConfig::default()).community_count())
         });
     }
     group.finish();

@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moby_bench::{run_pipeline, Scale};
 use moby_community::{louvain_csr, LouvainConfig};
-use moby_core::temporal::{build_temporal_graph, TemporalGranularity};
+use moby_core::temporal::build_all_from_trips;
 use moby_graph::metrics::{pagerank_csr, PageRankConfig};
 use moby_graph::WeightedGraph;
 use rand::rngs::StdRng;
@@ -84,7 +84,9 @@ fn bench_dublin_ghour_threads(c: &mut Criterion) {
     // The paper's finest-granularity layered graph at medium scale — the
     // hot detection input of the real pipeline.
     let outcome = run_pipeline(Scale::Medium);
-    let temporal = build_temporal_graph(&outcome.selected.store, TemporalGranularity::THour);
+    let ghour = build_all_from_trips(&outcome.selected.trips, None, None)
+        .pop()
+        .expect("GHour is the last granularity");
     let mut group = c.benchmark_group("dublin_ghour_threads");
     group.sample_size(10);
     for &t in &THREAD_COUNTS {
@@ -93,14 +95,14 @@ fn bench_dublin_ghour_threads(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::new("louvain", t), &t, |bench, _| {
-            bench.iter(|| louvain_csr(&temporal.csr, &lcfg).community_count())
+            bench.iter(|| louvain_csr(&ghour.csr, &lcfg).community_count())
         });
         let pcfg = PageRankConfig {
             threads: Some(t),
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::new("pagerank", t), &t, |bench, _| {
-            bench.iter(|| pagerank_csr(&temporal.csr, &pcfg).len())
+            bench.iter(|| pagerank_csr(&ghour.csr, &pcfg).len())
         });
     }
     group.finish();

@@ -6,9 +6,10 @@
 //!   and at the parallel thread count, *verifying the results are
 //!   bit-identical* (the scheduler's determinism contract — any
 //!   divergence panics, failing CI);
-//! * times **graph construction** both ways — the legacy hash-map
-//!   builder-freeze path against the columnar sort-merge build, at 1 and
-//!   N threads — verifying the two paths produce identical frozen graphs;
+//! * times **graph construction** both ways — the hash-map reference
+//!   builder-freeze path against the columnar sort-merge build, both fed
+//!   from the trip table, at 1 and N threads — verifying the two paths
+//!   produce identical frozen graphs;
 //! * times **incremental ingestion** — applying a small trip batch as a
 //!   `CsrDelta` against rebuilding the graphs from the concatenated
 //!   table, *verifying the delta output is bit-identical to the rebuild*
@@ -70,10 +71,9 @@
 
 use moby_bench::{city_config, peak_rss_kb, run_pipeline, Scale};
 use moby_community::{louvain_csr, louvain_seeded, modularity_csr_threads, LouvainConfig};
-use moby_core::candidate::TRIP_LABEL;
 use moby_core::temporal::{
     apply_batch_all, apply_window_all, build_all_from_spool, build_all_from_trips,
-    build_all_from_trips_sharded, build_all_from_trips_spilled, build_temporal_graph,
+    build_all_from_trips_sharded, build_all_from_trips_spilled, reference_graph,
     TemporalGranularity, TemporalGraph,
 };
 use moby_data::clean::{clean_trip_stream, clean_trip_stream_spooled};
@@ -81,10 +81,7 @@ use moby_data::synth::city_trip_stream;
 use moby_data::trips::WindowStart;
 use moby_data::trips::{TripBatch, TripTable};
 use moby_graph::metrics::{pagerank_csr, PageRankConfig};
-use moby_graph::{
-    aggregate, build_dense_csr, build_dense_csr_sharded, par, props, CsrDelta, CsrGraph,
-    GraphStore, PropValue,
-};
+use moby_graph::{build_dense_csr, build_dense_csr_sharded, par, CsrDelta, CsrGraph};
 use moby_server::{QueryPool, Request, ServeConfig, SnapshotWriter, WriteOp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -138,8 +135,8 @@ fn time_min_rr<const K: usize, F: FnMut(usize)>(reps: usize, mut f: F) -> [f64; 
     best
 }
 
-/// Construction timings for one graph: the legacy hash-map builder-freeze
-/// path against the columnar sort-merge build.
+/// Construction timings for one graph: the hash-map reference
+/// builder-freeze path against the columnar sort-merge build.
 struct ConstructionResult {
     name: String,
     nodes: usize,
@@ -159,29 +156,26 @@ impl ConstructionResult {
     }
 }
 
-/// Time the construction of all three temporal graphs: legacy store
-/// projection (per-granularity hash-map builders + freeze) vs one
-/// columnar pass over the trip table + sort-merge builds. Panics if the
-/// two paths — or any two thread counts — disagree on a single bit of the
-/// frozen graphs.
+/// Time the construction of all three temporal graphs: the hash-map
+/// reference (per-granularity builders over the trip table + freeze) vs
+/// one columnar pass over the trip table + sort-merge builds. Panics if
+/// the two paths — or any two thread counts — disagree on a single bit of
+/// the frozen graphs.
 fn smoke_temporal_construction(
     outcome: &moby_core::pipeline::ExpansionOutcome,
     threads: usize,
 ) -> ConstructionResult {
-    let store = &outcome.selected.store;
     let trips = &outcome.selected.trips;
+    let build_reference = |g: TemporalGranularity| reference_graph(trips, g, false).0.freeze();
 
-    let legacy: Vec<_> = TemporalGranularity::ALL
-        .iter()
-        .map(|&g| build_temporal_graph(store, g))
-        .collect();
     let serial = build_all_from_trips(trips, None, Some(1));
     let parallel = build_all_from_trips(trips, None, Some(threads));
-    for ((l, s), p) in legacy.iter().zip(&serial).zip(&parallel) {
+    for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(
-            l.csr, s.csr,
+            build_reference(s.granularity),
+            s.csr,
             "{:?}: columnar construction diverged from the builder-freeze path",
-            l.granularity
+            s.granularity
         );
         assert_eq!(
             s.csr, p.csr,
@@ -192,7 +186,7 @@ fn smoke_temporal_construction(
 
     let hashmap_ms = time_min(|| {
         for &g in &TemporalGranularity::ALL {
-            std::hint::black_box(build_temporal_graph(store, g));
+            std::hint::black_box(build_reference(g));
         }
     });
     let sortmerge_1t_ms = time_min(|| {
@@ -211,13 +205,12 @@ fn smoke_temporal_construction(
     }
 }
 
-/// Time the directed trip-graph construction both ways (store projection +
-/// freeze vs seeded sort-merge build), verifying identity.
+/// Time the directed trip-graph construction both ways (hash-map reference
+/// + freeze vs seeded sort-merge build), verifying identity.
 fn smoke_directed_construction(
     outcome: &moby_core::pipeline::ExpansionOutcome,
     threads: usize,
 ) -> ConstructionResult {
-    let store = &outcome.selected.store;
     let trips = &outcome.selected.trips;
     // The exact build the pipeline performs: dense trip columns over the
     // shared station-intern table, no re-interning.
@@ -231,9 +224,14 @@ fn smoke_directed_construction(
             Some(t),
         )
     };
-    let legacy = aggregate::project_directed(store, TRIP_LABEL).freeze();
+    let build_reference = || {
+        reference_graph(trips, TemporalGranularity::TNull, true)
+            .0
+            .freeze()
+    };
+    let reference = build_reference();
     assert_eq!(
-        legacy,
+        reference,
         build_sortmerge(1),
         "directed trip graph: columnar construction diverged from the builder-freeze path"
     );
@@ -243,7 +241,7 @@ fn smoke_directed_construction(
         "directed trip graph: parallel construction diverged from serial"
     );
     let hashmap_ms = time_min(|| {
-        std::hint::black_box(aggregate::project_directed(store, TRIP_LABEL).freeze());
+        std::hint::black_box(build_reference());
     });
     let sortmerge_1t_ms = time_min(|| {
         std::hint::black_box(build_sortmerge(1));
@@ -253,8 +251,8 @@ fn smoke_directed_construction(
     });
     ConstructionResult {
         name: "construct/directed_trips".into(),
-        nodes: legacy.node_count(),
-        edges: legacy.edge_count(),
+        nodes: reference.node_count(),
+        edges: reference.edge_count(),
         hashmap_ms,
         sortmerge_1t_ms,
         sortmerge_nt_ms,
@@ -531,10 +529,9 @@ fn smoke_window(
         );
     }
     // The rebuild baseline reconstructs every piece of state the advance
-    // maintained in place: the surviving trip table, both frozen trip
-    // graphs, and the full-fidelity store relationships with their
-    // temporal props. (Table III is excluded — the advance pays that
-    // extra cost on top.)
+    // maintained in place: the surviving trip table and both frozen trip
+    // graphs. (Table III is excluded — the advance pays that extra cost
+    // on top.)
     let rebuild_station_state = || {
         let mut t = TripTable::new(net.trips.station_ids().to_vec());
         for k in 0..net.trips.len() {
@@ -562,24 +559,7 @@ fn smoke_window(
             t.weights(),
             Some(threads),
         );
-        let mut store = GraphStore::new();
-        for &id in t.station_ids() {
-            store.add_node(id, "Station", props::<[(&str, PropValue); 0], &str>([]));
-        }
-        for k in 0..t.len() {
-            store
-                .add_edge(
-                    t.station_id(t.src()[k]),
-                    t.station_id(t.dst()[k]),
-                    TRIP_LABEL,
-                    props([
-                        ("day", PropValue::from(i64::from(t.day()[k]))),
-                        ("hour", PropValue::from(i64::from(t.hour()[k]))),
-                    ]),
-                )
-                .expect("stations added above");
-        }
-        (t, d, u, store)
+        (t, d, u)
     };
     let mut pool: Vec<_> = (0..REPS).map(|_| selected.clone()).collect();
     let mut results = vec![WindowResult {
@@ -1732,9 +1712,9 @@ fn main() {
     let mut results: Vec<SmokeResult> = Vec::new();
     let directed_trips = &outcome.selected.directed;
     results.push(smoke_pagerank("trip_graph", directed_trips, threads));
-    for granularity in [TemporalGranularity::TNull, TemporalGranularity::THour] {
-        let temporal = build_temporal_graph(&outcome.selected.store, granularity);
-        let name = granularity.graph_name().to_lowercase();
+    let temporals = build_all_from_trips(&outcome.selected.trips, None, None);
+    for temporal in [&temporals[0], &temporals[2]] {
+        let name = temporal.granularity.graph_name().to_lowercase();
         results.push(smoke_pagerank(&name, &temporal.csr, threads));
         results.push(smoke_louvain(&name, &temporal.csr, threads));
     }
@@ -1775,7 +1755,7 @@ fn main() {
     };
 
     println!("\ntiming the hot sweep kernels (scalar vs batched, natural vs degree-permuted) ...");
-    let ghour = build_temporal_graph(&outcome.selected.store, TemporalGranularity::THour);
+    let ghour = &temporals[2];
     let mut sweeps = smoke_sweep("ghour", pipeline_scale.name(), &ghour.csr, threads);
     if let Some(station) = &city_graph {
         sweeps.extend(smoke_sweep("city", "large", station, threads));

@@ -23,7 +23,7 @@ use moby_core::report::{
     render_community_table, render_table1, render_table2, render_table3,
 };
 use moby_core::selection::select_stations;
-use moby_core::temporal::{build_temporal_graph, TemporalGranularity};
+use moby_core::temporal::build_all_from_trips;
 use moby_core::validate::validate_default;
 use moby_core::ExpansionConfig;
 use moby_data::clean::clean_dataset;
@@ -159,11 +159,8 @@ fn figure_candidate_graph(outcome: &ExpansionOutcome) {
         .map(|n| (n.id, n.name.clone()))
         .collect();
     let fixed: std::collections::HashSet<_> = outcome.candidate.fixed_ids().into_iter().collect();
-    // The candidate graph stays on the builder representation; freeze once
-    // for the frozen-graph report API.
-    let candidate_csr = outcome.candidate.undirected.freeze();
     let geojson = network_geojson(
-        &candidate_csr,
+        &outcome.candidate.undirected,
         &positions,
         &names,
         &|id| fixed.contains(&id),
@@ -232,7 +229,7 @@ fn figure_community_map(outcome: &ExpansionOutcome, name: &str, granularity: Opt
 fn figure_daily_profile(outcome: &ExpansionOutcome) {
     println!("FIGURE 5 — daily travel pattern per GDay community");
     let profile = daily_profile(
-        &outcome.selected.store,
+        &outcome.selected.trips,
         &outcome.communities.day.station_partition,
     );
     let labels: Vec<&str> = Weekday::ALL.iter().map(|d| d.abbrev()).collect();
@@ -245,7 +242,7 @@ fn figure_daily_profile(outcome: &ExpansionOutcome) {
 fn figure_hourly_profile(outcome: &ExpansionOutcome) {
     println!("FIGURE 7 — hourly travel pattern per GHour community");
     let profile = hourly_profile(
-        &outcome.selected.store,
+        &outcome.selected.trips,
         &outcome.communities.hour.station_partition,
     );
     let labels: Vec<String> = (0..24).map(|h| format!("{h:02}")).collect();
@@ -355,8 +352,7 @@ fn ablate_detector(outcome: &ExpansionOutcome) {
     // The pipeline froze the directed trip graph once; both detectors and
     // all granularities share it.
     let directed_trips = &outcome.selected.directed;
-    for granularity in TemporalGranularity::ALL {
-        let temporal = build_temporal_graph(&outcome.selected.store, granularity);
+    for temporal in build_all_from_trips(&outcome.selected.trips, None, None) {
         for (name, detector) in [
             ("louvain", Detector::Louvain),
             ("label-propagation", Detector::LabelPropagation),
@@ -373,7 +369,7 @@ fn ablate_detector(outcome: &ExpansionOutcome) {
             );
             println!(
                 "{:<10} {:<18} {:>12} {:>12.3} {:>15.1}%",
-                granularity.graph_name(),
+                temporal.granularity.graph_name(),
                 name,
                 detection.community_count(),
                 detection.modularity,

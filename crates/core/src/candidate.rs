@@ -11,9 +11,9 @@
 use crate::{CoreError, ExpansionConfig, Result};
 use moby_cluster::constrained::{constrained_clustering, ConstrainedConfig};
 use moby_data::schema::{CleanDataset, LocationId, StationId};
+use moby_data::trips::TripTable;
 use moby_geo::GeoPoint;
-use moby_graph::aggregate::{self, AggregateSummary};
-use moby_graph::{props, GraphStore, NodeId, PropValue, WeightedGraph};
+use moby_graph::{build_dense_csr, CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -21,8 +21,23 @@ use std::collections::HashMap;
 /// with real station ids.
 pub const CANDIDATE_ID_BASE: NodeId = 100_000;
 
-/// The relationship label used for trips in every graph store built here.
-pub const TRIP_LABEL: &str = "TRIP";
+/// Summary of the candidate graph's trip projection, the paper's Table
+/// II-style accounting of nodes / edges / loops / trips.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct AggregateSummary {
+    /// Nodes in the projected graph.
+    pub nodes: usize,
+    /// Distinct undirected station pairs (including self-pairs).
+    pub undirected_edges: usize,
+    /// Distinct undirected station pairs excluding self-pairs.
+    pub undirected_edges_no_loops: usize,
+    /// Distinct directed (src, dst) pairs (including self-loops).
+    pub directed_edges: usize,
+    /// Distinct directed (src, dst) pairs excluding self-loops.
+    pub directed_edges_no_loops: usize,
+    /// Total raw relationships (trips) aggregated.
+    pub trips: usize,
+}
 
 /// What a node in the candidate graph represents.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,21 +77,18 @@ pub struct CandidateNode {
     pub kind: NodeKind,
 }
 
-/// The candidate network: nodes, the location → node mapping, the raw trip
-/// store and its weighted projections.
+/// The candidate network: nodes, the location → node mapping and the
+/// frozen trip graphs over the candidate nodes.
 #[derive(Debug, Clone)]
 pub struct CandidateNetwork {
     /// Every node (fixed stations first, then candidates).
     pub nodes: Vec<CandidateNode>,
     /// Mapping from cleaned location id to the node that now represents it.
     pub location_to_node: HashMap<LocationId, NodeId>,
-    /// Property-graph store with one `TRIP` relationship per rental
-    /// (carrying `day` and `hour` properties).
-    pub store: GraphStore,
-    /// Directed weighted projection (edge weight = number of trips).
-    pub directed: WeightedGraph,
-    /// Undirected weighted projection.
-    pub undirected: WeightedGraph,
+    /// Directed trip graph over every node (edge weight = number of trips).
+    pub directed: CsrGraph,
+    /// Undirected trip graph over every node.
+    pub undirected: CsrGraph,
     /// Table II-style counts.
     pub summary: AggregateSummary,
 }
@@ -194,75 +206,100 @@ pub fn build_candidate_network(
         }
     }
 
-    // --- Trip store over candidate nodes. ---
-    let store = build_trip_store(&nodes, &location_to_node, dataset)?;
-    let directed = aggregate::project_directed(&store, TRIP_LABEL);
-    let undirected = aggregate::project_undirected(&store, TRIP_LABEL);
-    let summary = aggregate::summarize(&store, TRIP_LABEL);
+    // --- Trip graphs over candidate nodes. ---
+    let trips = trip_table(
+        nodes.iter().map(|n| n.id).collect(),
+        &location_to_node,
+        dataset,
+    )?;
+    let (directed, undirected, summary) = trip_graphs(&trips);
 
     Ok(CandidateNetwork {
         nodes,
         location_to_node,
-        store,
         directed,
         undirected,
         summary,
     })
 }
 
-/// Build a property-graph store with one node per candidate node and one
-/// `TRIP` relationship per rental (properties: `day` 0–6, `hour` 0–23).
+/// Resolve every rental into a [`TripTable`] over `station_ids`: each
+/// endpoint location maps through `location_to_node` to its station.
 ///
 /// Shared by the candidate network and by the selected network after
-/// reassignment.
-pub fn build_trip_store(
-    nodes: &[CandidateNode],
+/// reassignment. Locations resolve through a sorted lookup table (binary
+/// search), so the per-rental loop performs no hash-map operation.
+///
+/// # Errors
+///
+/// [`CoreError::Internal`] when a rental endpoint has no mapping, or a
+/// mapping names a station outside `station_ids`.
+pub(crate) fn trip_table(
+    station_ids: Vec<NodeId>,
     location_to_node: &HashMap<LocationId, NodeId>,
     dataset: &CleanDataset,
-) -> Result<GraphStore> {
-    let mut store = GraphStore::new();
-    for n in nodes {
-        store.add_node(
-            n.id,
-            if n.kind.is_fixed() {
-                "Station"
-            } else {
-                "Candidate"
-            },
-            props([
-                ("name", PropValue::from(n.name.as_str())),
-                ("lat", PropValue::from(n.position.lat())),
-                ("lon", PropValue::from(n.position.lon())),
-                ("fixed", PropValue::from(n.kind.is_fixed())),
-            ]),
-        );
-    }
+) -> Result<TripTable> {
+    let mut trips = TripTable::with_capacity(station_ids, dataset.rentals.len());
+    let mut location_lookup: Vec<(LocationId, u32)> = location_to_node
+        .iter()
+        .map(|(&loc, &node)| {
+            trips.station_index(node).map(|i| (loc, i)).ok_or_else(|| {
+                CoreError::Internal(format!(
+                    "location {loc} maps to node {node}, which is not a station"
+                ))
+            })
+        })
+        .collect::<Result<_>>()?;
+    location_lookup.sort_unstable();
+    let resolve = |loc: LocationId| -> Option<u32> {
+        location_lookup
+            .binary_search_by_key(&loc, |&(l, _)| l)
+            .ok()
+            .map(|at| location_lookup[at].1)
+    };
     for r in &dataset.rentals {
-        let (Some(&src), Some(&dst)) = (
-            location_to_node.get(&r.rental_location_id),
-            location_to_node.get(&r.return_location_id),
-        ) else {
+        let (Some(src), Some(dst)) = (resolve(r.rental_location_id), resolve(r.return_location_id))
+        else {
             return Err(CoreError::Internal(format!(
-                "rental {} references a location with no node mapping",
+                "rental {} references an unmapped location",
                 r.id
             )));
         };
-        store
-            .add_edge(
-                src,
-                dst,
-                TRIP_LABEL,
-                props([
-                    (
-                        "day",
-                        PropValue::from(i64::from(r.start_time.weekday().index())),
-                    ),
-                    ("hour", PropValue::from(i64::from(r.start_time.hour()))),
-                ]),
-            )
-            .map_err(|e| CoreError::Internal(format!("failed to add trip edge: {e}")))?;
+        trips.push(src, dst, r.start_time);
     }
-    Ok(store)
+    Ok(trips)
+}
+
+/// The candidate graph of a trip table: the directed and undirected trip
+/// graphs over the table's full sorted station set (isolated nodes stay
+/// visible) and their Table II counts.
+fn trip_graphs(trips: &TripTable) -> (CsrGraph, CsrGraph, AggregateSummary) {
+    let build = |directed| {
+        build_dense_csr(
+            directed,
+            trips.station_ids().to_vec(),
+            trips.src(),
+            trips.dst(),
+            trips.weights(),
+            None,
+        )
+    };
+    let (directed, undirected) = (build(true), build(false));
+    // A loop is a row holding its own node, whatever the merged weight.
+    let loops = |g: &CsrGraph| {
+        (0..g.node_count())
+            .filter(|&u| g.row(u).0.binary_search(&(u as u32)).is_ok())
+            .count()
+    };
+    let summary = AggregateSummary {
+        nodes: undirected.node_count(),
+        undirected_edges: undirected.edge_count(),
+        undirected_edges_no_loops: undirected.edge_count() - loops(&undirected),
+        directed_edges: directed.edge_count(),
+        directed_edges_no_loops: directed.edge_count() - loops(&directed),
+        trips: trips.len(),
+    };
+    (directed, undirected, summary)
 }
 
 #[cfg(test)]
@@ -333,10 +370,89 @@ mod tests {
         let ds = small_clean();
         let net = build_candidate_network(&ds, &ExpansionConfig::default()).unwrap();
         assert_eq!(net.summary.trips, ds.rentals.len());
-        assert_eq!(net.store.edge_count(), ds.rentals.len());
         // Total directed weight equals the number of trips.
         assert_eq!(net.directed.total_weight() as usize, ds.rentals.len());
         assert_eq!(net.undirected.total_weight() as usize, ds.rentals.len());
+    }
+
+    /// The candidate graphs over 3 trips 1->2, 1 trip 2->1, 2 loops at 3,
+    /// 1 trip 3->4, a zero-weight loop at 5 and an isolated station 99.
+    fn fixture_graphs() -> (CsrGraph, CsrGraph, AggregateSummary) {
+        let mut t = TripTable::new(vec![1, 2, 3, 4, 5, 99]);
+        let rows: &[(u64, u64, f64)] = &[
+            (1, 2, 1.0),
+            (1, 2, 1.0),
+            (1, 2, 1.0),
+            (2, 1, 1.0),
+            (3, 3, 1.0),
+            (3, 3, 1.0),
+            (3, 4, 1.0),
+            (5, 5, 0.0),
+        ];
+        for &(src, dst, w) in rows {
+            let (s, d) = (t.station_index(src).unwrap(), t.station_index(dst).unwrap());
+            t.push_keyed(s, d, 0, 8, w);
+        }
+        trip_graphs(&t)
+    }
+
+    #[test]
+    fn trip_graphs_weight_edges_by_trip_count() {
+        let (directed, undirected, _) = fixture_graphs();
+        assert!(directed.is_directed());
+        assert_eq!(directed.edge_weight(1, 2), Some(3.0));
+        assert_eq!(directed.edge_weight(2, 1), Some(1.0));
+        assert_eq!(directed.edge_weight(3, 3), Some(2.0));
+        assert_eq!(directed.edge_weight(3, 4), Some(1.0));
+        // Undirected: both directions merge into one edge.
+        assert!(!undirected.is_directed());
+        assert_eq!(undirected.edge_weight(1, 2), Some(4.0));
+        assert_eq!(undirected.edge_weight(2, 1), Some(4.0));
+        let loop3 = undirected.index_of(3).unwrap() as usize;
+        assert_eq!(undirected.self_loop(loop3), 2.0);
+        assert_eq!(undirected.total_weight(), 7.0);
+    }
+
+    #[test]
+    fn trip_graphs_keep_isolated_nodes_in_sorted_order() {
+        let (directed, undirected, _) = fixture_graphs();
+        for g in [&directed, &undirected] {
+            assert_eq!(g.node_ids(), &[1, 2, 3, 4, 5, 99]);
+            assert_eq!(g.degree_of(99), Some(0));
+        }
+    }
+
+    #[test]
+    fn table_two_counts_loops_by_row_not_weight() {
+        let (_, _, summary) = fixture_graphs();
+        assert_eq!(summary.nodes, 6);
+        assert_eq!(summary.trips, 8);
+        // Directed pairs: (1,2), (2,1), (3,3), (3,4), (5,5) = 5; two loops.
+        assert_eq!(summary.directed_edges, 5);
+        assert_eq!(summary.directed_edges_no_loops, 3);
+        // Undirected pairs: {1,2}, {3,3}, {3,4}, {5,5} = 4; two loops.
+        assert_eq!(summary.undirected_edges, 4);
+        assert_eq!(summary.undirected_edges_no_loops, 2);
+    }
+
+    #[test]
+    fn unmapped_rental_endpoint_is_a_typed_error() {
+        let mut ds = small_clean();
+        let unmapped = ds.locations.iter().map(|l| l.id).max().unwrap() + 1;
+        ds.rentals[0].return_location_id = unmapped;
+        let location_to_node: HashMap<LocationId, NodeId> = ds
+            .locations
+            .iter()
+            .map(|l| (l.id, ds.stations[0].id))
+            .collect();
+        let err = trip_table(vec![ds.stations[0].id], &location_to_node, &ds).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Internal(msg) if msg.contains("unmapped location")),
+            "{err:?}"
+        );
+        // A mapping onto a node outside the station table is typed too.
+        let err = trip_table(vec![ds.stations[1].id], &location_to_node, &ds).unwrap_err();
+        assert!(matches!(err, CoreError::Internal(_)), "{err:?}");
     }
 
     #[test]

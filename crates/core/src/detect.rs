@@ -137,7 +137,8 @@ fn fold_to_stations(temporal: &TemporalGraph, raw: &Partition) -> Partition {
 /// frozen once at build time, and `directed_trips` should be frozen once
 /// by the caller and shared across all three granularities.
 ///
-/// * `temporal` — the graph built by [`crate::temporal::build_temporal_graph`];
+/// * `temporal` — one of the graphs built by
+///   [`crate::temporal::build_all_from_trips`];
 /// * `directed_trips` — the station-level directed weighted trip graph,
 ///   frozen to CSR;
 /// * `old_stations` — ids of pre-existing stations (for the old/new station
@@ -335,31 +336,19 @@ fn refresh_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::TRIP_LABEL;
-    use crate::temporal::build_temporal_graph;
-    use moby_graph::aggregate;
-    use moby_graph::{props, GraphStore, PropMap, PropValue};
+    use crate::temporal::build_all_from_trips;
+    use moby_data::trips::TripTable;
+    use moby_graph::build_dense_csr;
 
     /// Two station groups {1,2} and {3,4}. Group A trips happen on weekday
     /// mornings, group B trips at weekend middays; a couple of cross trips
     /// bridge them.
-    fn store() -> GraphStore {
-        let mut s = GraphStore::new();
-        for id in 1..=4u64 {
-            s.add_node(id, "Station", PropMap::new());
-        }
-        let mut add = |src: u64, dst: u64, day: i64, hour: i64, n: usize| {
+    fn trips() -> TripTable {
+        let mut t = TripTable::new(vec![1, 2, 3, 4]);
+        let mut add = |src: u64, dst: u64, day: u8, hour: u8, n: usize| {
+            let (s, d) = (t.station_index(src).unwrap(), t.station_index(dst).unwrap());
             for _ in 0..n {
-                s.add_edge(
-                    src,
-                    dst,
-                    TRIP_LABEL,
-                    props([
-                        ("day", PropValue::from(day)),
-                        ("hour", PropValue::from(hour)),
-                    ]),
-                )
-                .unwrap();
+                t.push_keyed(s, d, day, hour, 1.0);
             }
         };
         add(1, 2, 1, 8, 20);
@@ -370,7 +359,31 @@ mod tests {
         add(4, 4, 5, 14, 5);
         add(1, 3, 3, 11, 2);
         add(4, 2, 6, 15, 2);
-        s
+        t
+    }
+
+    /// The fixture's temporal graph at `granularity`.
+    fn temporal(granularity: TemporalGranularity) -> TemporalGraph {
+        let mut all = build_all_from_trips(&trips(), None, Some(1));
+        all.swap_remove(
+            TemporalGranularity::ALL
+                .iter()
+                .position(|&g| g == granularity)
+                .unwrap(),
+        )
+    }
+
+    /// The fixture's directed trip graph.
+    fn directed() -> CsrGraph {
+        let t = trips();
+        build_dense_csr(
+            true,
+            t.station_ids().to_vec(),
+            t.src(),
+            t.dst(),
+            t.weights(),
+            Some(1),
+        )
     }
 
     fn old() -> HashSet<NodeId> {
@@ -379,9 +392,8 @@ mod tests {
 
     #[test]
     fn basic_granularity_splits_station_groups() {
-        let s = store();
-        let temporal = build_temporal_graph(&s, TemporalGranularity::TNull);
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let temporal = temporal(TemporalGranularity::TNull);
+        let directed = directed();
         let det = detect_communities(&temporal, &directed, &old(), &DetectConfig::default());
         assert_eq!(det.granularity, TemporalGranularity::TNull);
         assert_eq!(det.community_count(), 2);
@@ -403,10 +415,9 @@ mod tests {
 
     #[test]
     fn layered_granularities_fold_back_to_all_stations() {
-        let s = store();
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let directed = directed();
         for g in [TemporalGranularity::TDay, TemporalGranularity::THour] {
-            let temporal = build_temporal_graph(&s, g);
+            let temporal = temporal(g);
             let det = detect_communities(&temporal, &directed, &old(), &DetectConfig::default());
             // Every station receives a community.
             assert_eq!(det.station_partition.len(), 4, "{g:?}");
@@ -420,12 +431,11 @@ mod tests {
     fn finer_granularity_does_not_reduce_modularity_here() {
         // With temporally disjoint groups, layering increases (or maintains)
         // modularity — the trend the paper reports (0.25 -> 0.32 -> 0.54).
-        let s = store();
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let directed = directed();
         let q: Vec<f64> = TemporalGranularity::ALL
             .iter()
             .map(|&g| {
-                let t = build_temporal_graph(&s, g);
+                let t = temporal(g);
                 detect_communities(&t, &directed, &old(), &DetectConfig::default()).modularity
             })
             .collect();
@@ -435,9 +445,8 @@ mod tests {
 
     #[test]
     fn label_propagation_detector_runs() {
-        let s = store();
-        let temporal = build_temporal_graph(&s, TemporalGranularity::TNull);
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let temporal = temporal(TemporalGranularity::TNull);
+        let directed = directed();
         let det = detect_communities(
             &temporal,
             &directed,
@@ -454,9 +463,8 @@ mod tests {
 
     #[test]
     fn detection_is_deterministic() {
-        let s = store();
-        let temporal = build_temporal_graph(&s, TemporalGranularity::THour);
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let temporal = temporal(TemporalGranularity::THour);
+        let directed = directed();
         let a = detect_communities(&temporal, &directed, &old(), &DetectConfig::default());
         let b = detect_communities(&temporal, &directed, &old(), &DetectConfig::default());
         assert_eq!(a.station_partition, b.station_partition);
@@ -465,10 +473,9 @@ mod tests {
 
     #[test]
     fn refresh_from_previous_detection_never_loses_modularity() {
-        let s = store();
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let directed = directed();
         for g in TemporalGranularity::ALL {
-            let temporal = build_temporal_graph(&s, g);
+            let temporal = temporal(g);
             let cfg = DetectConfig::default();
             let cold = detect_communities(&temporal, &directed, &old(), &cfg);
             // Same graph, seeded from its own detection: a fixed point or
@@ -487,9 +494,8 @@ mod tests {
 
     #[test]
     fn refresh_with_label_propagation_falls_back_to_cold() {
-        let s = store();
-        let temporal = build_temporal_graph(&s, TemporalGranularity::TNull);
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let temporal = temporal(TemporalGranularity::TNull);
+        let directed = directed();
         let cfg = DetectConfig {
             detector: Detector::LabelPropagation,
             seed: Some(5),
@@ -502,10 +508,9 @@ mod tests {
 
     #[test]
     fn permuted_detection_is_bit_identical() {
-        let s = store();
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let directed = directed();
         for g in TemporalGranularity::ALL {
-            let temporal = build_temporal_graph(&s, g);
+            let temporal = temporal(g);
             for detector in [Detector::Louvain, Detector::LabelPropagation] {
                 for threads in [Some(1), Some(4)] {
                     let natural = detect_communities(
@@ -549,10 +554,9 @@ mod tests {
 
     #[test]
     fn active_refresh_is_bit_identical_to_seeded_refresh() {
-        let s = store();
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let directed = directed();
         for g in TemporalGranularity::ALL {
-            let temporal = build_temporal_graph(&s, g);
+            let temporal = temporal(g);
             let cfg = DetectConfig::default();
             let cold = detect_communities(&temporal, &directed, &old(), &cfg);
             let whole = refresh_communities(&temporal, &directed, &old(), &cold, &cfg);
@@ -565,9 +569,8 @@ mod tests {
 
     #[test]
     fn self_containment_is_high_for_separated_groups() {
-        let s = store();
-        let temporal = build_temporal_graph(&s, TemporalGranularity::TNull);
-        let directed = aggregate::project_directed(&s, TRIP_LABEL).freeze();
+        let temporal = temporal(TemporalGranularity::TNull);
+        let directed = directed();
         let det = detect_communities(&temporal, &directed, &old(), &DetectConfig::default());
         // 86 of 90 trips stay within their group.
         assert!(det.table.self_contained_share() > 0.9);

@@ -7,16 +7,14 @@
 //! number of trips is unchanged by construction, which is the invariant the
 //! paper calls out under Table III.
 
-use crate::candidate::{CandidateNetwork, TRIP_LABEL};
+use crate::candidate::{trip_table, CandidateNetwork};
 use crate::selection::SelectionOutcome;
 use crate::{CoreError, Result};
 use moby_cluster::assign::StationAssigner;
 use moby_data::schema::{CleanDataset, LocationId};
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart};
 use moby_geo::GeoPoint;
-use moby_graph::{
-    build_dense_csr, props, CsrDelta, CsrEvict, CsrGraph, GraphStore, NodeId, PropValue,
-};
+use moby_graph::{build_dense_csr, CsrDelta, CsrEvict, CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -81,8 +79,8 @@ pub struct WindowOutcome {
 ///
 /// The station directory and both frozen graphs are `Arc`-backed, so a
 /// `clone()` intended as a read snapshot shares them instead of deep
-/// copying; only the mutable parts (trip table, property store, Table III
-/// counters) are copied. The serving layer
+/// copying; only the mutable parts (trip table, Table III counters) are
+/// copied. The serving layer
 /// (`moby_server`) leans on this: publishing a snapshot per ingested
 /// batch costs O(trip table), never O(adjacency slabs).
 #[derive(Debug, Clone)]
@@ -94,13 +92,10 @@ pub struct SelectedNetwork {
     pub stations: std::sync::Arc<Vec<FinalStation>>,
     /// Mapping from cleaned location id to its final station.
     pub location_to_station: HashMap<LocationId, NodeId>,
-    /// Property-graph store with one `TRIP` relationship per rental — the
-    /// full-fidelity record (the Neo4j analogue) behind the reporting
-    /// layer's profiles; graph construction no longer reads it.
-    pub store: GraphStore,
     /// The columnar trip table: one row per rental over the shared sorted
-    /// station-intern table. One pass over these columns feeds every
-    /// graph the pipeline builds.
+    /// station-intern table — the only record of a trip. One pass over
+    /// these columns feeds every graph the pipeline builds and the
+    /// reporting layer's day/hour profiles.
     pub trips: TripTable,
     /// Frozen directed trip graph, built straight from
     /// [`SelectedNetwork::trips`] by sort-merge — shared by every
@@ -137,9 +132,9 @@ impl SelectedNetwork {
         self.stations.iter().map(|s| (s.id, s.position)).collect()
     }
 
-    /// Look up a station by id.
+    /// Look up a station by id (see [`find_station`]).
     pub fn station(&self, id: NodeId) -> Option<&FinalStation> {
-        self.stations.iter().find(|s| s.id == id)
+        find_station(&self.stations, id)
     }
 
     /// Ingest a batch of new trips — the streaming entry point of the
@@ -151,9 +146,8 @@ impl SelectedNetwork {
     /// [`undirected`](SelectedNetwork::undirected) graphs by
     /// [`CsrGraph::apply_delta`] (bit-identical to rebuilding them from
     /// the concatenated table, untouched rows copied rather than
-    /// re-merged), records the trips in the property store for the
-    /// reporting layer, and updates Table III — trip counters
-    /// incrementally from the batch, edge counters from the merged rows.
+    /// re-merged), and updates Table III — trip counters incrementally
+    /// from the batch, edge counters from the merged rows.
     /// Feed the returned [`AppendOutcome`] to
     /// [`temporal::apply_batch_all`](crate::temporal::apply_batch_all) to
     /// advance the `GBasic`/`GDay`/`GHour` graphs from the same batch.
@@ -164,24 +158,17 @@ impl SelectedNetwork {
     /// # Errors
     ///
     /// [`CoreError::UnknownStation`] when a batch endpoint is not a
-    /// station of this network — in the trip table *or* in the property
-    /// store. Validation happens before any mutation, so a failed ingest
-    /// leaves the network untouched.
+    /// station of this network. Validation happens before any mutation,
+    /// so a failed ingest leaves the network untouched.
     pub fn ingest_batch(
         &mut self,
         batch: &TripBatch,
         threads: Option<usize>,
     ) -> Result<AppendOutcome> {
-        // Validate every endpoint against both stateful sinks up front:
-        // everything after this loop is infallible, so the network never
-        // ends up with a half-applied batch.
-        for (src, dst, ..) in batch.iter() {
-            for id in [src, dst] {
-                if self.trips.station_index(id).is_none() || !self.store.contains_node(id) {
-                    return Err(CoreError::UnknownStation(id));
-                }
-            }
-        }
+        // Validate every endpoint up front: everything after this check is
+        // infallible, so the network never ends up with a half-applied
+        // batch.
+        self.check_batch_stations(batch)?;
         let outcome = self.trips.append_batch(batch);
         debug_assert!(
             outcome.old_to_new.is_none(),
@@ -200,23 +187,6 @@ impl SelectedNetwork {
         self.directed = self.directed.apply_delta(&delta, threads);
         let delta = CsrDelta::from_dense(false, station_ids, None, src, dst, w);
         self.undirected = self.undirected.apply_delta(&delta, threads);
-
-        // Full-fidelity record for the reporting layer's profiles. Both
-        // endpoints were validated against the store above, so adding the
-        // edge cannot fail.
-        for (src, dst, day, hour, _) in batch.iter() {
-            self.store
-                .add_edge(
-                    src,
-                    dst,
-                    TRIP_LABEL,
-                    props([
-                        ("day", PropValue::from(i64::from(day))),
-                        ("hour", PropValue::from(i64::from(hour))),
-                    ]),
-                )
-                .expect("endpoints validated against the store");
-        }
 
         // Table III: trip counters advance from the batch rows alone;
         // edge counters re-tally from the merged directed rows (distinct
@@ -254,11 +224,10 @@ impl SelectedNetwork {
     /// [`directed`](SelectedNetwork::directed) /
     /// [`undirected`](SelectedNetwork::undirected) graphs retreat through
     /// [`CsrGraph::apply_evict`] — bit-identical to rebuilding them from
-    /// the surviving table. Expired `TRIP` relationships leave the
-    /// property store, and Table III advances incrementally: evicted rows
-    /// decrement the per-group trip counters, the batch increments them,
-    /// and distinct-edge counts re-tally from the merged rows (inside
-    /// [`ingest_batch`](SelectedNetwork::ingest_batch)).
+    /// the surviving table. Table III advances incrementally: evicted
+    /// rows decrement the per-group trip counters, the batch increments
+    /// them, and distinct-edge counts re-tally from the merged rows
+    /// (inside [`ingest_batch`](SelectedNetwork::ingest_batch)).
     ///
     /// The eviction runs **before** the ingest, so batch rows predating
     /// `window` are accepted and survive until the *next* window step —
@@ -286,13 +255,7 @@ impl SelectedNetwork {
         window: WindowStart,
         threads: Option<usize>,
     ) -> Result<WindowOutcome> {
-        for (src, dst, ..) in batch.iter() {
-            for id in [src, dst] {
-                if self.trips.station_index(id).is_none() || !self.store.contains_node(id) {
-                    return Err(CoreError::UnknownStation(id));
-                }
-            }
-        }
+        self.check_batch_stations(batch)?;
 
         let evicted = self.trips.evict_before_pinned(window);
         if !evicted.is_noop() {
@@ -318,18 +281,6 @@ impl SelectedNetwork {
                 self.trips.weights(),
             );
             self.undirected = self.undirected.apply_evict(&ev, threads);
-
-            // The full-fidelity store drops the same expired trips (nodes
-            // stay — a station with no surviving trips is still a station).
-            let removed = self.store.retain_edges(|e| {
-                if e.label != TRIP_LABEL {
-                    return true;
-                }
-                let day = e.props.get("day").and_then(|v| v.as_int()).unwrap_or(0) as u8;
-                let hour = e.props.get("hour").and_then(|v| v.as_int()).unwrap_or(0) as u8;
-                window.keeps(day, hour)
-            });
-            debug_assert_eq!(removed, evicted.evicted_rows(), "store/table drift");
 
             // Table III: evicted rows decrement the per-group trip
             // counters (the pinned table keeps dense indices stable, so
@@ -360,10 +311,37 @@ impl SelectedNetwork {
         let appended = self.ingest_batch(batch, threads)?;
         Ok(WindowOutcome { evicted, appended })
     }
+
+    /// [`CoreError::UnknownStation`] for the first batch endpoint that is
+    /// not a station of this network.
+    fn check_batch_stations(&self, batch: &TripBatch) -> Result<()> {
+        for (src, dst, ..) in batch.iter() {
+            for id in [src, dst] {
+                if self.trips.station_index(id).is_none() {
+                    return Err(CoreError::UnknownStation(id));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Look up a station by id in a directory laid out as
+/// [`SelectedNetwork::stations`] is: the pre-existing run first, then the
+/// selected run, each sorted by id. The runs split at the first selected
+/// station and each is binary-searched, pre-existing first — the station
+/// a linear scan would find.
+pub fn find_station(stations: &[FinalStation], id: NodeId) -> Option<&FinalStation> {
+    let (fixed, selected) = stations.split_at(stations.partition_point(|s| s.is_fixed));
+    [fixed, selected].into_iter().find_map(|run| {
+        run.binary_search_by_key(&id, |s| s.id)
+            .ok()
+            .map(|at| &run[at])
+    })
 }
 
 /// Build the selected network: the expanded station set, the reassigned
-/// location mapping, the trip store/graphs and Table III.
+/// location mapping, the trip table, its frozen graphs and Table III.
 pub fn build_selected_network(
     dataset: &CleanDataset,
     network: &CandidateNetwork,
@@ -423,68 +401,11 @@ pub fn build_selected_network(
     }
 
     // --- Columnar trip table over the final stations. ---
-    // Location endpoints resolve through a sorted lookup table (binary
-    // search), so the per-rental hot loop performs zero hash-map
-    // operations.
-    let mut trips = TripTable::new(stations.iter().map(|s| s.id).collect());
-    let mut location_lookup: Vec<(LocationId, u32)> = location_to_station
-        .iter()
-        .map(|(&loc, &station)| {
-            (
-                loc,
-                trips
-                    .station_index(station)
-                    .expect("every mapped station is final"),
-            )
-        })
-        .collect();
-    location_lookup.sort_unstable();
-    let resolve = |loc: LocationId| -> Option<u32> {
-        location_lookup
-            .binary_search_by_key(&loc, |&(l, _)| l)
-            .ok()
-            .map(|at| location_lookup[at].1)
-    };
-
-    // --- Trip store over final stations (full-fidelity record for the
-    //     reporting layer; not on the construction hot path). ---
-    let mut store = GraphStore::new();
-    for s in &stations {
-        store.add_node(
-            s.id,
-            if s.is_fixed { "Station" } else { "NewStation" },
-            props([
-                ("name", PropValue::from(s.name.as_str())),
-                ("lat", PropValue::from(s.position.lat())),
-                ("lon", PropValue::from(s.position.lon())),
-                ("fixed", PropValue::from(s.is_fixed)),
-            ]),
-        );
-    }
-    for r in &dataset.rentals {
-        let (Some(src), Some(dst)) = (resolve(r.rental_location_id), resolve(r.return_location_id))
-        else {
-            return Err(CoreError::Internal(format!(
-                "rental {} references an unmapped location",
-                r.id
-            )));
-        };
-        trips.push(src, dst, r.start_time);
-        store
-            .add_edge(
-                trips.station_id(src),
-                trips.station_id(dst),
-                TRIP_LABEL,
-                props([
-                    (
-                        "day",
-                        PropValue::from(i64::from(r.start_time.weekday().index())),
-                    ),
-                    ("hour", PropValue::from(i64::from(r.start_time.hour()))),
-                ]),
-            )
-            .map_err(|e| CoreError::Internal(format!("failed to add trip edge: {e}")))?;
-    }
+    let trips = trip_table(
+        stations.iter().map(|s| s.id).collect(),
+        &location_to_station,
+        dataset,
+    )?;
 
     // --- Frozen trip graphs, built by columnar sort-merge straight from
     //     the dense trip columns (one shared station-intern table; no
@@ -510,7 +431,6 @@ pub fn build_selected_network(
     Ok(SelectedNetwork {
         stations: std::sync::Arc::new(stations),
         location_to_station,
-        store,
         trips,
         directed,
         undirected,
@@ -659,7 +579,7 @@ mod tests {
         let (ds, net, sel) = setup();
         let out = build_selected_network(&ds, &net, &sel).unwrap();
         assert_eq!(out.table.total_trips, ds.rentals.len());
-        assert_eq!(out.store.edge_count(), ds.rentals.len());
+        assert_eq!(out.trips.len(), ds.rentals.len());
         // From/To breakdowns each sum to the total trips.
         assert_eq!(
             out.table.pre_existing.trips_from + out.table.selected.trips_from,
@@ -738,7 +658,6 @@ mod tests {
         assert_eq!(outcome.batch_start, before_trips);
         assert!(outcome.old_to_new.is_none());
         assert_eq!(out.trips.len(), before_trips + batch.len());
-        assert_eq!(out.store.edge_count(), out.trips.len());
 
         // Both frozen graphs and Table III equal a from-scratch rebuild
         // over the appended table.
@@ -809,7 +728,6 @@ mod tests {
             "window must expire rows"
         );
         assert!(outcome.evicted.new_to_old.is_none(), "pinned table");
-        assert_eq!(out.store.edge_count(), out.trips.len());
 
         // Graphs and Table III equal a from-scratch rebuild over the
         // post-window table (survivors + batch, in table order).
@@ -867,6 +785,27 @@ mod tests {
         );
         assert_eq!(out.trips, before);
         assert_eq!(out.table, table_before);
+    }
+
+    #[test]
+    fn station_lookup_matches_a_linear_scan() {
+        let (ds, net, sel) = setup();
+        let out = build_selected_network(&ds, &net, &sel).unwrap();
+        assert!(out.stations.iter().any(|s| s.is_fixed));
+        assert!(out.stations.iter().any(|s| !s.is_fixed));
+        // Every id of both runs, and its neighbours (gaps inside each run
+        // and ids past either end miss).
+        let ids: Vec<NodeId> = out
+            .stations
+            .iter()
+            .flat_map(|s| [s.id.saturating_sub(1), s.id, s.id + 1])
+            .collect();
+        for id in ids {
+            let linear = out.stations.iter().find(|s| s.id == id);
+            assert_eq!(out.station(id), linear, "station {id}");
+        }
+        let missing = out.stations.iter().map(|s| s.id).max().unwrap() + 1;
+        assert!(out.station(missing).is_none());
     }
 
     #[test]

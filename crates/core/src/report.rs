@@ -12,14 +12,14 @@
 //! | Fig. 5 | [`daily_profile`] + [`profile_csv`] |
 //! | Fig. 7 | [`hourly_profile`] + [`profile_csv`] |
 
-use crate::candidate::TRIP_LABEL;
+use crate::candidate::AggregateSummary;
 use moby_community::stats::CommunityTable;
 use moby_community::Partition;
 use moby_data::stats::DatasetOverview;
+use moby_data::trips::TripTable;
 use moby_geo::GeoPoint;
-use moby_graph::aggregate::AggregateSummary;
 use moby_graph::export::{to_geojson, NodeFeature};
-use moby_graph::{CsrGraph, GraphStore, NodeId};
+use moby_graph::{CsrGraph, NodeId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
@@ -124,65 +124,46 @@ pub fn render_community_table(name: &str, table: &CommunityTable) -> String {
 }
 
 /// Per-community share of trips per weekday (Monday-first), the series
-/// behind Fig. 5. Shares within a community sum to 1 (or 0 when the
+/// behind Fig. 5. Each trip row counts once for its origin station's
+/// community. Shares within a community sum to 1 (or 0 when the
 /// community has no trips).
 pub fn daily_profile(
-    store: &GraphStore,
+    trips: &TripTable,
     station_partition: &Partition,
 ) -> BTreeMap<usize, [f64; 7]> {
-    profile_by_property(store, station_partition, "day", 7)
-        .into_iter()
-        .map(|(c, v)| {
-            let mut arr = [0.0; 7];
-            arr.copy_from_slice(&v);
-            (c, arr)
-        })
-        .collect()
+    profile_by_key(trips, station_partition, trips.day())
 }
 
 /// Per-community share of trips per start hour, the series behind Fig. 7.
 pub fn hourly_profile(
-    store: &GraphStore,
+    trips: &TripTable,
     station_partition: &Partition,
 ) -> BTreeMap<usize, [f64; 24]> {
-    profile_by_property(store, station_partition, "hour", 24)
-        .into_iter()
-        .map(|(c, v)| {
-            let mut arr = [0.0; 24];
-            arr.copy_from_slice(&v);
-            (c, arr)
-        })
-        .collect()
+    profile_by_key(trips, station_partition, trips.hour())
 }
 
-fn profile_by_property(
-    store: &GraphStore,
+/// Count the rows of `trips` per origin community and `keys` bucket, then
+/// normalise each community's counts to shares.
+fn profile_by_key<const N: usize>(
+    trips: &TripTable,
     station_partition: &Partition,
-    property: &str,
-    buckets: usize,
-) -> BTreeMap<usize, Vec<f64>> {
-    let mut counts: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+    keys: &[u8],
+) -> BTreeMap<usize, [f64; N]> {
+    let mut counts: BTreeMap<usize, [f64; N]> = BTreeMap::new();
     // Every community gets a row, all-zero when none of its stations
     // originates a trip (the documented contract).
     for (_, community) in station_partition.iter() {
-        counts
-            .entry(community)
-            .or_insert_with(|| vec![0.0; buckets]);
+        counts.entry(community).or_insert([0.0; N]);
     }
-    for e in store.edges_with_label(TRIP_LABEL) {
-        let Some(community) = station_partition.community_of(e.src) else {
-            continue;
-        };
-        let Some(bucket) = e.props.get(property).and_then(|v| v.as_int()) else {
-            continue;
-        };
-        let bucket = bucket as usize;
-        if bucket >= buckets {
-            continue;
+    let community_of: Vec<Option<usize>> = trips
+        .station_ids()
+        .iter()
+        .map(|&id| station_partition.community_of(id))
+        .collect();
+    for (&src, &key) in trips.src().iter().zip(keys) {
+        if let Some(community) = community_of[src as usize] {
+            counts.entry(community).or_insert([0.0; N])[usize::from(key)] += 1.0;
         }
-        counts
-            .entry(community)
-            .or_insert_with(|| vec![0.0; buckets])[bucket] += 1.0;
     }
     for v in counts.values_mut() {
         let total: f64 = v.iter().sum();
@@ -262,31 +243,24 @@ pub fn network_geojson(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moby_graph::{props, PropMap, PropValue};
+    use moby_data::timeparse::Timestamp;
 
-    fn store_with_partition() -> (GraphStore, Partition) {
-        let mut s = GraphStore::new();
-        for id in 1..=2u64 {
-            s.add_node(id, "Station", PropMap::new());
-        }
-        let mut add = |src: u64, dst: u64, day: i64, hour: i64| {
-            s.add_edge(
+    fn trips_with_partition() -> (TripTable, Partition) {
+        let mut t = TripTable::new(vec![1, 2]);
+        // 2020-06-01 is a Monday.
+        let mut add = |src: u32, dst: u32, day: u32, hour: u32| {
+            t.push(
                 src,
                 dst,
-                TRIP_LABEL,
-                props([
-                    ("day", PropValue::from(day)),
-                    ("hour", PropValue::from(hour)),
-                ]),
-            )
-            .unwrap();
+                Timestamp::from_ymd_hms(2020, 6, 1 + day, hour, 0, 0).unwrap(),
+            );
         };
-        add(1, 1, 0, 8);
-        add(1, 2, 0, 8);
-        add(1, 2, 5, 14);
-        add(2, 2, 6, 14);
+        add(0, 0, 0, 8);
+        add(0, 1, 0, 8);
+        add(0, 1, 5, 14);
+        add(1, 1, 6, 14);
         let p: Partition = [(1u64, 0usize), (2, 1)].into_iter().collect();
-        (s, p)
+        (t, p)
     }
 
     #[test]
@@ -351,8 +325,8 @@ mod tests {
 
     #[test]
     fn daily_profile_shares_sum_to_one() {
-        let (s, p) = store_with_partition();
-        let prof = daily_profile(&s, &p);
+        let (t, p) = trips_with_partition();
+        let prof = daily_profile(&t, &p);
         assert_eq!(prof.len(), 2);
         for shares in prof.values() {
             let total: f64 = shares.iter().sum();
@@ -365,8 +339,8 @@ mod tests {
 
     #[test]
     fn hourly_profile_buckets() {
-        let (s, p) = store_with_partition();
-        let prof = hourly_profile(&s, &p);
+        let (t, p) = trips_with_partition();
+        let prof = hourly_profile(&t, &p);
         assert!((prof[&0][8] - 2.0 / 3.0).abs() < 1e-9);
         assert!((prof[&0][14] - 1.0 / 3.0).abs() < 1e-9);
         assert!((prof[&1][14] - 1.0).abs() < 1e-9);
@@ -374,8 +348,8 @@ mod tests {
 
     #[test]
     fn profile_csv_layout() {
-        let (s, p) = store_with_partition();
-        let prof = daily_profile(&s, &p);
+        let (t, p) = trips_with_partition();
+        let prof = daily_profile(&t, &p);
         let labels = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"];
         let csv = profile_csv(&prof, &labels);
         let lines: Vec<&str> = csv.trim().lines().collect();

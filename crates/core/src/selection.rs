@@ -87,7 +87,7 @@ fn resolve_threshold(
     network: &CandidateNetwork,
     fixed_ids: &[NodeId],
 ) -> Result<usize> {
-    let summary = DegreeSummary::for_nodes(&network.undirected, fixed_ids)
+    let summary = DegreeSummary::for_nodes_csr(&network.undirected, fixed_ids)
         .ok_or_else(|| CoreError::Internal("no fixed stations in candidate graph".into()))?;
     Ok(match config.degree_threshold {
         DegreeThreshold::MinFixedStationDegree => summary.min,

@@ -22,25 +22,25 @@
 //!
 //! ## Two construction paths
 //!
+//! Both read the same [`TripTable`], the only record of a trip.
+//!
 //! * **Columnar (hot path)** — [`build_all_from_trips`] makes **one pass**
 //!   over the cleaned [`TripTable`] columns, emitting the edge lists of
 //!   all three granularities against the table's shared station-intern
 //!   table (layer keys computed inline), then freezes each through the
 //!   sort-merge [`CsrBuilder`]. No per-edge hash operation anywhere,
 //!   parallel yet bit-identical at any thread count.
-//! * **Store projection (compatibility / equivalence baseline)** —
-//!   [`build_temporal_graph`] re-scans the property store once per
-//!   granularity through the `WeightedGraph` hash-map builders and
-//!   freezes the result. The equivalence suites assert both paths produce
-//!   *identical* frozen graphs; benchmarks keep it around to measure what
-//!   the columnar path buys.
+//! * **Hash-map reference (equivalence oracle)** — [`reference_graph`]
+//!   makes one `WeightedGraph::add_edge` per table row and leaves the
+//!   freeze to the caller. The equivalence suites assert both paths
+//!   produce *identical* frozen graphs; benchmarks keep it around to
+//!   measure what the columnar path buys.
 
-use crate::candidate::TRIP_LABEL;
 use crate::CoreError;
 use moby_data::spool::TripSpool;
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripTable};
-use moby_graph::{aggregate, spill};
-use moby_graph::{CsrBuilder, CsrDelta, CsrEvict, CsrGraph, GraphStore, NodeId, WeightedGraph};
+use moby_graph::spill;
+use moby_graph::{CsrBuilder, CsrDelta, CsrEvict, CsrGraph, NodeId, WeightedGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -74,15 +74,6 @@ impl TemporalGranularity {
         }
     }
 
-    /// The edge-property name carrying this granularity's key.
-    pub fn property(&self) -> Option<&'static str> {
-        match self {
-            TemporalGranularity::TNull => None,
-            TemporalGranularity::TDay => Some("day"),
-            TemporalGranularity::THour => Some("hour"),
-        }
-    }
-
     /// The graph name the paper uses.
     pub fn graph_name(&self) -> &'static str {
         match self {
@@ -98,13 +89,6 @@ impl TemporalGranularity {
 pub struct TemporalGraph {
     /// The granularity this graph was built for.
     pub granularity: TemporalGranularity,
-    /// The legacy undirected **builder** graph, populated only by the
-    /// store-projection path ([`build_temporal_graph`]) where it serves as
-    /// the equivalence baseline. The columnar path
-    /// ([`build_all_from_trips`]) never materialises it. For `TNull` the
-    /// nodes are station ids; for `TDay`/`THour` they are layered
-    /// `(station, key)` ids.
-    pub builder: Option<WeightedGraph>,
     /// The frozen CSR graph, produced once at build time. Louvain,
     /// modularity and the station folding all consume this — the temporal
     /// layer owns freezing, so detection never re-derives adjacency.
@@ -115,25 +99,7 @@ pub struct TemporalGraph {
 }
 
 impl TemporalGraph {
-    /// Wrap a built (possibly layered) station builder graph, freezing its
-    /// CSR projection once and keeping the builder as the equivalence
-    /// baseline.
-    pub fn new(
-        granularity: TemporalGranularity,
-        graph: WeightedGraph,
-        layer_map: Option<HashMap<NodeId, (NodeId, u32)>>,
-    ) -> TemporalGraph {
-        let csr = graph.freeze();
-        TemporalGraph {
-            granularity,
-            builder: Some(graph),
-            csr,
-            layer_map,
-        }
-    }
-
-    /// Wrap an already-frozen graph produced by the columnar build path —
-    /// no builder graph exists on the hot path.
+    /// Wrap an already-frozen (possibly layered) station graph.
     pub fn from_csr(
         granularity: TemporalGranularity,
         csr: CsrGraph,
@@ -141,7 +107,6 @@ impl TemporalGraph {
     ) -> TemporalGraph {
         TemporalGraph {
             granularity,
-            builder: None,
             csr,
             layer_map,
         }
@@ -169,35 +134,64 @@ impl TemporalGraph {
     }
 }
 
-/// Build the station graph for a granularity from the selected network's
-/// trip store.
-pub fn build_temporal_graph(store: &GraphStore, granularity: TemporalGranularity) -> TemporalGraph {
-    match granularity {
-        TemporalGranularity::TNull => TemporalGraph::new(
-            granularity,
-            aggregate::project_undirected(store, TRIP_LABEL),
-            None,
-        ),
-        TemporalGranularity::TDay | TemporalGranularity::THour => {
-            let property = granularity.property().expect("layered granularity");
-            let stride = granularity.stride();
-            let (graph, layer_map) = aggregate::project_layered(store, TRIP_LABEL, stride, |e| {
-                e.props
-                    .get(property)
-                    .and_then(|v| v.as_int())
-                    .map(|v| v as u32)
-            });
-            TemporalGraph::new(granularity, graph, Some(layer_map))
+/// The hash-map reference build of one granularity's graph — the oracle
+/// the equivalence suites and the construction benches compare the
+/// columnar builds against.
+///
+/// Makes one [`WeightedGraph::add_edge`] per table row with that row's
+/// weight. `TNull` first seeds the sorted station table (isolated stations
+/// stay visible) and links the row's two stations; `TDay`/`THour` fold the
+/// row's key into both endpoints as `station * stride + key` and also
+/// return the `layered id → (station, key)` map. `directed` picks the
+/// builder's directedness: the temporal graphs are undirected, and the
+/// directed `TNull` graph is the selected network's directed trip graph.
+///
+/// Freezing the returned graph gives bit for bit what the columnar path
+/// builds ([`build_all_from_trips`], or
+/// [`build_dense_csr`](moby_graph::build_dense_csr) over the table for
+/// the directed trip graph): both intern nodes in the same order and
+/// merge duplicate edges in the same row order.
+pub fn reference_graph(
+    trips: &TripTable,
+    granularity: TemporalGranularity,
+    directed: bool,
+) -> (WeightedGraph, Option<HashMap<NodeId, (NodeId, u32)>>) {
+    let mut g = if directed {
+        WeightedGraph::new_directed()
+    } else {
+        WeightedGraph::new_undirected()
+    };
+    let (src, dst, weight) = (trips.src(), trips.dst(), trips.weights());
+    let stride = granularity.stride();
+    let key = match granularity {
+        TemporalGranularity::TNull => {
+            for &id in trips.station_ids() {
+                g.add_node(id);
+            }
+            for k in 0..trips.len() {
+                g.add_edge(
+                    trips.station_id(src[k]),
+                    trips.station_id(dst[k]),
+                    weight[k],
+                );
+            }
+            return (g, None);
         }
+        TemporalGranularity::TDay => trips.day(),
+        TemporalGranularity::THour => trips.hour(),
+    };
+    let mut layer_map = HashMap::new();
+    for k in 0..trips.len() {
+        let (s, d, key) = (
+            trips.station_id(src[k]),
+            trips.station_id(dst[k]),
+            u64::from(key[k]),
+        );
+        layer_map.insert(s * stride + key, (s, key as u32));
+        layer_map.insert(d * stride + key, (d, key as u32));
+        g.add_edge(s * stride + key, d * stride + key, weight[k]);
     }
-}
-
-/// Build all three temporal graphs.
-pub fn build_all(store: &GraphStore) -> Vec<TemporalGraph> {
-    TemporalGranularity::ALL
-        .iter()
-        .map(|&g| build_temporal_graph(store, g))
-        .collect()
+    (g, Some(layer_map))
 }
 
 /// Decode a layered graph's node table back into the
@@ -246,16 +240,11 @@ fn extend_layer_map(
 /// `GBasic` is built exactly once); pass `None` to build it from the
 /// table here.
 ///
-/// The frozen graphs are **identical** to what the legacy store
-/// projection ([`build_temporal_graph`]) produces — the synthetic-dataset
-/// equivalence suite asserts this bitwise — because both paths intern
-/// nodes in the same first-appearance order and merge duplicate edges in
-/// the same insertion order. That baseline weights every trip at 1.0, so
-/// the equivalence claim covers the unit-weight tables cleaning produces;
-/// a table with explicit
-/// [`push_weighted`](moby_data::trips::TripTable::push_weighted) weights
-/// builds the weighted generalisation the store projection cannot
-/// represent.
+/// The frozen graphs are **identical** to what the hash-map reference
+/// ([`reference_graph`]) freezes to — the synthetic-dataset equivalence
+/// suite asserts this bitwise — because both paths intern nodes in the
+/// same first-appearance order and merge duplicate edges in the same row
+/// order, with each row's weight.
 pub fn build_all_from_trips(
     trips: &TripTable,
     basic: Option<&CsrGraph>,
@@ -309,7 +298,7 @@ pub fn build_all_from_trips_sharded(
         None => {
             // The station-level graph builds straight from the dense trip
             // columns; seeding the full sorted node table keeps every
-            // station visible, like the legacy store projection.
+            // station visible, like the hash-map reference.
             moby_graph::build_dense_csr_sharded(
                 false,
                 trips.station_ids().to_vec(),
@@ -873,35 +862,6 @@ pub fn apply_window_all(
 mod tests {
     use super::*;
     use moby_data::trips::TripBatch;
-    use moby_graph::{props, PropMap, PropValue};
-
-    fn store() -> GraphStore {
-        let mut s = GraphStore::new();
-        for id in 1..=3u64 {
-            s.add_node(id, "Station", PropMap::new());
-        }
-        // (src, dst, day, hour)
-        let trips = [
-            (1u64, 2u64, 0i64, 8i64),
-            (1, 2, 0, 9),
-            (2, 1, 4, 17),
-            (2, 3, 5, 12),
-            (3, 3, 6, 13),
-        ];
-        for (src, dst, day, hour) in trips {
-            s.add_edge(
-                src,
-                dst,
-                TRIP_LABEL,
-                props([
-                    ("day", PropValue::from(day)),
-                    ("hour", PropValue::from(hour)),
-                ]),
-            )
-            .unwrap();
-        }
-        s
-    }
 
     #[test]
     fn granularity_metadata() {
@@ -910,14 +870,12 @@ mod tests {
         assert_eq!(TemporalGranularity::THour.graph_name(), "GHour");
         assert_eq!(TemporalGranularity::TDay.stride(), 8);
         assert_eq!(TemporalGranularity::THour.stride(), 32);
-        assert_eq!(TemporalGranularity::TNull.property(), None);
-        assert_eq!(TemporalGranularity::TDay.property(), Some("day"));
     }
 
-    /// The columnar trip table matching [`store`] (same station set, same
-    /// trip order).
-    fn trip_table() -> TripTable {
-        let mut t = TripTable::new(vec![1, 2, 3]);
+    /// Five trips `(src, dst, day, hour)` over `station_ids`, which must
+    /// hold stations 1–3.
+    fn trip_table_over(station_ids: Vec<NodeId>) -> TripTable {
+        let mut t = TripTable::new(station_ids);
         let trips = [
             (1u64, 2u64, 0u8, 8u8),
             (1, 2, 0, 9),
@@ -946,21 +904,27 @@ mod tests {
         t
     }
 
+    fn trip_table() -> TripTable {
+        trip_table_over(vec![1, 2, 3])
+    }
+
     #[test]
     fn basic_graph_merges_all_trips() {
-        let g = build_temporal_graph(&store(), TemporalGranularity::TNull);
+        let all = build_all_from_trips(&trip_table(), None, None);
+        let g = &all[0];
         assert!(g.layer_map.is_none());
         assert_eq!(g.csr.node_count(), 3);
         assert_eq!(g.csr.edge_weight(1, 2), Some(3.0)); // both directions merged
-        let builder = g.builder.as_ref().expect("legacy path keeps the builder");
-        assert_eq!(builder.self_loop_weight(3), 1.0);
+        let i = g.csr.index_of(3).unwrap() as usize;
+        assert_eq!(g.csr.self_loop(i), 1.0);
         assert_eq!(g.station_of(2), 2);
         assert_eq!(g.station_count(), 3);
     }
 
     #[test]
     fn day_graph_separates_layers() {
-        let g = build_temporal_graph(&store(), TemporalGranularity::TDay);
+        let all = build_all_from_trips(&trip_table(), None, None);
+        let g = &all[1];
         let map = g.layer_map.as_ref().unwrap();
         // Day-0 edge between stations 1 and 2 carries two trips.
         assert_eq!(g.csr.edge_weight(1 * 8, 2 * 8), Some(2.0));
@@ -976,7 +940,8 @@ mod tests {
 
     #[test]
     fn hour_graph_uses_hour_keys() {
-        let g = build_temporal_graph(&store(), TemporalGranularity::THour);
+        let all = build_all_from_trips(&trip_table(), None, None);
+        let g = &all[2];
         assert_eq!(g.csr.edge_weight(1 * 32 + 8, 2 * 32 + 8), Some(1.0));
         assert_eq!(g.csr.edge_weight(1 * 32 + 9, 2 * 32 + 9), Some(1.0));
         let i = g.csr.index_of(3 * 32 + 13).unwrap() as usize;
@@ -985,7 +950,7 @@ mod tests {
 
     #[test]
     fn build_all_covers_every_granularity() {
-        let all = build_all(&store());
+        let all = build_all_from_trips(&trip_table(), None, None);
         assert_eq!(all.len(), 3);
         assert_eq!(all[0].granularity, TemporalGranularity::TNull);
         assert_eq!(all[2].granularity, TemporalGranularity::THour);
@@ -995,40 +960,88 @@ mod tests {
     }
 
     #[test]
-    fn frozen_csr_matches_builder_at_every_granularity() {
-        let s = store();
-        for granularity in TemporalGranularity::ALL {
-            let t = build_temporal_graph(&s, granularity);
-            let builder = t.builder.as_ref().expect("legacy path keeps the builder");
-            assert_eq!(t.csr.node_count(), builder.node_count(), "{granularity:?}");
-            assert_eq!(t.csr.edge_count(), builder.edge_count(), "{granularity:?}");
-            assert_eq!(t.csr.total_weight(), builder.total_weight());
-            for &id in builder.node_ids() {
-                assert_eq!(t.csr.strength_of(id), builder.strength_of(id));
-            }
-        }
-    }
-
-    #[test]
     fn station_of_unknown_node_is_identity() {
-        let g = build_temporal_graph(&store(), TemporalGranularity::TDay);
-        assert_eq!(g.station_of(999), 999);
+        let all = build_all_from_trips(&trip_table(), None, None);
+        assert_eq!(all[1].station_of(999), 999);
     }
 
     #[test]
-    fn columnar_build_is_identical_to_store_projection() {
-        let s = store();
+    fn reference_weights_by_trip_count() {
+        let t = trip_table();
+        let (g, map) = reference_graph(&t, TemporalGranularity::TNull, true);
+        assert!(map.is_none());
+        assert!(g.is_directed());
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.edge_weight(1, 2), Some(2.0));
+        assert_eq!(g.edge_weight(2, 1), Some(1.0));
+        assert_eq!(g.edge_weight(2, 3), Some(1.0));
+        assert_eq!(g.self_loop_weight(3), 1.0);
+        assert_eq!(g.edge_count(), 4);
+    }
+
+    #[test]
+    fn reference_merges_directions() {
+        let (g, _) = reference_graph(&trip_table(), TemporalGranularity::TNull, false);
+        assert!(!g.is_directed());
+        assert_eq!(g.edge_weight(1, 2), Some(3.0));
+        assert_eq!(g.edge_weight(2, 1), Some(3.0));
+        assert_eq!(g.self_loop_weight(3), 1.0);
+        assert_eq!(g.total_weight(), 5.0);
+    }
+
+    #[test]
+    fn reference_and_columnar_gbasic_keep_isolated_stations() {
+        let t = trip_table_over(vec![1, 2, 3, 99]);
+        let (g, _) = reference_graph(&t, TemporalGranularity::TNull, false);
+        assert!(g.contains(99));
+        assert_eq!(g.degree_of(99), Some(0));
+        let all = build_all_from_trips(&t, None, None);
+        assert_eq!(all[0].csr.degree_of(99), Some(0));
+        assert_eq!(all[0].csr, g.freeze());
+    }
+
+    #[test]
+    fn reference_encodes_station_and_key() {
+        let (g, map) = reference_graph(&trip_table(), TemporalGranularity::THour, false);
+        let map = map.unwrap();
+        // Trip 1 -> 2 at hour 8 becomes edge (1*32+8, 2*32+8).
+        assert_eq!(g.edge_weight(1 * 32 + 8, 2 * 32 + 8), Some(1.0));
+        assert_eq!(map[&(1 * 32 + 8)], (1, 8));
+        assert_eq!(map[&(2 * 32 + 8)], (2, 8));
+        // Only layered nodes a trip touched exist, each in the map.
+        assert_eq!(g.node_count(), map.len());
+        assert!(!g.contains(1));
+    }
+
+    #[test]
+    fn columnar_build_is_identical_to_reference() {
         let trips = trip_table();
         for threads in [Some(1), Some(2), Some(4)] {
             let columnar = build_all_from_trips(&trips, None, threads);
             assert_eq!(columnar.len(), 3);
             for (temporal, granularity) in columnar.iter().zip(TemporalGranularity::ALL) {
                 assert_eq!(temporal.granularity, granularity);
-                assert!(temporal.builder.is_none(), "hot path has no builder");
-                let legacy = build_temporal_graph(&s, granularity);
-                assert_eq!(temporal.csr, legacy.csr, "{granularity:?} CSR diverged");
-                assert_eq!(temporal.layer_map, legacy.layer_map, "{granularity:?} map");
+                let (builder, layer_map) = reference_graph(&trips, granularity, false);
+                assert_eq!(
+                    temporal.csr,
+                    builder.freeze(),
+                    "{granularity:?} CSR diverged"
+                );
+                assert_eq!(temporal.layer_map, layer_map, "{granularity:?} map");
+                for &id in builder.node_ids() {
+                    assert_eq!(temporal.csr.strength_of(id), builder.strength_of(id));
+                }
             }
+            let (directed, _) = reference_graph(&trips, TemporalGranularity::TNull, true);
+            let built = moby_graph::build_dense_csr(
+                true,
+                trips.station_ids().to_vec(),
+                trips.src(),
+                trips.dst(),
+                trips.weights(),
+                threads,
+            );
+            assert_eq!(built, directed.freeze(), "directed trip graph diverged");
         }
     }
 

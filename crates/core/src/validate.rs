@@ -17,7 +17,7 @@
 
 use crate::detect::{detect_communities, DetectConfig};
 use crate::pipeline::ExpansionOutcome;
-use crate::temporal::{build_temporal_graph, TemporalGranularity};
+use crate::temporal::{build_all_from_trips, TemporalGranularity};
 use moby_community::compare::normalized_mutual_information;
 use moby_community::Partition;
 use moby_graph::metrics::DegreeSummary;
@@ -116,17 +116,19 @@ pub fn validate_expansion(outcome: &ExpansionOutcome, detect: &DetectConfig) -> 
     }
 }
 
-/// Convenience: validate using the temporal graph rebuilt from the selected
-/// store (exists mainly so callers without a `DetectConfig` use defaults).
+/// Convenience: validate with the default detection settings (exists
+/// mainly so callers without a `DetectConfig` use defaults).
 pub fn validate_default(outcome: &ExpansionOutcome) -> ValidationReport {
     validate_expansion(outcome, &DetectConfig::default())
 }
 
 /// Quick structural check used by tests and examples: rebuilds GBasic from
-/// the outcome's store and confirms the stored detection matches it
-/// (guards against accidental divergence between pipeline stages).
+/// the outcome's trip table and confirms it matches the selected network's
+/// undirected graph (guards against accidental divergence between
+/// pipeline stages).
 pub fn gbasic_is_consistent(outcome: &ExpansionOutcome) -> bool {
-    let rebuilt = build_temporal_graph(&outcome.selected.store, TemporalGranularity::TNull);
+    let temporals = build_all_from_trips(&outcome.selected.trips, None, None);
+    let rebuilt = &temporals[0];
     rebuilt.csr.node_count() == outcome.selected.stations.len()
         && (rebuilt.csr.total_weight() - outcome.selected.undirected.total_weight()).abs() < 1e-9
 }

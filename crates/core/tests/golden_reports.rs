@@ -32,7 +32,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 fn profile_hash(outcome: &ExpansionOutcome) -> u64 {
     let mut h = FNV_OFFSET;
     let daily = daily_profile(
-        &outcome.selected.store,
+        &outcome.selected.trips,
         &outcome.communities.day.station_partition,
     );
     for (community, shares) in &daily {
@@ -42,7 +42,7 @@ fn profile_hash(outcome: &ExpansionOutcome) -> u64 {
         }
     }
     let hourly = hourly_profile(
-        &outcome.selected.store,
+        &outcome.selected.trips,
         &outcome.communities.hour.station_partition,
     );
     for (community, shares) in &hourly {

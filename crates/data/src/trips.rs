@@ -16,8 +16,9 @@
 //! Station interning happens by **binary search over the sorted id
 //! table** — the hot per-trip path performs zero hash-map operations.
 //! One linear pass over these columns feeds the edge lists of every graph
-//! granularity (see `moby_core::temporal`), which is what replaced the
-//! per-granularity re-scans of the property store.
+//! granularity (see `moby_core::temporal`). The table is the pipeline's
+//! only record of a trip: the reporting layer's day/hour profiles count
+//! its rows too.
 
 use crate::schema::CleanDataset;
 use crate::timeparse::Timestamp;

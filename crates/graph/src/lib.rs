@@ -1,14 +1,12 @@
 //! # moby-graph
 //!
-//! An in-memory property-graph store and network-metrics suite.
+//! In-memory weighted graphs and a network-metrics suite.
 //!
 //! The paper stores its trip networks in Neo4j and runs the Graph Data
 //! Science library on top of it. This crate is the Rust substrate that
-//! replaces that stack for the reproduction:
+//! replaces that stack for the reproduction (the trips themselves live in
+//! the columnar `moby_data::trips::TripTable`):
 //!
-//! * [`GraphStore`] — a labelled property graph (nodes and relationships
-//!   carrying typed key/value properties), the analogue of the Neo4j store
-//!   that holds `Station` nodes and `TRIP` relationships;
 //! * [`WeightedGraph`] — the mutable *builder* graph: merged weighted-edge
 //!   inserts over per-node hash maps. Since the columnar path landed this
 //!   is the compatibility / equivalence baseline, not the hot path;
@@ -31,8 +29,6 @@
 //!   graph bit-identical to rebuilding from the surviving edge list (see
 //!   [`evict`] for why subtraction re-folds instead of continuing the
 //!   stored fold);
-//! * [`aggregate`] — the multi-edge → weighted-edge aggregation used to
-//!   build `GBasic`, `GDay` and `GHour` from raw trip relationships;
 //! * [`par`] — the deterministic parallel scheduler: edge-balanced
 //!   contiguous row chunks over CSR offsets, scoped-thread execution with a
 //!   fixed chunk-merge order, and `MOBY_THREADS` thread-count resolution.
@@ -60,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod build;
 pub mod csr;
 pub mod delta;
@@ -70,8 +65,6 @@ mod graph;
 pub mod metrics;
 pub mod par;
 pub mod spill;
-mod store;
-mod value;
 
 pub use build::{
     build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, build_dense_csr_spilled,
@@ -81,32 +74,14 @@ pub use csr::{AlignedSlab, CsrGraph, PermutedGraph, CACHE_LINE};
 pub use delta::CsrDelta;
 pub use evict::CsrEvict;
 pub use graph::{NodeId, WeightedGraph};
-pub use store::{EdgeRecord, GraphStore, NodeRecord};
-pub use value::{props, PropMap, PropValue};
 
 use std::fmt;
 
 /// Errors produced by graph operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphError {
-    /// A referenced node does not exist in the store/graph.
-    MissingNode(NodeId),
-    /// An edge endpoint referenced a node that was never added.
-    DanglingEdge {
-        /// Source node id.
-        src: NodeId,
-        /// Destination node id.
-        dst: NodeId,
-    },
     /// An edge weight was non-finite or negative.
     InvalidWeight(f64),
-    /// The operation requires a non-empty graph.
-    EmptyGraph,
-    /// The operation is only defined for the other directedness.
-    WrongDirectedness {
-        /// Whether the graph the operation was invoked on is directed.
-        directed: bool,
-    },
     /// A spill-to-disk construction run failed on I/O (temp dir not
     /// writable, disk full, a run vanished mid-merge). Carries the
     /// rendered context + OS error, since `std::io::Error` is neither
@@ -117,22 +92,12 @@ pub enum GraphError {
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::MissingNode(id) => write!(f, "node {id} does not exist"),
-            GraphError::DanglingEdge { src, dst } => {
-                write!(f, "edge {src} -> {dst} references a missing node")
-            }
             GraphError::InvalidWeight(w) => {
                 write!(
                     f,
                     "invalid edge weight {w}: must be finite and non-negative"
                 )
             }
-            GraphError::EmptyGraph => write!(f, "operation requires a non-empty graph"),
-            GraphError::WrongDirectedness { directed } => write!(
-                f,
-                "operation not defined for a {} graph",
-                if *directed { "directed" } else { "undirected" }
-            ),
             GraphError::Spill(msg) => write!(f, "spill I/O failed: {msg}"),
         }
     }
@@ -149,15 +114,7 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(GraphError::MissingNode(4).to_string().contains('4'));
-        assert!(GraphError::EmptyGraph.to_string().contains("non-empty"));
         assert!(GraphError::InvalidWeight(-1.0).to_string().contains("-1"));
-        assert!(GraphError::DanglingEdge { src: 1, dst: 2 }
-            .to_string()
-            .contains("->"));
-        assert!(GraphError::WrongDirectedness { directed: true }
-            .to_string()
-            .contains("directed"));
         assert!(GraphError::Spill("disk full".into())
             .to_string()
             .contains("disk full"));

@@ -20,7 +20,9 @@
 //! collector, no deferred free list.
 
 use moby_community::{louvain_csr, louvain_seeded_active, LouvainConfig, Partition};
-use moby_core::reassign::{FinalStation, SelectedGraphTable, SelectedNetwork, WindowOutcome};
+use moby_core::reassign::{
+    find_station, FinalStation, SelectedGraphTable, SelectedNetwork, WindowOutcome,
+};
 use moby_core::Result;
 use moby_data::trips::{AppendOutcome, TripBatch, WindowStart};
 use moby_geo::KdTree;
@@ -171,7 +173,8 @@ impl MetricCache {
 pub struct ServeSnapshot {
     /// The epoch this snapshot was published at (0 = initial build).
     pub epoch: u64,
-    /// The pinned station directory (pre-existing first, sorted by id).
+    /// The pinned station directory (pre-existing first, then selected,
+    /// each run sorted by id).
     pub stations: Arc<Vec<FinalStation>>,
     /// Frozen directed trip graph.
     pub directed: CsrGraph,
@@ -186,11 +189,10 @@ pub struct ServeSnapshot {
 }
 
 impl ServeSnapshot {
-    /// Look up a station by id (binary search over the sorted directory —
-    /// pre-existing and selected stations are each sorted, so fall back
-    /// to a linear scan only across the two runs).
+    /// Look up a station by id: a binary search of each sorted run of the
+    /// directory (see [`find_station`]).
     pub fn station(&self, id: NodeId) -> Option<&FinalStation> {
-        self.stations.iter().find(|s| s.id == id)
+        find_station(&self.stations, id)
     }
 }
 
@@ -287,8 +289,8 @@ pub struct PublishOutcome {
 ///
 /// Clone-free pipeline: `SelectedNetwork`'s graphs and station directory
 /// are `Arc`-backed, so the per-epoch snapshot assembly copies Table III
-/// and bumps reference counts — the trip table and property store stay
-/// private to the writer and are never published.
+/// and bumps reference counts — the trip table stays private to the
+/// writer and is never published.
 #[derive(Debug)]
 pub struct SnapshotWriter {
     handle: Arc<SnapshotHandle>,

@@ -67,12 +67,9 @@ fn main() {
         .map(|n| (n.id, n.name.clone()))
         .collect();
     let fixed_ids = network.fixed_ids();
-    // The candidate graph stays on the builder representation; freeze once
-    // for the frozen-graph report API.
-    let candidate_csr = network.undirected.freeze();
-    let threshold = edge_weight_percentile(&candidate_csr, 99.0);
+    let threshold = edge_weight_percentile(&network.undirected, 99.0);
     let geojson = network_geojson(
-        &candidate_csr,
+        &network.undirected,
         &positions,
         &names,
         &|id| fixed_ids.contains(&id),

@@ -30,7 +30,7 @@ fn main() {
         .expect("pipeline runs");
 
     let day_detection = &outcome.communities.day;
-    let daily = daily_profile(&outcome.selected.store, &day_detection.station_partition);
+    let daily = daily_profile(&outcome.selected.trips, &day_detection.station_partition);
 
     let mut demands: Vec<CommunityDemand> = Vec::new();
     for row in &day_detection.table.rows {

@@ -31,7 +31,7 @@ fn main() {
     // Fig. 5 — daily travel patterns per GDay community.
     let day_labels: Vec<&str> = Weekday::ALL.iter().map(|d| d.abbrev()).collect();
     let daily = daily_profile(
-        &outcome.selected.store,
+        &outcome.selected.trips,
         &outcome.communities.day.station_partition,
     );
     println!("Daily travel pattern per GDay community (share of trips):");
@@ -57,7 +57,7 @@ fn main() {
     let hour_labels: Vec<String> = (0..24).map(|h| format!("h{h:02}")).collect();
     let hour_label_refs: Vec<&str> = hour_labels.iter().map(|s| s.as_str()).collect();
     let hourly = hourly_profile(
-        &outcome.selected.store,
+        &outcome.selected.trips,
         &outcome.communities.hour.station_partition,
     );
     println!("\nHourly travel pattern per GHour community (share of trips):");

@@ -9,7 +9,8 @@
 //!
 //! * [`geo`] — Haversine distance, polygons, spatial indexes;
 //! * [`data`] — trip schema, cleaning pipeline, synthetic Dublin generator;
-//! * [`graph`] — property-graph store, weighted graphs, network metrics;
+//! * [`graph`] — weighted builder graphs, frozen CSR graphs, network
+//!   metrics;
 //! * [`cluster`] — constrained hierarchical agglomerative clustering;
 //! * [`community`] — Louvain, label propagation, modularity, partition
 //!   comparison;
@@ -57,7 +58,7 @@
 //!    exact).
 //!    [`core::reassign::SelectedNetwork::ingest_batch`] wires this
 //!    through the pipeline state (trip table, frozen directed/undirected
-//!    trip graphs, property store, Table III) and
+//!    trip graphs, Table III) and
 //!    [`core::temporal::apply_batch_all`] advances `GBasic`/`GDay`/
 //!    `GHour` from one pass over the batch — so a live deployment pays
 //!    per batch for what the batch touches, not for a full rebuild. The
@@ -78,7 +79,8 @@
 //! as the compatibility and equivalence baseline: `CsrBuilder` output is
 //! bit-identical to `WeightedGraph::freeze()` by construction, proptests
 //! enforce it at 1/2/4 build threads, the synthetic-dataset suite proves
-//! the columnar pipeline reproduces the legacy store-projection pipeline
+//! the columnar pipeline reproduces the hash-map reference build
+//! ([`core::temporal::reference_graph`], fed from the same trip table)
 //! partition-for-partition, and the benches
 //! (`crates/bench/benches/csr.rs`, the `bench_smoke` construction bench)
 //! keep measuring what the columnar path buys. See `DESIGN.md` for the

@@ -4,22 +4,20 @@
 //! modularity within float-accumulation tolerance — at every temporal
 //! granularity; the parallel execution layer must reproduce the serial
 //! CSR results bit-for-bit at every tested thread count; and the columnar
-//! sort-merge construction path (PR 3) must produce graphs — and
-//! therefore partitions — **bitwise identical** to the pre-refactor
-//! store-projection pipeline.
+//! sort-merge construction path must produce graphs — and therefore
+//! partitions — **bitwise identical** to the hash-map reference build fed
+//! from the same trip table.
 
 use moby_expansion::community::{
     louvain_csr, louvain_hashmap, modularity_csr, modularity_csr_threads, modularity_hashmap,
     LouvainConfig,
 };
-use moby_expansion::core::candidate::TRIP_LABEL;
 use moby_expansion::core::detect::{detect_communities, DetectConfig};
 use moby_expansion::core::pipeline::{ExpansionPipeline, PipelineConfig};
 use moby_expansion::core::temporal::{
-    build_all_from_trips, build_temporal_graph, TemporalGranularity,
+    build_all_from_trips, reference_graph, TemporalGranularity, TemporalGraph,
 };
 use moby_expansion::data::synth::{generate, SynthConfig};
-use moby_expansion::graph::aggregate;
 use moby_expansion::graph::metrics::{pagerank_csr, PageRankConfig};
 
 #[test]
@@ -31,11 +29,11 @@ fn csr_louvain_matches_hashmap_louvain_on_synthetic_dataset() {
 
     let cfg = LouvainConfig::default();
     for granularity in TemporalGranularity::ALL {
-        let temporal = build_temporal_graph(&outcome.selected.store, granularity);
-        let builder = temporal.builder.as_ref().expect("legacy path");
+        let (builder, _) = reference_graph(&outcome.selected.trips, granularity, false);
+        let csr = builder.freeze();
 
-        let p_csr = louvain_csr(&temporal.csr, &cfg);
-        let p_hash = louvain_hashmap(builder, &cfg);
+        let p_csr = louvain_csr(&csr, &cfg);
+        let p_hash = louvain_hashmap(&builder, &cfg);
         assert_eq!(
             p_csr,
             p_hash,
@@ -43,8 +41,8 @@ fn csr_louvain_matches_hashmap_louvain_on_synthetic_dataset() {
             granularity.graph_name()
         );
 
-        let q_csr = modularity_csr(&temporal.csr, &p_csr);
-        let q_hash = modularity_hashmap(builder, &p_hash);
+        let q_csr = modularity_csr(&csr, &p_csr);
+        let q_hash = modularity_hashmap(&builder, &p_hash);
         assert!(
             (q_csr - q_hash).abs() < 1e-9,
             "{}: csr Q {q_csr} vs hashmap Q {q_hash}",
@@ -60,9 +58,8 @@ fn parallel_execution_matches_serial_on_synthetic_dataset() {
         .run(&raw)
         .expect("pipeline runs");
 
-    for granularity in TemporalGranularity::ALL {
-        let temporal = build_temporal_graph(&outcome.selected.store, granularity);
-        let name = granularity.graph_name();
+    for temporal in build_all_from_trips(&outcome.selected.trips, None, None) {
+        let name = temporal.granularity.graph_name();
 
         let serial_louvain = louvain_csr(
             &temporal.csr,
@@ -122,12 +119,12 @@ fn parallel_execution_matches_serial_on_synthetic_dataset() {
     }
 }
 
-/// PR 3 acceptance: the columnar sort-merge construction — trip table →
-/// edge lists for all three granularities → `CsrBuilder` — must produce
-/// graphs identical to the pre-refactor store-projection path (hash-map
-/// builders + freeze), and identical detections on top of them.
+/// The columnar sort-merge construction — trip table → edge lists for all
+/// three granularities → `CsrBuilder` — must produce graphs identical to
+/// the hash-map reference (one `add_edge` per trip row, then freeze), and
+/// identical detections on top of them.
 #[test]
-fn columnar_construction_matches_legacy_store_projection() {
+fn columnar_construction_matches_table_fed_reference() {
     let raw = generate(&SynthConfig::small_test());
     let outcome = ExpansionPipeline::new(PipelineConfig::default())
         .run(&raw)
@@ -135,12 +132,16 @@ fn columnar_construction_matches_legacy_store_projection() {
     let selected = &outcome.selected;
 
     // The frozen directed/undirected trip graphs the pipeline built
-    // columnar must equal the legacy projections of the property store.
-    let legacy_directed = aggregate::project_directed(&selected.store, TRIP_LABEL).freeze();
-    let legacy_undirected = aggregate::project_undirected(&selected.store, TRIP_LABEL).freeze();
-    assert_eq!(selected.directed, legacy_directed, "directed trip graph");
+    // columnar must equal the reference builds over the same table.
+    let reference_directed = reference_graph(&selected.trips, TemporalGranularity::TNull, true)
+        .0
+        .freeze();
+    let reference_undirected = reference_graph(&selected.trips, TemporalGranularity::TNull, false)
+        .0
+        .freeze();
+    assert_eq!(selected.directed, reference_directed, "directed trip graph");
     assert_eq!(
-        selected.undirected, legacy_undirected,
+        selected.undirected, reference_undirected,
         "undirected trip graph"
     );
 
@@ -155,26 +156,30 @@ fn columnar_construction_matches_legacy_store_projection() {
     ];
     for (temporal, stored_detection) in columnar.iter().zip(stored) {
         let granularity = temporal.granularity;
-        let legacy = build_temporal_graph(&selected.store, granularity);
+        let (builder, layer_map) = reference_graph(&selected.trips, granularity, false);
+        let reference = TemporalGraph::from_csr(granularity, builder.freeze(), layer_map);
         assert_eq!(
-            temporal.csr, legacy.csr,
-            "{granularity:?}: columnar CSR diverged from store projection"
+            temporal.csr, reference.csr,
+            "{granularity:?}: columnar CSR diverged from the reference"
         );
-        assert_eq!(temporal.layer_map, legacy.layer_map, "{granularity:?} map");
+        assert_eq!(
+            temporal.layer_map, reference.layer_map,
+            "{granularity:?} map"
+        );
 
-        let legacy_detection = detect_communities(
-            &legacy,
-            &legacy_directed,
+        let reference_detection = detect_communities(
+            &reference,
+            &reference_directed,
             &old_ids,
             &DetectConfig::default(),
         );
         assert_eq!(
-            stored_detection.station_partition, legacy_detection.station_partition,
+            stored_detection.station_partition, reference_detection.station_partition,
             "{granularity:?}: partitions diverged between construction paths"
         );
         assert_eq!(
             stored_detection.modularity.to_bits(),
-            legacy_detection.modularity.to_bits(),
+            reference_detection.modularity.to_bits(),
             "{granularity:?}: modularity diverged between construction paths"
         );
     }

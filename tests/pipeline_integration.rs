@@ -156,12 +156,12 @@ fn reports_render_for_a_real_outcome() {
     assert!(geojson.contains("\"community\":"));
 
     let daily = report::daily_profile(
-        &outcome.selected.store,
+        &outcome.selected.trips,
         &outcome.communities.day.station_partition,
     );
     assert_eq!(daily.len(), outcome.communities.day.community_count());
     let hourly = report::hourly_profile(
-        &outcome.selected.store,
+        &outcome.selected.trips,
         &outcome.communities.hour.station_partition,
     );
     assert!(!hourly.is_empty());

@@ -212,7 +212,8 @@ pub fn build_candidate_network(
         &location_to_node,
         dataset,
     )?;
-    let (directed, undirected, summary) = trip_graphs(&trips);
+    let (directed, undirected) = trip_graphs(&trips);
+    let summary = summarize(&directed, &undirected, trips.len());
 
     Ok(CandidateNetwork {
         nodes,
@@ -270,10 +271,10 @@ pub(crate) fn trip_table(
     Ok(trips)
 }
 
-/// The candidate graph of a trip table: the directed and undirected trip
-/// graphs over the table's full sorted station set (isolated nodes stay
-/// visible) and their Table II counts.
-fn trip_graphs(trips: &TripTable) -> (CsrGraph, CsrGraph, AggregateSummary) {
+/// The directed and undirected trip graphs of a table, built by columnar
+/// sort-merge over its full sorted station set (isolated stations stay
+/// visible). Shared by the candidate network and the selected network.
+pub(crate) fn trip_graphs(trips: &TripTable) -> (CsrGraph, CsrGraph) {
     let build = |directed| {
         build_dense_csr(
             directed,
@@ -284,22 +285,26 @@ fn trip_graphs(trips: &TripTable) -> (CsrGraph, CsrGraph, AggregateSummary) {
             None,
         )
     };
-    let (directed, undirected) = (build(true), build(false));
-    // A loop is a row holding its own node, whatever the merged weight.
+    (build(true), build(false))
+}
+
+/// Table II counts of a table's trip graphs: distinct edges are the CSR
+/// edge counts, and a loop is a row holding its own node, whatever its
+/// merged weight.
+fn summarize(directed: &CsrGraph, undirected: &CsrGraph, trips: usize) -> AggregateSummary {
     let loops = |g: &CsrGraph| {
         (0..g.node_count())
             .filter(|&u| g.row(u).0.binary_search(&(u as u32)).is_ok())
             .count()
     };
-    let summary = AggregateSummary {
+    AggregateSummary {
         nodes: undirected.node_count(),
         undirected_edges: undirected.edge_count(),
-        undirected_edges_no_loops: undirected.edge_count() - loops(&undirected),
+        undirected_edges_no_loops: undirected.edge_count() - loops(undirected),
         directed_edges: directed.edge_count(),
-        directed_edges_no_loops: directed.edge_count() - loops(&directed),
-        trips: trips.len(),
-    };
-    (directed, undirected, summary)
+        directed_edges_no_loops: directed.edge_count() - loops(directed),
+        trips,
+    }
 }
 
 #[cfg(test)]
@@ -393,7 +398,9 @@ mod tests {
             let (s, d) = (t.station_index(src).unwrap(), t.station_index(dst).unwrap());
             t.push_keyed(s, d, 0, 8, w);
         }
-        trip_graphs(&t)
+        let (directed, undirected) = trip_graphs(&t);
+        let summary = summarize(&directed, &undirected, t.len());
+        (directed, undirected, summary)
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! number of trips is unchanged by construction, which is the invariant the
 //! paper calls out under Table III.
 
-use crate::candidate::{trip_table, CandidateNetwork};
+use crate::candidate::{trip_graphs, trip_table, CandidateNetwork};
 use crate::selection::SelectionOutcome;
 use crate::{CoreError, Result};
 use moby_cluster::assign::StationAssigner;
 use moby_data::schema::{CleanDataset, LocationId};
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart};
 use moby_geo::GeoPoint;
-use moby_graph::{build_dense_csr, CsrDelta, CsrEvict, CsrGraph, NodeId};
+use moby_graph::{CsrDelta, CsrEvict, CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -410,22 +410,7 @@ pub fn build_selected_network(
     // --- Frozen trip graphs, built by columnar sort-merge straight from
     //     the dense trip columns (one shared station-intern table; no
     //     hash-map builder, no re-interning). ---
-    let directed = build_dense_csr(
-        true,
-        trips.station_ids().to_vec(),
-        trips.src(),
-        trips.dst(),
-        trips.weights(),
-        None,
-    );
-    let undirected = build_dense_csr(
-        false,
-        trips.station_ids().to_vec(),
-        trips.src(),
-        trips.dst(),
-        trips.weights(),
-        None,
-    );
+    let (directed, undirected) = trip_graphs(&trips);
     let table = build_table(&stations, &trips, &directed);
 
     Ok(SelectedNetwork {
@@ -555,6 +540,7 @@ mod tests {
     use crate::ExpansionConfig;
     use moby_data::clean::clean_dataset;
     use moby_data::synth::{generate, SynthConfig};
+    use moby_graph::build_dense_csr;
 
     fn setup() -> (CleanDataset, CandidateNetwork, SelectionOutcome) {
         let ds = clean_dataset(&generate(&SynthConfig::small_test())).dataset;

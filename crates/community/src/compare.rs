@@ -6,12 +6,13 @@
 
 use crate::Partition;
 use moby_graph::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// The contingency table of two partitions restricted to their common nodes.
-fn contingency(a: &Partition, b: &Partition) -> (HashMap<(usize, usize), usize>, usize) {
+/// The contingency table of two partitions restricted to their common
+/// nodes, keyed in sorted order so every fold over it has a fixed sequence.
+fn contingency(a: &Partition, b: &Partition) -> (BTreeMap<(usize, usize), usize>, usize) {
     let nodes_a: HashSet<NodeId> = a.iter().map(|(n, _)| n).collect();
-    let mut table: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut table: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut n = 0usize;
     for (node, cb) in b.iter() {
         if !nodes_a.contains(&node) {
@@ -37,13 +38,16 @@ pub fn normalized_mutual_information(a: &Partition, b: &Partition) -> f64 {
         return 0.0;
     }
     let nf = n as f64;
-    let mut row: HashMap<usize, usize> = HashMap::new();
-    let mut col: HashMap<usize, usize> = HashMap::new();
+    // The float terms are summed in sorted key order: the sums are not
+    // associative, so a `HashMap`'s per-instance order would change the
+    // last bits from call to call.
+    let mut row: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut col: BTreeMap<usize, usize> = BTreeMap::new();
     for (&(ca, cb), &count) in &table {
         *row.entry(ca).or_insert(0) += count;
         *col.entry(cb).or_insert(0) += count;
     }
-    let entropy = |counts: &HashMap<usize, usize>| -> f64 {
+    let entropy = |counts: &BTreeMap<usize, usize>| -> f64 {
         counts
             .values()
             .map(|&c| {
@@ -187,6 +191,24 @@ mod tests {
         let b = partition(&[(1, 4), (2, 4), (3, 4)]);
         assert!((normalized_mutual_information(&a, &b) - 1.0).abs() < 1e-9);
         assert!((adjusted_rand_index(&a, &b) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nmi_bits_are_stable_across_calls() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Large enough that the contingency table has hundreds of cells,
+        // so any change in the summation order shows in the last bits.
+        let mut rng = StdRng::seed_from_u64(17);
+        let a: Partition = (0..2_000u64).map(|i| (i, rng.gen_range(0..37))).collect();
+        let b: Partition = (0..2_000u64).map(|i| (i, rng.gen_range(0..41))).collect();
+        let first = normalized_mutual_information(&a, &b);
+        for _ in 0..20 {
+            assert_eq!(
+                normalized_mutual_information(&a, &b).to_bits(),
+                first.to_bits()
+            );
+        }
     }
 
     #[test]

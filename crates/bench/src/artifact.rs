@@ -310,7 +310,6 @@ pub const REQUIRED_CONTRACTS: &[&str] = &[
     "hashmap-freeze vs sort-merge",
     "delta-apply vs full rebuild",
     "windowed evict vs rebuild",
-    "permuted vs natural sweeps",
     "sharded vs unsharded",
     "served snapshot vs offline rebuild",
     "spilled vs in-memory",
@@ -555,7 +554,7 @@ mod tests {
           "schema": "moby-bench-smoke/v8",
           "scale": "medium",
           "host_parallelism": 4,
-          "determinism": "bit-identical serial vs parallel, hashmap-freeze vs sort-merge, delta-apply vs full rebuild, windowed evict vs rebuild over surviving rows, permuted vs natural sweeps, sharded vs unsharded construction, served snapshot vs offline rebuild, and spilled vs in-memory construction (verified)",
+          "determinism": "bit-identical serial vs parallel, hashmap-freeze vs sort-merge, delta-apply vs full rebuild, windowed evict vs rebuild over surviving rows, sharded vs unsharded construction, served snapshot vs offline rebuild, and spilled vs in-memory construction (verified)",
           "benches": [{"name": "pagerank/trip_graph", "serial_ms": 1.0, "parallel_ms": 0.5}],
           "construction": [{"name": "construct/directed_trips", "sortmerge_1t_ms": 2.0}],
           "delta": [{"name": "delta/directed_trips", "apply_ms": 0.1, "rebuild_ms": 1.0}],
@@ -817,19 +816,15 @@ mod tests {
 
     #[test]
     fn v5_baseline_without_sweep_section_is_accepted() {
-        // Pre-PR8 baselines have no `sweep` array and don't assert the
-        // permuted-sweep contract; only the fresh artifact is held to
-        // the new schema.
+        // Pre-PR8 baselines have no `sweep` array; only the fresh
+        // artifact is held to the new schema.
         let fresh = Json::parse(&fresh_doc()).unwrap();
-        let v5 = Json::parse(
-            &fresh_doc()
-                .replace("permuted vs natural sweeps, ", "")
-                .replace(
-                    r#""sweep": [{"name": "sweep/pagerank_pull/ghour", "scalar_natural_ms": 0.8, "batched_natural_ms": 0.5}],"#,
-                    "",
-                ),
-        )
+        let v5 = Json::parse(&fresh_doc().replace(
+            r#""sweep": [{"name": "sweep/pagerank_pull/ghour", "scalar_natural_ms": 0.8, "batched_natural_ms": 0.5}],"#,
+            "",
+        ))
         .unwrap();
+        assert!(v5.get("sweep").is_none());
         let report = gate(&fresh, Some(&v5));
         assert!(report.passed(), "errors: {:?}", report.errors);
     }

@@ -22,11 +22,9 @@
 //!   cold — any loss panics, failing CI);
 //! * times the **hot sweep kernels** (PR 8) — one PageRank pull
 //!   iteration and one Louvain first-pass neighbour accumulation —
-//!   scalar vs batched loop shapes and natural vs degree-permuted
-//!   layouts, reporting per-iteration ns/edge for every variant and
-//!   *verifying the layout/batching contracts bit-for-bit* (permuted
-//!   sweeps must match natural sweeps exactly; the batched Louvain
-//!   tally must match the scalar tally exactly; the batched pull fold
+//!   scalar vs batched loop shapes, reporting per-iteration ns/edge for
+//!   both and *verifying the batching contracts* (the batched Louvain
+//!   tally must match the scalar tally bit-for-bit; the batched pull fold
 //!   must stay within reassociation tolerance of the scalar fold);
 //! * at `--scale large`, runs the **city tier**: streams ≥1 M synthetic
 //!   trips over ≥10 k stations through the streaming cleaner, then builds
@@ -981,9 +979,8 @@ fn assert_spill_contract(outcome: &moby_core::pipeline::ExpansionOutcome, thread
 }
 
 /// Per-variant wall times for one hot sweep kernel (PR 8): a single full
-/// pass over every row, scalar vs batched loop shape, natural vs
-/// degree-permuted layout. The JSON derives per-iteration ns/edge from
-/// these. Unlike the serial-vs-parallel columns, the ratios here compare
+/// pass over every row, scalar vs batched loop shape. The JSON derives
+/// per-iteration ns/edge from these. Unlike the serial-vs-parallel columns, the ratios here compare
 /// equal-thread single sweeps, so they stay meaningful on a single-core
 /// host and are never suppressed.
 struct SweepResult {
@@ -994,8 +991,6 @@ struct SweepResult {
     edges: usize,
     scalar_natural_ms: f64,
     batched_natural_ms: f64,
-    scalar_permuted_ms: f64,
-    batched_permuted_ms: f64,
 }
 
 impl SweepResult {
@@ -1010,31 +1005,6 @@ impl SweepResult {
     fn speedup_batched(&self) -> f64 {
         if self.batched_natural_ms > 0.0 {
             self.scalar_natural_ms / self.batched_natural_ms
-        } else {
-            0.0
-        }
-    }
-
-    fn speedup_permuted(&self) -> f64 {
-        if self.batched_permuted_ms > 0.0 {
-            self.batched_natural_ms / self.batched_permuted_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Best PR 8 variant vs the scalar natural-order loop (the pre-PR 8
-    /// shape): which of batching and permutation wins differs per kernel
-    /// and per graph (short rows favor the permuted scalar loop, long
-    /// rows the lane/gather kernels), so the headline ratio takes the
-    /// fastest of the three.
-    fn speedup_best(&self) -> f64 {
-        let best = self
-            .batched_natural_ms
-            .min(self.scalar_permuted_ms)
-            .min(self.batched_permuted_ms);
-        if best > 0.0 {
-            self.scalar_natural_ms / best
         } else {
             0.0
         }
@@ -1057,7 +1027,7 @@ fn pull_sweep_scalar(g: &CsrGraph, contrib: &[f64], out: &mut [f64]) {
 /// The same pull iteration through the production 4-lane batched fold
 /// (the shape of `row_dot` in `moby-graph`): position-assigned lane sums
 /// folded `(l0 + l1) + (l2 + l3)`, so the result is a pure function of
-/// row positions — identical bits on the natural and permuted layouts.
+/// row positions.
 fn pull_sweep_batched(g: &CsrGraph, contrib: &[f64], out: &mut [f64]) {
     for v in 0..g.node_count() {
         let (sources, weights) = g.in_row(v);
@@ -1080,9 +1050,7 @@ fn pull_sweep_batched(g: &CsrGraph, contrib: &[f64], out: &mut [f64]) {
 /// Louvain first-pass neighbour accumulation, scalar shape: for every
 /// node, scatter neighbour weights into a dense per-label scratch
 /// (skipping self-loops), pick the heaviest label (ties to the smallest)
-/// and reset. `labels[p]` carries the label of *storage position* `p`,
-/// so the same kernel serves both layouts; sums scatter in row position
-/// order, which is what keeps the two layouts bit-identical.
+/// and reset. Sums scatter in row position order.
 fn louvain_pass_scalar(
     g: &CsrGraph,
     labels: &[u32],
@@ -1103,7 +1071,7 @@ fn louvain_pass_scalar(
         }
         // Digest the tally as (max sum, smallest label among exact ties):
         // that pair is unique regardless of iteration order, so the result
-        // is layout-independent without sorting `touched`.
+        // needs no sort of `touched`.
         let mut best = 0.0f64;
         let mut best_l = u32::MAX;
         for &l in touched.iter() {
@@ -1119,11 +1087,6 @@ fn louvain_pass_scalar(
     }
 }
 
-/// The same first-pass accumulation through the production gather-block
-/// shape (the `GATHER = 8` scheme of the Louvain move scan): resolve a
-/// block of labels branch-free, then scatter the weights in position
-/// order — the per-label sums accumulate in exactly the scalar order, so
-/// this variant is bit-identical to [`louvain_pass_scalar`].
 /// Tally one self-free row slice into the dense `links_to` scratch:
 /// gather-blocks of `GATHER` labels, then a positional scatter, so the
 /// accumulation order — and therefore every fold bit — matches the scalar
@@ -1160,6 +1123,11 @@ fn tally_slice(
     }
 }
 
+/// The same first-pass accumulation through the production gather-block
+/// shape (the `GATHER = 8` scheme of the Louvain move scan): resolve a
+/// block of labels branch-free, then scatter the weights in position
+/// order — the per-label sums accumulate in exactly the scalar order, so
+/// this variant is bit-identical to [`louvain_pass_scalar`].
 fn louvain_pass_batched(
     g: &CsrGraph,
     labels: &[u32],
@@ -1190,7 +1158,7 @@ fn louvain_pass_batched(
         }
         // Digest the tally as (max sum, smallest label among exact ties):
         // that pair is unique regardless of iteration order, so the result
-        // is layout-independent without sorting `touched`.
+        // needs no sort of `touched`.
         let mut best = 0.0f64;
         let mut best_l = u32::MAX;
         for &l in touched.iter() {
@@ -1206,156 +1174,84 @@ fn louvain_pass_batched(
     }
 }
 
-/// Run the sweep section on one frozen graph: permute it by degree, then
-/// time a single PageRank pull iteration and a single Louvain first-pass
-/// accumulation in all four (loop shape × layout) variants — panicking
-/// unless permuted sweeps match natural sweeps bit-for-bit, the batched
-/// Louvain tally matches the scalar tally bit-for-bit, and the batched
-/// pull fold stays within reassociation tolerance of the scalar fold.
-fn smoke_sweep(tag: &str, scale_name: &str, graph: &CsrGraph, threads: usize) -> Vec<SweepResult> {
-    let pg = graph.permute_by_degree(threads);
+/// Run the sweep section on one frozen graph: time a single PageRank pull
+/// iteration and a single Louvain first-pass accumulation in both loop
+/// shapes — panicking unless the batched Louvain tally matches the scalar
+/// tally bit-for-bit and the batched pull fold stays within reassociation
+/// tolerance of the scalar fold.
+fn smoke_sweep(tag: &str, scale_name: &str, graph: &CsrGraph) -> Vec<SweepResult> {
     let n = graph.node_count();
-    let perm = pg.perm();
-    let inv = pg.inv();
-    let pgraph = pg.graph();
 
     // --- PageRank pull iteration. ---
-    // Deterministic, irregular per-node contributions, mapped through the
-    // permutation so both layouts read the same logical values.
-    let contrib_nat: Vec<f64> = (0..n)
+    // Deterministic, irregular per-node contributions.
+    let contrib: Vec<f64> = (0..n)
         .map(|u| 0.1 + (u as f64 * 0.618_033_988_75).fract())
         .collect();
-    let contrib_perm: Vec<f64> = perm.iter().map(|&u| contrib_nat[u as usize]).collect();
-    let mut pull_sn = vec![0.0f64; n];
-    let mut pull_sp = vec![0.0f64; n];
-    let mut pull_bn = vec![0.0f64; n];
-    let mut pull_bp = vec![0.0f64; n];
-    pull_sweep_scalar(graph, &contrib_nat, &mut pull_sn);
-    pull_sweep_scalar(pgraph, &contrib_perm, &mut pull_sp);
-    pull_sweep_batched(graph, &contrib_nat, &mut pull_bn);
-    pull_sweep_batched(pgraph, &contrib_perm, &mut pull_bp);
+    let mut pull_s = vec![0.0f64; n];
+    let mut pull_b = vec![0.0f64; n];
+    pull_sweep_scalar(graph, &contrib, &mut pull_s);
+    pull_sweep_batched(graph, &contrib, &mut pull_b);
     for u in 0..n {
-        let p = inv[u] as usize;
-        assert_eq!(
-            pull_sn[u].to_bits(),
-            pull_sp[p].to_bits(),
-            "sweep/{tag}: scalar pull diverged between layouts at node {u}"
-        );
-        assert_eq!(
-            pull_bn[u].to_bits(),
-            pull_bp[p].to_bits(),
-            "sweep/{tag}: batched pull diverged between layouts at node {u}"
-        );
         assert!(
-            (pull_sn[u] - pull_bn[u]).abs() <= 1e-9 * pull_sn[u].abs().max(1.0),
+            (pull_s[u] - pull_b[u]).abs() <= 1e-9 * pull_s[u].abs().max(1.0),
             "sweep/{tag}: batched pull drifted from scalar at node {u}: {} vs {}",
-            pull_sn[u],
-            pull_bn[u]
+            pull_s[u],
+            pull_b[u]
         );
     }
     let in_edges = graph
         .in_offsets()
         .last()
         .map_or(0, |&e| e as usize - graph.in_offsets()[0] as usize);
-    let [pull_sn_ms, pull_bn_ms, pull_sp_ms, pull_bp_ms] = time_min_rr(SWEEP_REPS, |k| {
+    let [pull_s_ms, pull_b_ms] = time_min_rr(SWEEP_REPS, |k| {
         match k {
-            0 => pull_sweep_scalar(graph, &contrib_nat, &mut pull_sn),
-            1 => pull_sweep_batched(graph, &contrib_nat, &mut pull_bn),
-            2 => pull_sweep_scalar(pgraph, &contrib_perm, &mut pull_sp),
-            _ => pull_sweep_batched(pgraph, &contrib_perm, &mut pull_bp),
+            0 => pull_sweep_scalar(graph, &contrib, &mut pull_s),
+            _ => pull_sweep_batched(graph, &contrib, &mut pull_b),
         }
-        std::hint::black_box((&pull_sn, &pull_bn, &pull_sp, &pull_bp));
+        std::hint::black_box((&pull_s, &pull_b));
     });
     let pagerank = SweepResult {
         name: format!("sweep/pagerank_pull/{tag}"),
         scale: scale_name.to_string(),
         nodes: n,
         edges: in_edges,
-        scalar_natural_ms: pull_sn_ms,
-        batched_natural_ms: pull_bn_ms,
-        scalar_permuted_ms: pull_sp_ms,
-        batched_permuted_ms: pull_bp_ms,
+        scalar_natural_ms: pull_s_ms,
+        batched_natural_ms: pull_b_ms,
     };
 
     // --- Louvain first-pass accumulation (singleton start). ---
-    // `labels[p]` = natural label of storage position `p`: the identity on
-    // the natural layout, `perm` itself on the permuted one.
-    let labels_nat: Vec<u32> = (0..n as u32).collect();
-    let labels_perm: Vec<u32> = perm.to_vec();
+    let labels: Vec<u32> = (0..n as u32).collect();
     let mut links_to = vec![0.0f64; n];
     let mut touched: Vec<u32> = Vec::new();
-    let mut lv_sn = vec![0.0f64; n];
-    let mut lv_sp = vec![0.0f64; n];
-    let mut lv_bn = vec![0.0f64; n];
-    let mut lv_bp = vec![0.0f64; n];
-    louvain_pass_scalar(graph, &labels_nat, &mut links_to, &mut touched, &mut lv_sn);
-    louvain_pass_scalar(
-        pgraph,
-        &labels_perm,
-        &mut links_to,
-        &mut touched,
-        &mut lv_sp,
-    );
-    louvain_pass_batched(graph, &labels_nat, &mut links_to, &mut touched, &mut lv_bn);
-    louvain_pass_batched(
-        pgraph,
-        &labels_perm,
-        &mut links_to,
-        &mut touched,
-        &mut lv_bp,
-    );
+    let mut lv_s = vec![0.0f64; n];
+    let mut lv_b = vec![0.0f64; n];
+    louvain_pass_scalar(graph, &labels, &mut links_to, &mut touched, &mut lv_s);
+    louvain_pass_batched(graph, &labels, &mut links_to, &mut touched, &mut lv_b);
     for u in 0..n {
-        let p = inv[u] as usize;
         assert_eq!(
-            lv_sn[u].to_bits(),
-            lv_sp[p].to_bits(),
-            "sweep/{tag}: scalar tally diverged between layouts at node {u}"
-        );
-        assert_eq!(
-            lv_sn[u].to_bits(),
-            lv_bn[u].to_bits(),
+            lv_s[u].to_bits(),
+            lv_b[u].to_bits(),
             "sweep/{tag}: batched tally diverged from scalar at node {u}"
-        );
-        assert_eq!(
-            lv_bn[u].to_bits(),
-            lv_bp[p].to_bits(),
-            "sweep/{tag}: batched tally diverged between layouts at node {u}"
         );
     }
     let out_edges = graph
         .offsets()
         .last()
         .map_or(0, |&e| e as usize - graph.offsets()[0] as usize);
-    let [lv_sn_ms, lv_bn_ms, lv_sp_ms, lv_bp_ms] = time_min_rr(SWEEP_REPS, |k| {
+    let [lv_s_ms, lv_b_ms] = time_min_rr(SWEEP_REPS, |k| {
         match k {
-            0 => louvain_pass_scalar(graph, &labels_nat, &mut links_to, &mut touched, &mut lv_sn),
-            1 => louvain_pass_batched(graph, &labels_nat, &mut links_to, &mut touched, &mut lv_bn),
-            2 => louvain_pass_scalar(
-                pgraph,
-                &labels_perm,
-                &mut links_to,
-                &mut touched,
-                &mut lv_sp,
-            ),
-            _ => louvain_pass_batched(
-                pgraph,
-                &labels_perm,
-                &mut links_to,
-                &mut touched,
-                &mut lv_bp,
-            ),
+            0 => louvain_pass_scalar(graph, &labels, &mut links_to, &mut touched, &mut lv_s),
+            _ => louvain_pass_batched(graph, &labels, &mut links_to, &mut touched, &mut lv_b),
         }
-        std::hint::black_box((&lv_sn, &lv_bn, &lv_sp, &lv_bp));
+        std::hint::black_box((&lv_s, &lv_b));
     });
     let louvain = SweepResult {
         name: format!("sweep/louvain_first_pass/{tag}"),
         scale: scale_name.to_string(),
         nodes: n,
         edges: out_edges,
-        scalar_natural_ms: lv_sn_ms,
-        batched_natural_ms: lv_bn_ms,
-        scalar_permuted_ms: lv_sp_ms,
-        batched_permuted_ms: lv_bp_ms,
+        scalar_natural_ms: lv_s_ms,
+        batched_natural_ms: lv_b_ms,
     };
     vec![pagerank, louvain]
 }
@@ -1754,11 +1650,11 @@ fn main() {
         Vec::new()
     };
 
-    println!("\ntiming the hot sweep kernels (scalar vs batched, natural vs degree-permuted) ...");
+    println!("\ntiming the hot sweep kernels (scalar vs batched) ...");
     let ghour = &temporals[2];
-    let mut sweeps = smoke_sweep("ghour", pipeline_scale.name(), &ghour.csr, threads);
+    let mut sweeps = smoke_sweep("ghour", pipeline_scale.name(), &ghour.csr);
     if let Some(station) = &city_graph {
-        sweeps.extend(smoke_sweep("city", "large", station, threads));
+        sweeps.extend(smoke_sweep("city", "large", station));
     }
 
     println!(
@@ -1870,31 +1766,18 @@ fn main() {
     // Sweep-kernel table: equal-thread comparisons, so the ratio columns
     // are reported even on single-core hosts.
     println!(
-        "\n{:<30} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8}",
-        "sweep (ns/edge)",
-        "nodes",
-        "edges",
-        "scalar",
-        "batched",
-        "p-scal",
-        "p-batch",
-        "batch-x",
-        "perm-x",
-        "best-x"
+        "\n{:<30} {:>8} {:>9} {:>9} {:>9} {:>8}",
+        "sweep (ns/edge)", "nodes", "edges", "scalar", "batched", "batch-x"
     );
     for r in &sweeps {
         println!(
-            "{:<30} {:>8} {:>9} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>7.2}x {:>7.2}x {:>7.2}x",
+            "{:<30} {:>8} {:>9} {:>9.2} {:>9.2} {:>7.2}x",
             r.name,
             r.nodes,
             r.edges,
             r.ns_per_edge(r.scalar_natural_ms),
             r.ns_per_edge(r.batched_natural_ms),
-            r.ns_per_edge(r.scalar_permuted_ms),
-            r.ns_per_edge(r.batched_permuted_ms),
             r.speedup_batched(),
-            r.speedup_permuted(),
-            r.speedup_best(),
         );
     }
 
@@ -2026,7 +1909,6 @@ fn render_json(
         "  \"determinism\": \"bit-identical serial vs parallel, \
          hashmap-freeze vs sort-merge, delta-apply vs full rebuild, \
          windowed evict vs rebuild over surviving rows, \
-         permuted vs natural sweeps, \
          sharded vs unsharded construction, \
          served snapshot vs offline rebuild, \
          and spilled vs in-memory construction (verified)\",\n",
@@ -2120,11 +2002,8 @@ fn render_json(
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"scale\": \"{}\", \"nodes\": {}, \"edges\": {}, \
              \"scalar_natural_ms\": {:.4}, \"batched_natural_ms\": {:.4}, \
-             \"scalar_permuted_ms\": {:.4}, \"batched_permuted_ms\": {:.4}, \
              \"scalar_ns_per_edge\": {:.3}, \"batched_ns_per_edge\": {:.3}, \
-             \"permuted_scalar_ns_per_edge\": {:.3}, \"permuted_batched_ns_per_edge\": {:.3}, \
-             \"speedup_batched_vs_scalar\": {:.3}, \"speedup_permuted_vs_natural\": {:.3}, \
-             \"speedup_best_vs_scalar\": {:.3}, \
+             \"speedup_batched_vs_scalar\": {:.3}, \
              \"peak_rss_kb\": {rss}}}{}\n",
             r.name,
             r.scale,
@@ -2132,15 +2011,9 @@ fn render_json(
             r.edges,
             r.scalar_natural_ms,
             r.batched_natural_ms,
-            r.scalar_permuted_ms,
-            r.batched_permuted_ms,
             r.ns_per_edge(r.scalar_natural_ms),
             r.ns_per_edge(r.batched_natural_ms),
-            r.ns_per_edge(r.scalar_permuted_ms),
-            r.ns_per_edge(r.batched_permuted_ms),
             r.speedup_batched(),
-            r.speedup_permuted(),
-            r.speedup_best(),
             if i + 1 < sweeps.len() { "," } else { "" }
         ));
     }

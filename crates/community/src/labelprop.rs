@@ -12,7 +12,7 @@
 //! label changes or the iteration cap is hit.
 
 use crate::Partition;
-use moby_graph::{par, CsrGraph, PermutedGraph, WeightedGraph};
+use moby_graph::{par, CsrGraph, WeightedGraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -152,68 +152,12 @@ pub fn label_propagation_csr(graph: &CsrGraph, config: &LabelPropagationConfig) 
     if n == 0 {
         return Partition::new();
     }
-    let mut labels: Vec<usize> = (0..n).collect();
-    labelprop_sweeps(g, config, &mut labels, None);
-    finish_labels(g, &labels)
-}
-
-/// Label propagation over a degree-sorted [`PermutedGraph`], returning a
-/// partition **bit-identical** to [`label_propagation_csr`] on the
-/// natural graph — the label-propagation counterpart of
-/// [`louvain_permuted`](crate::louvain_permuted).
-///
-/// The sweeps run over the permuted storage — hub rows first, neighbour
-/// state clustered at low indices — but every decision is the natural
-/// one: position `p` starts with its node's **natural** singleton label
-/// `perm[p]` (so gains and tie-breaks compare natural label values), the
-/// permuted rows preserve the natural per-row fold order (see
-/// [`PermutedGraph`]), and each sweep shuffles the *natural* visit order
-/// with the same rng draws before translating it through `inv` — the
-/// committed label sequence is exactly the natural run's. Unmapping at
-/// the end pairs each interned id with its own label, and
-/// [`Partition::renumbered`] canonicalises identically either way.
-///
-/// # Panics
-///
-/// If the permuted graph is directed: permute the undirected projection
-/// instead — the permuted rows are unsorted, so projecting after the
-/// fact would need the natural graph anyway.
-pub fn labelprop_permuted(permuted: &PermutedGraph, config: &LabelPropagationConfig) -> Partition {
-    let g = permuted.graph();
-    assert!(
-        !g.is_directed(),
-        "labelprop_permuted expects the undirected projection to be permuted"
-    );
-    let n = g.node_count();
-    if n == 0 {
-        return Partition::new();
-    }
-    // Natural singleton labels stored at permuted positions.
-    let mut labels: Vec<usize> = permuted.perm().iter().map(|&u| u as usize).collect();
-    labelprop_sweeps(g, config, &mut labels, Some(permuted.inv()));
-    finish_labels(g, &labels)
-}
-
-/// The shared sweep loop: iterate seeded-shuffled sweeps over `g`'s rows
-/// until no label changes or the cap is hit, mutating `labels` in place.
-/// `inv = Some(..)` runs the permuted layout: `labels` is indexed by
-/// storage position (carrying natural label values) and each sweep's
-/// shuffled **natural** order is translated through `inv` to visit
-/// positions — same rng draws, same committed sequence as the natural
-/// run (`inv = None`).
-fn labelprop_sweeps(
-    g: &CsrGraph,
-    config: &LabelPropagationConfig,
-    labels: &mut [usize],
-    inv: Option<&[u32]>,
-) {
-    let n = g.node_count();
     let threads = par::thread_count(config.threads);
     let chunks = par::RowChunks::from_offsets(g.offsets());
     let speculate = threads > 1 && chunks.len() > 1;
 
-    let mut order_nat: Vec<usize> = (0..n).collect();
-    let mut order: Vec<usize> = Vec::new(); // translation buffer, permuted runs only
+    let mut labels: Vec<usize> = (0..n).collect();
+    let mut order: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut scratch = TallyScratch::new(n);
     // Label-change stamps, used only when speculating (see the Louvain
@@ -223,17 +167,9 @@ fn labelprop_sweeps(
     let mut best = vec![0u32; if speculate { n } else { 0 }];
 
     for _ in 0..config.max_iterations {
-        order_nat.shuffle(&mut rng);
-        let visit: &[usize] = match inv {
-            None => &order_nat,
-            Some(inv) => {
-                order.clear();
-                order.extend(order_nat.iter().map(|&u| inv[u] as usize));
-                &order
-            }
-        };
+        order.shuffle(&mut rng);
         if speculate {
-            let labels: &[usize] = labels;
+            let labels = &labels;
             par::par_fill_with(
                 &chunks,
                 threads,
@@ -248,7 +184,7 @@ fn labelprop_sweeps(
         }
         let scan_tick = tick;
         let mut changed = false;
-        for &node in visit {
+        for &node in &order {
             let fresh = speculate
                 && g.row(node)
                     .0
@@ -257,7 +193,7 @@ fn labelprop_sweeps(
             let best_label = if fresh {
                 best[node] as usize
             } else {
-                tally_label(g, labels, &mut scratch, node)
+                tally_label(g, &labels, &mut scratch, node)
             };
             if best_label != labels[node] {
                 labels[node] = best_label;
@@ -272,12 +208,7 @@ fn labelprop_sweeps(
             break;
         }
     }
-}
 
-/// Pair each interned id with its position's label and canonicalise —
-/// shared by the natural and permuted runs (the permuted node table is
-/// position-indexed too, so the same tail unmaps both).
-fn finish_labels(g: &CsrGraph, labels: &[usize]) -> Partition {
     let partition: Partition = g
         .node_ids()
         .iter()
@@ -386,52 +317,6 @@ mod tests {
             );
             assert_eq!(serial, parallel, "{t} threads diverged");
         }
-    }
-
-    #[test]
-    fn permuted_labelprop_is_bit_identical_to_natural() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Same shape as the thread-independence graph: several clusters
-        // plus an isolated node, big enough for the speculative path.
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut g = WeightedGraph::new_undirected();
-        for c in 0..5u64 {
-            for _ in 0..200 {
-                let a = c * 1_000 + rng.gen_range(0..25u64);
-                let b = c * 1_000 + rng.gen_range(0..25u64);
-                g.add_edge(a, b, rng.gen_range(1.0..4.0));
-            }
-        }
-        g.add_node(999_999);
-        let frozen = g.freeze();
-        for t in [1usize, 2, 4] {
-            let cfg = LabelPropagationConfig {
-                threads: Some(t),
-                ..Default::default()
-            };
-            let natural = label_propagation_csr(&frozen, &cfg);
-            let pg = frozen.permute_by_degree(t);
-            let permuted = labelprop_permuted(&pg, &cfg);
-            assert_eq!(natural, permuted, "{t} threads diverged");
-        }
-    }
-
-    #[test]
-    fn permuted_labelprop_empty_graph() {
-        let g = WeightedGraph::new_undirected().freeze();
-        let pg = g.permute_by_degree(1);
-        let p = labelprop_permuted(&pg, &LabelPropagationConfig::default());
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "undirected projection")]
-    fn permuted_labelprop_rejects_directed_graphs() {
-        let mut g = WeightedGraph::new_directed();
-        g.add_edge(1, 2, 1.0);
-        let pg = g.freeze().permute_by_degree(1);
-        labelprop_permuted(&pg, &LabelPropagationConfig::default());
     }
 
     #[test]

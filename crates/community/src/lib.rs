@@ -52,14 +52,9 @@ mod modularity;
 mod partition;
 pub mod stats;
 
-pub use labelprop::{
-    label_propagation, label_propagation_csr, labelprop_permuted, LabelPropagationConfig,
-};
+pub use labelprop::{label_propagation, label_propagation_csr, LabelPropagationConfig};
 pub use louvain::{
-    louvain, louvain_csr, louvain_hashmap, louvain_permuted, louvain_seeded, louvain_seeded_active,
-    LouvainConfig,
+    louvain, louvain_csr, louvain_hashmap, louvain_seeded, louvain_seeded_active, LouvainConfig,
 };
-pub use modularity::{
-    modularity, modularity_csr, modularity_csr_threads, modularity_hashmap, modularity_permuted,
-};
+pub use modularity::{modularity, modularity_csr, modularity_csr_threads, modularity_hashmap};
 pub use partition::Partition;

@@ -59,7 +59,7 @@
 //! simply the 1-thread specialisation.
 
 use crate::{modularity_hashmap, Partition};
-use moby_graph::{par, CsrGraph, NodeId, PermutedGraph, WeightedGraph};
+use moby_graph::{par, CsrGraph, NodeId, WeightedGraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -567,50 +567,8 @@ fn aggregate_csr(graph: &CsrLevel, compact: &[usize], k: usize) -> CsrLevel {
         }
     }
 
-    level_from_pairs(pair_weight, k, m)
-}
-
-/// [`aggregate_csr`] for the degree-permuted level 0: walks nodes in
-/// **natural** index order through the permuted rows (`inv` locates the
-/// row, `perm` translates its targets back), so every merged pair weight
-/// and the total accumulate in exactly the natural aggregation order —
-/// the aggregated level is bit-identical to the one the natural run
-/// builds, and every later pass proceeds unchanged on it.
-fn aggregate_csr_permuted(
-    level: &CsrLevel,
-    perm: &[u32],
-    inv: &[u32],
-    compact: &[usize],
-    k: usize,
-) -> CsrLevel {
-    let mut pair_weight: HashMap<(u32, u32), f64> = HashMap::new();
-    let mut m = 0.0f64;
-    for u in 0..level.node_count() {
-        let p = inv[u] as usize;
-        let ci = compact[u] as u32;
-        if level.self_loops[p] > 0.0 {
-            *pair_weight.entry((ci, ci)).or_insert(0.0) += level.self_loops[p];
-            m += level.self_loops[p];
-        }
-        let (targets, weights) = level.row(p);
-        for (&jp, &w) in targets.iter().zip(weights) {
-            let j = perm[jp as usize] as usize;
-            if j > u {
-                let cj = compact[j] as u32;
-                let key = if ci <= cj { (ci, cj) } else { (cj, ci) };
-                *pair_weight.entry(key).or_insert(0.0) += w;
-                m += w;
-            }
-        }
-    }
-    level_from_pairs(pair_weight, k, m)
-}
-
-/// Shared tail of the aggregation paths: turn fully-merged pair weights
-/// into sorted CSR rows. Hash-map iteration order is immaterial here —
-/// each `(row, target)` pair carries one final weight and rows are sorted
-/// before packing.
-fn level_from_pairs(pair_weight: HashMap<(u32, u32), f64>, k: usize, m: f64) -> CsrLevel {
+    // Hash-map iteration order is immaterial here: each `(row, target)`
+    // pair carries one final weight and rows are sorted before packing.
     let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); k];
     for (&(a, b), &w) in &pair_weight {
         if a == b {
@@ -704,81 +662,6 @@ fn membership_modularity(graph: &CsrGraph, membership: &[usize], k: usize, threa
     q
 }
 
-/// [`membership_modularity`] over a degree-permuted graph, walking the
-/// **natural** node order (chunk boundaries come from the natural offsets
-/// and each row is fetched through `inv`, its targets translated through
-/// `perm`), so every accumulator receives the same terms in the same
-/// order as the natural gate — the pass gate is bit-identical between the
-/// two layouts, which is what lets [`louvain_permuted`] stop at exactly
-/// the same pass.
-fn membership_modularity_permuted(
-    pg: &PermutedGraph,
-    membership: &[usize],
-    k: usize,
-    threads: usize,
-) -> f64 {
-    let g = pg.graph();
-    let m = g.total_weight();
-    if m <= 0.0 {
-        return 0.0;
-    }
-    let perm = pg.perm();
-    let max_chunks = (4_000_000 / k.max(1)).clamp(1, 16);
-    let chunks = par::RowChunks::balanced(pg.natural_offsets(), max_chunks, 2048);
-    let partials = par::par_map(&chunks, threads, |_, range| {
-        let mut internal = vec![0.0f64; k];
-        let mut degree = vec![0.0f64; k];
-        for u in range {
-            let cu = membership[u];
-            let (targets, weights) = pg.natural_row(u);
-            for (&vp, &w) in targets.iter().zip(weights) {
-                let v = perm[vp as usize] as usize;
-                if v == u {
-                    internal[cu] += w;
-                    degree[cu] += 2.0 * w;
-                } else if v > u {
-                    let cv = membership[v];
-                    if cu == cv {
-                        internal[cu] += w;
-                    }
-                    degree[cu] += w;
-                    degree[cv] += w;
-                }
-            }
-        }
-        (internal, degree)
-    });
-    let mut internal = vec![0.0f64; k];
-    let mut degree = vec![0.0f64; k];
-    for (pi, pd) in partials {
-        for c in 0..k {
-            internal[c] += pi[c];
-            degree[c] += pd[c];
-        }
-    }
-    let mut q = 0.0;
-    for c in 0..k {
-        q += internal[c] / m - (degree[c] / (2.0 * m)).powi(2);
-    }
-    q
-}
-
-/// The graph a pass gate measures modularity against: the natural frozen
-/// graph, or a permuted layout walked in natural order (same bits).
-enum GateGraph<'a> {
-    Natural(&'a CsrGraph),
-    Permuted(&'a PermutedGraph),
-}
-
-impl GateGraph<'_> {
-    fn modularity(&self, membership: &[usize], k: usize, threads: usize) -> f64 {
-        match self {
-            GateGraph::Natural(g) => membership_modularity(g, membership, k, threads),
-            GateGraph::Permuted(p) => membership_modularity_permuted(p, membership, k, threads),
-        }
-    }
-}
-
 /// Shared Louvain driver: `init` is an optional level-0 seed assignment
 /// (compacted labels `< n`, one per dense node index). Cold runs pass
 /// `None`; [`louvain_seeded`] passes the previous partition's labels.
@@ -792,7 +675,7 @@ impl GateGraph<'_> {
 fn louvain_csr_impl(
     graph: &CsrGraph,
     config: &LouvainConfig,
-    init: Option<Vec<usize>>,
+    mut init: Option<Vec<usize>>,
     active: bool,
 ) -> Partition {
     let undirected;
@@ -809,55 +692,23 @@ fn louvain_csr_impl(
 
     let threads = par::thread_count(config.threads);
     let mut membership: Vec<usize> = (0..n).collect();
+    let mut level = CsrLevel::from_frozen(g);
     let mut rng = config.seed.map(StdRng::seed_from_u64);
-    let gate = GateGraph::Natural(g);
     // The pass gate starts from the seed's modularity (cold: singletons),
     // so a pass only counts as progress if it beats the state it started
     // from — local moving never commits a losing move, so the final
     // partition's modularity is never below the seed's.
-    let last_q = match &init {
+    let mut last_q = match &init {
         Some(labels) => membership_modularity(g, labels, n, threads),
         None => membership_modularity(g, &membership, n, threads),
     };
-    louvain_level_loop(
-        &gate,
-        CsrLevel::from_frozen(g),
-        &mut membership,
-        last_q,
-        0..config.max_passes,
-        &mut rng,
-        init,
-        active,
-        config,
-        threads,
-    );
-    membership_to_partition(g.node_ids(), &membership).renumbered()
-}
 
-/// The aggregation-pass loop shared by the natural, seeded and permuted
-/// drivers: `level` is the CSR level the first pass of `passes` runs on,
-/// `membership` maps original nodes to `level` node indices, and `last_q`
-/// is the gate value the first pass must beat. `init` seeds the first
-/// executed pass only; `active` routes that seeded pass through
-/// [`local_moving_csr_active`].
-#[allow(clippy::too_many_arguments)]
-fn louvain_level_loop(
-    gate: &GateGraph<'_>,
-    mut level: CsrLevel,
-    membership: &mut [usize],
-    mut last_q: f64,
-    passes: std::ops::Range<usize>,
-    rng: &mut Option<StdRng>,
-    mut init: Option<Vec<usize>>,
-    active: bool,
-    config: &LouvainConfig,
-    threads: usize,
-) {
-    for _pass in passes {
+    for _ in 0..config.max_passes {
         let mut order: Vec<usize> = (0..level.node_count()).collect();
         if let Some(rng) = rng.as_mut() {
             order.shuffle(rng);
         }
+        // `take` leaves `None` behind: the seed applies to the first pass only.
         let level_init = init.take();
         let (community, moved) = match &level_init {
             Some(labels) if active => local_moving_csr_active(&level, &order, threads, labels),
@@ -874,7 +725,7 @@ fn louvain_level_loop(
         }
 
         let aggregated = aggregate_csr(&level, &compact, k);
-        let q = gate.modularity(membership, k, threads);
+        let q = membership_modularity(g, &membership, k, threads);
         if q - last_q < config.min_modularity_gain {
             // Keep the (slightly) better assignment but stop iterating.
             break;
@@ -882,6 +733,7 @@ fn louvain_level_loop(
         last_q = q;
         level = aggregated;
     }
+    membership_to_partition(g.node_ids(), &membership).renumbered()
 }
 
 /// Run the Louvain algorithm over a frozen undirected [`CsrGraph`]
@@ -889,87 +741,6 @@ fn louvain_level_loop(
 /// detected partition with canonical community labels `0..k`.
 pub fn louvain_csr(graph: &CsrGraph, config: &LouvainConfig) -> Partition {
     louvain_csr_impl(graph, config, None, false)
-}
-
-/// Cold-start Louvain over a degree-sorted [`PermutedGraph`], returning a
-/// partition **bit-identical** to [`louvain_csr`] on the natural graph.
-///
-/// The first (dominant) local-moving pass sweeps the permuted rows — hub
-/// rows first, neighbour state clustered at low indices — but commits in
-/// natural node order under natural community labels, so the committed
-/// move sequence is exactly the natural one. Aggregation and the pass
-/// gate then walk natural order through the permuted layout
-/// (the internal `aggregate_csr_permuted` / `membership_modularity_permuted`), and
-/// every later pass runs on the identical aggregated level. The pipeline
-/// uses this for detection-heavy workloads and reports the (unmapped,
-/// id-keyed) partition as usual.
-///
-/// # Panics
-///
-/// If the permuted graph is directed: permute the undirected projection
-/// instead — the permuted rows are unsorted, so projecting after the fact
-/// would need the natural graph anyway.
-pub fn louvain_permuted(permuted: &PermutedGraph, config: &LouvainConfig) -> Partition {
-    let g = permuted.graph();
-    assert!(
-        !g.is_directed(),
-        "louvain_permuted expects the undirected projection to be permuted"
-    );
-    let n = g.node_count();
-    if n == 0 {
-        return Partition::new();
-    }
-    let threads = par::thread_count(config.threads);
-    let perm = permuted.perm();
-    let inv = permuted.inv();
-    let mut membership: Vec<usize> = (0..n).collect();
-    let mut rng = config.seed.map(StdRng::seed_from_u64);
-    let gate = GateGraph::Permuted(permuted);
-    let mut last_q = gate.modularity(&membership, n, threads);
-
-    if config.max_passes > 0 {
-        let level0 = CsrLevel::from_frozen(g);
-        // Shuffle the *natural* order exactly like the natural run (same
-        // rng draws), then translate each step to its storage position.
-        let mut order_nat: Vec<usize> = (0..n).collect();
-        if let Some(rng) = rng.as_mut() {
-            order_nat.shuffle(rng);
-        }
-        let order: Vec<usize> = order_nat.iter().map(|&u| inv[u] as usize).collect();
-        // Seeding position p with label perm[p] reproduces the natural
-        // cold start: each node begins in its own *natural-labelled*
-        // singleton, so gains, tie-breaks and the commit sequence match
-        // the natural run bit for bit.
-        let init: Vec<usize> = perm.iter().map(|&u| u as usize).collect();
-        let (community, moved) = local_moving_csr(&level0, &order, threads, Some(&init));
-        let community_nat: Vec<usize> = (0..n).map(|u| community[inv[u] as usize]).collect();
-        let (compact, k) = compact_labels(&community_nat);
-        membership.copy_from_slice(&compact);
-        if moved {
-            let aggregated = aggregate_csr_permuted(&level0, perm, inv, &compact, k);
-            let q = gate.modularity(&membership, k, threads);
-            if q - last_q >= config.min_modularity_gain {
-                last_q = q;
-                louvain_level_loop(
-                    &gate,
-                    aggregated,
-                    &mut membership,
-                    last_q,
-                    1..config.max_passes,
-                    &mut rng,
-                    None,
-                    false,
-                    config,
-                    threads,
-                );
-            }
-        }
-    }
-    // `membership` is indexed by *natural* dense node, but the interned id
-    // table lives in permuted order — pull each natural node's id through
-    // `inv` so ids pair with their own assignment.
-    let ids_nat: Vec<_> = inv.iter().map(|&p| g.node_ids()[p as usize]).collect();
-    membership_to_partition(&ids_nat, &membership).renumbered()
 }
 
 /// Run Louvain **seeded from a previous partition**: the first
@@ -1650,52 +1421,6 @@ mod tests {
     }
 
     #[test]
-    fn permuted_cold_run_is_bit_identical_to_natural() {
-        for graph_seed in 0..6u64 {
-            let frozen = random_graph(600 + graph_seed, false).freeze();
-            let pg = frozen.permute_by_degree(1);
-            for shuffle in [None, Some(graph_seed)] {
-                for t in [1usize, 2, 4] {
-                    let cfg = LouvainConfig {
-                        seed: shuffle,
-                        threads: Some(t),
-                        ..Default::default()
-                    };
-                    assert_eq!(
-                        louvain_permuted(&pg, &cfg),
-                        louvain_csr(&frozen, &cfg),
-                        "permuted diverged (graph {graph_seed}, shuffle {shuffle:?}, {t} threads)"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn permuted_run_on_projected_directed_graph_matches() {
-        // The natural path projects directed input itself; the permuted
-        // path requires the caller to permute the projection.
-        for graph_seed in 0..4u64 {
-            let d = random_graph(700 + graph_seed, true);
-            let frozen = d.freeze();
-            let pg = frozen.to_undirected().permute_by_degree(1);
-            let cfg = LouvainConfig::default();
-            assert_eq!(
-                louvain_permuted(&pg, &cfg),
-                louvain_csr(&frozen, &cfg),
-                "projected permuted diverged (graph {graph_seed})"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "undirected projection")]
-    fn permuted_rejects_directed_graphs() {
-        let pg = random_graph(710, true).freeze().permute_by_degree(1);
-        louvain_permuted(&pg, &LouvainConfig::default());
-    }
-
-    #[test]
     fn active_seeded_matches_seeded_exactly() {
         for graph_seed in 0..8u64 {
             let frozen = random_graph(800 + graph_seed, false).freeze();
@@ -1771,64 +1496,6 @@ mod tests {
                 louvain_seeded(&frozen, &perturbed, &cfg),
                 "active-set refresh diverged on structured graph ({t} threads)"
             );
-        }
-    }
-
-    #[test]
-    fn permuted_level_pipeline_matches_natural_stage_by_stage() {
-        // Guards each internal stage of the permuted cold run — level
-        // construction, pass-0 local moving, aggregation and the pass gate
-        // — so a future regression points at the stage that broke rather
-        // than just the end-to-end partition.
-        let frozen = random_graph(600, false).freeze();
-        let pg = frozen.permute_by_degree(1);
-        let n = frozen.node_count();
-        let level_nat = CsrLevel::from_frozen(&frozen);
-        let level_perm = CsrLevel::from_frozen(pg.graph());
-        let perm = pg.perm();
-        let inv = pg.inv();
-        for u in 0..n {
-            let p = inv[u] as usize;
-            assert_eq!(
-                level_nat.degree[u].to_bits(),
-                level_perm.degree[p].to_bits()
-            );
-            assert_eq!(
-                level_nat.self_loops[u].to_bits(),
-                level_perm.self_loops[p].to_bits()
-            );
-            let (tn, wn) = level_nat.row(u);
-            let (tp, wp) = level_perm.row(p);
-            let tp_mapped: Vec<u32> = tp.iter().map(|&x| perm[x as usize]).collect();
-            assert_eq!(tn, tp_mapped.as_slice(), "row targets mismatch at {u}");
-            assert_eq!(wn, wp, "row weights mismatch at {u}");
-        }
-        assert_eq!(level_nat.m.to_bits(), level_perm.m.to_bits());
-
-        let order_nat: Vec<usize> = (0..n).collect();
-        let order: Vec<usize> = order_nat.iter().map(|&u| inv[u] as usize).collect();
-        let init: Vec<usize> = perm.iter().map(|&u| u as usize).collect();
-        let (c_nat, moved_nat) = local_moving_csr(&level_nat, &order_nat, 1, None);
-        let (c_perm, moved_perm) = local_moving_csr(&level_perm, &order, 1, Some(&init));
-        assert_eq!(moved_nat, moved_perm);
-        let c_perm_nat: Vec<usize> = (0..n).map(|u| c_perm[inv[u] as usize]).collect();
-        assert_eq!(c_nat, c_perm_nat, "pass-0 communities diverged");
-
-        let (compact, k) = compact_labels(&c_nat);
-        let agg_nat = aggregate_csr(&level_nat, &compact, k);
-        let agg_perm = aggregate_csr_permuted(&level_perm, perm, inv, &compact, k);
-        assert_eq!(agg_nat.offsets, agg_perm.offsets);
-        assert_eq!(agg_nat.targets, agg_perm.targets);
-        assert_eq!(agg_nat.weights, agg_perm.weights);
-        assert_eq!(agg_nat.self_loops, agg_perm.self_loops);
-        assert_eq!(agg_nat.degree, agg_perm.degree);
-        assert_eq!(agg_nat.m.to_bits(), agg_perm.m.to_bits());
-
-        let singletons: Vec<usize> = (0..n).collect();
-        for (memb, comms) in [(&compact, k), (&singletons, n)] {
-            let q_nat = membership_modularity(&frozen, memb, comms, 1);
-            let q_perm = membership_modularity_permuted(&pg, memb, comms, 1);
-            assert_eq!(q_nat.to_bits(), q_perm.to_bits(), "gate q diverged");
         }
     }
 }

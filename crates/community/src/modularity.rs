@@ -1,7 +1,7 @@
 //! Weighted Newman modularity (paper eq. 2).
 
 use crate::Partition;
-use moby_graph::{par, CsrGraph, PermutedGraph, WeightedGraph};
+use moby_graph::{par, CsrGraph, WeightedGraph};
 use std::collections::HashMap;
 
 /// Weighted modularity of a partition over an undirected weighted graph.
@@ -108,18 +108,9 @@ pub fn modularity_csr_threads(
         }
         (internal, degree)
     });
-    merge_and_score(partials, node_comm, m)
-}
 
-/// Merge per-chunk `(internal, degree)` tallies in chunk order and fold the
-/// per-community terms of eq. 2 in ascending community-label order. Shared
-/// by the natural and permuted modularity paths so both reduce with the
-/// exact same operation sequence.
-fn merge_and_score(
-    partials: Vec<(HashMap<usize, f64>, HashMap<usize, f64>)>,
-    node_comm: &[usize],
-    m: f64,
-) -> f64 {
+    // Merge the per-chunk tallies in chunk order, then fold the
+    // per-community terms of eq. 2 in ascending community-label order.
     let mut internal: HashMap<usize, f64> = HashMap::new();
     let mut degree: HashMap<usize, f64> = HashMap::new();
     for (pi, pd) in partials {
@@ -139,82 +130,6 @@ fn merge_and_score(
         q += l_c / m - (k_c / (2.0 * m)).powi(2);
     }
     q
-}
-
-/// [`modularity_csr_threads`] evaluated through a degree-permuted layout
-/// ([`moby_graph::CsrGraph::permute_by_degree`]), bit-identical to scoring
-/// the natural graph.
-///
-/// The tally walks **natural** node order through the permuted rows:
-/// chunk boundaries come from [`PermutedGraph::natural_offsets`] (so they
-/// match the natural run exactly), each natural node's row is fetched via
-/// [`PermutedGraph::natural_row`] (source position order preserved), and
-/// targets are translated back through `perm` for the `v > u` edge
-/// ownership test. Synthetic labels for unassigned nodes are handed out in
-/// natural node order, exactly as the natural path does.
-///
-/// Panics if the permuted graph is directed: permute the undirected
-/// projection instead (the natural path's internal projection would not
-/// survive the permutation maps).
-pub fn modularity_permuted(
-    pg: &PermutedGraph,
-    partition: &Partition,
-    threads: Option<usize>,
-) -> f64 {
-    let g = pg.graph();
-    assert!(
-        !g.is_directed(),
-        "modularity_permuted expects the undirected projection to be permuted"
-    );
-    let m = g.total_weight();
-    if m <= 0.0 {
-        return 0.0;
-    }
-
-    let perm = pg.perm();
-    // Effective community per *natural* dense node: natural node `u`'s id
-    // lives at permuted slot `inv[u]` of the interned id table.
-    let mut next_free = usize::MAX;
-    let node_comm: Vec<usize> = pg
-        .inv()
-        .iter()
-        .map(|&p| {
-            let id = g.node_ids()[p as usize];
-            partition.community_of(id).unwrap_or_else(|| {
-                next_free -= 1;
-                next_free
-            })
-        })
-        .collect();
-
-    let threads = par::thread_count(threads);
-    let chunks = par::RowChunks::balanced(pg.natural_offsets(), 16, 2048);
-    let node_comm = &node_comm;
-    let partials = par::par_map(&chunks, threads, |_, range| {
-        let mut internal: HashMap<usize, f64> = HashMap::new();
-        let mut degree: HashMap<usize, f64> = HashMap::new();
-        for u in range {
-            let cu = node_comm[u];
-            let (targets, weights) = pg.natural_row(u);
-            for (&vp, &w) in targets.iter().zip(weights) {
-                let v = perm[vp as usize] as usize;
-                if v == u {
-                    // Self-loop: counts once towards internal, twice to degree.
-                    *internal.entry(cu).or_insert(0.0) += w;
-                    *degree.entry(cu).or_insert(0.0) += 2.0 * w;
-                } else if v > u {
-                    let cv = node_comm[v];
-                    if cu == cv {
-                        *internal.entry(cu).or_insert(0.0) += w;
-                    }
-                    *degree.entry(cu).or_insert(0.0) += w;
-                    *degree.entry(cv).or_insert(0.0) += w;
-                }
-            }
-        }
-        (internal, degree)
-    });
-    merge_and_score(partials, node_comm, m)
 }
 
 /// The legacy modularity implementation over the builder graph's hash-map
@@ -432,41 +347,6 @@ mod tests {
         }
         // And the chunked score still agrees with the legacy reference.
         assert!((serial - modularity_hashmap(&g, &p)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn permuted_layout_is_bit_identical() {
-        let mut g = WeightedGraph::new_undirected();
-        for i in 0..400u64 {
-            g.add_edge(i, (i * 13 + 7) % 400, 1.0 + (i % 5) as f64);
-            g.add_edge(i, (i * 29 + 3) % 400, 0.5);
-        }
-        g.add_edge(7, 7, 2.5); // self-loop exercises the v == u arm
-        let frozen = g.freeze();
-        let pg = frozen.permute_by_degree(1);
-        // A full partition and a partial one (synthetic labels in play).
-        let full: Partition = g
-            .node_ids()
-            .iter()
-            .map(|&n| (n, (n % 8) as usize))
-            .collect();
-        let partial: Partition = g
-            .node_ids()
-            .iter()
-            .filter(|&&n| n % 3 != 0)
-            .map(|&n| (n, (n % 8) as usize))
-            .collect();
-        for p in [&full, &partial] {
-            for t in [1usize, 2, 4] {
-                let natural = modularity_csr_threads(&frozen, p, Some(t));
-                let permuted = modularity_permuted(&pg, p, Some(t));
-                assert_eq!(
-                    natural.to_bits(),
-                    permuted.to_bits(),
-                    "threads {t}: natural {natural} vs permuted {permuted}"
-                );
-            }
-        }
     }
 
     #[test]

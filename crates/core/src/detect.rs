@@ -9,11 +9,11 @@
 use crate::temporal::{TemporalGranularity, TemporalGraph};
 use moby_community::stats::{community_table, CommunityTable};
 use moby_community::{
-    label_propagation_csr, labelprop_permuted, louvain_csr, louvain_permuted, louvain_seeded,
-    louvain_seeded_active, modularity_csr_threads, modularity_permuted,
+    label_propagation_csr, louvain_csr, louvain_seeded, louvain_seeded_active,
+    modularity_csr_threads,
 };
 use moby_community::{LabelPropagationConfig, LouvainConfig, Partition};
-use moby_graph::{par, CsrGraph, NodeId};
+use moby_graph::{CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -39,15 +39,6 @@ pub struct DetectConfig {
     /// [`moby_graph::par::thread_count`]). Detection results are
     /// bit-identical at any thread count, so this only tunes speed.
     pub threads: Option<usize>,
-    /// Run the detector through a **degree-permuted layout**
-    /// ([`moby_graph::CsrGraph::permute_by_degree`]): hub rows and their
-    /// neighbour state cluster at low indices, which speeds up the
-    /// detection sweeps on detection-heavy workloads at the cost of one
-    /// permutation pass per detection. Applies to both Louvain and the
-    /// label-propagation detector. The detected partition and the
-    /// reported modularity are **bit-identical** either way, so this is
-    /// purely a performance policy.
-    pub permute: bool,
 }
 
 impl Default for DetectConfig {
@@ -56,7 +47,6 @@ impl Default for DetectConfig {
             detector: Detector::Louvain,
             seed: None,
             threads: None,
-            permute: false,
         }
     }
 }
@@ -150,30 +140,6 @@ pub fn detect_communities(
     config: &DetectConfig,
 ) -> CommunityDetection {
     let (raw_partition, q) = match config.detector {
-        Detector::Louvain if config.permute => {
-            // Permute the undirected projection once and run both the
-            // detector and the modularity score through the mapped sweeps
-            // — same bits as the natural path (see the `moby-community`
-            // bit-identity tests), better locality on the hot rows.
-            let undirected;
-            let base = if temporal.csr.is_directed() {
-                undirected = temporal.csr.to_undirected();
-                &undirected
-            } else {
-                &temporal.csr
-            };
-            let pg = base.permute_by_degree(par::thread_count(config.threads));
-            let raw = louvain_permuted(
-                &pg,
-                &LouvainConfig {
-                    seed: config.seed,
-                    threads: config.threads,
-                    ..Default::default()
-                },
-            );
-            let q = modularity_permuted(&pg, &raw, config.threads);
-            (raw, q)
-        }
         Detector::Louvain => {
             let raw = louvain_csr(
                 &temporal.csr,
@@ -184,29 +150,6 @@ pub fn detect_communities(
                 },
             );
             let q = modularity_csr_threads(&temporal.csr, &raw, config.threads);
-            (raw, q)
-        }
-        Detector::LabelPropagation if config.permute => {
-            // Same scheme as the permuted Louvain arm: permute the
-            // undirected projection once, then run both the sweeps and
-            // the score through the mapped layout — identical bits.
-            let undirected;
-            let base = if temporal.csr.is_directed() {
-                undirected = temporal.csr.to_undirected();
-                &undirected
-            } else {
-                &temporal.csr
-            };
-            let pg = base.permute_by_degree(par::thread_count(config.threads));
-            let raw = labelprop_permuted(
-                &pg,
-                &LabelPropagationConfig {
-                    seed: config.seed.unwrap_or(1),
-                    threads: config.threads,
-                    ..Default::default()
-                },
-            );
-            let q = modularity_permuted(&pg, &raw, config.threads);
             (raw, q)
         }
         Detector::LabelPropagation => {
@@ -504,52 +447,6 @@ mod tests {
         let cold = detect_communities(&temporal, &directed, &old(), &cfg);
         let refreshed = refresh_communities(&temporal, &directed, &old(), &cold, &cfg);
         assert_eq!(refreshed.station_partition, cold.station_partition);
-    }
-
-    #[test]
-    fn permuted_detection_is_bit_identical() {
-        let directed = directed();
-        for g in TemporalGranularity::ALL {
-            let temporal = temporal(g);
-            for detector in [Detector::Louvain, Detector::LabelPropagation] {
-                for threads in [Some(1), Some(4)] {
-                    let natural = detect_communities(
-                        &temporal,
-                        &directed,
-                        &old(),
-                        &DetectConfig {
-                            detector,
-                            threads,
-                            ..Default::default()
-                        },
-                    );
-                    let permuted = detect_communities(
-                        &temporal,
-                        &directed,
-                        &old(),
-                        &DetectConfig {
-                            detector,
-                            threads,
-                            permute: true,
-                            ..Default::default()
-                        },
-                    );
-                    assert_eq!(
-                        natural.raw_partition, permuted.raw_partition,
-                        "{g:?} {detector:?}"
-                    );
-                    assert_eq!(
-                        natural.station_partition, permuted.station_partition,
-                        "{g:?} {detector:?}"
-                    );
-                    assert_eq!(
-                        natural.modularity.to_bits(),
-                        permuted.modularity.to_bits(),
-                        "{g:?} {detector:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -606,86 +606,6 @@ impl CsrGraph {
         }
     }
 
-    /// Reorder the node index space by descending degree (ties broken by
-    /// the natural index, so the permutation is a pure function of the
-    /// row structure). Returns a [`PermutedGraph`]: the frozen permuted
-    /// graph plus the forward/inverse maps needed to run the mapped
-    /// sweeps and unmap their results.
-    ///
-    /// Row *positions* are preserved — permuted node `p` carries natural
-    /// node `perm[p]`'s row with every entry in its original position,
-    /// values translated into permuted index space. Positional fold order
-    /// is therefore identical to the natural graph's, which is what lets
-    /// the mapped PageRank/Louvain/modularity paths reproduce the
-    /// natural-order results bit for bit (see DESIGN.md, "Layout &
-    /// vectorization").
-    pub fn permute_by_degree(&self, threads: usize) -> PermutedGraph {
-        let n = self.node_count();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_unstable_by_key(|&u| (std::cmp::Reverse(self.degree(u as usize)), u));
-        let mut inv = vec![0u32; n];
-        for (p, &u) in perm.iter().enumerate() {
-            inv[u as usize] = p as u32;
-        }
-
-        let permuted_parts = |offsets: &[u32], targets: &[u32], weights: &[f64]| {
-            let mut new_offsets = Vec::with_capacity(n + 1);
-            new_offsets.push(0u32);
-            let mut new_targets = Vec::with_capacity(targets.len());
-            let mut new_weights = Vec::with_capacity(weights.len());
-            for &u in &perm {
-                let (t, w) = row(offsets, targets, weights, u as usize);
-                // Keep the source position order: mapping values through
-                // `inv` changes *what* each entry points at, never the
-                // per-row accumulation order.
-                new_targets.extend(t.iter().map(|&v| inv[v as usize]));
-                new_weights.extend_from_slice(w);
-                new_offsets.push(new_targets.len() as u32);
-            }
-            (new_offsets, new_targets, new_weights)
-        };
-
-        let (offsets, targets, weights) = permuted_parts(
-            &self.inner.offsets,
-            &self.inner.targets,
-            &self.inner.weights,
-        );
-        let (in_offsets, in_targets, in_weights) = if self.inner.directed {
-            permuted_parts(
-                &self.inner.in_offsets,
-                &self.inner.in_targets,
-                &self.inner.in_weights,
-            )
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
-        let node_ids = perm
-            .iter()
-            .map(|&u| self.inner.node_ids[u as usize])
-            .collect::<Vec<_>>();
-        let graph = CsrGraph::from_parts(
-            CsrParts {
-                directed: self.inner.directed,
-                node_ids,
-                offsets,
-                targets,
-                weights,
-                in_offsets,
-                in_targets,
-                in_weights,
-                edge_count: self.inner.edge_count,
-                total_weight: self.inner.total_weight,
-            },
-            threads,
-        );
-        PermutedGraph {
-            graph,
-            perm,
-            inv,
-            natural_offsets: self.inner.offsets.clone(),
-        }
-    }
-
     /// A frozen graph containing only the nodes for which `keep` returns
     /// true (and the merged edges among them), preserving the relative
     /// dense order of the kept nodes. Matches
@@ -704,83 +624,6 @@ impl CsrGraph {
             }
         }
         builder.build()
-    }
-}
-
-/// A degree-sorted reordering of a [`CsrGraph`], produced by
-/// [`CsrGraph::permute_by_degree`].
-///
-/// Permuted position `p` carries natural node `perm()[p]`; natural node
-/// `u` lives at permuted position `inv()[u]`. The inner graph is a fully
-/// interned frozen graph over the same external [`NodeId`]s, so id-keyed
-/// results (e.g. a PageRank `HashMap<NodeId, f64>`) need no unmapping at
-/// all — only dense-index artefacts (memberships, per-node vectors) go
-/// through `perm`/`inv`.
-///
-/// **Sweep-only representation**: rows preserve the *source* position
-/// order rather than being re-sorted by permuted target index, because
-/// positional fold order is what keeps the mapped kernels bit-identical
-/// to the natural run. Anything that needs sorted rows
-/// ([`CsrGraph::edge_weight`]'s binary search, the sort-merge delta
-/// paths) must use the natural graph instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PermutedGraph {
-    graph: CsrGraph,
-    perm: Vec<u32>,
-    inv: Vec<u32>,
-    natural_offsets: Vec<u32>,
-}
-
-impl PermutedGraph {
-    /// The frozen permuted graph (see the type docs for the row-order
-    /// caveat).
-    #[inline]
-    pub fn graph(&self) -> &CsrGraph {
-        &self.graph
-    }
-
-    /// `perm()[p]` is the natural index stored at permuted position `p`.
-    #[inline]
-    pub fn perm(&self) -> &[u32] {
-        &self.perm
-    }
-
-    /// `inv()[u]` is the permuted position of natural node `u`.
-    #[inline]
-    pub fn inv(&self) -> &[u32] {
-        &self.inv
-    }
-
-    /// The natural graph's out-offset array. Mapped passes whose chunk
-    /// boundaries are part of the determinism contract (modularity
-    /// tallies) chunk over these, not the permuted offsets.
-    #[inline]
-    pub fn natural_offsets(&self) -> &[u32] {
-        &self.natural_offsets
-    }
-
-    /// Number of nodes (same as the natural graph).
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// The row of *natural* node `u` in the permuted layout: targets are
-    /// permuted indices, positions match the natural row.
-    #[inline]
-    pub fn natural_row(&self, u: usize) -> (&[u32], &[f64]) {
-        self.graph.row(self.inv[u] as usize)
-    }
-
-    /// Heap footprint: the permuted graph plus both permutation maps and
-    /// the retained natural offsets — counted so the `large` bench's RSS
-    /// vs heap comparison stays honest when the pipeline holds a
-    /// permuted copy.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.graph.heap_bytes()
-            + (self.perm.capacity() + self.inv.capacity() + self.natural_offsets.capacity())
-                * size_of::<u32>()
     }
 }
 
@@ -988,76 +831,5 @@ mod tests {
         assert!(empty.as_slice().is_empty());
         assert!(empty.is_aligned());
         assert_eq!(empty.heap_bytes(), 0);
-    }
-
-    #[test]
-    fn permute_by_degree_orders_hubs_first() {
-        let g = sample_undirected();
-        let c = g.freeze();
-        let p = c.permute_by_degree(1);
-        let n = c.node_count();
-        assert_eq!(p.node_count(), n);
-        // Degrees are non-increasing along the permuted index space.
-        let degs: Vec<usize> = (0..n).map(|q| p.graph().degree(q)).collect();
-        assert!(degs.windows(2).all(|w| w[0] >= w[1]), "degree-sorted");
-        // perm/inv invert each other.
-        for u in 0..n {
-            assert_eq!(p.perm()[p.inv()[u] as usize] as usize, u);
-        }
-        assert_eq!(p.natural_offsets(), c.offsets());
-    }
-
-    #[test]
-    fn permuted_graph_is_isomorphic_with_identical_cached_degrees() {
-        let mut g = WeightedGraph::new_undirected();
-        for i in 0..40u64 {
-            g.add_edge(i, (i * 3) % 40, 1.0 + i as f64 * 0.25);
-            g.add_edge(i, (i + 1) % 40, 0.5);
-        }
-        let c = g.freeze();
-        let p = c.permute_by_degree(2);
-        let pg = p.graph();
-        assert_eq!(pg.edge_count(), c.edge_count());
-        assert_eq!(pg.total_weight().to_bits(), c.total_weight().to_bits());
-        for u in 0..c.node_count() {
-            let q = p.inv()[u] as usize;
-            assert_eq!(pg.id_of(q), c.id_of(u), "same external id");
-            // Cached degree sweeps are positional folds over the same row
-            // contents, so they are bit-identical, not just close.
-            assert_eq!(pg.strength(q).to_bits(), c.strength(u).to_bits());
-            assert_eq!(
-                pg.weighted_degree(q).to_bits(),
-                c.weighted_degree(u).to_bits()
-            );
-            assert_eq!(pg.self_loop(q).to_bits(), c.self_loop(u).to_bits());
-            // Rows carry the same (neighbour, weight) multiset with
-            // positions preserved and values mapped through `inv`.
-            let (nt, nw) = c.row(u);
-            let (pt, pw) = p.natural_row(u);
-            assert_eq!(nw, pw, "weights keep source positions");
-            let mapped: Vec<u32> = nt.iter().map(|&v| p.inv()[v as usize]).collect();
-            assert_eq!(pt, &mapped[..], "targets mapped positionally");
-        }
-        // heap_bytes includes the permutation maps on top of the graph.
-        assert!(p.heap_bytes() > pg.heap_bytes());
-        assert!(p.heap_bytes() >= pg.heap_bytes() + 3 * c.node_count() * 4);
-    }
-
-    #[test]
-    fn permuted_directed_graph_keeps_in_rows() {
-        let mut g = WeightedGraph::new_directed();
-        g.add_edge(1, 2, 3.0);
-        g.add_edge(3, 2, 2.0);
-        g.add_edge(2, 1, 1.0);
-        g.add_edge(2, 2, 4.0);
-        let c = g.freeze();
-        let p = c.permute_by_degree(1);
-        let i2 = c.index_of(2).unwrap() as usize;
-        let q2 = p.inv()[i2] as usize;
-        let (nt, nw) = c.in_row(i2);
-        let (pt, pw) = p.graph().in_row(q2);
-        assert_eq!(nw, pw);
-        let mapped: Vec<u32> = nt.iter().map(|&v| p.inv()[v as usize]).collect();
-        assert_eq!(pt, &mapped[..]);
     }
 }

@@ -70,7 +70,7 @@ pub use build::{
     build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, build_dense_csr_spilled,
     CsrBuilder, EdgeList,
 };
-pub use csr::{AlignedSlab, CsrGraph, PermutedGraph, CACHE_LINE};
+pub use csr::{AlignedSlab, CsrGraph, CACHE_LINE};
 pub use delta::CsrDelta;
 pub use evict::CsrEvict;
 pub use graph::{NodeId, WeightedGraph};

@@ -39,7 +39,7 @@ pub use components::{
 };
 pub use degree::{degree_map, degree_map_csr, strength_map, strength_map_csr, DegreeSummary};
 pub use gini::gini_coefficient;
-pub use pagerank::{pagerank, pagerank_csr, pagerank_permuted, PageRankConfig};
+pub use pagerank::{pagerank, pagerank_csr, PageRankConfig};
 pub use paths::{
     average_path_length, diameter, global_efficiency, shortest_path_lengths,
     shortest_path_lengths_csr,

@@ -7,7 +7,7 @@
 //! chunk-merge order of the convergence norm are independent of the thread
 //! count — the scores are bit-identical at any parallelism.
 
-use crate::{par, CsrGraph, NodeId, PermutedGraph, WeightedGraph};
+use crate::{par, CsrGraph, NodeId, WeightedGraph};
 use std::collections::HashMap;
 
 /// Configuration for [`pagerank`].
@@ -56,51 +56,21 @@ pub fn pagerank(graph: &WeightedGraph, config: &PageRankConfig) -> HashMap<NodeI
 /// sums folded in a fixed position-derived order (the internal `row_dot`) — so
 /// the result is bit-identical at any thread count, including one.
 pub fn pagerank_csr(graph: &CsrGraph, config: &PageRankConfig) -> HashMap<NodeId, f64> {
-    pagerank_impl(graph, None, config)
-}
-
-/// [`pagerank_csr`] over a degree-sorted [`PermutedGraph`].
-///
-/// The sweep streams the permuted in-rows (hub rows first, contributions
-/// clustered at low indices), while every order-sensitive reduction — the
-/// convergence norm and the dangling-mass fold — walks the *natural* node
-/// order. Combined with the positional per-row fold this makes the
-/// returned map **bit-identical** to [`pagerank_csr`] on the natural
-/// graph; no unmapping step is needed because scores are keyed by
-/// external [`NodeId`].
-pub fn pagerank_permuted(
-    permuted: &PermutedGraph,
-    config: &PageRankConfig,
-) -> HashMap<NodeId, f64> {
-    pagerank_impl(permuted.graph(), Some(permuted.inv()), config)
-}
-
-/// Shared body of the natural and permuted entries. `inv`, when present,
-/// maps natural node `u` to its storage position; every serial fold in the
-/// control window iterates natural order through it, which is exactly what
-/// keeps the two entries bit-identical.
-fn pagerank_impl(
-    graph: &CsrGraph,
-    inv: Option<&[u32]>,
-    config: &PageRankConfig,
-) -> HashMap<NodeId, f64> {
     let n = graph.node_count();
     if n == 0 {
         return HashMap::new();
     }
     let threads = par::thread_count(config.threads);
     let in_chunks = par::RowChunks::from_offsets(graph.in_offsets());
-    let pos_of = |u: usize| inv.map_or(u, |m| m[u] as usize);
 
     let uniform = 1.0 / n as f64;
     let damping = config.damping;
     let base = (1.0 - damping) * uniform;
-    // Dangling storage positions, listed in natural node order so the
-    // mass fold below accumulates in the same sequence on both layouts.
+    // Dangling nodes in index order, so the mass fold below accumulates
+    // in a fixed sequence.
     let dangling: Vec<u32> = (0..n)
-        .map(&pos_of)
-        .filter(|&p| graph.strength(p) <= 0.0)
-        .map(|p| p as u32)
+        .filter(|&u| graph.strength(u) <= 0.0)
+        .map(|u| u as u32)
         .collect();
 
     // Double-buffered scores and **contributions** on the persistent-worker
@@ -109,8 +79,7 @@ fn pagerank_impl(
     // is computed once when its rank lands — hoisting the per-edge divide
     // and the dangling branch out of the hot loop, which is most of what
     // the batched sweep buys. The caller-side control window folds the
-    // convergence norm and the next dangling share serially in natural
-    // node order.
+    // convergence norm and the next dangling share serially in node order.
     let ranks = [
         par::SharedF64Buf::new(n, uniform),
         par::SharedF64Buf::new(n, 0.0),
@@ -119,10 +88,10 @@ fn pagerank_impl(
         par::SharedF64Buf::new(n, 0.0),
         par::SharedF64Buf::new(n, 0.0),
     ];
-    for p in 0..n {
-        let s = graph.strength(p);
+    for u in 0..n {
+        let s = graph.strength(u);
         if s > 0.0 {
-            contribs[0].set(p, damping * uniform / s);
+            contribs[0].set(u, damping * uniform / s);
         }
     }
     let dangling_share = par::SharedF64Buf::new(1, {
@@ -154,16 +123,15 @@ fn pagerank_impl(
                 let nxt = ((k + 1) % 2) as usize;
                 let mut diff = 0.0f64;
                 for u in 0..n {
-                    let p = pos_of(u);
-                    diff += (ranks[nxt].get(p) - ranks[cur].get(p)).abs();
+                    diff += (ranks[nxt].get(u) - ranks[cur].get(u)).abs();
                 }
                 final_buf = nxt;
                 if diff < config.tolerance || k + 1 >= config.max_iterations as u64 {
                     return false;
                 }
                 let mut mass = 0.0f64;
-                for &p in &dangling {
-                    mass += ranks[nxt].get(p as usize);
+                for &u in &dangling {
+                    mass += ranks[nxt].get(u as usize);
                 }
                 dangling_share.set(0, damping * mass * uniform);
                 true
@@ -180,9 +148,9 @@ fn pagerank_impl(
 /// in-row, accumulated into four lane sums by position (`lanes[i % 4]`
 /// within each fixed-width block, tail lanes by offset) and folded as
 /// `(l0 + l1) + (l2 + l3)`. The fold order is a pure function of row
-/// *positions* — never of chunk boundaries, thread count or layout — so
-/// natural and permuted sweeps produce the same bits while the unrolled
-/// body keeps four independent FMA chains in flight.
+/// *positions* — never of chunk boundaries or thread count — so every
+/// thread count produces the same bits while the unrolled body keeps four
+/// independent FMA chains in flight.
 #[inline]
 fn row_dot(sources: &[u32], weights: &[f64], contrib: &par::SharedF64Buf) -> f64 {
     let mut lanes = [0.0f64; 4];
@@ -366,35 +334,6 @@ mod tests {
             for (id, r) in &serial {
                 assert_eq!(
                     parallel[id].to_bits(),
-                    r.to_bits(),
-                    "node {id} diverged at {t} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn permuted_sweep_is_bit_identical_to_natural() {
-        let mut g = WeightedGraph::new_directed();
-        for i in 0..300u64 {
-            for j in 1..=(1 + i % 7) {
-                g.add_edge(i, (i * 11 + j * 17) % 300, (1 + (i + j) % 5) as f64);
-            }
-        }
-        g.add_node(8_888); // dangling isolate
-        let frozen = g.freeze();
-        let permuted = frozen.permute_by_degree(2);
-        for t in [1usize, 2, 4] {
-            let cfg = PageRankConfig {
-                threads: Some(t),
-                ..Default::default()
-            };
-            let natural = pagerank_csr(&frozen, &cfg);
-            let mapped = pagerank_permuted(&permuted, &cfg);
-            assert_eq!(natural.len(), mapped.len());
-            for (id, r) in &natural {
-                assert_eq!(
-                    mapped[id].to_bits(),
                     r.to_bits(),
                     "node {id} diverged at {t} threads"
                 );

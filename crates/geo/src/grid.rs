@@ -1,10 +1,10 @@
 //! A uniform-cell spatial index.
 //!
 //! The grid index answers radius queries ("every location within 100 m of
-//! this one") and nearest-neighbour queries, and builds the whole "within
-//! a radius" relation at once as sorted neighbour rows
-//! ([`GridIndex::neighbour_rows`]). The rows are what the HAC clustering
-//! runs on; the rest of the pipeline uses the [`crate::KdTree`].
+//! this one") and builds the whole "within a radius" relation at once as
+//! sorted neighbour rows ([`GridIndex::neighbour_rows`]). The rows are what
+//! the HAC clustering runs on; nearest-neighbour queries go to the
+//! [`crate::KdTree`].
 //!
 //! Cells are uniform in degrees and sized in metres at a reference
 //! latitude. A radius probe visits as many cells as the query's own
@@ -294,77 +294,6 @@ impl<T> GridIndex<T> {
         Ok(NeighbourRows { offsets, entries })
     }
 
-    /// The nearest indexed point to `query`, together with its payload and
-    /// the exact distance in metres.
-    ///
-    /// The search stops once a ring of cells is wider than the best
-    /// distance, measuring cells at the reference latitude. Poleward of
-    /// that latitude columns are narrower, so the search can stop early;
-    /// there, use the [`crate::KdTree`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::EmptyIndex`] when nothing has been inserted.
-    pub fn nearest(&self, query: GeoPoint) -> Result<(&GeoPoint, &T, f64)> {
-        if self.entries.is_empty() {
-            return Err(GeoError::EmptyIndex);
-        }
-        let (cy, cx) = self.cell_of(query);
-        let mut best: Option<(usize, f64)> = None;
-        // Expand rings of cells until the best candidate cannot be beaten by
-        // anything in a farther ring.
-        let mut ring = 0i64;
-        loop {
-            let mut found_any = false;
-            for dy in -ring..=ring {
-                for dx in -ring..=ring {
-                    // Only the outermost shell of the current ring.
-                    if dy.abs() != ring && dx.abs() != ring {
-                        continue;
-                    }
-                    if let Some(bucket) = self.cells.get(&(cy + dy, cx + dx)) {
-                        found_any = true;
-                        for &i in bucket {
-                            let d = haversine_m(query, self.entries[i].0);
-                            if best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                                best = Some((i, d));
-                            }
-                        }
-                    }
-                }
-            }
-            // Distance to the inner edge of the next ring, in metres.
-            let ring_guard_m = ring as f64 * self.cell_m;
-            if let Some((_, bd)) = best {
-                if bd <= ring_guard_m {
-                    break;
-                }
-            }
-            ring += 1;
-            // Safety stop: after covering the whole populated area we must
-            // have found something (entries is non-empty). 40,000 km of
-            // rings is unreachable in practice; bail out by scanning all.
-            if ring as f64 * self.cell_m > 45_000_000.0 {
-                break;
-            }
-            // If the grid is sparse we might wander for a while before
-            // hitting a populated cell; fall back to a full scan once the
-            // ring count gets silly relative to the number of cells.
-            if !found_any && ring > 4 && (ring * ring) as usize > 4 * self.cells.len() + 64 {
-                for (i, (p, _)) in self.entries.iter().enumerate() {
-                    let d = haversine_m(query, *p);
-                    if best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                        best = Some((i, d));
-                    }
-                }
-                break;
-            }
-        }
-        let (i, d) = best.expect("non-empty index yields a nearest point");
-        let (p, payload) = &self.entries[i];
-        Ok((p, payload, d))
-    }
-
     /// Iterate over all indexed `(point, payload)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&GeoPoint, &T)> {
         self.entries.iter().map(|(p, t)| (p, t))
@@ -379,27 +308,11 @@ mod tests {
         GeoPoint::new(lat, lon).unwrap()
     }
 
-    fn brute_nearest(pts: &[(GeoPoint, usize)], q: GeoPoint) -> (usize, f64) {
-        pts.iter()
-            .map(|(p, id)| (*id, haversine_m(q, *p)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap()
-    }
-
     #[test]
     fn rejects_bad_cell_size() {
         assert!(GridIndex::<u32>::new(0.0, 53.0).is_err());
         assert!(GridIndex::<u32>::new(-5.0, 53.0).is_err());
         assert!(GridIndex::<u32>::new(f64::NAN, 53.0).is_err());
-    }
-
-    #[test]
-    fn empty_index_nearest_errors() {
-        let g = GridIndex::<u32>::new(100.0, 53.35).unwrap();
-        assert!(matches!(
-            g.nearest(p(53.3, -6.2)),
-            Err(GeoError::EmptyIndex)
-        ));
     }
 
     #[test]
@@ -424,41 +337,6 @@ mod tests {
         assert!(g.within_radius(p(53.3, -6.2), f64::NAN).is_err());
         assert!(g.neighbour_rows(-1.0).is_err());
         assert!(g.neighbour_rows(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn nearest_matches_brute_force_on_random_points() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut g = GridIndex::new(200.0, 53.35).unwrap();
-        let mut pts = Vec::new();
-        for id in 0..500usize {
-            let lat = rng.gen_range(53.25..53.42);
-            let lon = rng.gen_range(-6.45..-6.08);
-            let pt = p(lat, lon);
-            g.insert(pt, id);
-            pts.push((pt, id));
-        }
-        for _ in 0..200 {
-            let q = p(rng.gen_range(53.25..53.42), rng.gen_range(-6.45..-6.08));
-            let (_, got_id, got_d) = g.nearest(q).unwrap();
-            let (want_id, want_d) = brute_nearest(&pts, q);
-            assert!(
-                (got_d - want_d).abs() < 1e-6,
-                "query {q}: got {got_id}@{got_d}, want {want_id}@{want_d}"
-            );
-        }
-    }
-
-    #[test]
-    fn nearest_works_for_far_away_query() {
-        let mut g = GridIndex::new(100.0, 53.35).unwrap();
-        g.insert(p(53.35, -6.26), 1u32);
-        g.insert(p(53.36, -6.25), 2u32);
-        // Query from Cork, ~220 km away, far outside populated cells.
-        let (_, id, d) = g.nearest(p(51.8985, -8.4756)).unwrap();
-        assert!(d > 200_000.0);
-        assert!(*id == 1 || *id == 2);
     }
 
     #[test]

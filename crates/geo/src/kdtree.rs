@@ -1,7 +1,8 @@
 //! A 2-d k-d tree over geographic points.
 //!
-//! The k-d tree complements the [`crate::GridIndex`]: it supports exact
-//! k-nearest-neighbour queries without tuning a cell size, which the
+//! The k-d tree answers the crate's nearest-neighbour queries (the
+//! [`crate::GridIndex`] answers radius queries only): exact
+//! k-nearest-neighbour search without tuning a cell size, which the
 //! selection pipeline uses when ranking candidate stations against their
 //! spatial context (e.g. "distance to the nearest pre-existing station" in
 //! Algorithm 1, line 6).

@@ -80,13 +80,17 @@ impl CommunityDetection {
 /// Fold a partition over layered `(station, key)` nodes down to stations:
 /// each station joins the community in which its layer nodes carry the most
 /// strength (trip weight); ties break towards the smaller community label.
+/// Strengths add in ascending layered-node order, so fractional weights
+/// fold to the same bits on every call.
 fn fold_to_stations(temporal: &TemporalGraph, raw: &Partition) -> Partition {
     match &temporal.layer_map {
         None => raw.clone(),
         Some(map) => {
+            let mut nodes: Vec<(NodeId, usize)> = raw.iter().collect();
+            nodes.sort_unstable();
             // station -> community -> accumulated strength
             let mut weights: HashMap<NodeId, HashMap<usize, f64>> = HashMap::new();
-            for (layered_node, community) in raw.iter() {
+            for (layered_node, community) in nodes {
                 let Some(&(station, _)) = map.get(&layered_node) else {
                     continue;
                 };
@@ -461,6 +465,31 @@ mod tests {
             assert_eq!(whole.raw_partition, active.raw_partition, "{g:?}");
             assert_eq!(whole.station_partition, active.station_partition, "{g:?}");
             assert_eq!(whole.modularity.to_bits(), active.modularity.to_bits());
+        }
+    }
+
+    #[test]
+    fn station_fold_is_the_same_on_every_call() {
+        // Station 1's day 0–2 layers (strengths 0.1, 0.2, 0.3) sit in
+        // community 1 and its day-3 layer (0.6) with all of station 2 in
+        // community 0. Summed in ascending node order the three make
+        // 0.6000000000000001, so station 1 folds to community 1; an
+        // order-dependent sum could tie at 0.6 and fold it to 0.
+        let mut t = TripTable::new(vec![1, 2]);
+        for (day, w) in [(0u8, 0.1), (1, 0.2), (2, 0.3), (3, 0.6)] {
+            t.push_keyed(0, 1, day, 8, w);
+        }
+        let gday = build_all_from_trips(&t, None, Some(1)).swap_remove(1);
+        let layers = [(8u64, 1usize), (9, 1), (10, 1), (11, 0)];
+        let station2 = (16u64..20).map(|id| (id, 0usize));
+        let fold = || {
+            let raw: Partition = layers.iter().copied().chain(station2.clone()).collect();
+            fold_to_stations(&gday, &raw)
+        };
+        let first = fold();
+        assert_eq!(first.community_count(), 2);
+        for _ in 0..200 {
+            assert_eq!(fold(), first);
         }
     }
 

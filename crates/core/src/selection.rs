@@ -23,10 +23,10 @@ use moby_geo::{haversine_m, GeoPoint, KdTree};
 use moby_graph::metrics::DegreeSummary;
 use moby_graph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Why a candidate was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum RejectReason {
     /// Degree below the fixed-station minimum (Rule 3).
     DegreeBelowThreshold,
@@ -66,9 +66,10 @@ pub struct SelectionOutcome {
 }
 
 impl SelectionOutcome {
-    /// Number of rejected candidates per reason, for reporting.
-    pub fn rejections_by_reason(&self) -> HashMap<RejectReason, usize> {
-        let mut out = HashMap::new();
+    /// Number of rejected candidates per reason, for reporting, in
+    /// [`RejectReason`] declaration order.
+    pub fn rejections_by_reason(&self) -> BTreeMap<RejectReason, usize> {
+        let mut out = BTreeMap::new();
         for reason in self.rejected.values() {
             *out.entry(*reason).or_insert(0) += 1;
         }
@@ -326,6 +327,25 @@ mod tests {
         assert!(out
             .rejections_by_reason()
             .contains_key(&RejectReason::DegreeBelowThreshold));
+    }
+
+    #[test]
+    fn rejections_by_reason_render_in_one_order() {
+        let reasons = [
+            RejectReason::CentroidTooClose,
+            RejectReason::TooCloseToStrongerCandidate,
+            RejectReason::TooCloseToFixedStation,
+            RejectReason::DegreeBelowThreshold,
+        ];
+        let out = SelectionOutcome {
+            rejected: (0..40).map(|id| (id, reasons[id as usize % 4])).collect(),
+            ..SelectionOutcome::default()
+        };
+        let first = format!("{:?}", out.rejections_by_reason());
+        assert!(first.starts_with("{DegreeBelowThreshold: 10, "), "{first}");
+        for _ in 0..20 {
+            assert_eq!(format!("{:?}", out.rejections_by_reason()), first);
+        }
     }
 
     #[test]

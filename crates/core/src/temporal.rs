@@ -24,12 +24,15 @@
 //!
 //! Both read the same [`TripTable`], the only record of a trip.
 //!
-//! * **Columnar (hot path)** — [`build_all_from_trips`] makes **one pass**
-//!   over the cleaned [`TripTable`] columns, emitting the edge lists of
-//!   all three granularities against the table's shared station-intern
-//!   table (layer keys computed inline), then freezes each through the
-//!   sort-merge [`CsrBuilder`]. No per-edge hash operation anywhere,
-//!   parallel yet bit-identical at any thread count.
+//! * **Columnar (hot path)** — [`build_all_from_trips`] freezes `GBasic`
+//!   straight from the [`TripTable`]'s dense endpoint columns and each
+//!   layered graph from dense columns over its **layer intern**: one pass
+//!   over the table hands every `(station, key)` pair its dense index on
+//!   first sight, through a `station_count × stride` slot array indexed
+//!   by `station_index * stride + key`. The same intern serves the
+//!   spilled builds and the window retreat. No intern sort and no
+//!   per-edge hash operation anywhere, parallel yet bit-identical at any
+//!   thread count.
 //! * **Hash-map reference (equivalence oracle)** — [`reference_graph`]
 //!   makes one `WeightedGraph::add_edge` per table row and leaves the
 //!   freeze to the caller. The equivalence suites assert both paths
@@ -40,7 +43,7 @@ use crate::CoreError;
 use moby_data::spool::TripSpool;
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripTable};
 use moby_graph::spill;
-use moby_graph::{CsrBuilder, CsrDelta, CsrEvict, CsrGraph, NodeId, WeightedGraph};
+use moby_graph::{CsrDelta, CsrEvict, CsrGraph, NodeId, WeightedGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -71,6 +74,15 @@ impl TemporalGranularity {
             TemporalGranularity::TNull => 1,
             TemporalGranularity::TDay => 8,
             TemporalGranularity::THour => 32,
+        }
+    }
+
+    /// A trip's layer key: its day or hour (`0` for `TNull`).
+    fn layer_key(&self, day: u8, hour: u8) -> u8 {
+        match self {
+            TemporalGranularity::TNull => 0,
+            TemporalGranularity::TDay => day,
+            TemporalGranularity::THour => hour,
         }
     }
 
@@ -222,15 +234,85 @@ fn extend_layer_map(
     map
 }
 
+/// The layer-node intern of one `GDay`/`GHour` build: a
+/// `station_count × stride` slot array indexed by
+/// `station_index * stride + key` gives each `(station, key)` pair its
+/// dense index on first sight. Interning every row's src then dst in row
+/// order is the first-appearance order the hash-map reference produces,
+/// so node tables, rows and weight bits match it.
+struct LayerIntern {
+    stride: usize,
+    /// Dense index per candidate slot; `u32::MAX` until first seen.
+    dense: Vec<u32>,
+    /// The candidate slot behind each dense index.
+    slots: Vec<u32>,
+}
+
+impl LayerIntern {
+    fn new(station_count: usize, granularity: TemporalGranularity) -> LayerIntern {
+        let stride = granularity.stride() as usize;
+        assert!(
+            station_count * stride < u32::MAX as usize,
+            "layer space is u32"
+        );
+        LayerIntern {
+            stride,
+            dense: vec![u32::MAX; station_count * stride],
+            slots: Vec::new(),
+        }
+    }
+
+    /// The dense index of `(station index, key)`, interning it on first
+    /// sight.
+    fn intern(&mut self, station: u32, key: u8) -> u32 {
+        let slot = station as usize * self.stride + usize::from(key);
+        if self.dense[slot] == u32::MAX {
+            self.dense[slot] = self.slots.len() as u32;
+            self.slots.push(slot as u32);
+        }
+        self.dense[slot]
+    }
+
+    /// The layered node table (`station * stride + key` per dense index),
+    /// allocated at its exact length.
+    fn node_ids(&self, stations: &[NodeId]) -> Vec<NodeId> {
+        let stride = self.stride as u64;
+        self.slots
+            .iter()
+            .map(|&slot| stations[slot as usize / self.stride] * stride + u64::from(slot) % stride)
+            .collect()
+    }
+}
+
+/// Intern the layer nodes of the leading `rows` table rows: the layered
+/// node table and the dense endpoint columns over it.
+fn layered_columns(
+    trips: &TripTable,
+    rows: usize,
+    granularity: TemporalGranularity,
+) -> (Vec<NodeId>, Vec<u32>, Vec<u32>) {
+    let (day, hour) = (trips.day(), trips.hour());
+    let mut intern = LayerIntern::new(trips.station_ids().len(), granularity);
+    let (mut src, mut dst) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+    for k in 0..rows {
+        let key = granularity.layer_key(day[k], hour[k]);
+        src.push(intern.intern(trips.src()[k], key));
+        dst.push(intern.intern(trips.dst()[k], key));
+    }
+    (intern.node_ids(trips.station_ids()), src, dst)
+}
+
 /// Build all three temporal graphs from the columnar [`TripTable`] — the
 /// hot construction path.
 ///
-/// **One pass** over the trip columns emits the edge lists for every
-/// granularity against the table's shared station-intern table: `GBasic`
-/// edges are the station pairs themselves, `GDay`/`GHour` edges carry the
-/// layer key folded into the node id inline
-/// (`station * stride + key`). Each list then freezes through the
-/// sort-merge [`CsrBuilder`] — zero per-edge hash operations end to end,
+/// `GBasic` freezes straight from the table's dense endpoint columns over
+/// its sorted station-intern table. `GDay`/`GHour` each take one pass over
+/// the trip columns through the layer intern (see the [module
+/// docs](self)), which yields the layered node table
+/// (`station * stride + key` in first-appearance order) and dense
+/// endpoint columns; those freeze with the table's weight column through
+/// [`build_dense_csr_sharded`](moby_graph::build_dense_csr_sharded) —
+/// zero sorts and zero per-edge hash operations before the row packing,
 /// and (per the scheduler contract) bit-identical results at any
 /// `threads` setting.
 ///
@@ -256,12 +338,11 @@ pub fn build_all_from_trips(
 /// [`build_all_from_trips`] with explicit control over the number of
 /// construction shards — the city-scale entry point.
 ///
-/// Every frozen graph routes through the sharded sort-merge assembly
-/// (`GBasic` via
-/// [`build_dense_csr_sharded`](moby_graph::build_dense_csr_sharded),
-/// `GDay`/`GHour` via [`CsrBuilder::shards`]), so the per-shard scatter
-/// buffers bound peak construction memory to roughly a shard's worth of
-/// half-edges per worker instead of the full edge list. Results are
+/// Every frozen graph routes through the sharded sort-merge assembly of
+/// [`build_dense_csr_sharded`](moby_graph::build_dense_csr_sharded), so
+/// the per-shard scatter buffers bound peak construction memory to
+/// roughly a shard's worth of half-edges per worker instead of the full
+/// edge list. Results are
 /// **bit-identical** to [`build_all_from_trips`] at any `(shards,
 /// threads)` combination — shard boundaries are a pure function of the
 /// row structure and the shard count, never of scheduling (see
@@ -273,26 +354,6 @@ pub fn build_all_from_trips_sharded(
     shards: Option<usize>,
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
-    let m = trips.len();
-    let mut day_builder = CsrBuilder::undirected().threads(threads).shards(shards);
-    let mut hour_builder = CsrBuilder::undirected().threads(threads).shards(shards);
-    day_builder.reserve(m);
-    hour_builder.reserve(m);
-    let day_stride = TemporalGranularity::TDay.stride();
-    let hour_stride = TemporalGranularity::THour.stride();
-
-    let (src, dst) = (trips.src(), trips.dst());
-    let (day, hour, weight) = (trips.day(), trips.hour(), trips.weights());
-    for k in 0..m {
-        let s = trips.station_id(src[k]);
-        let d = trips.station_id(dst[k]);
-        let w = weight[k];
-        let dk = day[k] as u64;
-        day_builder.push(s * day_stride + dk, d * day_stride + dk, w);
-        let hk = hour[k] as u64;
-        hour_builder.push(s * hour_stride + hk, d * hour_stride + hk, w);
-    }
-
     let basic_csr = match basic {
         Some(csr) => csr.clone(),
         None => {
@@ -310,15 +371,24 @@ pub fn build_all_from_trips_sharded(
             )
         }
     };
-    let day_csr = day_builder.build();
-    let hour_csr = hour_builder.build();
-
-    let day_map = decode_layer_map(&day_csr, day_stride);
-    let hour_map = decode_layer_map(&hour_csr, hour_stride);
+    let layered = |granularity: TemporalGranularity| {
+        let (node_ids, src, dst) = layered_columns(trips, trips.len(), granularity);
+        let csr = moby_graph::build_dense_csr_sharded(
+            false,
+            node_ids,
+            &src,
+            &dst,
+            trips.weights(),
+            shards,
+            threads,
+        );
+        let map = decode_layer_map(&csr, granularity.stride());
+        TemporalGraph::from_csr(granularity, csr, Some(map))
+    };
     vec![
         TemporalGraph::from_csr(TemporalGranularity::TNull, basic_csr, None),
-        TemporalGraph::from_csr(TemporalGranularity::TDay, day_csr, Some(day_map)),
-        TemporalGraph::from_csr(TemporalGranularity::THour, hour_csr, Some(hour_map)),
+        layered(TemporalGranularity::TDay),
+        layered(TemporalGranularity::THour),
     ]
 }
 
@@ -383,7 +453,7 @@ impl TripSource for TripSpool {
 /// (default: the system temp dir) instead of in-memory scatter columns.
 /// The frozen graphs and layer maps are **bit-identical** to
 /// [`build_all_from_trips_sharded`] at any shard count × thread count ×
-/// budget — the fourth independence axis; see `DESIGN.md`,
+/// budget — the spill-budget independence axis; see `DESIGN.md`,
 /// "Out-of-core construction". Spill I/O failures surface as
 /// [`CoreError::Spill`].
 pub fn build_all_from_trips_spilled(
@@ -466,17 +536,10 @@ fn build_all_spilled(
     ])
 }
 
-/// One layered granularity, spilled. The node table must match what
-/// [`CsrBuilder`] would intern over the same layered edge pushes —
-/// **first-appearance order** (src before dst within each trip) — so the
-/// spilled graph stays bit-identical to the in-memory build. The intern
-/// runs over the **dense candidate space** `station_index * stride + key`
-/// (bounded by the station table, never by the trip count): a forward
-/// replay records each present candidate's first slot (`2k` for trip
-/// `k`'s src, `2k + 1` for its dst, set-if-absent = minimum), and
-/// ordering present candidates by that slot reproduces the builder's
-/// sort-dedup-resort intern exactly — slots are unique, and no seeds
-/// exist on this path.
+/// One layered granularity, spilled. A first replay feeds the layer
+/// intern (see the [module docs](self)), so the node table is the
+/// in-memory build's first-appearance table; a second replay per spill
+/// pass streams the dense endpoints through it.
 fn build_layered_spilled(
     source: &dyn TripSource,
     granularity: TemporalGranularity,
@@ -484,55 +547,19 @@ fn build_layered_spilled(
     threads: Option<usize>,
     spill_dir: Option<&Path>,
 ) -> crate::Result<CsrGraph> {
-    debug_assert!(
-        granularity != TemporalGranularity::TNull,
-        "TNull has no layers"
-    );
-    let stride = granularity.stride();
-    let pick_day = granularity == TemporalGranularity::TDay;
-    let stations = source.stations();
-    let n_cand = stations.len() * stride as usize;
-    const ABSENT: u64 = u64::MAX;
-    let mut first: Vec<u64> = vec![ABSENT; n_cand];
-    let mut k: u64 = 0;
+    let mut intern = LayerIntern::new(source.stations().len(), granularity);
     source.replay(&mut |s, d, day, hour, _| {
-        let key = usize::from(if pick_day { day } else { hour });
-        let cs = s as usize * stride as usize + key;
-        let cd = d as usize * stride as usize + key;
-        if first[cs] == ABSENT {
-            first[cs] = 2 * k;
-        }
-        if first[cd] == ABSENT {
-            first[cd] = 2 * k + 1;
-        }
-        k += 1;
+        let key = granularity.layer_key(day, hour);
+        intern.intern(s, key);
+        intern.intern(d, key);
     })?;
-    let mut order: Vec<(u64, u32)> = first
-        .iter()
-        .enumerate()
-        .filter(|&(_, &slot)| slot != ABSENT)
-        .map(|(cand, &slot)| (slot, cand as u32))
-        .collect();
-    order.sort_unstable();
-    let mut node_ids: Vec<NodeId> = Vec::with_capacity(order.len());
-    let mut dense: Vec<u32> = vec![u32::MAX; n_cand];
-    for (i, &(_, cand)) in order.iter().enumerate() {
-        let station_idx = cand as usize / stride as usize;
-        let key = u64::from(cand) % stride;
-        node_ids.push(stations[station_idx] * stride + key);
-        dense[cand as usize] = i as u32;
-    }
     moby_graph::build_dense_csr_spilled(
         false,
-        node_ids,
+        intern.node_ids(source.stations()),
         |f| {
             source.replay(&mut |s, d, day, hour, w| {
-                let key = usize::from(if pick_day { day } else { hour });
-                f(
-                    dense[s as usize * stride as usize + key],
-                    dense[d as usize * stride as usize + key],
-                    w,
-                )
+                let key = granularity.layer_key(day, hour);
+                f(intern.intern(s, key), intern.intern(d, key), w)
             })
         },
         shards,
@@ -658,12 +685,12 @@ pub fn apply_batch_all(
 /// `GBasic` retreats through [`CsrEvict::from_dense`] over the surviving
 /// dense columns (the station intern stays sorted, so the compaction
 /// remap is monotone); `GDay`/`GHour` retreat through
-/// [`CsrEvict::retrench_by_id`] over the surviving layered edge lists —
-/// their first-appearance intern order is *not* stable under row removal
-/// (a layer first interned by an evicted trip moves to its next surviving
-/// appearance), so the retrench recomputes the builder's intern. Touched
-/// rows come straight from the evicted rows' endpoint columns; untouched
-/// rows copy bit-for-bit.
+/// [`CsrEvict::from_first_appearance`] over the layer intern of the
+/// surviving rows — their first-appearance order is *not* stable under
+/// row removal (a layer first interned by an evicted trip moves to its
+/// next surviving appearance), so the retreat re-runs the build's intern.
+/// Touched rows come straight from the evicted rows' endpoint columns;
+/// untouched rows copy bit-for-bit.
 ///
 /// As with [`apply_batch_all`], the graphs are consumed and `basic` can
 /// supply an already-evicted station-level CSR so the pipeline advances
@@ -727,15 +754,14 @@ pub fn apply_evict_all(
     ]
 }
 
-/// The layered (`GDay`/`GHour`) half of an eviction: surviving layered
-/// edge lists come from one pass over the leading `rows_end` table rows
-/// (the surviving prefix — a trailing batch may already sit behind it),
-/// touched layered ids fold the evicted rows' temporal keys into their
-/// endpoints exactly as the build folded them in, and each graph retreats
-/// through [`CsrEvict::retrench_by_id`]. Layer maps re-decode from the
-/// new tables — eviction can permute a first-appearance intern (see
-/// [`apply_evict_all`]), and the decode is exactly what a full rebuild
-/// would produce.
+/// The layered (`GDay`/`GHour`) half of an eviction. Each graph re-runs
+/// the layer intern over the leading `rows_end` table rows (the surviving
+/// prefix — a trailing batch may already sit behind it), folds the
+/// evicted rows' temporal keys into their endpoints as the touched ids,
+/// and retreats through [`CsrEvict::from_first_appearance`]. Layer maps
+/// re-decode from the new tables — eviction can permute a
+/// first-appearance intern (see [`apply_evict_all`]), and the decode is
+/// exactly what a full rebuild would produce.
 fn evict_layered_pair(
     day_t: TemporalGraph,
     hour_t: TemporalGraph,
@@ -744,49 +770,24 @@ fn evict_layered_pair(
     outcome: &EvictOutcome,
     threads: Option<usize>,
 ) -> (TemporalGraph, TemporalGraph) {
-    let day_stride = TemporalGranularity::TDay.stride();
-    let hour_stride = TemporalGranularity::THour.stride();
-
-    let (src, dst) = (trips.src(), trips.dst());
-    let (day, hour, weight) = (trips.day(), trips.hour(), trips.weights());
-    let mut day_edges = Vec::with_capacity(rows_end);
-    let mut hour_edges = Vec::with_capacity(rows_end);
-    for k in 0..rows_end {
-        let s = trips.station_id(src[k]);
-        let d = trips.station_id(dst[k]);
-        let w = weight[k];
-        let dk = day[k] as u64;
-        day_edges.push((s * day_stride + dk, d * day_stride + dk, w));
-        let hk = hour[k] as u64;
-        hour_edges.push((s * hour_stride + hk, d * hour_stride + hk, w));
-    }
-    let mut day_touched = Vec::with_capacity(2 * outcome.evicted_rows());
-    let mut hour_touched = Vec::with_capacity(2 * outcome.evicted_rows());
-    for k in 0..outcome.evicted_rows() {
-        let (s, d) = (outcome.evicted_src[k], outcome.evicted_dst[k]);
-        let dk = outcome.evicted_day[k] as u64;
-        let hk = outcome.evicted_hour[k] as u64;
-        day_touched.push(s * day_stride + dk);
-        day_touched.push(d * day_stride + dk);
-        hour_touched.push(s * hour_stride + hk);
-        hour_touched.push(d * hour_stride + hk);
-    }
-    day_touched.sort_unstable();
-    day_touched.dedup();
-    hour_touched.sort_unstable();
-    hour_touched.dedup();
-
-    let day_evict = CsrEvict::retrench_by_id(&day_t.csr, day_edges, day_touched);
-    let day_csr = day_t.csr.apply_evict(&day_evict, threads);
-    let hour_evict = CsrEvict::retrench_by_id(&hour_t.csr, hour_edges, hour_touched);
-    let hour_csr = hour_t.csr.apply_evict(&hour_evict, threads);
-
-    let day_map = decode_layer_map(&day_csr, day_stride);
-    let hour_map = decode_layer_map(&hour_csr, hour_stride);
-    (
-        TemporalGraph::from_csr(TemporalGranularity::TDay, day_csr, Some(day_map)),
-        TemporalGraph::from_csr(TemporalGranularity::THour, hour_csr, Some(hour_map)),
-    )
+    let retreat = |t: TemporalGraph| {
+        let (granularity, stride) = (t.granularity, t.granularity.stride());
+        let mut touched = Vec::with_capacity(2 * outcome.evicted_rows());
+        for k in 0..outcome.evicted_rows() {
+            let key = granularity.layer_key(outcome.evicted_day[k], outcome.evicted_hour[k]);
+            touched.push(outcome.evicted_src[k] * stride + u64::from(key));
+            touched.push(outcome.evicted_dst[k] * stride + u64::from(key));
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let (node_ids, src, dst) = layered_columns(trips, rows_end, granularity);
+        let weight = &trips.weights()[..rows_end];
+        let evict = CsrEvict::from_first_appearance(&t.csr, node_ids, touched, &src, &dst, weight);
+        let csr = t.csr.apply_evict(&evict, threads);
+        let map = decode_layer_map(&csr, stride);
+        TemporalGraph::from_csr(granularity, csr, Some(map))
+    };
+    (retreat(day_t), retreat(hour_t))
 }
 
 /// Carry all three temporal graphs through one **window step** — the
@@ -1042,6 +1043,62 @@ mod tests {
                 threads,
             );
             assert_eq!(built, directed.freeze(), "directed trip graph diverged");
+        }
+    }
+
+    /// A pseudo-random table of `rows` rows over 24 stations, of which
+    /// only the first 16 carry trips: a quarter of the rows are
+    /// self-loops, and three days × three hours make `(station, key)`
+    /// pairs repeat. Weights are fractional, so fold order shows.
+    fn random_table(seed: u64, rows: usize) -> TripTable {
+        let mut t = TripTable::new((0..24).map(|i| 3 * i + 5).collect());
+        let mut x = seed | 1;
+        let mut next = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        for _ in 0..rows {
+            let s = next(16) as u32;
+            let d = if next(4) == 0 { s } else { next(16) as u32 };
+            let (day, hour) = (3 * next(3) as u8, [0u8, 12, 23][next(3) as usize]);
+            t.push_keyed(s, d, day, hour, next(1000) as f64 / 64.0 + 0.1);
+        }
+        t
+    }
+
+    #[test]
+    fn random_tables_match_the_reference_in_memory_and_spilled() {
+        for seed in 0..6u64 {
+            let trips = random_table(seed, 50 * seed as usize);
+            let want: Vec<_> = TemporalGranularity::ALL
+                .iter()
+                .map(|&g| {
+                    let (graph, map) = reference_graph(&trips, g, false);
+                    (graph.freeze(), map)
+                })
+                .collect();
+            let check = |got: Vec<TemporalGraph>, what: &str| {
+                for (g, (csr, map)) in got.iter().zip(&want) {
+                    let name = g.granularity.graph_name();
+                    assert_eq!(&g.csr, csr, "seed {seed} {what}: {name}");
+                    assert_eq!(g.csr.total_weight().to_bits(), csr.total_weight().to_bits());
+                    assert_eq!(&g.layer_map, map, "seed {seed} {what}: {name} map");
+                }
+            };
+            for threads in [Some(1), Some(2), Some(4)] {
+                check(build_all_from_trips(&trips, None, threads), "in memory");
+                for shards in [Some(1), Some(4)] {
+                    check(
+                        build_all_from_trips_sharded(&trips, None, shards, threads),
+                        "sharded",
+                    );
+                    let spilled =
+                        build_all_from_trips_spilled(&trips, None, shards, threads, Some(0), None);
+                    check(spilled.unwrap(), "spilled");
+                }
+            }
         }
     }
 

@@ -6,11 +6,13 @@
 //! node table, offsets, targets, weights, cached degrees, edge counts,
 //! total weight — to rebuilding everything in one shot from the
 //! concatenated table via `build_dense_csr` / `build_all_from_trips`, at
-//! 1/2/4 threads. Random cases are supplemented by the named edge cases:
+//! 1/2/4 threads, and the temporal graphs equal the independent hash-map
+//! reference (`reference_graph(..).freeze()`). Random cases are
+//! supplemented by the named edge cases:
 //! empty batches, batches of only-duplicate edges, and batches
 //! introducing only-new stations.
 
-use moby_core::temporal::{apply_batch_all, build_all_from_trips, TemporalGraph};
+use moby_core::temporal::{apply_batch_all, build_all_from_trips, reference_graph, TemporalGraph};
 use moby_data::trips::{TripBatch, TripTable};
 use moby_graph::{build_dense_csr, CsrGraph};
 use proptest::prelude::*;
@@ -185,6 +187,9 @@ fn check_chain(base_rows: &[Row], batches: &[Vec<Row>], threads: usize) {
             let name = got.granularity.graph_name();
             assert_identical(&got.csr, &want.csr, name);
             assert_eq!(got.layer_map, want.layer_map, "{name}: layer map");
+            let (reference, layer_map) = reference_graph(&table, got.granularity, false);
+            assert_identical(&got.csr, &reference.freeze(), name);
+            assert_eq!(got.layer_map, layer_map, "{name}: reference layer map");
         }
     }
 }

@@ -6,7 +6,11 @@
 //! `apply_evict_all` — is **bitwise equal** — node table, offsets,
 //! targets, weights, cached degrees, edge counts, total weight, layer
 //! maps — to rebuilding everything in one shot from the surviving table,
-//! at 1/2/4 threads and 1/4 construction shards. Random chains are
+//! at 1/2/4 threads and 1/4 construction shards. The temporal graphs are
+//! also pinned to the independent hash-map reference
+//! (`reference_graph(..).freeze()`), since evictions move layer nodes'
+//! first appearances and the rebuild shares the layer intern under test.
+//! Random chains are
 //! supplemented by the named edge cases: evicting everything, evicting
 //! nothing, pinned evictions that leave isolated stations, and a batch
 //! re-adding a station the previous eviction compacted away.
@@ -16,7 +20,7 @@ use moby_core::detect::{
 };
 use moby_core::temporal::{
     apply_batch_all, apply_evict_all, build_all_from_trips, build_all_from_trips_sharded,
-    TemporalGraph,
+    reference_graph, TemporalGraph,
 };
 use moby_data::trips::{TripBatch, TripTable, WindowStart};
 use moby_graph::{build_dense_csr, CsrDelta, CsrEvict, CsrGraph};
@@ -158,6 +162,9 @@ fn assert_matches_model(
         let name = got.granularity.graph_name();
         assert_identical(&got.csr, &want.csr, name);
         assert_eq!(got.layer_map, want.layer_map, "{name}: layer map");
+        let (reference, layer_map) = reference_graph(table, got.granularity, false);
+        assert_identical(&got.csr, &reference.freeze(), name);
+        assert_eq!(got.layer_map, layer_map, "{name}: reference layer map");
     }
 }
 

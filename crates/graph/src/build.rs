@@ -33,9 +33,9 @@
 //! order. Because a merged row is a pure function of that row's bucketed
 //! entries *in insertion order* — and a shard-local forward scan
 //! preserves exactly that order — the sharded build is **bit-identical
-//! to the unsharded one at any shard count and any thread count**, the
-//! third independence axis after the thread-count and builder/freeze
-//! contracts. See [`build_dense_csr_sharded`] and `DESIGN.md`.
+//! to the unsharded one at any shard count and any thread count** — the
+//! shard-count independence axis, beside thread count and spill budget.
+//! See [`build_dense_csr_sharded`] and `DESIGN.md`.
 //!
 //! ## Out-of-core spilled construction
 //!
@@ -51,8 +51,8 @@
 //! sharded pass. Because the runs preserve global insertion order within
 //! each row, the per-row buckets are byte-equal to the in-memory scatter
 //! and the frozen graph is **bit-identical to the in-memory build at any
-//! shard count × thread count × budget** — the fourth independence axis,
-//! enforced by `tests/proptest_spill.rs`.
+//! shard count × thread count × budget** — the spill-budget independence
+//! axis, enforced by `tests/proptest_spill.rs`.
 //!
 //! The output is *exactly* the graph `WeightedGraph::freeze()` would have
 //! produced from the same inserts — same dense node table, same sorted

@@ -45,11 +45,12 @@
 //! First-appearance-interned graphs (the layered temporal graphs) are
 //! subtler: a node first interned by an evicted edge but still referenced
 //! later *moves* to its new first appearance, so the rebuild's table is a
-//! **permuted** subset. [`CsrEvict::retrench_by_id`] recomputes the
-//! builder's intern over the surviving list; untouched rows then remap
-//! *and re-sort* their (unique-target) entries, which reproduces the
-//! rebuild's sorted rows because per-target merged weights are unaffected
-//! by the order of *other* targets.
+//! **permuted** subset. The caller re-interns the surviving list (its
+//! intern is the rebuild's) and [`CsrEvict::from_first_appearance`] maps
+//! that table back through the graph's own index; untouched rows then
+//! remap *and re-sort* their (unique-target) entries, which reproduces
+//! the rebuild's sorted rows because per-target merged weights are
+//! unaffected by the order of *other* targets.
 
 use crate::build::{half_edges, HalfEdges};
 use crate::csr::CsrParts;
@@ -59,7 +60,7 @@ use crate::{par, CsrGraph, NodeId};
 /// node table and full edge columns *after* the removal, plus the set of
 /// touched nodes whose rows must be re-folded. Build one with
 /// [`CsrEvict::from_dense`] (sorted dense intern tables, like
-/// `moby_data`'s trip table) or [`CsrEvict::retrench_by_id`]
+/// `moby_data`'s trip table) or [`CsrEvict::from_first_appearance`]
 /// (first-appearance-interned graphs, like the layered temporal graphs),
 /// then apply it with [`CsrGraph::apply_evict`].
 #[derive(Debug, Clone)]
@@ -68,7 +69,7 @@ pub struct CsrEvict {
     new_node_ids: Vec<NodeId>,
     /// For each new dense index, the old dense index. `None` means the
     /// node table is unchanged. Monotone for [`CsrEvict::from_dense`],
-    /// possibly permuting for [`CsrEvict::retrench_by_id`].
+    /// possibly permuting for [`CsrEvict::from_first_appearance`].
     new_to_old: Option<Vec<u32>>,
     /// External ids of the nodes incident to an evicted edge — exactly
     /// the rows whose merged weights must be re-folded.
@@ -104,6 +105,76 @@ impl CsrEvict {
         dst: &[u32],
         weight: &[f64],
     ) -> CsrEvict {
+        if let Some(map) = &new_to_old {
+            assert!(
+                map.windows(2).all(|w| w[0] < w[1]),
+                "new_to_old must be strictly increasing"
+            );
+        }
+        CsrEvict::checked(
+            directed,
+            new_node_ids,
+            new_to_old,
+            touched,
+            src,
+            dst,
+            weight,
+        )
+    }
+
+    /// An eviction against a **first-appearance interned** graph (the
+    /// layered temporal graphs), from the caller's re-intern of the
+    /// survivors: `new_node_ids` is the surviving edge list's
+    /// first-appearance node table (src before dst within each edge, as a
+    /// rebuild interns it) and `src`/`dst`/`weight` are the full surviving
+    /// columns over it. The remap comes from `graph`'s own index, so it
+    /// may permute: a node first interned by an evicted edge moves to its
+    /// next surviving appearance. `touched` is as for
+    /// [`CsrEvict::from_dense`].
+    ///
+    /// # Panics
+    ///
+    /// If the columns do not align, an endpoint lies outside
+    /// `new_node_ids`, or a node of `new_node_ids` is unknown to `graph`.
+    pub fn from_first_appearance(
+        graph: &CsrGraph,
+        new_node_ids: Vec<NodeId>,
+        touched: Vec<NodeId>,
+        src: &[u32],
+        dst: &[u32],
+        weight: &[f64],
+    ) -> CsrEvict {
+        let new_to_old = new_node_ids
+            .iter()
+            .map(|&id| {
+                graph
+                    .index_of(id)
+                    .expect("surviving node known to the graph")
+            })
+            .collect();
+        let directed = graph.is_directed();
+        CsrEvict::checked(
+            directed,
+            new_node_ids,
+            Some(new_to_old),
+            touched,
+            src,
+            dst,
+            weight,
+        )
+    }
+
+    /// The shared body of both constructors: column alignment and
+    /// endpoint-range checks, then the owned copy of the columns.
+    fn checked(
+        directed: bool,
+        new_node_ids: Vec<NodeId>,
+        new_to_old: Option<Vec<u32>>,
+        touched: Vec<NodeId>,
+        src: &[u32],
+        dst: &[u32],
+        weight: &[f64],
+    ) -> CsrEvict {
         assert_eq!(src.len(), dst.len(), "evict edge columns must align");
         assert_eq!(src.len(), weight.len(), "evict edge columns must align");
         let n_new = new_node_ids.len();
@@ -116,10 +187,6 @@ impl CsrEvict {
         }
         if let Some(map) = &new_to_old {
             assert_eq!(map.len(), n_new, "new_to_old must cover every new node");
-            assert!(
-                map.windows(2).all(|w| w[0] < w[1]),
-                "new_to_old must be strictly increasing"
-            );
         }
         for &w in weight {
             debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
@@ -132,77 +199,6 @@ impl CsrEvict {
             src: src.to_vec(),
             dst: dst.to_vec(),
             weight: weight.to_vec(),
-        }
-    }
-
-    /// An eviction against a **first-appearance interned** graph (one
-    /// built by [`CsrBuilder`](crate::CsrBuilder)): re-runs the builder's
-    /// `(id, first-slot)` sort+dedup intern over the surviving external-id
-    /// edge list, so the new node table — including the permutation of
-    /// nodes whose first appearance was evicted — matches a
-    /// [`CsrBuilder`](crate::CsrBuilder) rebuild exactly. `touched` lists
-    /// the external ids incident to an evicted edge; every one must be
-    /// known to `graph`.
-    ///
-    /// Weights must already satisfy the validated-weights contract
-    /// (finite, non-negative) — surviving edges come from sources that
-    /// validated at the boundary, so unlike the builder there is nothing
-    /// left to filter.
-    pub fn retrench_by_id<I>(graph: &CsrGraph, surviving: I, touched: Vec<NodeId>) -> CsrEvict
-    where
-        I: IntoIterator<Item = (NodeId, NodeId, f64)>,
-    {
-        let edges: Vec<(NodeId, NodeId, f64)> = surviving.into_iter().collect();
-        // The builder's intern: (id, first-slot) sort + dedup, ordered by
-        // slot (src before dst within each edge, no seeds).
-        let mut pairs: Vec<(NodeId, u64)> = Vec::with_capacity(2 * edges.len());
-        for (k, &(s, d, w)) in edges.iter().enumerate() {
-            debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
-            pairs.push((s, 2 * k as u64));
-            pairs.push((d, 2 * k as u64 + 1));
-        }
-        pairs.sort_unstable();
-        pairs.dedup_by_key(|p| p.0);
-        let mut order: Vec<(u64, NodeId)> = pairs.iter().map(|&(id, slot)| (slot, id)).collect();
-        order.sort_unstable();
-        let new_node_ids: Vec<NodeId> = order.iter().map(|&(_, id)| id).collect();
-
-        let mut lookup: Vec<(NodeId, u32)> = new_node_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
-        lookup.sort_unstable();
-        let resolve = |id: NodeId| -> u32 {
-            let at = lookup
-                .binary_search_by_key(&id, |&(id, _)| id)
-                .expect("endpoint interned");
-            lookup[at].1
-        };
-        let mut src = Vec::with_capacity(edges.len());
-        let mut dst = Vec::with_capacity(edges.len());
-        let mut weight = Vec::with_capacity(edges.len());
-        for &(s, d, w) in &edges {
-            src.push(resolve(s));
-            dst.push(resolve(d));
-            weight.push(w);
-        }
-        let new_to_old = new_node_ids
-            .iter()
-            .map(|&id| {
-                graph
-                    .index_of(id)
-                    .expect("surviving endpoint known to the graph")
-            })
-            .collect();
-        CsrEvict {
-            directed: graph.is_directed(),
-            new_node_ids,
-            new_to_old: Some(new_to_old),
-            touched,
-            src,
-            dst,
-            weight,
         }
     }
 
@@ -692,8 +688,26 @@ mod tests {
         assert_eq!(got.degree(2), 0);
     }
 
+    /// Intern an id edge list by first appearance (src before dst within
+    /// each edge): the node table and the dense columns over it.
+    fn first_appearance(edges: &[(NodeId, NodeId, f64)]) -> (Vec<NodeId>, Vec<u32>, Vec<u32>) {
+        let mut ids: Vec<NodeId> = Vec::new();
+        let mut intern = |id: NodeId| match ids.iter().position(|&x| x == id) {
+            Some(i) => i as u32,
+            None => {
+                ids.push(id);
+                (ids.len() - 1) as u32
+            }
+        };
+        let (src, dst) = edges
+            .iter()
+            .map(|&(s, d, _)| (intern(s), intern(d)))
+            .unzip();
+        (ids, src, dst)
+    }
+
     #[test]
-    fn retrench_matches_builder_rebuild_with_permuted_intern() {
+    fn first_appearance_evict_matches_builder_rebuild_with_permuted_intern() {
         // Node 5 is first interned by the first (evicted) edge and only
         // referenced again later: the rebuild's table permutes. Node 9
         // disappears entirely.
@@ -719,7 +733,9 @@ mod tests {
             let survivors = &edges[1..];
             let want = mk(survivors);
             assert_eq!(want.node_ids(), &[7, 8, 5]);
-            let evict = CsrEvict::retrench_by_id(&base, survivors.iter().copied(), vec![5, 9]);
+            let (ids, src, dst) = first_appearance(survivors);
+            let w: Vec<f64> = survivors.iter().map(|e| e.2).collect();
+            let evict = CsrEvict::from_first_appearance(&base, ids, vec![5, 9], &src, &dst, &w);
             for threads in [1usize, 2, 4] {
                 assert_identical(&base.apply_evict(&evict, Some(threads)), &want);
             }
@@ -727,16 +743,24 @@ mod tests {
     }
 
     #[test]
-    fn retrench_everything_empties_the_graph() {
+    fn first_appearance_evict_of_everything_empties_the_graph() {
         let mut b = CsrBuilder::undirected();
         b.push(1, 2, 1.0);
         b.push(2, 3, 2.0);
         let base = b.build();
-        let evict = CsrEvict::retrench_by_id(&base, std::iter::empty(), vec![1, 2, 3]);
+        let evict =
+            CsrEvict::from_first_appearance(&base, Vec::new(), vec![1, 2, 3], &[], &[], &[]);
         let got = base.apply_evict(&evict, Some(2));
         assert!(got.is_empty());
         assert_eq!(got.total_weight(), 0.0);
         assert_identical(&got, &CsrBuilder::undirected().build());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the new node table")]
+    fn first_appearance_endpoint_outside_the_table_panics() {
+        let base = build_dense_csr(false, vec![1, 2], &[0], &[1], &[1.0], Some(1));
+        CsrEvict::from_first_appearance(&base, vec![2], Vec::new(), &[0], &[1], &[1.0]);
     }
 
     #[test]

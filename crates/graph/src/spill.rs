@@ -10,8 +10,8 @@
 //! Each shard then streams its own run back through the same shard-local
 //! scatter + sort-merge the in-memory sharded pass uses, so the frozen
 //! graph is bit-identical to the in-memory build at any
-//! shard count × thread count × budget — the fourth independence axis of
-//! the construction contract (see `crate::build` and `DESIGN.md`).
+//! shard count × thread count × budget — the spill-budget independence
+//! axis of the construction contract (see `crate::build` and `DESIGN.md`).
 //!
 //! This module owns the mechanical pieces: budget resolution, the
 //! RAII-cleaned temp directory, and the run writers/readers. The actual

@@ -30,12 +30,12 @@
 //!    [`data::trips::TripTable`] — dense `u32` station endpoints over one
 //!    shared sorted intern table, weekday/hour keys, weights. Graph
 //!    construction goes straight from those columns to a frozen graph via
-//!    [`graph::CsrBuilder`] / [`graph::build_dense_csr`]: **sort-merge
-//!    construction** (sort by row and target, merge adjacent duplicates
-//!    in insertion order) expressed as fixed-chunk passes on the
-//!    [`graph::par`] scheduler — zero per-edge hash operations, parallel
-//!    yet bit-identical at any thread count. One pass over the trip
-//!    table emits the edge lists for all three temporal granularities
+//!    [`graph::build_dense_csr`]: **sort-merge construction** (sort by
+//!    row and target, merge adjacent duplicates in insertion order)
+//!    expressed as fixed-chunk passes on the [`graph::par`] scheduler —
+//!    zero per-edge hash operations, parallel yet bit-identical at any
+//!    thread count. The layered `GDay`/`GHour` graphs take their dense
+//!    columns from one first-appearance intern pass over the table
 //!    ([`core::temporal::build_all_from_trips`]).
 //! 2. **Freeze.** The product is an immutable [`graph::CsrGraph`]:
 //!    compressed sparse row adjacency (`offsets`/`targets`/`weights`,

@@ -1,39 +1,32 @@
-//! Shared fixtures for the benchmark suite and the experiment-reproduction
-//! harness.
+//! Shared fixtures for the experiment-reproduction harness, plus the
+//! peak-RSS probe the repository benchmark (`benchmark/`) reads.
 //!
 //! Everything is deterministic: the same scale always produces the same
 //! dataset, candidate network and pipeline outcome.
 
-pub mod artifact;
-
 use moby_core::pipeline::{ExpansionOutcome, ExpansionPipeline, PipelineConfig};
 use moby_data::schema::RawDataset;
-use moby_data::synth::{generate, CityConfig, SynthConfig};
+use moby_data::synth::{generate, SynthConfig};
 use moby_data::timeparse::Timestamp;
 
-/// Workload scale used by benches and the reproduction harness.
+/// Workload scale of the reproduction harness and the tests built on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// ~2 k rentals, 4 months — unit-test sized, seconds end to end.
     Small,
-    /// ~15 k rentals, 9 months — a mid-sized workload for Criterion.
+    /// ~15 k rentals, 9 months — a mid-sized workload.
     Medium,
     /// The paper's full scale: ≈62 k rentals, ≈14 k locations, 21 months.
     Paper,
-    /// City scale: ≥10 k stations, ≥1 M trips through the streaming
-    /// generator and sharded construction — exercises graph building,
-    /// not the expansion pipeline (which is sized for the paper's data).
-    Large,
 }
 
 impl Scale {
-    /// Parse a scale name (`small` / `medium` / `paper` / `large`).
+    /// Parse a scale name (`small` / `medium` / `paper`).
     pub fn parse(name: &str) -> Option<Scale> {
         match name.to_ascii_lowercase().as_str() {
             "small" => Some(Scale::Small),
             "medium" => Some(Scale::Medium),
             "paper" | "full" => Some(Scale::Paper),
-            "large" | "city" => Some(Scale::Large),
             _ => None,
         }
     }
@@ -44,16 +37,8 @@ impl Scale {
             Scale::Small => "small",
             Scale::Medium => "medium",
             Scale::Paper => "paper",
-            Scale::Large => "large",
         }
     }
-}
-
-/// The city-tier generator configuration for [`Scale::Large`], with the
-/// trip count optionally scaled by the `MOBY_CITY_TRIPS` environment
-/// knob (clamped to [`CityConfig::MAX_TRIPS`]).
-pub fn city_config() -> CityConfig {
-    SynthConfig::city().trips_from_env()
 }
 
 /// Peak resident-set size of this process in kilobytes, from `VmHWM` in
@@ -95,13 +80,6 @@ fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
 }
 
 /// The synthetic-generator configuration for a scale.
-///
-/// # Panics
-///
-/// For [`Scale::Large`]: the city tier streams trips through
-/// [`city_config`]/[`moby_data::synth::city_trip_stream`] and never
-/// materialises a [`RawDataset`] — a row-of-structs dataset at 1 M+
-/// rows would defeat the tier's bounded-memory purpose.
 pub fn synth_config(scale: Scale) -> SynthConfig {
     match scale {
         Scale::Small => SynthConfig::small_test(),
@@ -115,7 +93,6 @@ pub fn synth_config(scale: Scale) -> SynthConfig {
             ..SynthConfig::paper_scale()
         },
         Scale::Paper => SynthConfig::paper_scale(),
-        Scale::Large => panic!("the large tier is streaming-only; use city_config()"),
     }
 }
 
@@ -142,18 +119,12 @@ mod tests {
         assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
         assert_eq!(Scale::parse("full"), Some(Scale::Paper));
         assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
-        assert_eq!(Scale::parse("large"), Some(Scale::Large));
-        assert_eq!(Scale::parse("city"), Some(Scale::Large));
+        // The city tier streams trips and never builds a dataset, so it
+        // is no reproduction scale.
+        assert_eq!(Scale::parse("large"), None);
+        assert_eq!(Scale::parse("city"), None);
         assert_eq!(Scale::parse("nope"), None);
         assert_eq!(Scale::Medium.name(), "medium");
-        assert_eq!(Scale::Large.name(), "large");
-    }
-
-    #[test]
-    fn city_config_meets_tier_floor() {
-        let cfg = city_config();
-        assert!(cfg.stations >= 10_000);
-        assert!(cfg.trips >= 1_000_000);
     }
 
     #[test]

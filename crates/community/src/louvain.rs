@@ -24,16 +24,16 @@
 //!   per-node hash scratch with dense index-addressed buffers, and
 //!   relabels memberships through the interned dense index in O(n).
 //! * [`louvain_hashmap`] — the legacy path over the mutable
-//!   [`WeightedGraph`], retained as the baseline the criterion benches
-//!   compare against (and the reference the equivalence tests check the
-//!   CSR path's output against). Both paths run identical local-moving
-//!   and aggregation arithmetic (neighbour scans, degree sums and merged
-//!   edge weights accumulate in the same sorted order), so move decisions
-//!   match exactly; only the per-pass modularity *gate* is computed by
-//!   different routines whose sums can differ in the last ULP, and every
-//!   gain comparison carries an epsilon guard, so the two paths produce
-//!   identical partitions in practice (asserted exactly by the
-//!   equivalence tests on random graphs and the synthetic dataset).
+//!   [`WeightedGraph`], retained as the test oracle the equivalence
+//!   tests check the CSR path's output against. Both paths run
+//!   identical local-moving and aggregation arithmetic (neighbour scans,
+//!   degree sums and merged edge weights accumulate in the same sorted
+//!   order), so move decisions match exactly; only the per-pass
+//!   modularity *gate* is computed by different routines whose sums can
+//!   differ in the last ULP, and every gain comparison carries an epsilon
+//!   guard, so the two paths produce identical partitions in practice
+//!   (asserted exactly by the equivalence tests on random graphs and the
+//!   synthetic dataset).
 //!
 //! [`louvain`] is the drop-in entry point: it freezes the builder graph
 //! once and runs the CSR path.
@@ -966,10 +966,9 @@ fn aggregate(graph: &LocalGraph, community: &[usize]) -> WeightedGraph {
 }
 
 /// The legacy Louvain implementation walking `HashMap` adjacency at every
-/// level. Kept (not dead code) as the baseline the criterion benches
-/// compare [`louvain_csr`] against, and as the reference implementation the
-/// equivalence tests validate the CSR path's output against. Produces
-/// partitions matching [`louvain_csr`].
+/// level. Kept as the test oracle: the equivalence tests validate the CSR
+/// path's output against it. Produces partitions matching
+/// [`louvain_csr`].
 pub fn louvain_hashmap(graph: &WeightedGraph, config: &LouvainConfig) -> Partition {
     let undirected;
     let g0 = if graph.is_directed() {

@@ -134,8 +134,8 @@ pub fn modularity_csr_threads(
 
 /// The legacy modularity implementation over the builder graph's hash-map
 /// adjacency (materialise + sort all edges, then accumulate). Kept as the
-/// baseline the criterion benches compare [`modularity_csr`] against and
-/// as the reference for the CSR/builder agreement property tests.
+/// test oracle of the CSR/builder agreement property tests and the
+/// equivalence suite, which check [`modularity_csr`] against it.
 pub fn modularity_hashmap(graph: &WeightedGraph, partition: &Partition) -> f64 {
     let undirected;
     let g = if graph.is_directed() {

@@ -147,8 +147,7 @@ impl TemporalGraph {
 }
 
 /// The hash-map reference build of one granularity's graph — the oracle
-/// the equivalence suites and the construction benches compare the
-/// columnar builds against.
+/// the equivalence suites compare the columnar builds against.
 ///
 /// Makes one [`WeightedGraph::add_edge`] per table row with that row's
 /// weight. `TNull` first seeds the sorted station table (isolated stations

@@ -36,7 +36,7 @@
 //! never the thread count — so applying a delta is parallel yet
 //! bit-identical at any parallelism, like every other pass in this crate.
 //! The differential proptest suite (`crates/core/tests/proptest_delta.rs`)
-//! and the `bench_smoke` CI job enforce the contract end to end.
+//! enforces the contract end to end.
 //!
 //! **Sharded bases.** A base graph built through the sharded path
 //! ([`build_dense_csr_sharded`](crate::build_dense_csr_sharded)) is

@@ -81,10 +81,9 @@
 //! enforce it at 1/2/4 build threads, the synthetic-dataset suite proves
 //! the columnar pipeline reproduces the hash-map reference build
 //! ([`core::temporal::reference_graph`], fed from the same trip table)
-//! partition-for-partition, and the benches
-//! (`crates/bench/benches/csr.rs`, the `bench_smoke` construction bench)
-//! keep measuring what the columnar path buys. See `DESIGN.md` for the
-//! construction pipeline's internals.
+//! partition-for-partition, and the repository benchmark
+//! (`BENCHMARK.json`, `benchmark/`) measures the columnar builds end to
+//! end. See `DESIGN.md` for the construction pipeline's internals.
 //!
 //! ## Parallelism: the deterministic execution layer
 //!

@@ -7,7 +7,9 @@
 //!
 //! Both sides run at 4 shards and 2 threads. The random trip sets of
 //! `proptest_spill.rs` and the temporal unit tests stay small; this test
-//! holds the contract at the size the spill path exists for.
+//! holds the contract at the size the spill path exists for. Under a
+//! `MOBY_SPILL_BUDGET_MB` small enough to spill, the table side spills
+//! too, and the test then compares the spool with the table.
 
 use moby_core::temporal::{build_all_from_spool, build_all_from_trips_sharded};
 use moby_data::clean::{clean_trip_stream, clean_trip_stream_spooled};

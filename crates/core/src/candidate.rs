@@ -289,8 +289,8 @@ pub(crate) fn trip_graphs(trips: &TripTable) -> (CsrGraph, CsrGraph) {
 }
 
 /// Table II counts of a table's trip graphs: distinct edges are the CSR
-/// edge counts, and a loop is a row holding its own node, whatever its
-/// merged weight.
+/// edge counts, and a loop is a row holding its own node, however many
+/// trips it merges.
 fn summarize(directed: &CsrGraph, undirected: &CsrGraph, trips: usize) -> AggregateSummary {
     let loops = |g: &CsrGraph| {
         (0..g.node_count())
@@ -381,7 +381,7 @@ mod tests {
     }
 
     /// The candidate graphs over 3 trips 1->2, 1 trip 2->1, 2 loops at 3,
-    /// 1 trip 3->4, a zero-weight loop at 5 and an isolated station 99.
+    /// 1 trip 3->4, 1 loop at 5 and an isolated station 99.
     fn fixture_graphs() -> (CsrGraph, CsrGraph, AggregateSummary) {
         let mut t = TripTable::new(vec![1, 2, 3, 4, 5, 99]);
         let rows: &[(u64, u64, f64)] = &[
@@ -392,11 +392,11 @@ mod tests {
             (3, 3, 1.0),
             (3, 3, 1.0),
             (3, 4, 1.0),
-            (5, 5, 0.0),
+            (5, 5, 1.0),
         ];
         for &(src, dst, w) in rows {
             let (s, d) = (t.station_index(src).unwrap(), t.station_index(dst).unwrap());
-            t.push_keyed(s, d, 0, 8, w);
+            t.push_keyed(s, d, 0, 8, w).unwrap();
         }
         let (directed, undirected) = trip_graphs(&t);
         let summary = summarize(&directed, &undirected, t.len());
@@ -417,7 +417,8 @@ mod tests {
         assert_eq!(undirected.edge_weight(2, 1), Some(4.0));
         let loop3 = undirected.index_of(3).unwrap() as usize;
         assert_eq!(undirected.self_loop(loop3), 2.0);
-        assert_eq!(undirected.total_weight(), 7.0);
+        assert_eq!(directed.edge_weight(5, 5), Some(1.0));
+        assert_eq!(undirected.total_weight(), 8.0);
     }
 
     #[test]

@@ -295,7 +295,7 @@ mod tests {
         let mut add = |src: u64, dst: u64, day: u8, hour: u8, n: usize| {
             let (s, d) = (t.station_index(src).unwrap(), t.station_index(dst).unwrap());
             for _ in 0..n {
-                t.push_keyed(s, d, day, hour, 1.0);
+                t.push_keyed(s, d, day, hour, 1.0).unwrap();
             }
         };
         add(1, 2, 1, 8, 20);
@@ -474,12 +474,21 @@ mod tests {
         // community 1 and its day-3 layer (0.6) with all of station 2 in
         // community 0. Summed in ascending node order the three make
         // 0.6000000000000001, so station 1 folds to community 1; an
-        // order-dependent sum could tie at 0.6 and fold it to 0.
-        let mut t = TripTable::new(vec![1, 2]);
-        for (day, w) in [(0u8, 0.1), (1, 0.2), (2, 0.3), (3, 0.6)] {
-            t.push_keyed(0, 1, day, 8, w);
+        // order-dependent sum could tie at 0.6 and fold it to 0. Trip
+        // weights are integers, so the graph is built straight from its
+        // layered edges (station * 8 + day), as a `GDay` build from one
+        // 1 -> 2 trip a day would intern them.
+        let mut b = moby_graph::CsrBuilder::undirected();
+        for (day, w) in [(0u64, 0.1), (1, 0.2), (2, 0.3), (3, 0.6)] {
+            b.push(8 + day, 16 + day, w);
         }
-        let gday = build_all_from_trips(&t, None, Some(1)).swap_remove(1);
+        let csr = b.build();
+        let map = csr
+            .node_ids()
+            .iter()
+            .map(|&id| (id, (id / 8, (id % 8) as u32)))
+            .collect();
+        let gday = TemporalGraph::from_csr(TemporalGranularity::TDay, csr, Some(map));
         let layers = [(8u64, 1usize), (9, 1), (10, 1), (11, 0)];
         let station2 = (16u64..20).map(|id| (id, 0usize));
         let fold = || {

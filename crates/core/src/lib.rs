@@ -68,6 +68,9 @@ pub enum CoreError {
     /// An ingested trip batch referenced a station the selected network
     /// does not contain.
     UnknownStation(u64),
+    /// A trip weight was outside the trip domain: an integer from 1 to
+    /// [`moby_data::trips::MAX_TRIP_WEIGHT`].
+    InvalidWeight(f64),
     /// An internal invariant was violated (bug); the message describes it.
     Internal(String),
     /// An out-of-core spilled graph build failed on I/O (temp dir not
@@ -80,7 +83,17 @@ pub enum CoreError {
 impl From<moby_graph::GraphError> for CoreError {
     fn from(err: moby_graph::GraphError) -> CoreError {
         match err {
+            moby_graph::GraphError::InvalidWeight(w) => CoreError::InvalidWeight(w),
             moby_graph::GraphError::Spill(msg) => CoreError::Spill(msg),
+            other => CoreError::Internal(other.to_string()),
+        }
+    }
+}
+
+impl From<moby_data::DataError> for CoreError {
+    fn from(err: moby_data::DataError) -> CoreError {
+        match err {
+            moby_data::DataError::InvalidWeight(w) => CoreError::InvalidWeight(w),
             other => CoreError::Internal(other.to_string()),
         }
     }
@@ -95,6 +108,11 @@ impl fmt::Display for CoreError {
             CoreError::UnknownStation(id) => {
                 write!(f, "trip batch references unknown station {id}")
             }
+            CoreError::InvalidWeight(w) => write!(
+                f,
+                "invalid trip weight {w}: must be an integer from 1 to {}",
+                moby_data::trips::MAX_TRIP_WEIGHT
+            ),
             CoreError::Internal(msg) => write!(f, "internal error: {msg}"),
             CoreError::Spill(msg) => write!(f, "spill I/O failed: {msg}"),
             CoreError::Cluster(err) => write!(f, "constrained clustering failed: {err}"),
@@ -131,6 +149,36 @@ mod tests {
             CoreError::Cluster(moby_cluster::ClusterError::NoFixedStations)
                 .to_string()
                 .contains("constrained clustering failed")
+        );
+        assert!(CoreError::InvalidWeight(0.5).to_string().contains("0.5"));
+    }
+
+    #[test]
+    fn weight_errors_stay_typed_across_layers() {
+        use moby_data::DataError;
+        use moby_graph::GraphError;
+        assert_eq!(
+            CoreError::from(GraphError::InvalidWeight(-1.0)),
+            CoreError::InvalidWeight(-1.0)
+        );
+        assert_eq!(
+            CoreError::from(DataError::InvalidWeight(0.5)),
+            CoreError::InvalidWeight(0.5)
+        );
+        let nan = CoreError::from(DataError::InvalidWeight(f64::NAN));
+        assert!(matches!(nan, CoreError::InvalidWeight(w) if w.is_nan()));
+        // Every other error of either layer is an internal one, except a
+        // graph spill failure.
+        let not_held = CoreError::from(GraphError::EdgeNotHeld { src: 1, dst: 2 });
+        assert!(matches!(&not_held, CoreError::Internal(m) if m.contains("1 -> 2")));
+        assert!(matches!(
+            CoreError::from(DataError::EmptyInput),
+            CoreError::Internal(_)
+        ));
+        // The trip domain and the eviction domain share one cap.
+        assert_eq!(
+            moby_data::trips::MAX_TRIP_WEIGHT,
+            moby_graph::evict::MAX_EVICT_WEIGHT
         );
     }
 }

@@ -284,8 +284,9 @@ impl WindowedPipeline {
     /// # Errors
     ///
     /// [`crate::CoreError::UnknownStation`] if the batch references a
-    /// station outside the selected network; the pipeline state is
-    /// untouched on error.
+    /// station outside the selected network, and
+    /// [`crate::CoreError::InvalidWeight`] if a batch weight is outside
+    /// the trip domain; the pipeline state is untouched on either error.
     pub fn advance(&mut self, batch: &TripBatch, window: WindowStart) -> Result<WindowOutcome> {
         let threads = self.config.detect.threads;
         let outcome = self

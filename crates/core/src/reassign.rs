@@ -12,9 +12,11 @@ use crate::selection::SelectionOutcome;
 use crate::{CoreError, Result};
 use moby_cluster::assign::StationAssigner;
 use moby_data::schema::{CleanDataset, LocationId};
-use moby_data::trips::{AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart};
+use moby_data::trips::{
+    check_trip_weight, AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart,
+};
 use moby_geo::GeoPoint;
-use moby_graph::{CsrDelta, CsrEvict, CsrGraph, NodeId};
+use moby_graph::{CsrDelta, CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -63,10 +65,9 @@ pub struct SelectedGraphTable {
 
 /// What one [`SelectedNetwork::advance_window`] call did: the eviction's
 /// remap (always `None` — the station table is pinned) and evicted rows,
-/// plus the append the new batch produced. Feed both to
-/// [`temporal::apply_evict_all`](crate::temporal::apply_evict_all) /
-/// [`temporal::apply_batch_all`](crate::temporal::apply_batch_all), in
-/// that order, to advance the temporal graphs through the same window.
+/// plus the append the new batch produced. Pass it to
+/// [`temporal::apply_window_all`](crate::temporal::apply_window_all) to
+/// advance the temporal graphs through the same window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowOutcome {
     /// The expired rows dropped by the leading eviction.
@@ -158,18 +159,19 @@ impl SelectedNetwork {
     /// # Errors
     ///
     /// [`CoreError::UnknownStation`] when a batch endpoint is not a
-    /// station of this network. Validation happens before any mutation,
-    /// so a failed ingest leaves the network untouched.
+    /// station of this network, and [`CoreError::InvalidWeight`] when a
+    /// batch weight is outside the trip domain. Validation happens before
+    /// any mutation, so a failed ingest leaves the network untouched.
     pub fn ingest_batch(
         &mut self,
         batch: &TripBatch,
         threads: Option<usize>,
     ) -> Result<AppendOutcome> {
-        // Validate every endpoint up front: everything after this check is
+        // Validate every row up front: everything after this check is
         // infallible, so the network never ends up with a half-applied
         // batch.
-        self.check_batch_stations(batch)?;
-        let outcome = self.trips.append_batch(batch);
+        self.check_batch(batch)?;
+        let outcome = self.trips.append_batch(batch)?;
         debug_assert!(
             outcome.old_to_new.is_none(),
             "validated batches never intern new stations"
@@ -223,64 +225,56 @@ impl SelectedNetwork {
     /// indices never shift, and the frozen
     /// [`directed`](SelectedNetwork::directed) /
     /// [`undirected`](SelectedNetwork::undirected) graphs retreat through
-    /// [`CsrGraph::apply_evict`] — bit-identical to rebuilding them from
-    /// the surviving table. Table III advances incrementally: evicted
-    /// rows decrement the per-group trip counters, the batch increments
-    /// them, and distinct-edge counts re-tally from the merged rows
-    /// (inside [`ingest_batch`](SelectedNetwork::ingest_batch)).
+    /// [`CsrGraph::apply_evict`], which subtracts the evicted rows —
+    /// exact over the table's integer weights, so bit-identical to
+    /// rebuilding them from the surviving table. Table III advances
+    /// incrementally: evicted rows decrement the per-group trip counters,
+    /// the batch increments them, and distinct-edge counts re-tally from
+    /// the merged rows (inside
+    /// [`ingest_batch`](SelectedNetwork::ingest_batch)).
     ///
     /// The eviction runs **before** the ingest, so batch rows predating
     /// `window` are accepted and survive until the *next* window step —
     /// late-arriving trips are data, not errors; the caller chooses each
     /// step's horizon.
     ///
-    /// Feed the returned [`WindowOutcome`] halves to
-    /// [`temporal::apply_evict_all`](crate::temporal::apply_evict_all)
-    /// and
-    /// [`temporal::apply_batch_all`](crate::temporal::apply_batch_all)
-    /// (in that order) to carry `GBasic`/`GDay`/`GHour` through the same
-    /// step, or use
+    /// Pass the returned [`WindowOutcome`] to
+    /// [`temporal::apply_window_all`](crate::temporal::apply_window_all)
+    /// to carry `GBasic`/`GDay`/`GHour` through the same step, or use
     /// [`WindowedPipeline`](crate::pipeline::WindowedPipeline) which
     /// composes all of it with a seeded community refresh.
     ///
     /// # Errors
     ///
     /// [`CoreError::UnknownStation`] when a batch endpoint is not a
-    /// station of this network. Validation happens before the eviction,
-    /// so a failed call leaves the network *completely* untouched — no
-    /// half-applied window.
+    /// station of this network, and [`CoreError::InvalidWeight`] when a
+    /// batch weight is outside the trip domain. Validation happens before
+    /// the eviction, so a failed call leaves the network *completely*
+    /// untouched — no half-applied window. [`CoreError::Internal`] when
+    /// the graphs do not hold the evicted rows, a broken invariant (the
+    /// [`trips`](SelectedNetwork::trips) table was changed behind the
+    /// graphs' back) that leaves the network inconsistent.
     pub fn advance_window(
         &mut self,
         batch: &TripBatch,
         window: WindowStart,
         threads: Option<usize>,
     ) -> Result<WindowOutcome> {
-        self.check_batch_stations(batch)?;
+        self.check_batch(batch)?;
 
         let evicted = self.trips.evict_before_pinned(window);
         if !evicted.is_noop() {
-            let touched = evicted.touched_stations();
-            let station_ids = self.trips.station_ids().to_vec();
-            let ev = CsrEvict::from_dense(
-                true,
-                station_ids.clone(),
-                None,
-                touched.clone(),
-                self.trips.src(),
-                self.trips.dst(),
-                self.trips.weights(),
-            );
-            self.directed = self.directed.apply_evict(&ev, threads);
-            let ev = CsrEvict::from_dense(
-                false,
-                station_ids,
-                None,
-                touched,
-                self.trips.src(),
-                self.trips.dst(),
-                self.trips.weights(),
-            );
-            self.undirected = self.undirected.apply_evict(&ev, threads);
+            let evict = |graph: &CsrGraph| {
+                graph.apply_evict(
+                    self.trips.station_ids().to_vec(),
+                    &evicted.evicted_src,
+                    &evicted.evicted_dst,
+                    &evicted.evicted_weight,
+                    threads,
+                )
+            };
+            self.directed = evict(&self.directed)?;
+            self.undirected = evict(&self.undirected)?;
 
             // Table III: evicted rows decrement the per-group trip
             // counters (the pinned table keeps dense indices stable, so
@@ -312,15 +306,18 @@ impl SelectedNetwork {
         Ok(WindowOutcome { evicted, appended })
     }
 
-    /// [`CoreError::UnknownStation`] for the first batch endpoint that is
-    /// not a station of this network.
-    fn check_batch_stations(&self, batch: &TripBatch) -> Result<()> {
-        for (src, dst, ..) in batch.iter() {
+    /// The first batch row that cannot enter this network:
+    /// [`CoreError::UnknownStation`] for an endpoint that is not one of
+    /// its stations, [`CoreError::InvalidWeight`] for a weight outside the
+    /// trip domain.
+    fn check_batch(&self, batch: &TripBatch) -> Result<()> {
+        for (src, dst, _, _, weight) in batch.iter() {
             for id in [src, dst] {
                 if self.trips.station_index(id).is_none() {
                     return Err(CoreError::UnknownStation(id));
                 }
             }
+            check_trip_weight(weight)?;
         }
         Ok(())
     }
@@ -675,11 +672,30 @@ mod tests {
         );
     }
 
+    /// Weights outside the trip domain (integers from 1 to 2^20).
+    const BAD_WEIGHTS: [f64; 5] = [0.5, 0.0, f64::NAN, -1.0, 1_048_577.0];
+
+    /// A batch of one valid replayed trip followed by one of weight `w`
+    /// between known stations.
+    fn batch_with_weight(out: &SelectedNetwork, ds: &CleanDataset, w: f64) -> TripBatch {
+        let (a, b) = (out.trips.station_id(0), out.trips.station_id(1));
+        let mut batch = TripBatch::new();
+        batch.push(a, b, ds.rentals[0].start_time);
+        batch.push_weighted(b, a, ds.rentals[1].start_time, w);
+        batch
+    }
+
+    /// Whether `got` is the typed rejection of weight `w` (NaN included).
+    fn rejects_weight<T>(got: Result<T>, w: f64) -> bool {
+        matches!(got, Err(CoreError::InvalidWeight(x)) if x.to_bits() == w.to_bits())
+    }
+
     #[test]
     fn ingest_batch_rejects_unknown_stations() {
         let (ds, net, sel) = setup();
         let mut out = build_selected_network(&ds, &net, &sel).unwrap();
         let before = out.trips.clone();
+        let table_before = out.table.clone();
         let mut batch = TripBatch::new();
         batch.push(
             u64::MAX - 1, // no such station
@@ -692,6 +708,13 @@ mod tests {
         );
         // The failed ingest left the table untouched.
         assert_eq!(out.trips, before);
+        // So does a batch weight outside the trip domain.
+        for w in BAD_WEIGHTS {
+            let batch = batch_with_weight(&out, &ds, w);
+            assert!(rejects_weight(out.ingest_batch(&batch, None), w), "{w}");
+            assert_eq!(out.trips, before, "{w}");
+            assert_eq!(out.table, table_before, "{w}");
+        }
     }
 
     #[test]
@@ -771,6 +794,14 @@ mod tests {
         );
         assert_eq!(out.trips, before);
         assert_eq!(out.table, table_before);
+        // So does a batch weight outside the trip domain.
+        for w in BAD_WEIGHTS {
+            let batch = batch_with_weight(&out, &ds, w);
+            let got = out.advance_window(&batch, WindowStart::new(6, 23), None);
+            assert!(rejects_weight(got, w), "{w}");
+            assert_eq!(out.trips, before, "{w}");
+            assert_eq!(out.table, table_before, "{w}");
+        }
     }
 
     #[test]

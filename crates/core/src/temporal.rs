@@ -33,17 +33,16 @@
 //!   spilled builds and the window retreat. No intern sort and no
 //!   per-edge hash operation anywhere, parallel yet bit-identical at any
 //!   thread count.
-//! * **Hash-map reference (equivalence oracle)** — [`reference_graph`]
-//!   makes one `WeightedGraph::add_edge` per table row and leaves the
-//!   freeze to the caller. The equivalence suites assert both paths
-//!   produce *identical* frozen graphs; benchmarks keep it around to
-//!   measure what the columnar path buys.
+//! * **Hash-map reference (test oracle)** — [`reference_graph`] makes one
+//!   `WeightedGraph::add_edge` per table row and leaves the freeze to the
+//!   caller. Nothing on the pipeline calls it; the equivalence suites
+//!   assert both paths produce *identical* frozen graphs.
 
 use crate::CoreError;
 use moby_data::spool::TripSpool;
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripTable};
 use moby_graph::spill;
-use moby_graph::{CsrDelta, CsrEvict, CsrGraph, NodeId, WeightedGraph};
+use moby_graph::{CsrDelta, CsrGraph, NodeId, WeightedGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -281,6 +280,19 @@ impl LayerIntern {
             .map(|&slot| stations[slot as usize / self.stride] * stride + u64::from(slot) % stride)
             .collect()
     }
+}
+
+/// The layered node table of the leading `rows` table rows, in the
+/// first-appearance order a build interns them.
+fn layer_node_ids(trips: &TripTable, rows: usize, granularity: TemporalGranularity) -> Vec<NodeId> {
+    let (day, hour) = (trips.day(), trips.hour());
+    let mut intern = LayerIntern::new(trips.station_ids().len(), granularity);
+    for k in 0..rows {
+        let key = granularity.layer_key(day[k], hour[k]);
+        intern.intern(trips.src()[k], key);
+        intern.intern(trips.dst()[k], key);
+    }
+    intern.node_ids(trips.station_ids())
 }
 
 /// Intern the layer nodes of the leading `rows` table rows: the layered
@@ -611,10 +623,7 @@ pub fn apply_batch_all(
     basic: Option<CsrGraph>,
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
-    assert_eq!(temporals.len(), 3, "expected GBasic/GDay/GHour");
-    for (t, g) in temporals.iter().zip(TemporalGranularity::ALL) {
-        assert_eq!(t.granularity, g, "temporal graphs out of order");
-    }
+    let [basic_t, day_t, hour_t] = granularities(temporals);
     let day_stride = TemporalGranularity::TDay.stride();
     let hour_stride = TemporalGranularity::THour.stride();
 
@@ -633,11 +642,6 @@ pub fn apply_batch_all(
         let hk = hour[k] as u64;
         hour_edges.push((s * hour_stride + hk, d * hour_stride + hk, w));
     }
-
-    let mut temporals = temporals;
-    let hour_t = temporals.pop().expect("three granularities");
-    let day_t = temporals.pop().expect("three granularities");
-    let basic_t = temporals.pop().expect("three granularities");
 
     let basic_csr = match basic {
         Some(csr) => csr,
@@ -680,16 +684,18 @@ pub fn apply_batch_all(
 ///
 /// `trips` is the table **after**
 /// [`TripTable::evict_before`](moby_data::trips::TripTable::evict_before)
-/// (or its pinned variant) and `outcome` is what that eviction returned.
-/// `GBasic` retreats through [`CsrEvict::from_dense`] over the surviving
-/// dense columns (the station intern stays sorted, so the compaction
-/// remap is monotone); `GDay`/`GHour` retreat through
-/// [`CsrEvict::from_first_appearance`] over the layer intern of the
-/// surviving rows — their first-appearance order is *not* stable under
-/// row removal (a layer first interned by an evicted trip moves to its
-/// next surviving appearance), so the retreat re-runs the build's intern.
-/// Touched rows come straight from the evicted rows' endpoint columns;
-/// untouched rows copy bit-for-bit.
+/// (or its pinned variant) and `outcome` is what that eviction returned;
+/// no rows may have been appended since, because the layered graphs
+/// re-intern every row of `trips` as a survivor. After
+/// [`SelectedNetwork::advance_window`](crate::reassign::SelectedNetwork::advance_window),
+/// which appends its batch, use [`apply_window_all`] instead.
+///
+/// Every graph subtracts the evicted rows through
+/// [`CsrGraph::apply_evict`]. `GBasic` keeps the table's sorted station
+/// intern. `GDay`/`GHour` re-run their layer intern over the survivors
+/// for the new node table only: first-appearance order is *not* stable
+/// under row removal (a layer first interned by an evicted trip moves to
+/// its next surviving appearance).
 ///
 /// As with [`apply_batch_all`], the graphs are consumed and `basic` can
 /// supply an already-evicted station-level CSR so the pipeline advances
@@ -704,7 +710,9 @@ pub fn apply_batch_all(
 /// # Panics
 ///
 /// If `temporals` is not the three-granularity slice the build functions
-/// produce, in granularity order.
+/// produce, in granularity order, or if the graphs do not hold the
+/// evicted rows — a broken invariant: the graphs were not built from the
+/// table the outcome came from.
 pub fn apply_evict_all(
     temporals: Vec<TemporalGraph>,
     trips: &TripTable,
@@ -712,40 +720,12 @@ pub fn apply_evict_all(
     basic: Option<CsrGraph>,
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
-    assert_eq!(temporals.len(), 3, "expected GBasic/GDay/GHour");
-    for (t, g) in temporals.iter().zip(TemporalGranularity::ALL) {
-        assert_eq!(t.granularity, g, "temporal graphs out of order");
-    }
-    if outcome.is_noop() {
-        // Nothing expired: the layered graphs are untouched; an
-        // already-shared `GBasic` still swaps in.
-        let mut temporals = temporals;
-        if let Some(csr) = basic {
-            temporals[0] = TemporalGraph::from_csr(TemporalGranularity::TNull, csr, None);
-        }
-        return temporals;
-    }
-    let mut temporals = temporals;
-    let hour_t = temporals.pop().expect("three granularities");
-    let day_t = temporals.pop().expect("three granularities");
-    let basic_t = temporals.pop().expect("three granularities");
-
+    let [basic_t, day_t, hour_t] = granularities(temporals);
+    let (day_t, hour_t) = evict_layered_pair(day_t, hour_t, trips, trips.len(), outcome, threads);
     let basic_csr = match basic {
         Some(csr) => csr,
-        None => {
-            let evict = CsrEvict::from_dense(
-                false,
-                trips.station_ids().to_vec(),
-                outcome.new_to_old.clone(),
-                outcome.touched_stations(),
-                trips.src(),
-                trips.dst(),
-                trips.weights(),
-            );
-            basic_t.csr.apply_evict(&evict, threads)
-        }
+        None => evict_basic(basic_t.csr, trips, outcome, threads),
     };
-    let (day_t, hour_t) = evict_layered_pair(day_t, hour_t, trips, trips.len(), outcome, threads);
     vec![
         TemporalGraph::from_csr(TemporalGranularity::TNull, basic_csr, None),
         day_t,
@@ -753,11 +733,45 @@ pub fn apply_evict_all(
     ]
 }
 
+/// The three graphs of a build, checked to be `GBasic`, `GDay` and
+/// `GHour` in that order.
+fn granularities(temporals: Vec<TemporalGraph>) -> [TemporalGraph; 3] {
+    let temporals: [TemporalGraph; 3] = temporals
+        .try_into()
+        .unwrap_or_else(|_| panic!("expected GBasic/GDay/GHour"));
+    for (t, g) in temporals.iter().zip(TemporalGranularity::ALL) {
+        assert_eq!(t.granularity, g, "temporal graphs out of order");
+    }
+    temporals
+}
+
+/// `GBasic` past an eviction: the evicted rows subtract from the graph
+/// over the table's station intern.
+fn evict_basic(
+    basic: CsrGraph,
+    trips: &TripTable,
+    outcome: &EvictOutcome,
+    threads: Option<usize>,
+) -> CsrGraph {
+    if outcome.is_noop() {
+        return basic;
+    }
+    basic
+        .apply_evict(
+            trips.station_ids().to_vec(),
+            &outcome.evicted_src,
+            &outcome.evicted_dst,
+            &outcome.evicted_weight,
+            threads,
+        )
+        .expect("GBasic holds the evicted rows")
+}
+
 /// The layered (`GDay`/`GHour`) half of an eviction. Each graph re-runs
 /// the layer intern over the leading `rows_end` table rows (the surviving
-/// prefix — a trailing batch may already sit behind it), folds the
-/// evicted rows' temporal keys into their endpoints as the touched ids,
-/// and retreats through [`CsrEvict::from_first_appearance`]. Layer maps
+/// prefix — a trailing batch may already sit behind it) for its new node
+/// table, folds each evicted row's temporal key into its endpoints as
+/// `station * stride + key`, and subtracts those edges. Layer maps
 /// re-decode from the new tables — eviction can permute a
 /// first-appearance intern (see [`apply_evict_all`]), and the decode is
 /// exactly what a full rebuild would produce.
@@ -769,20 +783,30 @@ fn evict_layered_pair(
     outcome: &EvictOutcome,
     threads: Option<usize>,
 ) -> (TemporalGraph, TemporalGraph) {
+    if outcome.is_noop() {
+        return (day_t, hour_t);
+    }
     let retreat = |t: TemporalGraph| {
         let (granularity, stride) = (t.granularity, t.granularity.stride());
-        let mut touched = Vec::with_capacity(2 * outcome.evicted_rows());
-        for k in 0..outcome.evicted_rows() {
-            let key = granularity.layer_key(outcome.evicted_day[k], outcome.evicted_hour[k]);
-            touched.push(outcome.evicted_src[k] * stride + u64::from(key));
-            touched.push(outcome.evicted_dst[k] * stride + u64::from(key));
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        let (node_ids, src, dst) = layered_columns(trips, rows_end, granularity);
-        let weight = &trips.weights()[..rows_end];
-        let evict = CsrEvict::from_first_appearance(&t.csr, node_ids, touched, &src, &dst, weight);
-        let csr = t.csr.apply_evict(&evict, threads);
+        let layered = |station: &[NodeId]| -> Vec<NodeId> {
+            (0..outcome.evicted_rows())
+                .map(|k| {
+                    let key =
+                        granularity.layer_key(outcome.evicted_day[k], outcome.evicted_hour[k]);
+                    station[k] * stride + u64::from(key)
+                })
+                .collect()
+        };
+        let csr = t
+            .csr
+            .apply_evict(
+                layer_node_ids(trips, rows_end, granularity),
+                &layered(&outcome.evicted_src),
+                &layered(&outcome.evicted_dst),
+                &outcome.evicted_weight,
+                threads,
+            )
+            .expect("layered graph holds the evicted rows");
         let map = decode_layer_map(&csr, stride);
         TemporalGraph::from_csr(granularity, csr, Some(map))
     };
@@ -799,12 +823,20 @@ fn evict_layered_pair(
 /// `outcome.appended.batch_start` rows are exactly the post-evict
 /// survivors the retreat must see). `basic` optionally supplies the
 /// network's already-advanced undirected graph, in which case `GBasic`
-/// skips both phases and swaps it in.
+/// skips both phases and swaps it in; with `None`, `GBasic` subtracts the
+/// evicted rows and then takes the batch.
 ///
 /// Composes the equivalence contracts of [`apply_evict_all`] and
 /// [`apply_batch_all`]: the result is bit-identical to
 /// [`build_all_from_trips`] over the post-window table at any thread
 /// count.
+///
+/// # Panics
+///
+/// If `temporals` is not the three-granularity slice the build functions
+/// produce, in granularity order, or if the graphs do not hold the
+/// evicted rows — a broken invariant: the graphs were not advanced
+/// through every earlier step of the table `outcome` came from.
 pub fn apply_window_all(
     temporals: Vec<TemporalGraph>,
     trips: &TripTable,
@@ -812,43 +844,27 @@ pub fn apply_window_all(
     basic: Option<CsrGraph>,
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
-    assert_eq!(temporals.len(), 3, "expected GBasic/GDay/GHour");
-    for (t, g) in temporals.iter().zip(TemporalGranularity::ALL) {
-        assert_eq!(t.granularity, g, "temporal graphs out of order");
-    }
+    let [basic_t, day_t, hour_t] = granularities(temporals);
     let evicted = &outcome.evicted;
-    let bs = outcome.appended.batch_start;
-
-    let mut temporals = temporals;
-    let hour_t = temporals.pop().expect("three granularities");
-    let day_t = temporals.pop().expect("three granularities");
-    let mut basic_t = temporals.pop().expect("three granularities");
-
-    let (day_t, hour_t) = if evicted.is_noop() {
-        (day_t, hour_t)
-    } else {
-        evict_layered_pair(day_t, hour_t, trips, bs, evicted, threads)
+    let (day_t, hour_t) = evict_layered_pair(
+        day_t,
+        hour_t,
+        trips,
+        outcome.appended.batch_start,
+        evicted,
+        threads,
+    );
+    // GBasic retreats unless the caller shares an already-advanced graph
+    // (then the ingest phase swaps it in and no station-level pass runs
+    // here at all). `advance_window` pins the station table, so the
+    // intern the eviction saw is still the table's.
+    let basic_t = match basic {
+        Some(_) => basic_t,
+        None => {
+            let csr = evict_basic(basic_t.csr, trips, evicted, threads);
+            TemporalGraph::from_csr(TemporalGranularity::TNull, csr, None)
+        }
     };
-    // GBasic retreats over the surviving prefix unless the caller shares
-    // an already-advanced graph (then the ingest phase swaps it in and no
-    // station-level pass runs here at all). `advance_window` pins the
-    // station table, so the eviction's remap is always `None`.
-    if basic.is_none() && !evicted.is_noop() {
-        let evict = CsrEvict::from_dense(
-            false,
-            trips.station_ids().to_vec(),
-            evicted.new_to_old.clone(),
-            evicted.touched_stations(),
-            &trips.src()[..bs],
-            &trips.dst()[..bs],
-            &trips.weights()[..bs],
-        );
-        basic_t = TemporalGraph::from_csr(
-            TemporalGranularity::TNull,
-            basic_t.csr.apply_evict(&evict, threads),
-            None,
-        );
-    }
     apply_batch_all(
         vec![basic_t, day_t, hour_t],
         trips,
@@ -1048,7 +1064,8 @@ mod tests {
     /// A pseudo-random table of `rows` rows over 24 stations, of which
     /// only the first 16 carry trips: a quarter of the rows are
     /// self-loops, and three days × three hours make `(station, key)`
-    /// pairs repeat. Weights are fractional, so fold order shows.
+    /// pairs repeat. Weights are integers from 1 to 5, the trip domain;
+    /// `moby_graph`'s build suites pin the fold order with fractions.
     fn random_table(seed: u64, rows: usize) -> TripTable {
         let mut t = TripTable::new((0..24).map(|i| 3 * i + 5).collect());
         let mut x = seed | 1;
@@ -1062,7 +1079,7 @@ mod tests {
             let s = next(16) as u32;
             let d = if next(4) == 0 { s } else { next(16) as u32 };
             let (day, hour) = (3 * next(3) as u8, [0u8, 12, 23][next(3) as usize]);
-            t.push_keyed(s, d, day, hour, next(1000) as f64 / 64.0 + 0.1);
+            t.push_keyed(s, d, day, hour, (1 + next(5)) as f64).unwrap();
         }
         t
     }
@@ -1115,7 +1132,7 @@ mod tests {
                                    // shifting every old dense index
         batch.push(1, 0, t(0, 8)); // duplicate layered edge
         batch.push(3, 1, t(3, 21));
-        let outcome = trips.append_batch(&batch);
+        let outcome = trips.append_batch(&batch).unwrap();
         assert_eq!(outcome.new_stations, vec![0]);
         for threads in [Some(1), Some(2), Some(4)] {
             let got = apply_batch_all(base.clone(), &trips, &outcome, None, threads);

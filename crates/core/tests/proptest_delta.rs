@@ -27,17 +27,18 @@ const BASE_POOL: [u64; 20] = [
     138,
 ];
 
-/// Strategy for one trip row. `wide` draws endpoints from a pool twice
-/// the base table's, so batches routinely introduce new stations.
+/// Strategy for one trip row with an integer weight from 1 to 5, the
+/// trip domain. `wide` draws endpoints from a pool twice the base
+/// table's, so batches routinely introduce new stations.
 fn row(wide: bool) -> impl Strategy<Value = Row> {
     let ids = if wide { 40u64 } else { 20 };
-    (0..ids, 0..ids, 0u8..7, 0u8..24, 0u32..1000).prop_map(move |(s, d, day, hour, w)| {
+    (0..ids, 0..ids, 0u8..7, 0u8..24, 1u32..6).prop_map(move |(s, d, day, hour, w)| {
         (
             100 + 2 * (s % 20) + u64::from(s >= 20),
             100 + 2 * (d % 20) + u64::from(d >= 20),
             day,
             hour,
-            w as f64 / 64.0 + 0.25,
+            f64::from(w),
         )
     })
 }
@@ -90,7 +91,7 @@ fn base_table(base_rows: &[Row]) -> TripTable {
     for &(s, d, day, hour, w) in base_rows {
         let si = table.station_index(s).expect("base row in pool");
         let di = table.station_index(d).expect("base row in pool");
-        table.push_keyed(si, di, day, hour, w);
+        table.push_keyed(si, di, day, hour, w).unwrap();
     }
     table
 }
@@ -126,7 +127,7 @@ fn check_chain(base_rows: &[Row], batches: &[Vec<Row>], threads: usize) {
         for &(s, d, day, hour, w) in rows {
             batch.push_keyed(s, d, day, hour, w);
         }
-        let outcome = table.append_batch(&batch);
+        let outcome = table.append_batch(&batch).unwrap();
         all_rows.extend_from_slice(rows);
 
         // The incrementally appended table equals one built from scratch
@@ -137,7 +138,7 @@ fn check_chain(base_rows: &[Row], batches: &[Vec<Row>], threads: usize) {
         for &(s, d, day, hour, w) in &all_rows {
             let si = scratch.station_index(s).unwrap();
             let di = scratch.station_index(d).unwrap();
-            scratch.push_keyed(si, di, day, hour, w);
+            scratch.push_keyed(si, di, day, hour, w).unwrap();
         }
         assert_eq!(table, scratch, "appended table diverged from scratch");
 
@@ -211,26 +212,28 @@ proptest! {
 
 #[test]
 fn empty_batches_are_identity() {
-    let base: Vec<Row> = vec![(100, 102, 0, 8, 1.0), (102, 104, 3, 17, 2.5)];
+    let base: Vec<Row> = vec![(100, 102, 0, 8, 1.0), (102, 104, 3, 17, 3.0)];
     for threads in [1usize, 2, 4] {
         check_chain(&base, &[vec![], vec![], vec![]], threads);
     }
 }
 
 #[test]
-fn only_duplicate_edge_batches_merge_in_fold_order() {
+fn only_duplicate_edge_batches_merge_into_existing_entries() {
     // Every batch row repeats an edge the base already has, at the same
     // temporal key — merged weights must continue the rebuild's fold.
+    // Trip weights are integers, so the order of that fold cannot show
+    // here; `moby_graph`'s delta tests pin it with fractional weights.
     let base: Vec<Row> = vec![
         (100, 102, 0, 8, 1.0),
-        (100, 102, 0, 8, 0.125),
+        (100, 102, 0, 8, 5.0),
         (104, 104, 6, 23, 2.0), // self-loop
     ];
     let dup: Vec<Row> = vec![
-        (100, 102, 0, 8, 0.3),
-        (100, 102, 0, 8, 0.7),
-        (104, 104, 6, 23, 0.001),
-        (100, 102, 0, 8, 1e-9),
+        (100, 102, 0, 8, 3.0),
+        (100, 102, 0, 8, 4.0),
+        (104, 104, 6, 23, 1.0),
+        (100, 102, 0, 8, 2.0),
     ];
     for threads in [1usize, 2, 4] {
         check_chain(&base, &[dup.clone(), dup.clone()], threads);
@@ -243,8 +246,8 @@ fn only_new_station_batches_interleave_into_the_intern_table() {
     // interleave between the even base ids, plus ids sorting before and
     // after the whole pool.
     let base: Vec<Row> = vec![(100, 102, 0, 8, 1.0), (136, 138, 4, 12, 3.0)];
-    let fresh1: Vec<Row> = vec![(101, 103, 1, 9, 1.5), (1, 103, 2, 10, 0.5)];
-    let fresh2: Vec<Row> = vec![(999, 1, 5, 20, 2.25), (101, 999, 6, 21, 0.75)];
+    let fresh1: Vec<Row> = vec![(101, 103, 1, 9, 2.0), (1, 103, 2, 10, 5.0)];
+    let fresh2: Vec<Row> = vec![(999, 1, 5, 20, 4.0), (101, 999, 6, 21, 3.0)];
     for threads in [1usize, 2, 4] {
         check_chain(&base, &[fresh1.clone(), fresh2.clone()], threads);
     }
@@ -255,7 +258,7 @@ fn empty_base_table_accepts_batches() {
     let batches = vec![
         vec![(100u64, 101, 0, 8, 1.0), (101, 102, 1, 9, 2.0)],
         vec![],
-        vec![(102u64, 100, 2, 10, 0.5)],
+        vec![(102u64, 100, 2, 10, 4.0)],
     ];
     for threads in [1usize, 2, 4] {
         check_chain(&[], &batches, threads);

@@ -1,16 +1,22 @@
 //! Differential proptests for the windowed delta lifecycle.
 //!
 //! The contract under test (PR 7's tentpole): interleaving random trip
-//! batches and window evictions over a [`TripTable`] — advancing the
-//! frozen graphs via `CsrDelta` / `CsrEvict` / `apply_batch_all` /
-//! `apply_evict_all` — is **bitwise equal** — node table, offsets,
+//! batches, window evictions and whole window steps over a
+//! [`TripTable`] — advancing the frozen graphs via `CsrDelta` /
+//! `CsrGraph::apply_evict` / `apply_batch_all` / `apply_evict_all` /
+//! `apply_window_all` — is **bitwise equal** — node table, offsets,
 //! targets, weights, cached degrees, edge counts, total weight, layer
 //! maps — to rebuilding everything in one shot from the surviving table,
-//! at 1/2/4 threads and 1/4 construction shards. The temporal graphs are
+//! at 1/2/4 threads and 1/4 construction shards. Trip weights are
+//! integers from 1 to 5, so evicted rows carry more than one unit and
+//! the subtraction they drive is exact. The temporal graphs are
 //! also pinned to the independent hash-map reference
 //! (`reference_graph(..).freeze()`), since evictions move layer nodes'
 //! first appearances and the rebuild shares the layer intern under test.
-//! Random chains are
+//! A window step runs as `SelectedNetwork::advance_window` does — a
+//! pinned eviction, then a batch over stations the table holds — and
+//! goes through `apply_window_all` both with `GBasic` shared and with it
+//! advanced there. Random chains are
 //! supplemented by the named edge cases: evicting everything, evicting
 //! nothing, pinned evictions that leave isolated stations, and a batch
 //! re-adding a station the previous eviction compacted away.
@@ -18,12 +24,13 @@
 use moby_core::detect::{
     detect_communities, refresh_communities, refresh_communities_active, DetectConfig,
 };
+use moby_core::reassign::WindowOutcome;
 use moby_core::temporal::{
-    apply_batch_all, apply_evict_all, build_all_from_trips, build_all_from_trips_sharded,
-    reference_graph, TemporalGraph,
+    apply_batch_all, apply_evict_all, apply_window_all, build_all_from_trips,
+    build_all_from_trips_sharded, reference_graph, TemporalGraph,
 };
-use moby_data::trips::{TripBatch, TripTable, WindowStart};
-use moby_graph::{build_dense_csr, CsrDelta, CsrEvict, CsrGraph};
+use moby_data::trips::{AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart};
+use moby_graph::{build_dense_csr, CsrDelta, CsrGraph};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 
@@ -37,6 +44,9 @@ enum Op {
     Ingest(Vec<Row>),
     /// Evict every row before the window start.
     Evict(WindowStart),
+    /// One window step: a pinned eviction, then the rows as a batch
+    /// moved onto stations the table holds.
+    Window(WindowStart, Vec<Row>),
 }
 
 /// Base-table station pool: ids 100..140 (even only, so "odd" ids can act
@@ -46,38 +56,106 @@ const BASE_POOL: [u64; 20] = [
     138,
 ];
 
-/// Strategy for one trip row. `wide` draws endpoints from a pool twice
-/// the base table's, so batches routinely introduce new stations.
+/// Strategy for one trip row with an integer weight from 1 to 5. `wide`
+/// draws endpoints from a pool twice the base table's, so batches
+/// routinely introduce new stations.
 fn row(wide: bool) -> impl Strategy<Value = Row> {
     let ids = if wide { 40u64 } else { 20 };
-    (0..ids, 0..ids, 0u8..7, 0u8..24, 0u32..1000).prop_map(move |(s, d, day, hour, w)| {
+    (0..ids, 0..ids, 0u8..7, 0u8..24, 1u32..6).prop_map(move |(s, d, day, hour, w)| {
         (
             100 + 2 * (s % 20) + u64::from(s >= 20),
             100 + 2 * (d % 20) + u64::from(d >= 20),
             day,
             hour,
-            w as f64 / 64.0 + 0.25,
+            f64::from(w),
         )
     })
 }
 
-/// Strategy for one chain step: mostly ingests, with evictions mixed in
-/// (the vendored proptest has no `prop_oneof`, so the branch is encoded
-/// as a drawn selector).
+/// Strategy for one chain step: mostly ingests, with evictions and window
+/// steps mixed in (the vendored proptest has no `prop_oneof`, so the
+/// branch is encoded as a drawn selector).
 fn op() -> impl Strategy<Value = Op> {
     (
-        0u8..3,
+        0u8..4,
         prop::collection::vec(row(true), 0..30),
         0u8..7,
         0u8..24,
     )
-        .prop_map(|(kind, rows, d, h)| {
-            if kind < 2 {
-                Op::Ingest(rows)
-            } else {
-                Op::Evict(WindowStart::new(d, h))
-            }
+        .prop_map(|(kind, rows, d, h)| match kind {
+            0 | 1 => Op::Ingest(rows),
+            2 => Op::Evict(WindowStart::new(d, h)),
+            _ => Op::Window(WindowStart::new(d, h), rows),
         })
+}
+
+/// The rows of a window step's batch, each endpoint the table does not
+/// hold moved onto one it does, as `advance_window` requires; none when
+/// the table holds no station.
+fn onto_known_stations(table: &TripTable, rows: &[Row]) -> Vec<Row> {
+    let known = table.station_ids();
+    if known.is_empty() {
+        return Vec::new();
+    }
+    let pick = |id: u64| match known.binary_search(&id) {
+        Ok(_) => id,
+        Err(_) => known[id as usize % known.len()],
+    };
+    rows.iter()
+        .map(|&(s, d, day, hour, w)| (pick(s), pick(d), day, hour, w))
+        .collect()
+}
+
+/// Append `rows` to the table as one batch.
+fn append(table: &mut TripTable, rows: &[Row]) -> AppendOutcome {
+    let mut batch = TripBatch::new();
+    for &(s, d, day, hour, w) in rows {
+        batch.push_keyed(s, d, day, hour, w);
+    }
+    table
+        .append_batch(&batch)
+        .expect("weights in the trip domain")
+}
+
+/// Advance both station graphs past an append, by delta.
+fn delta_station_graphs(
+    table: &TripTable,
+    outcome: &AppendOutcome,
+    graphs: [&mut CsrGraph; 2],
+    threads: Option<usize>,
+) {
+    let bs = outcome.batch_start;
+    for graph in graphs {
+        let delta = CsrDelta::from_dense(
+            graph.is_directed(),
+            table.station_ids().to_vec(),
+            outcome.old_to_new.clone(),
+            &table.src()[bs..],
+            &table.dst()[bs..],
+            &table.weights()[bs..],
+        );
+        *graph = graph.apply_delta(&delta, threads);
+    }
+}
+
+/// Retreat both station graphs past an eviction, by subtraction.
+fn evict_station_graphs(
+    table: &TripTable,
+    outcome: &EvictOutcome,
+    graphs: [&mut CsrGraph; 2],
+    threads: Option<usize>,
+) {
+    for graph in graphs {
+        *graph = graph
+            .apply_evict(
+                table.station_ids().to_vec(),
+                &outcome.evicted_src,
+                &outcome.evicted_dst,
+                &outcome.evicted_weight,
+                threads,
+            )
+            .expect("the graph holds the evicted rows");
+    }
 }
 
 /// Bit-strict equality between two frozen graphs.
@@ -118,7 +196,7 @@ fn base_table(base_rows: &[Row]) -> TripTable {
     for &(s, d, day, hour, w) in base_rows {
         let si = table.station_index(s).expect("base row in pool");
         let di = table.station_index(d).expect("base row in pool");
-        table.push_keyed(si, di, day, hour, w);
+        table.push_keyed(si, di, day, hour, w).unwrap();
     }
     table
 }
@@ -138,7 +216,7 @@ fn assert_matches_model(
     for &(s, d, day, hour, w) in rows {
         let si = scratch.station_index(s).expect("model station");
         let di = scratch.station_index(d).expect("model station");
-        scratch.push_keyed(si, di, day, hour, w);
+        scratch.push_keyed(si, di, day, hour, w).unwrap();
     }
     assert_eq!(table, &scratch, "advanced table diverged from model");
 
@@ -205,26 +283,10 @@ fn check_chain(base_rows: &[Row], ops: &[Op], threads: usize, shards: usize, pin
     for op in ops {
         match op {
             Op::Ingest(batch_rows) => {
-                let mut batch = TripBatch::new();
-                for &(s, d, day, hour, w) in batch_rows {
-                    batch.push_keyed(s, d, day, hour, w);
-                }
-                let outcome = table.append_batch(&batch);
+                let outcome = append(&mut table, batch_rows);
                 rows.extend_from_slice(batch_rows);
                 stations.extend(batch_rows.iter().flat_map(|&(s, d, ..)| [s, d]));
-
-                let bs = outcome.batch_start;
-                for (dir, graph) in [(true, &mut directed), (false, &mut undirected)] {
-                    let delta = CsrDelta::from_dense(
-                        dir,
-                        table.station_ids().to_vec(),
-                        outcome.old_to_new.clone(),
-                        &table.src()[bs..],
-                        &table.dst()[bs..],
-                        &table.weights()[bs..],
-                    );
-                    *graph = graph.apply_delta(&delta, threads);
-                }
+                delta_station_graphs(&table, &outcome, [&mut directed, &mut undirected], threads);
                 temporals = apply_batch_all(temporals, &table, &outcome, None, threads);
             }
             Op::Evict(window) => {
@@ -237,22 +299,49 @@ fn check_chain(base_rows: &[Row], ops: &[Op], threads: usize, shards: usize, pin
                 if !pinned && !outcome.is_noop() {
                     stations = rows.iter().flat_map(|&(s, d, ..)| [s, d]).collect();
                 }
-
                 if !outcome.is_noop() {
-                    for (dir, graph) in [(true, &mut directed), (false, &mut undirected)] {
-                        let evict = CsrEvict::from_dense(
-                            dir,
-                            table.station_ids().to_vec(),
-                            outcome.new_to_old.clone(),
-                            outcome.touched_stations(),
-                            table.src(),
-                            table.dst(),
-                            table.weights(),
-                        );
-                        *graph = graph.apply_evict(&evict, threads);
-                    }
+                    evict_station_graphs(
+                        &table,
+                        &outcome,
+                        [&mut directed, &mut undirected],
+                        threads,
+                    );
                 }
                 temporals = apply_evict_all(temporals, &table, &outcome, None, threads);
+            }
+            Op::Window(window, batch_rows) => {
+                // As `SelectedNetwork::advance_window`: the pinned
+                // eviction, then the batch; the station set stays.
+                let batch_rows = onto_known_stations(&table, batch_rows);
+                let evicted = table.evict_before_pinned(*window);
+                rows.retain(|&(_, _, day, hour, _)| window.keeps(day, hour));
+                if !evicted.is_noop() {
+                    evict_station_graphs(
+                        &table,
+                        &evicted,
+                        [&mut directed, &mut undirected],
+                        threads,
+                    );
+                }
+                let appended = append(&mut table, &batch_rows);
+                assert!(appended.old_to_new.is_none(), "batch over known stations");
+                rows.extend_from_slice(&batch_rows);
+                delta_station_graphs(&table, &appended, [&mut directed, &mut undirected], threads);
+
+                let outcome = WindowOutcome { evicted, appended };
+                let shared = apply_window_all(
+                    temporals.clone(),
+                    &table,
+                    &outcome,
+                    Some(undirected.clone()),
+                    threads,
+                );
+                temporals = apply_window_all(temporals, &table, &outcome, None, threads);
+                for (got, want) in shared.iter().zip(&temporals) {
+                    let name = got.granularity.graph_name();
+                    assert_identical(&got.csr, &want.csr, &format!("{name} with GBasic shared"));
+                    assert_eq!(got.layer_map, want.layer_map, "{name}: shared layer map");
+                }
             }
         }
         assert_matches_model(&table, &directed, &undirected, &temporals, &stations, &rows);
@@ -293,14 +382,15 @@ fn check_active_refresh_chain(base_rows: &[Row], ops: &[Op], threads: usize) {
         let snapshot: HashSet<u64> = table.station_ids().iter().copied().collect();
         match op {
             Op::Ingest(batch_rows) => {
-                let mut batch = TripBatch::new();
-                for &(s, d, day, hour, w) in batch_rows {
-                    batch.push_keyed(s, d, day, hour, w);
-                }
-                table.append_batch(&batch);
+                append(&mut table, batch_rows);
             }
             Op::Evict(window) => {
                 table.evict_before(*window);
+            }
+            Op::Window(window, batch_rows) => {
+                let batch_rows = onto_known_stations(&table, batch_rows);
+                table.evict_before_pinned(*window);
+                append(&mut table, &batch_rows);
             }
         }
         // The delta paths are proven bitwise-equal to rebuilds above, so
@@ -365,13 +455,13 @@ fn evicting_everything_leaves_empty_graphs() {
     // All base rows sit before day 6; the window expires every one.
     let base: Vec<Row> = vec![
         (100, 102, 0, 8, 1.0),
-        (102, 104, 3, 17, 2.5),
-        (104, 104, 5, 23, 0.75),
+        (102, 104, 3, 17, 3.0),
+        (104, 104, 5, 23, 2.0),
     ];
     let ops = vec![
         Op::Evict(WindowStart::new(6, 0)),
         // And the emptied network accepts a fresh batch afterwards.
-        Op::Ingest(vec![(101, 103, 6, 12, 1.5)]),
+        Op::Ingest(vec![(101, 103, 6, 12, 4.0)]),
     ];
     for threads in [1usize, 2, 4] {
         for pinned in [false, true] {
@@ -382,7 +472,7 @@ fn evicting_everything_leaves_empty_graphs() {
 
 #[test]
 fn evicting_nothing_is_identity() {
-    let base: Vec<Row> = vec![(100, 102, 2, 8, 1.0), (102, 104, 3, 17, 2.5)];
+    let base: Vec<Row> = vec![(100, 102, 2, 8, 1.0), (102, 104, 3, 17, 3.0)];
     let ops = vec![
         Op::Evict(WindowStart::new(0, 0)),
         Op::Evict(WindowStart::new(2, 8)), // boundary: slot 56 keeps row at (2, 8)
@@ -401,7 +491,7 @@ fn pinned_eviction_keeps_isolated_stations() {
     let base: Vec<Row> = vec![
         (106, 100, 0, 3, 1.0),
         (102, 106, 1, 5, 2.0),
-        (100, 102, 6, 20, 0.5),
+        (100, 102, 6, 20, 5.0),
     ];
     let ops = vec![Op::Evict(WindowStart::new(4, 0))];
     for threads in [1usize, 2, 4] {
@@ -414,14 +504,41 @@ fn batch_re_adds_a_just_evicted_station() {
     // The compacting eviction drops station 106 entirely; the next batch
     // re-interns it (same external id, new dense slot) and the chain must
     // still match a one-shot rebuild.
-    let base: Vec<Row> = vec![(106, 100, 0, 3, 1.0), (100, 102, 6, 20, 0.5)];
+    let base: Vec<Row> = vec![(106, 100, 0, 3, 1.0), (100, 102, 6, 20, 2.0)];
     let ops = vec![
         Op::Evict(WindowStart::new(4, 0)),
-        Op::Ingest(vec![(106, 102, 6, 21, 3.0), (106, 106, 6, 22, 0.25)]),
+        Op::Ingest(vec![(106, 102, 6, 21, 3.0), (106, 106, 6, 22, 4.0)]),
     ];
     for threads in [1usize, 2, 4] {
         for shards in [1usize, 4] {
             check_chain(&base, &ops, threads, shards, false);
+        }
+    }
+}
+
+#[test]
+fn window_step_matches_rebuild_with_gbasic_shared_or_not() {
+    // The pinned eviction empties station 106 and moves the first
+    // appearances of 100's and 102's layers; the batch then lands on
+    // known stations, one of them the emptied 106.
+    let base: Vec<Row> = vec![
+        (106, 100, 0, 3, 2.0),
+        (100, 102, 1, 5, 1.0),
+        (102, 100, 4, 5, 3.0),
+        (100, 102, 5, 3, 5.0),
+        (104, 104, 6, 20, 4.0),
+    ];
+    let ops = vec![
+        Op::Window(
+            WindowStart::new(2, 0),
+            vec![(106, 102, 6, 21, 2.0), (100, 102, 1, 5, 1.0)],
+        ),
+        Op::Window(WindowStart::new(5, 0), Vec::new()),
+        Op::Window(WindowStart::new(6, 21), vec![(104, 106, 6, 22, 5.0)]),
+    ];
+    for threads in [1usize, 2, 4] {
+        for pinned in [false, true] {
+            check_chain(&base, &ops, threads, 1, pinned);
         }
     }
 }

@@ -90,6 +90,9 @@ pub enum DataError {
         /// Day of month.
         day: u32,
     },
+    /// A trip weight was outside the trip domain: an integer from 1 to
+    /// [`trips::MAX_TRIP_WEIGHT`].
+    InvalidWeight(f64),
     /// A dataset file could not be read or written.
     Io {
         /// The path involved.
@@ -125,6 +128,11 @@ impl fmt::Display for DataError {
             DataError::InvalidDate { year, month, day } => {
                 write!(f, "invalid date {year:04}-{month:02}-{day:02}")
             }
+            DataError::InvalidWeight(w) => write!(
+                f,
+                "invalid trip weight {w}: must be an integer from 1 to {}",
+                trips::MAX_TRIP_WEIGHT
+            ),
             DataError::Io { path, message } => write!(f, "I/O error on {path}: {message}"),
         }
     }
@@ -157,6 +165,7 @@ mod tests {
             DataError::MissingColumn("id".into()).to_string(),
             DataError::EmptyInput.to_string(),
             DataError::TimestampOutOfRange(-5).to_string(),
+            DataError::InvalidWeight(0.5).to_string(),
             DataError::InvalidDate {
                 year: 2020,
                 month: 13,

@@ -11,7 +11,9 @@
 //!   id space);
 //! * `day` / `hour` — the start-time keys the temporal graphs layer by
 //!   (weekday 0–6 Monday-first, hour 0–23), computed once at table build;
-//! * `weight` — the trip's edge weight (1.0 for a plain rental).
+//! * `weight` — the trip's edge weight: 1.0 for a plain rental, and
+//!   always an integer from 1 to [`MAX_TRIP_WEIGHT`] (see
+//!   [`check_trip_weight`]).
 //!
 //! Station interning happens by **binary search over the sorted id
 //! table** — the hot per-trip path performs zero hash-map operations.
@@ -22,16 +24,39 @@
 
 use crate::schema::CleanDataset;
 use crate::timeparse::Timestamp;
+use crate::{DataError, Result};
 
 /// External station identifier (matches the graph layer's `NodeId`).
 pub type StationNodeId = u64;
 
-/// Whether a weight satisfies the columnar build path's validated-weights
-/// contract (finite and non-negative) — the single predicate every trip
-/// push path shares.
+/// The largest weight a trip may carry: 2^20.
+///
+/// Trip weights are integers from 1 to this cap, so every graph built
+/// from a table sums integers, which `f64` holds exactly up to 2^53. A
+/// buildable graph has at most `u32::MAX` half-edges, so each merged
+/// entry, strength and total stays at or below 2^32 × 2^20 = 2^52 and
+/// each weighted degree, which counts a self-loop twice, at or below
+/// 2 × 2^52 = 2^53. Exact sums are what let a sliding window subtract
+/// expired trips from a graph instead of rebuilding it
+/// (`moby_graph::evict`). Zero is excluded, so a merged entry that
+/// subtraction brings to 0 has no trip left.
+pub const MAX_TRIP_WEIGHT: f64 = 1_048_576.0;
+
+/// Check a trip weight against the trip domain: an integer from 1 to
+/// [`MAX_TRIP_WEIGHT`]. The one predicate every path into a
+/// [`TripTable`] shares.
+///
+/// # Errors
+///
+/// [`DataError::InvalidWeight`] for any other value, NaN and infinities
+/// included.
 #[inline]
-fn valid_weight(weight: f64) -> bool {
-    weight.is_finite() && weight >= 0.0
+pub fn check_trip_weight(weight: f64) -> Result<()> {
+    if (1.0..=MAX_TRIP_WEIGHT).contains(&weight) && weight.fract() == 0.0 {
+        Ok(())
+    } else {
+        Err(DataError::InvalidWeight(weight))
+    }
 }
 
 /// Derive a trip's temporal keys (weekday 0–6 Monday-first, hour 0–23)
@@ -99,12 +124,9 @@ impl TripBatch {
         self.push_weighted(src, dst, start, 1.0);
     }
 
-    /// Append a weighted trip between two external station ids.
-    ///
-    /// Non-finite or negative weights are silently dropped — the batch is
-    /// the external ingestion boundary, so it enforces the validated
-    /// -weights contract the columnar build path relies on (the same
-    /// convention as `CsrBuilder::push` in the graph layer).
+    /// Append a weighted trip between two external station ids. The
+    /// row is stored as given; [`TripTable::append_batch`] checks its
+    /// weight where the batch enters a table.
     pub fn push_weighted(
         &mut self,
         src: StationNodeId,
@@ -120,8 +142,8 @@ impl TripBatch {
     /// replay entry for sources that carry `(day, hour)` columns rather
     /// than timestamps (trip-table replays, sharded ingest feeds,
     /// benchmarks). `day` is the Monday-first weekday index (0–6),
-    /// `hour` the start hour (0–23); weights follow the same
-    /// validated-weights convention as [`TripBatch::push_weighted`].
+    /// `hour` the start hour (0–23); the weight is stored as given, as in
+    /// [`TripBatch::push_weighted`].
     ///
     /// # Panics
     ///
@@ -135,9 +157,6 @@ impl TripBatch {
         weight: f64,
     ) {
         assert!(day < 7 && hour < 24, "temporal keys out of range");
-        if !valid_weight(weight) {
-            return;
-        }
         self.src.push(src);
         self.dst.push(dst);
         self.day.push(day);
@@ -219,9 +238,10 @@ impl WindowStart {
 
 /// What [`TripTable::evict_before`] removed from the table — the
 /// subtraction-side mirror of [`AppendOutcome`]. Downstream incremental
-/// consumers (the graph layer's `CsrEvict`) need the expired rows
-/// themselves (their endpoints name the CSR rows whose merged weights
-/// must be re-folded) and the station-compaction remap.
+/// consumers (the graph layer's `CsrGraph::apply_evict`) subtract the
+/// expired rows themselves from the merged weights that hold them; every
+/// row's weight is an integer in the trip domain, so the subtraction is
+/// exact.
 ///
 /// Evicted endpoints are reported as **external** station ids: after a
 /// compacting evict the old dense index space no longer exists, and
@@ -263,9 +283,9 @@ impl EvictOutcome {
         self.evicted_src.is_empty()
     }
 
-    /// The distinct stations incident to an evicted row, sorted —
-    /// exactly the CSR rows whose merged weights are no longer a fold
-    /// prefix of a rebuild and must be re-folded from surviving rows.
+    /// The distinct stations incident to an evicted row, sorted. The
+    /// eviction itself needs no touched set; the windowed pipeline uses
+    /// this one to decide how widely to refresh its communities.
     pub fn touched_stations(&self) -> Vec<StationNodeId> {
         let mut ids: Vec<StationNodeId> = self
             .evicted_src
@@ -381,36 +401,51 @@ impl TripTable {
     /// deriving the temporal keys from the start time.
     #[inline]
     pub fn push(&mut self, src: u32, dst: u32, start: Timestamp) {
-        self.push_weighted(src, dst, start, 1.0);
+        let (day, hour) = temporal_keys(start);
+        self.push_row(src, dst, day, hour, 1.0);
     }
 
     /// Append a weighted trip between two dense station indices.
     ///
-    /// Non-finite or negative weights are ignored with a debug assertion,
-    /// the same boundary convention as the graph builders — so the table
-    /// always satisfies the columnar build path's validated-weights
-    /// contract.
-    pub fn push_weighted(&mut self, src: u32, dst: u32, start: Timestamp, weight: f64) {
-        debug_assert!(valid_weight(weight), "invalid weight {weight}");
+    /// # Errors
+    ///
+    /// [`DataError::InvalidWeight`] for a weight outside the trip domain
+    /// ([`check_trip_weight`]); the table is then unchanged.
+    pub fn push_weighted(
+        &mut self,
+        src: u32,
+        dst: u32,
+        start: Timestamp,
+        weight: f64,
+    ) -> Result<()> {
         let (day, hour) = temporal_keys(start);
-        self.push_keyed(src, dst, day, hour, weight);
+        self.push_keyed(src, dst, day, hour, weight)
     }
 
     /// Append a trip whose temporal keys are **already derived**
     /// (Monday-first weekday 0–6, hour 0–23) — the replay entry for
     /// columnar sources; [`TripTable::push_weighted`] is this plus the
-    /// key derivation. Invalid weights are ignored, as there.
+    /// key derivation.
+    ///
+    /// # Errors
+    ///
+    /// [`DataError::InvalidWeight`] for a weight outside the trip domain;
+    /// the table is then unchanged.
     ///
     /// # Panics
     ///
     /// If a key is out of range.
-    pub fn push_keyed(&mut self, src: u32, dst: u32, day: u8, hour: u8, weight: f64) {
+    pub fn push_keyed(&mut self, src: u32, dst: u32, day: u8, hour: u8, weight: f64) -> Result<()> {
+        check_trip_weight(weight)?;
+        self.push_row(src, dst, day, hour, weight);
+        Ok(())
+    }
+
+    /// Append one row whose weight is already in the trip domain.
+    fn push_row(&mut self, src: u32, dst: u32, day: u8, hour: u8, weight: f64) {
         debug_assert!((src as usize) < self.station_ids.len());
         debug_assert!((dst as usize) < self.station_ids.len());
         assert!(day < 7 && hour < 24, "temporal keys out of range");
-        if !valid_weight(weight) {
-            return;
-        }
         self.src.push(src);
         self.dst.push(dst);
         self.day.push(day);
@@ -472,7 +507,16 @@ impl TripTable {
     /// delta machinery's differential suite asserts this per batch.
     /// Returns the [`AppendOutcome`] describing the append (row offset,
     /// index remap, newly interned stations).
-    pub fn append_batch(&mut self, batch: &TripBatch) -> AppendOutcome {
+    ///
+    /// # Errors
+    ///
+    /// [`DataError::InvalidWeight`] for the first batch row whose weight
+    /// is outside the trip domain ([`check_trip_weight`]). Every weight
+    /// is checked before any mutation, so the table is then unchanged.
+    pub fn append_batch(&mut self, batch: &TripBatch) -> Result<AppendOutcome> {
+        for &w in &batch.weight {
+            check_trip_weight(w)?;
+        }
         // --- New station ids: everything not in the sorted table. ---
         let mut new_stations: Vec<StationNodeId> = batch
             .src
@@ -537,11 +581,11 @@ impl TripTable {
             self.hour.push(batch.hour[k]);
             self.weight.push(batch.weight[k]);
         }
-        AppendOutcome {
+        Ok(AppendOutcome {
             batch_start,
             old_to_new,
             new_stations,
-        }
+        })
     }
 
     /// Drop every trip whose weekly slot sorts strictly before the
@@ -723,14 +767,14 @@ mod tests {
         let mut t = TripTable::new(vec![1, 2]);
         t.push(0, 1, ts(1, 8)); // Monday 08:00
         t.push(1, 0, ts(6, 17)); // Saturday 17:00
-        t.push_weighted(0, 0, ts(7, 12), 2.5); // Sunday noon self-loop
+        t.push_weighted(0, 0, ts(7, 12), 3.0).unwrap(); // Sunday noon self-loop
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
         assert_eq!(t.src(), &[0, 1, 0]);
         assert_eq!(t.dst(), &[1, 0, 0]);
         assert_eq!(t.day(), &[0, 5, 6]);
         assert_eq!(t.hour(), &[8, 17, 12]);
-        assert_eq!(t.weights(), &[1.0, 1.0, 2.5]);
+        assert_eq!(t.weights(), &[1.0, 1.0, 3.0]);
     }
 
     #[test]
@@ -748,14 +792,12 @@ mod tests {
         let mut a = TripTable::new(vec![1, 2]);
         a.push(0, 1, ts(6, 17));
         let mut b = TripTable::new(vec![1, 2]);
-        b.push_keyed(0, 1, 5, 17, 1.0);
+        b.push_keyed(0, 1, 5, 17, 1.0).unwrap();
         assert_eq!(a, b);
         let mut ba = TripBatch::new();
         ba.push(1, 2, ts(6, 17));
         let mut bb = TripBatch::new();
         bb.push_keyed(1, 2, 5, 17, 1.0);
-        assert_eq!(ba, bb);
-        bb.push_keyed(1, 2, 0, 0, f64::NAN); // invalid weight: dropped
         assert_eq!(ba, bb);
     }
 
@@ -769,7 +811,7 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
         assert_eq!(b.station_ids(), vec![10, 20, 30]);
-        let out = t.append_batch(&b);
+        let out = t.append_batch(&b).unwrap();
         assert_eq!(out.batch_start, 1);
         assert_eq!(out.old_to_new, None);
         assert!(out.new_stations.is_empty());
@@ -787,7 +829,7 @@ mod tests {
         let mut b = TripBatch::new();
         b.push(20, 30, ts(2, 9)); // 20 is new, sorts between 10 and 30
         b.push(40, 10, ts(2, 10)); // 40 is new, sorts last
-        let out = t.append_batch(&b);
+        let out = t.append_batch(&b).unwrap();
         assert_eq!(out.batch_start, 1);
         assert_eq!(out.new_stations, vec![20, 40]);
         assert_eq!(out.old_to_new, Some(vec![0, 2]));
@@ -801,16 +843,16 @@ mod tests {
     fn appended_table_equals_one_built_from_scratch() {
         let mut t = TripTable::new(vec![10, 30]);
         t.push(0, 1, ts(1, 8));
-        t.push_weighted(1, 1, ts(4, 20), 0.5);
+        t.push_weighted(1, 1, ts(4, 20), 2.0).unwrap();
         let mut b = TripBatch::new();
         b.push(20, 10, ts(2, 9));
         b.push(30, 20, ts(6, 23));
-        t.append_batch(&b);
+        t.append_batch(&b).unwrap();
         // From scratch: union station set, same rows in the same order.
         let mut want = TripTable::new(vec![10, 20, 30]);
         // Dense indices over the sorted union table: 10 -> 0, 20 -> 1, 30 -> 2.
         want.push(0, 2, ts(1, 8));
-        want.push_weighted(2, 2, ts(4, 20), 0.5);
+        want.push_weighted(2, 2, ts(4, 20), 2.0).unwrap();
         want.push(1, 0, ts(2, 9));
         want.push(2, 1, ts(6, 23));
         assert_eq!(t, want);
@@ -821,7 +863,7 @@ mod tests {
         let mut t = TripTable::new(vec![1, 2]);
         t.push(0, 1, ts(1, 8));
         let before = t.clone();
-        let out = t.append_batch(&TripBatch::new());
+        let out = t.append_batch(&TripBatch::new()).unwrap();
         assert_eq!(out.batch_start, 1);
         assert_eq!(out.old_to_new, None);
         assert!(out.new_stations.is_empty());
@@ -829,12 +871,37 @@ mod tests {
     }
 
     #[test]
-    fn batch_rejects_invalid_weights() {
-        let mut b = TripBatch::new();
-        b.push_weighted(1, 2, ts(1, 8), f64::INFINITY);
-        b.push_weighted(1, 2, ts(1, 8), -3.0);
-        assert!(b.is_empty());
-        assert!(b.iter().next().is_none());
+    fn weights_outside_the_domain_are_rejected_where_they_enter_a_table() {
+        let mut t = TripTable::new(vec![1, 2]);
+        t.push(0, 1, ts(1, 8));
+        let before = t.clone();
+        let bad = [
+            0.5,
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            MAX_TRIP_WEIGHT + 1.0,
+        ];
+        for w in bad {
+            let rejected = |got: Result<_>| matches!(got, Err(DataError::InvalidWeight(x)) if x.to_bits() == w.to_bits());
+            assert!(rejected(check_trip_weight(w)), "{w}");
+            assert!(rejected(t.push_weighted(0, 1, ts(1, 8), w)), "{w}");
+            assert!(rejected(t.push_keyed(0, 1, 0, 8, w)), "{w}");
+            // The batch stores the row as given; the table rejects the
+            // whole batch before touching anything, even a new station.
+            let mut b = TripBatch::new();
+            b.push(2, 3, ts(2, 9));
+            b.push_weighted(1, 2, ts(1, 8), w);
+            assert_eq!(b.len(), 2);
+            assert!(rejected(t.append_batch(&b).map(|_| ())), "{w}");
+            assert_eq!(t, before);
+        }
+        // The domain's ends are accepted.
+        for w in [1.0, 5.0, MAX_TRIP_WEIGHT] {
+            t.push_keyed(0, 1, 0, 8, w).unwrap();
+        }
+        assert_eq!(&t.weights()[1..], &[1.0, 5.0, MAX_TRIP_WEIGHT]);
     }
 
     #[test]
@@ -891,7 +958,7 @@ mod tests {
         // Stations 10, 20, 30; trips touching 20 all expire.
         let mut t = TripTable::new(vec![10, 20, 30]);
         t.push(0, 1, ts(1, 8)); // Monday: 10 -> 20, expires
-        t.push_weighted(1, 1, ts(1, 9), 2.0); // Monday: 20 self-loop, expires
+        t.push_weighted(1, 1, ts(1, 9), 2.0).unwrap(); // Monday: 20 self-loop, expires
         t.push(0, 2, ts(4, 10)); // Thursday: 10 -> 30, survives
         t.push(2, 0, ts(5, 11)); // Friday: 30 -> 10, survives
         let out = t.evict_before(WindowStart::new(3, 0));
@@ -937,7 +1004,7 @@ mod tests {
         // The batch re-interns the just-evicted station.
         let mut b = TripBatch::new();
         b.push(20, 10, ts(6, 10));
-        let append = t.append_batch(&b);
+        let append = t.append_batch(&b).unwrap();
         assert_eq!(append.new_stations, vec![20]);
         let mut want = TripTable::new(vec![10, 20]);
         want.push(0, 0, ts(5, 9));

@@ -24,11 +24,11 @@
 //!   producing a graph bit-identical to rebuilding from the concatenated
 //!   edge list (see [`delta`] for the contract) — the streaming-ingestion
 //!   path;
-//! * [`CsrEvict`] / [`CsrGraph::apply_evict`] — the **removal arm**: a
-//!   sliding window drops expired edges from a frozen graph, producing a
-//!   graph bit-identical to rebuilding from the surviving edge list (see
-//!   [`evict`] for why subtraction re-folds instead of continuing the
-//!   stored fold);
+//! * [`CsrGraph::apply_evict`] — the **removal arm**: a sliding window
+//!   subtracts expired edges from a frozen graph. Over integer weights
+//!   from 1 to 2^20 every sum is an exact `f64`, so the result is
+//!   bit-identical to rebuilding from the surviving edge list (see
+//!   [`evict`] for the cap arithmetic);
 //! * [`par`] — the deterministic parallel scheduler: edge-balanced
 //!   contiguous row chunks over CSR offsets, scoped-thread execution with a
 //!   fixed chunk-merge order, and `MOBY_THREADS` thread-count resolution.
@@ -72,7 +72,6 @@ pub use build::{
 };
 pub use csr::{AlignedSlab, CsrGraph, CACHE_LINE};
 pub use delta::CsrDelta;
-pub use evict::CsrEvict;
 pub use graph::{NodeId, WeightedGraph};
 
 use std::fmt;
@@ -80,8 +79,21 @@ use std::fmt;
 /// Errors produced by graph operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphError {
-    /// An edge weight was non-finite or negative.
+    /// An edge weight was outside the operation's domain: non-finite or
+    /// negative for a build, or not an integer from 1 to
+    /// [`evict::MAX_EVICT_WEIGHT`] for an eviction.
     InvalidWeight(f64),
+    /// An eviction removes an edge the graph does not hold, or more
+    /// weight than the graph holds on it.
+    EdgeNotHeld {
+        /// External id of the evicted edge's source.
+        src: NodeId,
+        /// External id of the evicted edge's target.
+        dst: NodeId,
+    },
+    /// An eviction's node table names a node the graph does not hold or
+    /// names one twice, or leaves out a node that keeps a surviving edge.
+    NodeTable(NodeId),
     /// A spill-to-disk construction run failed on I/O (temp dir not
     /// writable, disk full, a run vanished mid-merge). Carries the
     /// rendered context + OS error, since `std::io::Error` is neither
@@ -92,11 +104,12 @@ pub enum GraphError {
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::InvalidWeight(w) => {
-                write!(
-                    f,
-                    "invalid edge weight {w}: must be finite and non-negative"
-                )
+            GraphError::InvalidWeight(w) => write!(f, "invalid edge weight {w}"),
+            GraphError::EdgeNotHeld { src, dst } => {
+                write!(f, "evicted edge {src} -> {dst} is not held by the graph")
+            }
+            GraphError::NodeTable(id) => {
+                write!(f, "eviction node table does not fit the graph at node {id}")
             }
             GraphError::Spill(msg) => write!(f, "spill I/O failed: {msg}"),
         }
@@ -115,6 +128,10 @@ mod tests {
     #[test]
     fn error_display() {
         assert!(GraphError::InvalidWeight(-1.0).to_string().contains("-1"));
+        assert!(GraphError::EdgeNotHeld { src: 3, dst: 4 }
+            .to_string()
+            .contains("3 -> 4"));
+        assert!(GraphError::NodeTable(7).to_string().contains('7'));
         assert!(GraphError::Spill("disk full".into())
             .to_string()
             .contains("disk full"));

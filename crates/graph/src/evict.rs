@@ -85,7 +85,9 @@ impl CsrGraph {
     ///
     /// # Panics
     ///
-    /// If the three evicted columns differ in length.
+    /// If the three evicted columns differ in length, or their
+    /// half-edges exceed the `u32` index space no buildable graph
+    /// exceeds.
     pub fn apply_evict(
         &self,
         new_node_ids: Vec<NodeId>,
@@ -231,6 +233,10 @@ impl Remap<'_> {
         F: Fn(usize) -> (&'g [u32], &'g [f64]) + Sync,
     {
         let n_old = self.old_to_new.len();
+        assert!(
+            row.len() <= u32::MAX as usize,
+            "evicted half-edges exceed the u32 index space"
+        );
         let not_held = |u: usize, c: u32| {
             let (a, b) = (self.node_ids[u], self.node_ids[c as usize]);
             let (src, dst) = if in_rows { (b, a) } else { (a, b) };

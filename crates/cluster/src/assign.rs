@@ -22,7 +22,6 @@ pub struct Assignment {
 #[derive(Debug, Clone)]
 pub struct StationAssigner {
     tree: KdTree<usize>,
-    count: usize,
 }
 
 impl StationAssigner {
@@ -39,15 +38,7 @@ impl StationAssigner {
                 .map(|(i, &p)| (p, i))
                 .collect::<Vec<_>>(),
         );
-        Some(Self {
-            tree,
-            count: stations.len(),
-        })
-    }
-
-    /// Number of stations in the index.
-    pub fn station_count(&self) -> usize {
-        self.count
+        Some(Self { tree })
     }
 
     /// The nearest station to `point`.
@@ -60,59 +51,6 @@ impl StationAssigner {
             station_index: idx,
             distance_m: d,
         }
-    }
-
-    /// Assign every point in `points`, preserving order.
-    pub fn assign_all(&self, points: &[GeoPoint]) -> Vec<Assignment> {
-        points.iter().map(|&p| self.assign(p)).collect()
-    }
-
-    /// The distance from `point` to its nearest station, in metres.
-    pub fn nearest_distance_m(&self, point: GeoPoint) -> f64 {
-        self.assign(point).distance_m
-    }
-}
-
-/// Summary statistics of a batch of assignments, used in reports to show how
-/// far users would have to walk to the network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AssignmentStats {
-    /// Number of points assigned.
-    pub count: usize,
-    /// Mean distance to the assigned station (metres).
-    pub mean_m: f64,
-    /// Median distance (metres).
-    pub median_m: f64,
-    /// Maximum distance (metres).
-    pub max_m: f64,
-    /// Share of points within 250 m of their station.
-    pub within_250m: f64,
-}
-
-impl AssignmentStats {
-    /// Compute the statistics of a batch of assignments. Returns `None` for
-    /// an empty batch.
-    pub fn of(assignments: &[Assignment]) -> Option<Self> {
-        if assignments.is_empty() {
-            return None;
-        }
-        let mut dists: Vec<f64> = assignments.iter().map(|a| a.distance_m).collect();
-        dists.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-        let count = dists.len();
-        let mean_m = dists.iter().sum::<f64>() / count as f64;
-        let median_m = if count % 2 == 1 {
-            dists[count / 2]
-        } else {
-            0.5 * (dists[count / 2 - 1] + dists[count / 2])
-        };
-        let within = dists.iter().filter(|d| **d <= 250.0).count();
-        Some(Self {
-            count,
-            mean_m,
-            median_m,
-            max_m: *dists.last().expect("non-empty"),
-            within_250m: within as f64 / count as f64,
-        })
     }
 }
 
@@ -135,67 +73,11 @@ mod tests {
         let s1 = p(53.34, -6.26);
         let s2 = p(53.36, -6.26);
         let assigner = StationAssigner::new(&[s1, s2]).unwrap();
-        assert_eq!(assigner.station_count(), 2);
         let near_s1 = destination_point(s1, 90.0, 100.0);
         let a = assigner.assign(near_s1);
         assert_eq!(a.station_index, 0);
         assert!((a.distance_m - 100.0).abs() < 1.0);
         let near_s2 = destination_point(s2, 180.0, 30.0);
         assert_eq!(assigner.assign(near_s2).station_index, 1);
-    }
-
-    #[test]
-    fn assign_all_preserves_order() {
-        let s1 = p(53.34, -6.26);
-        let s2 = p(53.36, -6.26);
-        let assigner = StationAssigner::new(&[s1, s2]).unwrap();
-        let pts = vec![
-            destination_point(s2, 0.0, 10.0),
-            destination_point(s1, 0.0, 10.0),
-        ];
-        let res = assigner.assign_all(&pts);
-        assert_eq!(res[0].station_index, 1);
-        assert_eq!(res[1].station_index, 0);
-    }
-
-    #[test]
-    fn stats_of_empty_is_none() {
-        assert!(AssignmentStats::of(&[]).is_none());
-    }
-
-    #[test]
-    fn stats_values() {
-        let assignments = vec![
-            Assignment {
-                station_index: 0,
-                distance_m: 100.0,
-            },
-            Assignment {
-                station_index: 0,
-                distance_m: 200.0,
-            },
-            Assignment {
-                station_index: 1,
-                distance_m: 300.0,
-            },
-            Assignment {
-                station_index: 1,
-                distance_m: 400.0,
-            },
-        ];
-        let s = AssignmentStats::of(&assignments).unwrap();
-        assert_eq!(s.count, 4);
-        assert!((s.mean_m - 250.0).abs() < 1e-9);
-        assert!((s.median_m - 250.0).abs() < 1e-9);
-        assert_eq!(s.max_m, 400.0);
-        assert!((s.within_250m - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn nearest_distance_matches_assign() {
-        let s1 = p(53.34, -6.26);
-        let assigner = StationAssigner::new(&[s1]).unwrap();
-        let q = destination_point(s1, 10.0, 420.0);
-        assert!((assigner.nearest_distance_m(q) - assigner.assign(q).distance_m).abs() < 1e-12);
     }
 }

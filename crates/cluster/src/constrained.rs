@@ -71,27 +71,6 @@ pub struct ConstrainedClustering {
     pub candidate_clusters: Vec<CandidateCluster>,
 }
 
-impl ConstrainedClustering {
-    /// Total number of groups (fixed stations + candidates) — the paper's
-    /// "1,172 clusters" figure counts both.
-    pub fn total_groups(&self) -> usize {
-        self.station_groups.len() + self.candidate_clusters.len()
-    }
-
-    /// Number of locations absorbed into station groups.
-    pub fn absorbed_locations(&self) -> usize {
-        self.station_groups.iter().map(|g| g.members.len()).sum()
-    }
-
-    /// Number of locations placed in candidate clusters.
-    pub fn clustered_locations(&self) -> usize {
-        self.candidate_clusters
-            .iter()
-            .map(|c| c.members.len())
-            .sum()
-    }
-}
-
 /// Run the constrained clustering of §IV-A.
 ///
 /// * `stations` — positions of the fixed (immovable) stations.
@@ -214,9 +193,8 @@ mod tests {
         assert_eq!(out.station_groups.len(), 1);
         assert_eq!(out.station_groups[0].members, vec![0, 1]);
         assert_eq!(out.candidate_clusters.len(), 2);
-        assert_eq!(out.absorbed_locations(), 2);
-        assert_eq!(out.clustered_locations(), 3);
-        assert_eq!(out.total_groups(), 3);
+        let clustered: usize = out.candidate_clusters.iter().map(|c| c.members.len()).sum();
+        assert_eq!(clustered, 3);
         // The pair far_a1/far_a2 must be one candidate cluster.
         let sizes: Vec<usize> = out
             .candidate_clusters
@@ -273,7 +251,6 @@ mod tests {
         let out = constrained_clustering(&[station()], &[], &ConstrainedConfig::default()).unwrap();
         assert!(out.candidate_clusters.is_empty());
         assert_eq!(out.station_groups.len(), 1);
-        assert_eq!(out.total_groups(), 1);
     }
 
     #[test]

@@ -37,12 +37,6 @@ impl Linkage {
         }
     }
 
-    /// Whether the linkage satisfies the reducibility property required by
-    /// the nearest-neighbour-chain algorithm (all three do).
-    pub fn is_reducible(&self) -> bool {
-        true
-    }
-
     /// Human-readable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -78,11 +72,10 @@ mod tests {
     }
 
     #[test]
-    fn names_and_reducibility() {
+    fn names() {
         assert_eq!(Linkage::Complete.name(), "complete");
         assert_eq!(Linkage::Single.name(), "single");
         assert_eq!(Linkage::Average.name(), "average");
-        assert!(Linkage::Complete.is_reducible());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::Partition;
 use moby_graph::NodeId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// The contingency table of two partitions restricted to their common
 /// nodes, keyed in sorted order so every fold over it has a fixed sequence.
@@ -74,60 +74,6 @@ pub fn normalized_mutual_information(a: &Partition, b: &Partition) -> f64 {
     }
 }
 
-/// Adjusted Rand Index between two partitions over their common nodes.
-///
-/// 1.0 for identical partitions, ~0.0 for random agreement, negative for
-/// worse-than-random agreement. Returns 0.0 when fewer than two common nodes
-/// exist.
-pub fn adjusted_rand_index(a: &Partition, b: &Partition) -> f64 {
-    let (table, n) = contingency(a, b);
-    if n < 2 {
-        return 0.0;
-    }
-    let choose2 = |x: usize| -> f64 { (x as f64) * (x as f64 - 1.0) / 2.0 };
-    let mut row: HashMap<usize, usize> = HashMap::new();
-    let mut col: HashMap<usize, usize> = HashMap::new();
-    let mut sum_cells = 0.0;
-    for (&(ca, cb), &count) in &table {
-        *row.entry(ca).or_insert(0) += count;
-        *col.entry(cb).or_insert(0) += count;
-        sum_cells += choose2(count);
-    }
-    let sum_rows: f64 = row.values().map(|&c| choose2(c)).sum();
-    let sum_cols: f64 = col.values().map(|&c| choose2(c)).sum();
-    let total_pairs = choose2(n);
-    let expected = sum_rows * sum_cols / total_pairs;
-    let max_index = 0.5 * (sum_rows + sum_cols);
-    if (max_index - expected).abs() < 1e-12 {
-        // Degenerate: both partitions trivial; identical -> 1, else 0.
-        if sum_cells == max_index {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        (sum_cells - expected) / (max_index - expected)
-    }
-}
-
-/// Purity of partition `a` with respect to reference `b`: the share of
-/// common nodes that fall in the majority reference community of their `a`
-/// community. 1.0 means every `a` community is a subset of a `b` community.
-pub fn purity(a: &Partition, b: &Partition) -> f64 {
-    let (table, n) = contingency(a, b);
-    if n == 0 {
-        return 0.0;
-    }
-    let mut best_per_a: HashMap<usize, usize> = HashMap::new();
-    for (&(ca, _), &count) in &table {
-        let e = best_per_a.entry(ca).or_insert(0);
-        if count > *e {
-            *e = count;
-        }
-    }
-    best_per_a.values().sum::<usize>() as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,8 +87,6 @@ mod tests {
         let a = partition(&[(1, 0), (2, 0), (3, 1), (4, 1)]);
         let b = partition(&[(1, 5), (2, 5), (3, 9), (4, 9)]); // same shape, different labels
         assert!((normalized_mutual_information(&a, &b) - 1.0).abs() < 1e-9);
-        assert!((adjusted_rand_index(&a, &b) - 1.0).abs() < 1e-9);
-        assert!((purity(&a, &b) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -151,17 +95,13 @@ mod tests {
         let a = partition(&[(1, 0), (2, 0), (3, 1), (4, 1)]);
         let b = partition(&[(1, 0), (2, 1), (3, 0), (4, 1)]);
         assert!(normalized_mutual_information(&a, &b) < 0.1);
-        assert!(adjusted_rand_index(&a, &b) <= 0.0 + 1e-9);
-        assert!((purity(&a, &b) - 0.5).abs() < 1e-9);
     }
 
     #[test]
-    fn refinement_has_perfect_purity_but_lower_ari() {
+    fn refinement_scores_between_zero_and_one() {
         // a is a refinement of b: every a-community is inside a b-community.
         let a = partition(&[(1, 0), (2, 1), (3, 2), (4, 2)]);
         let b = partition(&[(1, 0), (2, 0), (3, 1), (4, 1)]);
-        assert!((purity(&a, &b) - 1.0).abs() < 1e-9);
-        assert!(adjusted_rand_index(&a, &b) < 1.0);
         assert!(normalized_mutual_information(&a, &b) < 1.0);
         assert!(normalized_mutual_information(&a, &b) > 0.0);
     }
@@ -170,7 +110,7 @@ mod tests {
     fn only_common_nodes_are_compared() {
         let a = partition(&[(1, 0), (2, 0), (3, 1), (4, 1), (99, 7)]);
         let b = partition(&[(1, 2), (2, 2), (3, 3), (4, 3), (100, 9)]);
-        assert!((adjusted_rand_index(&a, &b) - 1.0).abs() < 1e-9);
+        assert!((normalized_mutual_information(&a, &b) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -178,11 +118,9 @@ mod tests {
         let empty = Partition::new();
         let a = partition(&[(1, 0), (2, 0)]);
         assert_eq!(normalized_mutual_information(&empty, &a), 0.0);
-        assert_eq!(adjusted_rand_index(&empty, &a), 0.0);
-        assert_eq!(purity(&empty, &a), 0.0);
         // Single common node.
         let single = partition(&[(1, 0)]);
-        assert_eq!(adjusted_rand_index(&single, &a), 0.0);
+        assert_eq!(normalized_mutual_information(&single, &a), 0.0);
     }
 
     #[test]
@@ -190,7 +128,6 @@ mod tests {
         let a = partition(&[(1, 0), (2, 0), (3, 0)]);
         let b = partition(&[(1, 4), (2, 4), (3, 4)]);
         assert!((normalized_mutual_information(&a, &b) - 1.0).abs() < 1e-9);
-        assert!((adjusted_rand_index(&a, &b) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -218,8 +155,5 @@ mod tests {
         let ab = normalized_mutual_information(&a, &b);
         let ba = normalized_mutual_information(&b, &a);
         assert!((ab - ba).abs() < 1e-12);
-        let ri_ab = adjusted_rand_index(&a, &b);
-        let ri_ba = adjusted_rand_index(&b, &a);
-        assert!((ri_ab - ri_ba).abs() < 1e-12);
     }
 }

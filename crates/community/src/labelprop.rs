@@ -12,12 +12,12 @@
 //! label changes or the iteration cap is hit.
 
 use crate::Partition;
-use moby_graph::{par, CsrGraph, WeightedGraph};
+use moby_graph::{par, CsrGraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Configuration for [`label_propagation`].
+/// Configuration for [`label_propagation_csr`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelPropagationConfig {
     /// Seed for the node visiting order (label propagation is order
@@ -40,14 +40,6 @@ impl Default for LabelPropagationConfig {
             threads: None,
         }
     }
-}
-
-/// Run (weighted, synchronous-free) label propagation on the undirected
-/// projection of `graph` and return the detected partition with canonical
-/// labels. Freezes the builder once and runs [`label_propagation_csr`]
-/// (which projects directed graphs to undirected itself).
-pub fn label_propagation(graph: &WeightedGraph, config: &LabelPropagationConfig) -> Partition {
-    label_propagation_csr(&graph.freeze(), config)
 }
 
 /// Per-worker scratch for a label tally: `weight_to[l]` = incident weight
@@ -222,6 +214,7 @@ pub fn label_propagation_csr(graph: &CsrGraph, config: &LabelPropagationConfig) 
 mod tests {
     use super::*;
     use crate::modularity;
+    use moby_graph::WeightedGraph;
 
     fn two_cliques() -> WeightedGraph {
         let mut g = WeightedGraph::new_undirected();
@@ -235,13 +228,13 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = WeightedGraph::new_undirected();
-        assert!(label_propagation(&g, &LabelPropagationConfig::default()).is_empty());
+        assert!(label_propagation_csr(&g.freeze(), &LabelPropagationConfig::default()).is_empty());
     }
 
     #[test]
     fn splits_two_cliques() {
         let g = two_cliques();
-        let p = label_propagation(&g, &LabelPropagationConfig::default());
+        let p = label_propagation_csr(&g.freeze(), &LabelPropagationConfig::default());
         assert_eq!(p.len(), 6);
         // Both cliques should be internally consistent.
         assert_eq!(p.community_of(1), p.community_of(2));
@@ -256,14 +249,17 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let g = two_cliques();
         let cfg = LabelPropagationConfig::default();
-        assert_eq!(label_propagation(&g, &cfg), label_propagation(&g, &cfg));
+        assert_eq!(
+            label_propagation_csr(&g.freeze(), &cfg),
+            label_propagation_csr(&g.freeze(), &cfg)
+        );
     }
 
     #[test]
     fn isolated_nodes_keep_their_own_community() {
         let mut g = two_cliques();
         g.add_node(42);
-        let p = label_propagation(&g, &LabelPropagationConfig::default());
+        let p = label_propagation_csr(&g.freeze(), &LabelPropagationConfig::default());
         let c42 = p.community_of(42);
         assert!(c42.is_some());
         for id in 1..=6u64 {
@@ -279,7 +275,7 @@ mod tests {
             ..Default::default()
         };
         // One sweep still produces a full assignment.
-        let p = label_propagation(&g, &cfg);
+        let p = label_propagation_csr(&g.freeze(), &cfg);
         assert_eq!(p.len(), 6);
     }
 
@@ -328,7 +324,7 @@ mod tests {
         g.add_edge(2, 3, 5.0);
         g.add_edge(3, 4, 1.0);
         g.add_edge(4, 5, 5.0);
-        let p = label_propagation(&g, &LabelPropagationConfig::default());
+        let p = label_propagation_csr(&g.freeze(), &LabelPropagationConfig::default());
         assert_eq!(p.community_of(3), p.community_of(1));
         assert_ne!(p.community_of(3), p.community_of(4));
     }

@@ -11,19 +11,19 @@
 //! * [`modularity`] — weighted Newman modularity (paper eq. 2);
 //! * [`louvain`] — the Louvain algorithm (greedy modularity optimisation
 //!   with graph aggregation), deterministic for a fixed seed;
-//! * [`label_propagation`] — the Label Propagation algorithm the paper
-//!   names as future work, used here for the detector ablation;
+//! * [`label_propagation_csr`] — the Label Propagation algorithm the
+//!   paper names as future work, used here for the detector ablation;
 //!
 //! Every detector runs on the **frozen CSR representation**
 //! ([`moby_graph::CsrGraph`]): the `*_csr` entry points consume an
 //! already-frozen graph, the builder-graph entry points freeze once and
 //! delegate, and the `*_hashmap` functions retain the legacy hash-map
-//! walks as benchmark baselines and equivalence references;
+//! walks as the test oracles the equivalence suites compare against;
 //!
 //! * [`stats`] — per-community trip accounting (within / out / in), the
 //!   layout of the paper's Tables IV–VI;
-//! * [`compare`] — partition similarity (NMI, ARI, purity) used to verify
-//!   that new stations join communities that behave like existing ones.
+//! * [`compare`] — partition similarity (NMI) used to verify that new
+//!   stations join communities that behave like existing ones.
 //!
 //! ## Example
 //!
@@ -52,7 +52,7 @@ mod modularity;
 mod partition;
 pub mod stats;
 
-pub use labelprop::{label_propagation, label_propagation_csr, LabelPropagationConfig};
+pub use labelprop::{label_propagation_csr, LabelPropagationConfig};
 pub use louvain::{
     louvain, louvain_csr, louvain_hashmap, louvain_seeded, louvain_seeded_active, LouvainConfig,
 };

@@ -101,15 +101,6 @@ impl Partition {
                 .collect(),
         }
     }
-
-    /// The size of each community, keyed by label.
-    pub fn sizes(&self) -> BTreeMap<usize, usize> {
-        let mut out: BTreeMap<usize, usize> = BTreeMap::new();
-        for &c in self.assignment.values() {
-            *out.entry(c).or_default() += 1;
-        }
-        out
-    }
 }
 
 impl FromIterator<(NodeId, usize)> for Partition {
@@ -162,13 +153,5 @@ mod tests {
         assert_eq!(r.community_of(3), Some(1));
         // Renumbering twice is a fixed point.
         assert_eq!(r.renumbered(), r);
-    }
-
-    #[test]
-    fn sizes() {
-        let p: Partition = [(1u64, 0usize), (2, 0), (3, 1)].into_iter().collect();
-        let s = p.sizes();
-        assert_eq!(s[&0], 2);
-        assert_eq!(s[&1], 1);
     }
 }

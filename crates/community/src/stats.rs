@@ -46,16 +46,6 @@ impl CommunityRow {
     pub fn total_trips(&self) -> f64 {
         self.within + self.out + self.incoming
     }
-
-    /// Share of this community's trips that stay inside it.
-    pub fn self_containment(&self) -> f64 {
-        let denom = self.within + self.out + self.incoming;
-        if denom <= 0.0 {
-            0.0
-        } else {
-            self.within / denom
-        }
-    }
 }
 
 /// The full table for one detected partition.
@@ -209,15 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_self_containment() {
+    fn totals_and_self_contained_share() {
         let (g, p, old) = setup();
         let table = community_table(&g, &p, &old, 0.0);
         // Total trips = sum of all edge weights = 32.
         assert_eq!(table.total_trips(), 32.0);
         assert_eq!(table.total_within(), 27.0);
         assert!((table.self_contained_share() - 27.0 / 32.0).abs() < 1e-12);
-        let a = &table.rows[0];
-        assert!((a.self_containment() - 19.0 / 24.0).abs() < 1e-12);
     }
 
     #[test]

@@ -257,11 +257,6 @@ pub struct WindowedPipeline {
 }
 
 impl WindowedPipeline {
-    /// The configuration this pipeline runs under.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// The live temporal graphs (`GBasic`, `GDay`, `GHour`), current as
     /// of the last [`advance`](Self::advance).
     pub fn temporals(&self) -> &[TemporalGraph] {
@@ -533,16 +528,14 @@ mod tests {
             },
             ..PipelineConfig::default()
         };
-        let mut cold = ExpansionPipeline::new(cold_cfg).run_windowed(&raw).unwrap();
+        let mut cold = ExpansionPipeline::new(cold_cfg.clone())
+            .run_windowed(&raw)
+            .unwrap();
         let window = WindowStart::new(2, 0);
         cold.advance(&TripBatch::new(), window).unwrap();
         // With seeding off, the refresh IS a fresh cold detection over the
         // advanced graphs.
-        let want = detect_set(
-            &cold.config().detect,
-            cold.temporals(),
-            &cold.outcome.selected,
-        );
+        let want = detect_set(&cold_cfg.detect, cold.temporals(), &cold.outcome.selected);
         for (a, b) in cold.outcome.communities.all().iter().zip(want.all()) {
             assert_eq!(a.station_partition, b.station_partition);
             assert_eq!(a.modularity, b.modularity);

@@ -133,11 +133,6 @@ impl SelectedNetwork {
         self.stations.iter().map(|s| (s.id, s.position)).collect()
     }
 
-    /// Look up a station by id (see [`find_station`]).
-    pub fn station(&self, id: NodeId) -> Option<&FinalStation> {
-        find_station(&self.stations, id)
-    }
-
     /// Ingest a batch of new trips — the streaming entry point of the
     /// construction layer.
     ///
@@ -407,7 +402,7 @@ pub fn build_selected_network(
     // --- Frozen trip graphs, built by columnar sort-merge straight from
     //     the dense trip columns (one shared station-intern table; no
     //     hash-map builder, no re-interning). ---
-    let (directed, undirected) = trip_graphs(&trips);
+    let (directed, undirected) = trip_graphs(&trips)?;
     let table = build_table(&stations, &trips, &directed);
 
     Ok(SelectedNetwork {
@@ -819,10 +814,10 @@ mod tests {
             .collect();
         for id in ids {
             let linear = out.stations.iter().find(|s| s.id == id);
-            assert_eq!(out.station(id), linear, "station {id}");
+            assert_eq!(find_station(&out.stations, id), linear, "station {id}");
         }
         let missing = out.stations.iter().map(|s| s.id).max().unwrap() + 1;
-        assert!(out.station(missing).is_none());
+        assert!(find_station(&out.stations, missing).is_none());
     }
 
     #[test]
@@ -835,6 +830,6 @@ mod tests {
             .find(|s| !s.is_fixed)
             .expect("at least one new station");
         assert!(new_station.name.contains("rank"));
-        assert!(out.station(new_station.id).is_some());
+        assert!(find_station(&out.stations, new_station.id).is_some());
     }
 }

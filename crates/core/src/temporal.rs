@@ -39,7 +39,6 @@
 //!   assert both paths produce *identical* frozen graphs.
 
 use crate::CoreError;
-use moby_data::spool::TripSpool;
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripTable};
 use moby_graph::spill;
 use moby_graph::{CsrDelta, CsrGraph, NodeId, WeightedGraph};
@@ -120,27 +119,6 @@ impl TemporalGraph {
             granularity,
             csr,
             layer_map,
-        }
-    }
-
-    /// The station id behind a (possibly layered) node id.
-    pub fn station_of(&self, node: NodeId) -> NodeId {
-        match &self.layer_map {
-            None => node,
-            Some(map) => map.get(&node).map(|&(s, _)| s).unwrap_or(node),
-        }
-    }
-
-    /// Number of distinct stations represented in the graph.
-    pub fn station_count(&self) -> usize {
-        match &self.layer_map {
-            None => self.csr.node_count(),
-            Some(map) => {
-                let mut stations: Vec<NodeId> = map.values().map(|&(s, _)| s).collect();
-                stations.sort_unstable();
-                stations.dedup();
-                stations.len()
-            }
         }
     }
 }
@@ -365,108 +343,72 @@ pub fn build_all_from_trips_sharded(
     shards: Option<usize>,
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
-    let basic_csr = match basic {
-        Some(csr) => csr.clone(),
-        None => {
-            // The station-level graph builds straight from the dense trip
-            // columns; seeding the full sorted node table keeps every
-            // station visible, like the hash-map reference.
-            moby_graph::build_dense_csr_sharded(
-                false,
-                trips.station_ids().to_vec(),
-                trips.src(),
-                trips.dst(),
-                trips.weights(),
-                shards,
-                threads,
-            )
-        }
-    };
-    let layered = |granularity: TemporalGranularity| {
-        let (node_ids, src, dst) = layered_columns(trips, trips.len(), granularity);
-        let csr = moby_graph::build_dense_csr_sharded(
+    build_all_in_memory(trips, basic, shards, threads, None, None)
+        .expect("spill I/O failed; use build_all_from_trips_spilled to handle it")
+}
+
+/// The in-memory arm shared by [`build_all_from_trips_sharded`] and
+/// [`build_all_from_trips_spilled`]: every graph freezes from dense
+/// columns through
+/// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted)
+/// under the caller's `budget_mb` and `spill_dir`, so an explicit budget
+/// is never re-resolved from the environment.
+fn build_all_in_memory(
+    trips: &TripTable,
+    basic: Option<&CsrGraph>,
+    shards: Option<usize>,
+    threads: Option<usize>,
+    budget_mb: Option<u64>,
+    spill_dir: Option<&Path>,
+) -> crate::Result<Vec<TemporalGraph>> {
+    let build = |node_ids, src: &[u32], dst: &[u32]| {
+        moby_graph::build_dense_csr_budgeted(
             false,
             node_ids,
-            &src,
-            &dst,
+            src,
+            dst,
             trips.weights(),
             shards,
             threads,
-        );
-        let map = decode_layer_map(&csr, granularity.stride());
-        TemporalGraph::from_csr(granularity, csr, Some(map))
+            budget_mb,
+            spill_dir,
+        )
     };
-    vec![
+    let basic_csr = match basic {
+        Some(csr) => csr.clone(),
+        // The station-level graph builds straight from the dense trip
+        // columns; seeding the full sorted node table keeps every
+        // station visible, like the hash-map reference.
+        None => build(trips.station_ids().to_vec(), trips.src(), trips.dst())?,
+    };
+    let layered = |granularity: TemporalGranularity| -> crate::Result<TemporalGraph> {
+        let (node_ids, src, dst) = layered_columns(trips, trips.len(), granularity);
+        let csr = build(node_ids, &src, &dst)?;
+        let map = decode_layer_map(&csr, granularity.stride());
+        Ok(TemporalGraph::from_csr(granularity, csr, Some(map)))
+    };
+    Ok(vec![
         TemporalGraph::from_csr(TemporalGranularity::TNull, basic_csr, None),
-        layered(TemporalGranularity::TDay),
-        layered(TemporalGranularity::THour),
-    ]
-}
-
-/// A replayable stream of cleaned, interned trips — the abstraction that
-/// lets the spilled temporal builds consume either the in-memory
-/// [`TripTable`] columns or a disk-backed [`TripSpool`] through one code
-/// path. Rows are `(src, dst, day, hour, weight)` with dense station
-/// indices, replayed in insertion order on every call.
-trait TripSource {
-    /// The sorted station intern table the dense indices refer to.
-    fn stations(&self) -> &[NodeId];
-    /// Replay every row in insertion order.
-    fn replay(
-        &self,
-        f: &mut dyn FnMut(u32, u32, u8, u8, f64),
-    ) -> std::result::Result<(), moby_graph::GraphError>;
-}
-
-impl TripSource for TripTable {
-    fn stations(&self) -> &[NodeId] {
-        self.station_ids()
-    }
-
-    fn replay(
-        &self,
-        f: &mut dyn FnMut(u32, u32, u8, u8, f64),
-    ) -> std::result::Result<(), moby_graph::GraphError> {
-        let (src, dst) = (self.src(), self.dst());
-        let (day, hour, weight) = (self.day(), self.hour(), self.weights());
-        for k in 0..self.len() {
-            f(src[k], dst[k], day[k], hour[k], weight[k]);
-        }
-        Ok(())
-    }
-}
-
-impl TripSource for TripSpool {
-    fn stations(&self) -> &[NodeId] {
-        self.station_ids()
-    }
-
-    fn replay(
-        &self,
-        f: &mut dyn FnMut(u32, u32, u8, u8, f64),
-    ) -> std::result::Result<(), moby_graph::GraphError> {
-        // City trips are unit-weight by construction (the spool stores no
-        // weight column); I/O failures surface as spill errors.
-        self.for_each(&mut |s, d, day, hour| f(s, d, day, hour, 1.0))
-            .map_err(|e| moby_graph::GraphError::Spill(format!("replaying trip spool: {e}")))
-    }
+        layered(TemporalGranularity::TDay)?,
+        layered(TemporalGranularity::THour)?,
+    ])
 }
 
 /// [`build_all_from_trips_sharded`] with an out-of-core **spill budget**
 /// — the bounded-memory city-scale entry point.
 ///
 /// `budget_mb = None` resolves the `MOBY_SPILL_BUDGET_MB` environment
-/// knob (via [`spill::budget_bytes`]); when the resolved budget exists
-/// and a granularity's estimated scatter footprint exceeds it, that
-/// build routes through
-/// [`build_dense_csr_spilled`](moby_graph::build_dense_csr_spilled):
-/// half-edges partition to per-shard disk runs under `spill_dir`
-/// (default: the system temp dir) instead of in-memory scatter columns.
-/// The frozen graphs and layer maps are **bit-identical** to
-/// [`build_all_from_trips_sharded`] at any shard count × thread count ×
-/// budget — the spill-budget independence axis; see `DESIGN.md`,
-/// "Out-of-core construction". Spill I/O failures surface as
-/// [`CoreError::Spill`].
+/// knob (via [`spill::budget_bytes`]); an explicit budget is used as
+/// given. When the resolved budget exists and the table's estimated
+/// scatter footprint exceeds it, every granularity routes through
+/// [`build_dense_csr_spilled`](moby_graph::build_dense_csr_spilled),
+/// streaming the table's columns: half-edges partition to per-shard disk
+/// runs under `spill_dir` (default: the system temp dir) instead of
+/// in-memory scatter columns. The frozen graphs and layer maps are
+/// **bit-identical** to [`build_all_from_trips_sharded`] at any shard
+/// count × thread count × budget — the spill-budget independence axis;
+/// see `DESIGN.md`, "Out-of-core construction". Spill I/O failures
+/// surface as [`CoreError::Spill`].
 pub fn build_all_from_trips_spilled(
     trips: &TripTable,
     basic: Option<&CsrGraph>,
@@ -478,61 +420,43 @@ pub fn build_all_from_trips_spilled(
     // Every granularity is undirected with one edge per trip: 2m halves.
     let est_halves = 2 * trips.len();
     if !spill::should_spill(est_halves, spill::budget_bytes(budget_mb)) {
-        return Ok(build_all_from_trips_sharded(trips, basic, shards, threads));
+        return build_all_in_memory(trips, basic, shards, threads, budget_mb, spill_dir);
     }
     build_all_spilled(trips, basic, shards, threads, spill_dir)
 }
 
-/// Build all three temporal graphs straight from a disk-backed
-/// [`TripSpool`] — the fully streaming arm: the city generator's rows
-/// flow through
-/// [`clean_trip_stream_spooled`](moby_data::clean::clean_trip_stream_spooled)
-/// to one spool, and that **single spill pass per granularity** feeds
-/// `GBasic`, `GDay` and `GHour` without the full `TripTable` edge
-/// columns ever materialising in memory.
-///
-/// `GBasic` seeds the full station table (isolated stations stay
-/// visible, like every other build path). The result is bit-identical
-/// to [`build_all_from_trips`] over the equivalent in-memory table.
-pub fn build_all_from_spool(
-    spool: &TripSpool,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    spill_dir: Option<&Path>,
-) -> crate::Result<Vec<TemporalGraph>> {
-    build_all_spilled(spool, None, shards, threads, spill_dir)
-}
-
-/// Shared body of the spilled builds: `GBasic` over the station table,
-/// `GDay`/`GHour` through the layered candidate intern — all three via
-/// [`build_dense_csr_spilled`](moby_graph::build_dense_csr_spilled).
+/// The spilled arm of [`build_all_from_trips_spilled`]: `GBasic` over the
+/// station table, `GDay`/`GHour` through the layer intern — all three via
+/// [`build_dense_csr_spilled`](moby_graph::build_dense_csr_spilled),
+/// replaying the table's columns in row order.
 fn build_all_spilled(
-    source: &dyn TripSource,
+    trips: &TripTable,
     basic: Option<&CsrGraph>,
     shards: Option<usize>,
     threads: Option<usize>,
     spill_dir: Option<&Path>,
 ) -> crate::Result<Vec<TemporalGraph>> {
+    let (src, dst, weight) = (trips.src(), trips.dst(), trips.weights());
     let basic_csr = match basic {
         Some(csr) => csr.clone(),
         None => moby_graph::build_dense_csr_spilled(
             false,
-            source.stations().to_vec(),
-            |f| source.replay(&mut |s, d, _, _, w| f(s, d, w)),
+            trips.station_ids().to_vec(),
+            |f| {
+                for k in 0..trips.len() {
+                    f(src[k], dst[k], weight[k]);
+                }
+                Ok(())
+            },
             shards,
             threads,
             spill_dir,
         )?,
     };
-    let day_csr = build_layered_spilled(
-        source,
-        TemporalGranularity::TDay,
-        shards,
-        threads,
-        spill_dir,
-    )?;
+    let day_csr =
+        build_layered_spilled(trips, TemporalGranularity::TDay, shards, threads, spill_dir)?;
     let hour_csr = build_layered_spilled(
-        source,
+        trips,
         TemporalGranularity::THour,
         shards,
         threads,
@@ -547,31 +471,37 @@ fn build_all_spilled(
     ])
 }
 
-/// One layered granularity, spilled. A first replay feeds the layer
-/// intern (see the [module docs](self)), so the node table is the
-/// in-memory build's first-appearance table; a second replay per spill
-/// pass streams the dense endpoints through it.
+/// One layered granularity, spilled. The layer intern's node table is
+/// the in-memory build's first-appearance table; each spill pass streams
+/// the dense endpoints through it.
 fn build_layered_spilled(
-    source: &dyn TripSource,
+    trips: &TripTable,
     granularity: TemporalGranularity,
     shards: Option<usize>,
     threads: Option<usize>,
     spill_dir: Option<&Path>,
 ) -> crate::Result<CsrGraph> {
-    let mut intern = LayerIntern::new(source.stations().len(), granularity);
-    source.replay(&mut |s, d, day, hour, _| {
-        let key = granularity.layer_key(day, hour);
-        intern.intern(s, key);
-        intern.intern(d, key);
-    })?;
+    let (src, dst, weight) = (trips.src(), trips.dst(), trips.weights());
+    let (day, hour) = (trips.day(), trips.hour());
+    let mut intern = LayerIntern::new(trips.station_ids().len(), granularity);
+    for k in 0..trips.len() {
+        let key = granularity.layer_key(day[k], hour[k]);
+        intern.intern(src[k], key);
+        intern.intern(dst[k], key);
+    }
     moby_graph::build_dense_csr_spilled(
         false,
-        intern.node_ids(source.stations()),
+        intern.node_ids(trips.station_ids()),
         |f| {
-            source.replay(&mut |s, d, day, hour, w| {
-                let key = granularity.layer_key(day, hour);
-                f(intern.intern(s, key), intern.intern(d, key), w)
-            })
+            for k in 0..trips.len() {
+                let key = granularity.layer_key(day[k], hour[k]);
+                f(
+                    intern.intern(src[k], key),
+                    intern.intern(dst[k], key),
+                    weight[k],
+                );
+            }
+            Ok(())
         },
         shards,
         threads,
@@ -933,8 +863,6 @@ mod tests {
         assert_eq!(g.csr.edge_weight(1, 2), Some(3.0)); // both directions merged
         let i = g.csr.index_of(3).unwrap() as usize;
         assert_eq!(g.csr.self_loop(i), 1.0);
-        assert_eq!(g.station_of(2), 2);
-        assert_eq!(g.station_count(), 3);
     }
 
     #[test]
@@ -948,8 +876,6 @@ mod tests {
         assert_eq!(g.csr.edge_weight(2 * 8 + 4, 1 * 8 + 4), Some(1.0));
         // Layer map points back at stations.
         assert_eq!(map[&(2 * 8 + 4)], (2, 4));
-        assert_eq!(g.station_of(2 * 8 + 4), 2);
-        assert_eq!(g.station_count(), 3);
         // Total weight equals the number of trips.
         assert_eq!(g.csr.total_weight(), 5.0);
     }
@@ -973,12 +899,6 @@ mod tests {
         // Finer granularity never has fewer nodes.
         assert!(all[1].csr.node_count() >= all[0].csr.node_count());
         assert!(all[2].csr.node_count() >= all[1].csr.node_count());
-    }
-
-    #[test]
-    fn station_of_unknown_node_is_identity() {
-        let all = build_all_from_trips(&trip_table(), None, None);
-        assert_eq!(all[1].station_of(999), 999);
     }
 
     #[test]
@@ -1263,32 +1183,6 @@ mod tests {
                 .unwrap();
         assert_eq!(shared[0].csr, baseline[0].csr);
         assert_eq!(shared[2].csr, baseline[2].csr);
-    }
-
-    #[test]
-    fn spool_build_matches_table_build_bitwise() {
-        let trips = trip_table();
-        let mut spool = TripSpool::create(vec![1, 2, 3], None).unwrap();
-        let (day, hour) = (trips.day(), trips.hour());
-        for k in 0..trips.len() {
-            spool.push_keyed(trips.src()[k], trips.dst()[k], day[k], hour[k]);
-        }
-        spool.finish().unwrap();
-        let got = build_all_from_spool(&spool, Some(2), Some(2), None).unwrap();
-        let want = build_all_from_trips(&trips, None, Some(1));
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.granularity, w.granularity);
-            assert_eq!(
-                g.csr, w.csr,
-                "{:?} diverged from table build",
-                g.granularity
-            );
-            assert_eq!(
-                g.csr.total_weight().to_bits(),
-                w.csr.total_weight().to_bits()
-            );
-            assert_eq!(g.layer_map, w.layer_map, "{:?} map", g.granularity);
-        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! (original vs cleaned counts) can be reproduced and audited.
 
 use crate::schema::{CleanDataset, Location, LocationId, RawDataset, Rental, Station};
-use crate::spool::TripSpool;
 use crate::synth::CityTrip;
 use crate::trips::{StationNodeId, TripTable};
 use moby_geo::{dublin_land_mask, GeoPoint};
@@ -274,45 +273,6 @@ where
     (table, report)
 }
 
-/// The **spill-direct** variant of [`clean_trip_stream`]: survivors flow
-/// straight to a disk-backed [`TripSpool`] instead of in-memory columns,
-/// so peak memory is the station table plus a write buffer — independent
-/// of the row count. Validation, intern lookups and temporal-key
-/// derivation are byte-for-byte the same as the in-memory cleaner, and
-/// the spool replays rows in exact insertion order, so a graph built
-/// from the spool is bit-identical to one built from the
-/// [`TripTable`] over the same stream.
-///
-/// `spool_base` picks where the run file lives (default: the system
-/// temp dir); the file is removed when the spool drops. I/O failures —
-/// unwritable base, disk full — surface as the [`std::io::Error`].
-pub fn clean_trip_stream_spooled<I>(
-    station_ids: Vec<StationNodeId>,
-    stream: I,
-    spool_base: Option<&std::path::Path>,
-) -> std::io::Result<(TripSpool, StreamCleanReport)>
-where
-    I: IntoIterator<Item = CityTrip>,
-{
-    // The spool shares the table's sorted-intern contract, so a throwaway
-    // empty table provides the identical binary-search endpoint lookup.
-    let index = TripTable::new(station_ids.clone());
-    let mut spool = TripSpool::create(station_ids, spool_base)?;
-    let mut report = StreamCleanReport::default();
-    for trip in stream {
-        report.rows_seen += 1;
-        let (Some(src), Some(dst)) = (index.station_index(trip.src), index.station_index(trip.dst))
-        else {
-            report.unknown_endpoint += 1;
-            continue;
-        };
-        spool.push(src, dst, trip.start);
-        report.rows_kept += 1;
-    }
-    spool.finish()?;
-    Ok((spool, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,44 +486,6 @@ mod tests {
         assert_eq!(table.len(), 2);
         let edges: Vec<_> = table.station_edges().collect();
         assert_eq!(edges, vec![(1, 2, 1.0), (3, 1, 1.0)]);
-    }
-
-    #[test]
-    fn spooled_cleaner_matches_in_memory_cleaner_row_for_row() {
-        let cfg = crate::synth::CityConfig {
-            seed: 42,
-            stations: 128,
-            zones: 8,
-            trips: 3_000,
-            dirty_per_10k: 200,
-            within_zone_prob: 0.6,
-            days: 7,
-        };
-        let (table, mem_report) = clean_trip_stream(
-            cfg.station_ids(),
-            cfg.trips as usize,
-            crate::synth::city_trip_stream(&cfg),
-        );
-        let (spool, spool_report) = crate::clean::clean_trip_stream_spooled(
-            cfg.station_ids(),
-            crate::synth::city_trip_stream(&cfg),
-            None,
-        )
-        .unwrap();
-        assert_eq!(spool_report, mem_report);
-        assert_eq!(spool.len(), table.len());
-        assert_eq!(spool.station_ids(), table.station_ids());
-        let mut k = 0usize;
-        spool
-            .for_each(&mut |s, d, day, hour| {
-                assert_eq!(s, table.src()[k], "row {k} src");
-                assert_eq!(d, table.dst()[k], "row {k} dst");
-                assert_eq!(day, table.day()[k], "row {k} day");
-                assert_eq!(hour, table.hour()[k], "row {k} hour");
-                k += 1;
-            })
-            .unwrap();
-        assert_eq!(k, table.len());
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   reproduces the dataset marginals the paper reports (92 usable
 //!   stations, ≈62 k rentals, ≈14 k distinct dockless locations, commuter
 //!   and leisure temporal profiles, deliberately injected dirty rows);
-//! * [`stats`] — dataset overview statistics (Table I) and descriptive
-//!   summaries;
+//! * [`stats`] — dataset overview statistics (Table I);
 //! * [`trips`] — the columnar [`trips::TripTable`]: struct-of-arrays
 //!   station trips (dense `u32` endpoints over a shared sorted intern
 //!   table, weekday/hour keys, weights) that the graph layer's sort-merge
@@ -46,7 +45,6 @@ pub mod clean;
 pub mod csvio;
 pub mod loader;
 pub mod schema;
-pub mod spool;
 pub mod stats;
 pub mod synth;
 pub mod timeparse;

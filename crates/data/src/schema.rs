@@ -94,14 +94,6 @@ pub struct Rental {
     pub return_location_id: LocationId,
 }
 
-impl Rental {
-    /// Trip duration in seconds (negative when the end precedes the start,
-    /// which the cleaning pipeline treats as a defect).
-    pub fn duration_seconds(&self) -> i64 {
-        self.start_time.seconds_until(self.end_time)
-    }
-}
-
 /// A raw dataset: the three tables exactly as ingested.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RawDataset {
@@ -122,108 +114,4 @@ pub struct CleanDataset {
     pub locations: Vec<Location>,
     /// Validated rentals.
     pub rentals: Vec<Rental>,
-}
-
-impl RawDataset {
-    /// Total row count across the three tables.
-    pub fn total_rows(&self) -> usize {
-        self.stations.len() + self.locations.len() + self.rentals.len()
-    }
-}
-
-impl CleanDataset {
-    /// Look up a validated location by id (linear scan; the cleaning
-    /// pipeline builds an index when it needs repeated lookups).
-    pub fn location(&self, id: LocationId) -> Option<&Location> {
-        self.locations.iter().find(|l| l.id == id)
-    }
-
-    /// The time span `(earliest start, latest end)` covered by the rentals,
-    /// or `None` when there are no rentals.
-    pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
-        let first = self.rentals.iter().map(|r| r.start_time).min()?;
-        let last = self.rentals.iter().map(|r| r.end_time).max()?;
-        Some((first, last))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ts(y: i32, m: u32, d: u32, h: u32) -> Timestamp {
-        Timestamp::from_ymd_hms(y, m, d, h, 0, 0).unwrap()
-    }
-
-    #[test]
-    fn rental_duration() {
-        let r = Rental {
-            id: 1,
-            bike_id: 7,
-            start_time: ts(2020, 5, 1, 8),
-            end_time: ts(2020, 5, 1, 9),
-            rental_location_id: 10,
-            return_location_id: 20,
-        };
-        assert_eq!(r.duration_seconds(), 3600);
-    }
-
-    #[test]
-    fn raw_dataset_row_count() {
-        let ds = RawDataset {
-            stations: vec![Station {
-                id: 1,
-                name: "A".into(),
-                position: GeoPoint::new(53.35, -6.26).unwrap(),
-            }],
-            locations: vec![RawLocation {
-                id: 2,
-                lat: Some(53.35),
-                lon: Some(-6.26),
-                station_id: None,
-            }],
-            rentals: vec![],
-        };
-        assert_eq!(ds.total_rows(), 2);
-    }
-
-    #[test]
-    fn clean_dataset_lookup_and_span() {
-        let ds = CleanDataset {
-            stations: vec![],
-            locations: vec![Location {
-                id: 5,
-                position: GeoPoint::new(53.35, -6.26).unwrap(),
-                station_id: Some(1),
-            }],
-            rentals: vec![
-                Rental {
-                    id: 1,
-                    bike_id: 1,
-                    start_time: ts(2020, 1, 3, 8),
-                    end_time: ts(2020, 1, 3, 9),
-                    rental_location_id: 5,
-                    return_location_id: 5,
-                },
-                Rental {
-                    id: 2,
-                    bike_id: 1,
-                    start_time: ts(2021, 9, 19, 20),
-                    end_time: ts(2021, 9, 19, 21),
-                    rental_location_id: 5,
-                    return_location_id: 5,
-                },
-            ],
-        };
-        assert!(ds.location(5).is_some());
-        assert!(ds.location(6).is_none());
-        let (a, b) = ds.time_span().unwrap();
-        assert_eq!(a.ymd(), (2020, 1, 3));
-        assert_eq!(b.ymd(), (2021, 9, 19));
-    }
-
-    #[test]
-    fn empty_time_span_is_none() {
-        assert!(CleanDataset::default().time_span().is_none());
-    }
 }

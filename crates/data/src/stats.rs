@@ -1,11 +1,9 @@
-//! Dataset overview statistics (the paper's Table I) and descriptive
-//! summaries used throughout the reports.
+//! Dataset overview statistics (the paper's Table I).
 
 use crate::clean::CleaningOutcome;
-use crate::schema::{CleanDataset, RawDataset};
-use crate::timeparse::{Timestamp, Weekday};
+use crate::schema::RawDataset;
+use crate::timeparse::Timestamp;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The paper's Table I: original vs cleaned dataset measures.
@@ -102,77 +100,11 @@ fn month_name(m: u32) -> &'static str {
     .unwrap_or("???")
 }
 
-/// Descriptive statistics over a cleaned dataset used by reports and
-/// examples: trips per weekday, trips per hour, trips per station location.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct UsageProfile {
-    /// Trips starting on each weekday (Monday-first).
-    pub trips_per_weekday: [usize; 7],
-    /// Trips starting in each hour of the day.
-    pub trips_per_hour: [usize; 24],
-    /// Trips per origin location id.
-    pub trips_per_origin: HashMap<u64, usize>,
-    /// Mean trip duration in minutes.
-    pub mean_duration_min: f64,
-}
-
-impl UsageProfile {
-    /// Compute the profile of a cleaned dataset.
-    pub fn of(dataset: &CleanDataset) -> Self {
-        let mut p = UsageProfile::default();
-        let mut total_duration = 0.0f64;
-        for r in &dataset.rentals {
-            p.trips_per_weekday[r.start_time.weekday().index() as usize] += 1;
-            p.trips_per_hour[r.start_time.hour() as usize] += 1;
-            *p.trips_per_origin.entry(r.rental_location_id).or_insert(0) += 1;
-            total_duration += r.duration_seconds() as f64 / 60.0;
-        }
-        if !dataset.rentals.is_empty() {
-            p.mean_duration_min = total_duration / dataset.rentals.len() as f64;
-        }
-        p
-    }
-
-    /// Total number of trips.
-    pub fn total_trips(&self) -> usize {
-        self.trips_per_weekday.iter().sum()
-    }
-
-    /// The share (0–1) of trips starting on a weekend day.
-    pub fn weekend_share(&self) -> f64 {
-        let total = self.total_trips();
-        if total == 0 {
-            return 0.0;
-        }
-        let weekend: usize = Weekday::ALL
-            .iter()
-            .filter(|d| d.is_weekend())
-            .map(|d| self.trips_per_weekday[d.index() as usize])
-            .sum();
-        weekend as f64 / total as f64
-    }
-
-    /// The busiest start hour of the day (0–23); ties resolve to the
-    /// earliest hour. `None` when there are no trips.
-    pub fn peak_hour(&self) -> Option<usize> {
-        if self.total_trips() == 0 {
-            return None;
-        }
-        self.trips_per_hour
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(h, _)| h)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clean::clean_dataset;
-    use crate::schema::{Location, Rental};
     use crate::synth::{generate, SynthConfig};
-    use moby_geo::GeoPoint;
 
     #[test]
     fn overview_from_synthetic_data() {
@@ -196,53 +128,5 @@ mod tests {
         assert_eq!(month_name(9), "Sep");
         assert_eq!(month_name(0), "???");
         assert_eq!(month_name(13), "???");
-    }
-
-    fn tiny_dataset() -> CleanDataset {
-        let loc = |id: u64| Location {
-            id,
-            position: GeoPoint::new(53.35, -6.26).unwrap(),
-            station_id: None,
-        };
-        let rental = |id: u64, day: u32, hour: u32, origin: u64| Rental {
-            id,
-            bike_id: 1,
-            start_time: Timestamp::from_ymd_hms(2021, 6, day, hour, 0, 0).unwrap(),
-            end_time: Timestamp::from_ymd_hms(2021, 6, day, hour, 30, 0).unwrap(),
-            rental_location_id: origin,
-            return_location_id: 1,
-        };
-        CleanDataset {
-            stations: vec![],
-            locations: vec![loc(1), loc(2)],
-            rentals: vec![
-                rental(1, 14, 8, 1),  // Monday 08
-                rental(2, 14, 8, 1),  // Monday 08
-                rental(3, 19, 12, 2), // Saturday 12
-                rental(4, 20, 13, 2), // Sunday 13
-            ],
-        }
-    }
-
-    #[test]
-    fn usage_profile_counts() {
-        let p = UsageProfile::of(&tiny_dataset());
-        assert_eq!(p.total_trips(), 4);
-        assert_eq!(p.trips_per_weekday[0], 2); // Monday
-        assert_eq!(p.trips_per_weekday[5], 1); // Saturday
-        assert_eq!(p.trips_per_hour[8], 2);
-        assert_eq!(p.peak_hour(), Some(8));
-        assert!((p.weekend_share() - 0.5).abs() < 1e-12);
-        assert!((p.mean_duration_min - 30.0).abs() < 1e-9);
-        assert_eq!(p.trips_per_origin[&1], 2);
-    }
-
-    #[test]
-    fn usage_profile_of_empty_dataset() {
-        let p = UsageProfile::of(&CleanDataset::default());
-        assert_eq!(p.total_trips(), 0);
-        assert_eq!(p.peak_hour(), None);
-        assert_eq!(p.weekend_share(), 0.0);
-        assert_eq!(p.mean_duration_min, 0.0);
     }
 }

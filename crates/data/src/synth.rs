@@ -272,11 +272,6 @@ impl SynthConfig {
             covid_damping: 0.8,
         }
     }
-
-    /// Total number of stations this configuration will emit.
-    pub fn total_stations(&self) -> usize {
-        self.zones.iter().map(|z| z.stations).sum::<usize>() + self.dirty_stations
-    }
 }
 
 /// Hour-of-day sampling weights for each profile and day type.
@@ -917,7 +912,8 @@ mod tests {
         let cfg = SynthConfig::small_test();
         let ds = generate(&cfg);
         assert_eq!(ds.rentals.len(), cfg.clean_rentals + cfg.dirty_rentals);
-        assert_eq!(ds.stations.len(), cfg.total_stations());
+        let stations: usize = cfg.zones.iter().map(|z| z.stations).sum();
+        assert_eq!(ds.stations.len(), stations + cfg.dirty_stations);
         // Location table: one per good station + dockless pool + dirty rows.
         assert!(ds.locations.len() > cfg.dockless_locations);
     }

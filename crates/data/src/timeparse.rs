@@ -184,12 +184,6 @@ impl Timestamp {
         Weekday::from_index(idx).expect("index < 7")
     }
 
-    /// Seconds elapsed from `self` to `other` (negative when `other` is
-    /// earlier).
-    pub fn seconds_until(&self, other: Timestamp) -> i64 {
-        other.0 - self.0
-    }
-
     /// A new timestamp `seconds` later.
     pub fn plus_seconds(&self, seconds: i64) -> Timestamp {
         Timestamp(self.0 + seconds)
@@ -338,11 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn seconds_until_and_plus() {
+    fn plus_seconds_moves_forward() {
         let a = Timestamp::from_ymd_hms(2020, 1, 1, 0, 0, 0).unwrap();
         let b = a.plus_seconds(3600);
-        assert_eq!(a.seconds_until(b), 3600);
-        assert_eq!(b.seconds_until(a), -3600);
+        assert_eq!(b.unix_seconds() - a.unix_seconds(), 3600);
         assert_eq!(b.hour(), 1);
     }
 

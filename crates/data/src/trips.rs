@@ -22,7 +22,6 @@
 //! only record of a trip: the reporting layer's day/hour profiles count
 //! its rows too.
 
-use crate::schema::CleanDataset;
 use crate::timeparse::Timestamp;
 use crate::{DataError, Result};
 
@@ -60,10 +59,9 @@ pub fn check_trip_weight(weight: f64) -> Result<()> {
 }
 
 /// Derive a trip's temporal keys (weekday 0–6 Monday-first, hour 0–23)
-/// from its start time. Shared by [`TripTable`], [`TripBatch`] and the
-/// out-of-core [`TripSpool`](crate::spool::TripSpool) pushes, so a
-/// spooled or appended table is indistinguishable from one built in a
-/// single pass — the delta and spill equivalence contracts lean on this.
+/// from its start time. Shared by [`TripTable`] and [`TripBatch`]
+/// pushes, so an appended table is indistinguishable from one built in a
+/// single pass — the delta equivalence contract leans on this.
 #[inline]
 pub(crate) fn temporal_keys(start: Timestamp) -> (u8, u8) {
     (start.weekday().index() as u8, start.hour() as u8)
@@ -88,24 +86,6 @@ impl TripBatch {
     /// An empty batch.
     pub fn new() -> TripBatch {
         TripBatch::default()
-    }
-
-    /// An empty batch with capacity pre-reserved for `rows` trips — the
-    /// row-count-hint entry for feeds that know their batch size.
-    pub fn with_capacity(rows: usize) -> TripBatch {
-        let mut b = TripBatch::new();
-        b.reserve(rows);
-        b
-    }
-
-    /// Reserve capacity for at least `additional` more trips across all
-    /// five columns.
-    pub fn reserve(&mut self, additional: usize) {
-        self.src.reserve(additional);
-        self.dst.reserve(additional);
-        self.day.reserve(additional);
-        self.hour.reserve(additional);
-        self.weight.reserve(additional);
     }
 
     /// Number of trips in the batch.
@@ -209,16 +189,6 @@ impl WindowStart {
     pub fn new(day: u8, hour: u8) -> WindowStart {
         assert!(day < 7 && hour < 24, "temporal keys out of range");
         WindowStart { day, hour }
-    }
-
-    /// The window's weekday key (0–6, Monday first).
-    pub fn day(&self) -> u8 {
-        self.day
-    }
-
-    /// The window's hour key (0–23).
-    pub fn hour(&self) -> u8 {
-        self.hour
     }
 
     /// The linear weekly slot (`day * 24 + hour`, 0–167) rows are
@@ -684,54 +654,11 @@ impl TripTable {
         outcome.new_to_old = Some(new_to_old);
         outcome
     }
-
-    /// Build a station-level trip table straight from a cleaned dataset,
-    /// using the `Location → Station` references the cleaning pipeline
-    /// validated: a trip contributes a row when **both** endpoints resolve
-    /// to a fixed station; dockless-endpoint trips are skipped (the
-    /// expansion pipeline instead builds its table against the expanded
-    /// station set after reassignment, in `moby_core`).
-    pub fn from_clean_dataset(dataset: &CleanDataset) -> TripTable {
-        // Rentals are an upper bound on rows (dockless-endpoint trips are
-        // skipped below) — close enough for one-shot reservation.
-        let mut table = TripTable::with_capacity(
-            dataset.stations.iter().map(|s| s.id).collect(),
-            dataset.rentals.len(),
-        );
-        // Sorted (location id, station dense index) pairs: per-trip lookup
-        // is a binary search, never a hash probe.
-        let mut location_station: Vec<(u64, u32)> = dataset
-            .locations
-            .iter()
-            .filter_map(|l| {
-                let station = l.station_id?;
-                Some((l.id, table.station_index(station)?))
-            })
-            .collect();
-        location_station.sort_unstable();
-        let resolve = |loc: u64| -> Option<u32> {
-            location_station
-                .binary_search_by_key(&loc, |&(l, _)| l)
-                .ok()
-                .map(|at| location_station[at].1)
-        };
-        for r in &dataset.rentals {
-            let (Some(src), Some(dst)) =
-                (resolve(r.rental_location_id), resolve(r.return_location_id))
-            else {
-                continue;
-            };
-            table.push(src, dst, r.start_time);
-        }
-        table
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Location, Rental, Station};
-    use moby_geo::GeoPoint;
 
     fn ts(day: u32, hour: u32) -> Timestamp {
         // 2020-06-01 is a Monday.
@@ -755,11 +682,6 @@ mod tests {
         a.push(0, 1, ts(1, 8));
         b.push(0, 1, ts(1, 8));
         assert_eq!(a, b);
-        let mut ba = TripBatch::new();
-        let mut bb = TripBatch::with_capacity(64);
-        ba.push(1, 2, ts(2, 9));
-        bb.push(1, 2, ts(2, 9));
-        assert_eq!(ba, bb);
     }
 
     #[test]
@@ -907,8 +829,6 @@ mod tests {
     #[test]
     fn window_start_slots_and_keeps() {
         let w = WindowStart::new(2, 5); // Wednesday 05:00, slot 53
-        assert_eq!(w.day(), 2);
-        assert_eq!(w.hour(), 5);
         assert_eq!(w.slot(), 53);
         assert!(w.keeps(2, 5));
         assert!(w.keeps(6, 0));
@@ -1010,65 +930,5 @@ mod tests {
         want.push(0, 0, ts(5, 9));
         want.push(1, 0, ts(6, 10));
         assert_eq!(t, want);
-    }
-
-    #[test]
-    fn from_clean_dataset_resolves_station_endpoints() {
-        let pos = GeoPoint::new(53.35, -6.26).unwrap();
-        let dataset = CleanDataset {
-            stations: vec![
-                Station {
-                    id: 7,
-                    name: "A".into(),
-                    position: pos,
-                },
-                Station {
-                    id: 3,
-                    name: "B".into(),
-                    position: pos,
-                },
-            ],
-            locations: vec![
-                Location {
-                    id: 100,
-                    position: pos,
-                    station_id: Some(7),
-                },
-                Location {
-                    id: 101,
-                    position: pos,
-                    station_id: Some(3),
-                },
-                Location {
-                    id: 102,
-                    position: pos,
-                    station_id: None, // dockless
-                },
-            ],
-            rentals: vec![
-                Rental {
-                    id: 1,
-                    bike_id: 1,
-                    start_time: ts(1, 8),
-                    end_time: ts(1, 9),
-                    rental_location_id: 100,
-                    return_location_id: 101,
-                },
-                Rental {
-                    id: 2,
-                    bike_id: 1,
-                    start_time: ts(2, 10),
-                    end_time: ts(2, 11),
-                    rental_location_id: 100,
-                    return_location_id: 102, // dockless endpoint: skipped
-                },
-            ],
-        };
-        let t = TripTable::from_clean_dataset(&dataset);
-        assert_eq!(t.station_ids(), &[3, 7]);
-        assert_eq!(t.len(), 1);
-        // Station 7 has dense index 1, station 3 dense index 0.
-        assert_eq!(t.src(), &[1]);
-        assert_eq!(t.dst(), &[0]);
     }
 }

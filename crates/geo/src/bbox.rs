@@ -75,23 +75,6 @@ impl BoundingBox {
         }
     }
 
-    /// Minimum latitude (southern edge).
-    pub fn min_lat(&self) -> f64 {
-        self.min_lat
-    }
-    /// Maximum latitude (northern edge).
-    pub fn max_lat(&self) -> f64 {
-        self.max_lat
-    }
-    /// Minimum longitude (western edge).
-    pub fn min_lon(&self) -> f64 {
-        self.min_lon
-    }
-    /// Maximum longitude (eastern edge).
-    pub fn max_lon(&self) -> f64 {
-        self.max_lon
-    }
-
     /// Whether the box contains the point (inclusive on all edges).
     #[inline]
     pub fn contains(&self, p: GeoPoint) -> bool {
@@ -99,44 +82,6 @@ impl BoundingBox {
             && p.lat() <= self.max_lat
             && p.lon() >= self.min_lon
             && p.lon() <= self.max_lon
-    }
-
-    /// The centre of the box.
-    pub fn center(&self) -> GeoPoint {
-        GeoPoint::new(
-            0.5 * (self.min_lat + self.max_lat),
-            0.5 * (self.min_lon + self.max_lon),
-        )
-        .expect("centre of a valid box is valid")
-    }
-
-    /// A new box expanded by `margin_deg` degrees on every side, clamped to
-    /// the valid coordinate range.
-    pub fn expanded(&self, margin_deg: f64) -> Self {
-        Self {
-            min_lat: (self.min_lat - margin_deg).max(-90.0),
-            max_lat: (self.max_lat + margin_deg).min(90.0),
-            min_lon: (self.min_lon - margin_deg).max(-180.0),
-            max_lon: (self.max_lon + margin_deg).min(180.0),
-        }
-    }
-
-    /// Whether two boxes intersect (inclusive).
-    pub fn intersects(&self, other: &BoundingBox) -> bool {
-        self.min_lat <= other.max_lat
-            && self.max_lat >= other.min_lat
-            && self.min_lon <= other.max_lon
-            && self.max_lon >= other.min_lon
-    }
-
-    /// Latitude span in degrees.
-    pub fn lat_span(&self) -> f64 {
-        self.max_lat - self.min_lat
-    }
-
-    /// Longitude span in degrees.
-    pub fn lon_span(&self) -> f64 {
-        self.max_lon - self.min_lon
     }
 }
 
@@ -168,10 +113,10 @@ mod tests {
     fn from_points_is_tight() {
         let pts = [p(53.1, -6.4), p(53.4, -6.1), p(53.2, -6.3)];
         let bb = BoundingBox::from_points(&pts).unwrap();
-        assert_eq!(bb.min_lat(), 53.1);
-        assert_eq!(bb.max_lat(), 53.4);
-        assert_eq!(bb.min_lon(), -6.4);
-        assert_eq!(bb.max_lon(), -6.1);
+        assert_eq!(bb.min_lat, 53.1);
+        assert_eq!(bb.max_lat, 53.4);
+        assert_eq!(bb.min_lon, -6.4);
+        assert_eq!(bb.max_lon, -6.1);
         for q in pts {
             assert!(bb.contains(q));
         }
@@ -180,37 +125,6 @@ mod tests {
     #[test]
     fn from_points_empty_is_none() {
         assert!(BoundingBox::from_points(&[]).is_none());
-    }
-
-    #[test]
-    fn center_and_spans() {
-        let bb = BoundingBox::new(53.0, -6.4, 53.4, -6.0).unwrap();
-        let c = bb.center();
-        assert!((c.lat() - 53.2).abs() < 1e-12);
-        assert!((c.lon() + 6.2).abs() < 1e-12);
-        assert!((bb.lat_span() - 0.4).abs() < 1e-12);
-        assert!((bb.lon_span() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expanded_grows_and_clamps() {
-        let bb = BoundingBox::new(89.5, 179.5, 90.0, 180.0)
-            .unwrap()
-            .expanded(1.0);
-        assert_eq!(bb.max_lat(), 90.0);
-        assert_eq!(bb.max_lon(), 180.0);
-        assert!((bb.min_lat() - 88.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn intersection_logic() {
-        let a = BoundingBox::new(53.0, -6.4, 53.2, -6.2).unwrap();
-        let b = BoundingBox::new(53.1, -6.3, 53.3, -6.1).unwrap();
-        let c = BoundingBox::new(53.25, -6.1, 53.4, -6.0).unwrap();
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        assert!(b.intersects(&c));
     }
 
     #[test]

@@ -105,16 +105,6 @@ impl<T> GridIndex<T> {
         })
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     fn cell_of(&self, p: GeoPoint) -> (i64, i64) {
         let y = (p.lat() * M_PER_DEG_LAT / self.cell_m).floor() as i64;
         let x = (p.lon() * M_PER_DEG_LAT * self.cos_ref_lat / self.cell_m).floor() as i64;
@@ -293,11 +283,6 @@ impl<T> GridIndex<T> {
         }
         Ok(NeighbourRows { offsets, entries })
     }
-
-    /// Iterate over all indexed `(point, payload)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&GeoPoint, &T)> {
-        self.entries.iter().map(|(p, t)| (p, t))
-    }
 }
 
 #[cfg(test)]
@@ -340,17 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn len_and_iter() {
-        let mut g = GridIndex::new(100.0, 53.35).unwrap();
-        assert!(g.is_empty());
-        g.insert(p(53.35, -6.26), "a");
-        g.insert(p(53.36, -6.25), "b");
-        assert_eq!(g.len(), 2);
-        let collected: Vec<&str> = g.iter().map(|(_, v)| *v).collect();
-        assert_eq!(collected, vec!["a", "b"]);
-    }
-
-    #[test]
     fn within_radius_finds_east_west_pairs_at_high_latitude() {
         // A grid sized at Dublin's latitude has columns ~100 m wide there
         // but only ~47 m wide at 75° N and ~31 m at 80° N; a probe sized
@@ -362,7 +336,7 @@ mod tests {
                 g.insert(a, 2 * k);
                 g.insert(crate::destination_point(a, 90.0, 90.0), 2 * k + 1);
             }
-            for (k, (q, id)) in g.iter().enumerate() {
+            for (k, (q, id)) in g.entries.iter().enumerate() {
                 let near = g.within_radius(*q, 100.0).unwrap();
                 let partner = id ^ 1;
                 assert!(

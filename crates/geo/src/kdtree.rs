@@ -118,11 +118,6 @@ impl<T> KdTree<T> {
         Some(node_slot)
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()

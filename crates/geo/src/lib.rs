@@ -42,7 +42,6 @@ mod grid;
 mod kdtree;
 mod point;
 mod polygon;
-mod units;
 
 pub use bbox::BoundingBox;
 pub use distance::{
@@ -53,7 +52,6 @@ pub use grid::{GridIndex, NeighbourRows};
 pub use kdtree::KdTree;
 pub use point::GeoPoint;
 pub use polygon::{dublin_boundary, dublin_land_mask, Polygon};
-pub use units::Meters;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, GeoError>;

@@ -77,35 +77,6 @@ impl GeoPoint {
         // The mean of valid coordinates is always valid.
         Some(GeoPoint { lat, lon })
     }
-
-    /// Weighted centroid. `weights` must be the same length as `points` and
-    /// contain non-negative finite values; returns `None` otherwise or when
-    /// the total weight is zero.
-    pub fn weighted_centroid(points: &[GeoPoint], weights: &[f64]) -> Option<GeoPoint> {
-        if points.is_empty() || points.len() != weights.len() {
-            return None;
-        }
-        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return None;
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let lat = points
-            .iter()
-            .zip(weights)
-            .map(|(p, w)| p.lat * w)
-            .sum::<f64>()
-            / total;
-        let lon = points
-            .iter()
-            .zip(weights)
-            .map(|(p, w)| p.lon * w)
-            .sum::<f64>()
-            / total;
-        Some(GeoPoint { lat, lon })
-    }
 }
 
 impl fmt::Display for GeoPoint {
@@ -190,19 +161,6 @@ mod tests {
         let c = GeoPoint::centroid(&[a, b]).unwrap();
         assert!((c.lat() - 53.5).abs() < 1e-12);
         assert!((c.lon() + 6.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_centroid_rules() {
-        let a = GeoPoint::new(53.0, -6.0).unwrap();
-        let b = GeoPoint::new(54.0, -7.0).unwrap();
-        // All weight on b.
-        let c = GeoPoint::weighted_centroid(&[a, b], &[0.0, 2.0]).unwrap();
-        assert!((c.lat() - 54.0).abs() < 1e-12);
-        // Mismatched lengths / zero weight / negative weight are rejected.
-        assert!(GeoPoint::weighted_centroid(&[a, b], &[1.0]).is_none());
-        assert!(GeoPoint::weighted_centroid(&[a, b], &[0.0, 0.0]).is_none());
-        assert!(GeoPoint::weighted_centroid(&[a, b], &[-1.0, 2.0]).is_none());
     }
 
     #[test]

@@ -38,16 +38,6 @@ impl Polygon {
         Ok(Self { vertices, bbox })
     }
 
-    /// The polygon's vertices, in order.
-    pub fn vertices(&self) -> &[GeoPoint] {
-        &self.vertices
-    }
-
-    /// The polygon's bounding box.
-    pub fn bounding_box(&self) -> BoundingBox {
-        self.bbox
-    }
-
     /// Even–odd ray-casting containment test.
     ///
     /// Points exactly on an edge may be classified either way (floating
@@ -74,25 +64,6 @@ impl Polygon {
             j = i;
         }
         inside
-    }
-
-    /// Approximate planar area of the polygon in square kilometres, using an
-    /// equirectangular projection centred on the polygon. Good enough for
-    /// sanity checks and reporting.
-    pub fn area_km2(&self) -> f64 {
-        let centre_lat = self.bbox.center().lat().to_radians();
-        let kx = 111.195 * centre_lat.cos(); // km per degree longitude
-        let ky = 111.195; // km per degree latitude
-        let mut sum = 0.0;
-        let n = self.vertices.len();
-        for i in 0..n {
-            let a = &self.vertices[i];
-            let b = &self.vertices[(i + 1) % n];
-            let (ax, ay) = (a.lon() * kx, a.lat() * ky);
-            let (bx, by) = (b.lon() * kx, b.lat() * ky);
-            sum += ax * by - bx * ay;
-        }
-        (sum * 0.5).abs()
     }
 }
 
@@ -146,21 +117,6 @@ pub struct LandMask {
 }
 
 impl LandMask {
-    /// Construct a custom land mask.
-    pub fn new(boundary: Polygon, water: Vec<Polygon>) -> Self {
-        Self { boundary, water }
-    }
-
-    /// The outer service-area boundary.
-    pub fn boundary(&self) -> &Polygon {
-        &self.boundary
-    }
-
-    /// The subtracted water polygons.
-    pub fn water(&self) -> &[Polygon] {
-        &self.water
-    }
-
     /// Whether the point is inside the boundary (i.e. in the service area at
     /// all, on land or not).
     pub fn in_service_area(&self, p: GeoPoint) -> bool {
@@ -228,13 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn dublin_boundary_area_is_plausible() {
-        // Greater Dublin service polygon should be a few hundred km².
-        let a = dublin_boundary().area_km2();
-        assert!(a > 150.0 && a < 900.0, "area {a}");
-    }
-
-    #[test]
     fn land_mask_excludes_dublin_bay() {
         let mask = dublin_land_mask();
         assert!(mask.on_land(p(53.3498, -6.2603))); // city centre
@@ -246,25 +195,5 @@ mod tests {
         // Outside the service area entirely.
         assert!(!mask.on_land(p(53.6, -6.2)));
         assert!(!mask.in_service_area(p(53.6, -6.2)));
-    }
-
-    #[test]
-    fn bounding_box_matches_vertices() {
-        let sq = Polygon::new(vec![p(0.0, 0.0), p(0.0, 1.0), p(1.0, 1.0), p(1.0, 0.0)]).unwrap();
-        let bb = sq.bounding_box();
-        assert_eq!(bb.min_lat(), 0.0);
-        assert_eq!(bb.max_lat(), 1.0);
-    }
-
-    #[test]
-    fn unit_square_area() {
-        // 1° x 1° square at the equator ≈ 111.195² km² (equirectangular).
-        let sq = Polygon::new(vec![p(0.0, 0.0), p(0.0, 1.0), p(1.0, 1.0), p(1.0, 0.0)]).unwrap();
-        let a = sq.area_km2();
-        let expected = 111.195 * 111.195 * (0.5_f64.to_radians().cos());
-        assert!(
-            (a - expected).abs() / expected < 0.01,
-            "area {a} vs {expected}"
-        );
     }
 }

@@ -62,7 +62,7 @@
 
 use crate::csr::CsrParts;
 use crate::{par, spill, CsrGraph, NodeId};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A struct-of-arrays list of weighted edges — the columnar intermediate
 /// between trip records and a frozen [`CsrGraph`].
@@ -77,24 +77,6 @@ impl EdgeList {
     /// An empty edge list.
     pub fn new() -> EdgeList {
         EdgeList::default()
-    }
-
-    /// An empty edge list with pre-allocated capacity.
-    pub fn with_capacity(n: usize) -> EdgeList {
-        EdgeList {
-            src: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            weight: Vec::with_capacity(n),
-        }
-    }
-
-    /// Reserve capacity for at least `additional` more edges — the
-    /// row-count-hint plumbing loaders and generators use so
-    /// multi-million-row builds never pay realloc churn.
-    pub fn reserve(&mut self, additional: usize) {
-        self.src.reserve(additional);
-        self.dst.reserve(additional);
-        self.weight.reserve(additional);
     }
 
     /// Append one edge.
@@ -113,15 +95,6 @@ impl EdgeList {
     /// Whether the list holds no edges.
     pub fn is_empty(&self) -> bool {
         self.src.is_empty()
-    }
-
-    /// Iterate over the edges as `(src, dst, weight)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        self.src
-            .iter()
-            .zip(&self.dst)
-            .zip(&self.weight)
-            .map(|((&s, &d), &w)| (s, d, w))
     }
 }
 
@@ -167,7 +140,6 @@ pub struct CsrBuilder {
     threads: Option<usize>,
     shards: Option<usize>,
     spill_budget: Option<u64>,
-    spill_dir: Option<PathBuf>,
 }
 
 impl CsrBuilder {
@@ -220,21 +192,6 @@ impl CsrBuilder {
         self
     }
 
-    /// Override the base directory spill runs are created under (default:
-    /// [`std::env::temp_dir`]). The build creates — and removes, even on
-    /// panic — its own subdirectory beneath it.
-    pub fn spill_dir(mut self, dir: Option<PathBuf>) -> CsrBuilder {
-        self.spill_dir = dir;
-        self
-    }
-
-    /// Reserve capacity for at least `additional` more edges (the
-    /// row-count hint of [`EdgeList::reserve`]).
-    pub fn reserve(&mut self, additional: usize) -> &mut CsrBuilder {
-        self.edges.reserve(additional);
-        self
-    }
-
     /// Pre-intern nodes in the given order before any edge endpoints —
     /// the analogue of calling
     /// [`WeightedGraph::add_node`](crate::WeightedGraph::add_node) up
@@ -252,19 +209,6 @@ impl CsrBuilder {
             self.edges.push(src, dst, weight);
         }
         self
-    }
-
-    /// Append every edge of an [`EdgeList`] (invalid weights are ignored).
-    pub fn extend_edges(&mut self, edges: &EdgeList) -> &mut CsrBuilder {
-        for (s, d, w) in edges.iter() {
-            self.push(s, d, w);
-        }
-        self
-    }
-
-    /// Number of (valid) edges buffered so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// Freeze the buffered edges into a [`CsrGraph`] by parallel
@@ -356,7 +300,7 @@ impl CsrBuilder {
                 },
                 self.shards,
                 self.threads,
-                self.spill_dir.as_deref(),
+                None,
             )
         } else {
             Ok(assemble(
@@ -503,8 +447,8 @@ pub fn build_dense_csr_budgeted(
 /// dense indices into `node_ids`, validated weights — on every call, in
 /// insertion order (it is called once per pass: counting, partition, and
 /// for directed graphs the same two passes again for the in-adjacency).
-/// A closure over in-memory columns, a disk spool, or a deterministic
-/// generator all qualify. Errors returned by the stream propagate.
+/// A closure over in-memory columns or a deterministic generator both
+/// qualify. Errors returned by the stream propagate.
 ///
 /// The frozen graph — node table, offsets, targets, merged weight bits,
 /// cached degrees, edge count and total weight — is **bit-identical** to
@@ -953,6 +897,12 @@ mod tests {
         ]
     }
 
+    fn push_all(b: &mut CsrBuilder, edges: &EdgeList) {
+        for k in 0..edges.len() {
+            b.push(edges.src[k], edges.dst[k], edges.weight[k]);
+        }
+    }
+
     /// Bit-strict equality between a built CSR and a frozen builder.
     fn assert_identical(built: &CsrGraph, frozen: &CsrGraph) {
         assert_eq!(built, frozen);
@@ -1069,13 +1019,18 @@ mod tests {
     fn spill_runs_are_removed_on_success() {
         let base = std::env::temp_dir().join(format!("moby-spill-test-ok-{}", std::process::id()));
         std::fs::create_dir_all(&base).unwrap();
-        let mut b = CsrBuilder::undirected()
-            .spill_budget(Some(0))
-            .spill_dir(Some(base.clone()));
-        for &(s, d, w) in &sample_edges() {
-            b.push(s, d, w);
-        }
-        let g = b.build();
+        let g = build_dense_csr_budgeted(
+            false,
+            vec![10, 20, 30, 40],
+            &[0, 1, 0, 3, 2],
+            &[1, 2, 1, 3, 0],
+            &[3.0, 1.0, 2.0, 5.0, 0.5],
+            None,
+            None,
+            Some(0),
+            Some(&base),
+        )
+        .unwrap();
         assert_eq!(g.node_count(), 4);
         let leftovers: Vec<_> = std::fs::read_dir(&base).unwrap().collect();
         assert!(
@@ -1088,16 +1043,20 @@ mod tests {
     #[test]
     fn unwritable_spill_dir_is_an_error_not_a_panic() {
         // A plain file as the base dir: create_dir_all under it fails,
-        // and try_build surfaces GraphError::Spill instead of panicking.
+        // and the build surfaces GraphError::Spill instead of panicking.
         let file = std::env::temp_dir().join(format!("moby-spill-test-f-{}", std::process::id()));
         std::fs::write(&file, b"not a dir").unwrap();
-        let mut b = CsrBuilder::undirected()
-            .spill_budget(Some(0))
-            .spill_dir(Some(file.join("sub")));
-        for &(s, d, w) in &sample_edges() {
-            b.push(s, d, w);
-        }
-        match b.try_build() {
+        match build_dense_csr_budgeted(
+            false,
+            vec![10, 20],
+            &[0],
+            &[1],
+            &[1.0],
+            None,
+            None,
+            Some(0),
+            Some(&file.join("sub")),
+        ) {
             Err(crate::GraphError::Spill(msg)) => {
                 assert!(msg.contains("spill dir"), "unexpected message: {msg}")
             }
@@ -1176,7 +1135,6 @@ mod tests {
         let mut b = CsrBuilder::undirected();
         b.push(1, 2, f64::NAN);
         b.push(3, 4, -1.0);
-        assert_eq!(b.edge_count(), 0);
         let built = b.build();
         // Like the builder, a rejected edge interns no endpoints.
         assert!(built.is_empty());
@@ -1195,12 +1153,11 @@ mod tests {
         let list: EdgeList = sample_edges().into_iter().collect();
         assert_eq!(list.len(), 5);
         assert!(!list.is_empty());
-        let back: Vec<_> = list.iter().collect();
+        let back: Vec<_> = (0..list.len())
+            .map(|k| (list.src[k], list.dst[k], list.weight[k]))
+            .collect();
         assert_eq!(back, sample_edges());
-        let mut b = CsrBuilder::undirected();
-        b.extend_edges(&list);
-        assert_eq!(b.edge_count(), 5);
-        assert!(EdgeList::with_capacity(8).is_empty());
+        assert!(EdgeList::new().is_empty());
     }
 
     #[test]
@@ -1283,13 +1240,12 @@ mod tests {
     fn sharded_builder_matches_unsharded_builder() {
         let base = {
             let mut b = CsrBuilder::undirected();
-            b.extend_edges(&sample_edges().into_iter().collect());
+            push_all(&mut b, &sample_edges().into_iter().collect());
             b.build()
         };
         for shards in [1usize, 2, 4] {
             let mut b = CsrBuilder::undirected().shards(Some(shards));
-            b.reserve(sample_edges().len());
-            b.extend_edges(&sample_edges().into_iter().collect());
+            push_all(&mut b, &sample_edges().into_iter().collect());
             assert_identical(&b.build(), &base);
         }
     }
@@ -1333,7 +1289,7 @@ mod tests {
                     CsrBuilder::undirected()
                 }
                 .threads(Some(threads));
-                b.extend_edges(&edges);
+                push_all(&mut b, &edges);
                 b.build()
             };
             let one = mk(1);

@@ -3,8 +3,8 @@
 //! [`WeightedGraph`] is the *builder*: cheap merged
 //! inserts backed by per-node hash maps. Every analytical algorithm pays
 //! hash-probe and cache-miss costs when it walks that representation, so
-//! the hot layers (Louvain, modularity, PageRank, centrality, clustering,
-//! components) instead consume a [`CsrGraph`] produced once by
+//! the hot layers (Louvain, modularity, PageRank) instead consume a
+//! [`CsrGraph`] produced once by
 //! [`WeightedGraph::freeze`](crate::WeightedGraph::freeze):
 //!
 //! * `offsets` / `targets` / `weights` — the classic CSR triplet; node
@@ -87,12 +87,6 @@ impl<T: Copy + Default> AlignedSlab<T> {
     /// Bytes of backing allocation, **including** the alignment padding.
     pub fn heap_bytes(&self) -> usize {
         self.buf.capacity() * std::mem::size_of::<T>()
-    }
-
-    /// Whether the data actually starts on a cache-line boundary (false
-    /// only when `align_offset` refused; correctness never depends on it).
-    pub fn is_aligned(&self) -> bool {
-        self.len == 0 || self.as_slice().as_ptr().align_offset(CACHE_LINE) == 0
     }
 }
 
@@ -449,13 +443,6 @@ impl CsrGraph {
         }
     }
 
-    /// Neighbours (by dense index) with merged weights, sorted by index.
-    /// For a directed graph these are out-neighbours.
-    pub fn neighbors(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (t, w) = self.row(u);
-        t.iter().zip(w).map(|(&t, &w)| (t as usize, w))
-    }
-
     /// In-neighbours (by dense index) with merged weights.
     pub fn in_neighbors(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let (t, w) = self.in_row(u);
@@ -809,27 +796,32 @@ mod tests {
         assert_eq!(c.edges().count(), 0);
     }
 
+    /// Whether a slab's data starts on a cache-line boundary.
+    fn is_aligned<T: Copy + Default>(slab: &AlignedSlab<T>) -> bool {
+        slab.is_empty() || slab.as_ptr().align_offset(CACHE_LINE) == 0
+    }
+
     #[test]
     fn aligned_slab_round_trips_and_aligns() {
         let data: Vec<u32> = (0..1000).collect();
         let slab = AlignedSlab::from_slice(&data);
         assert_eq!(slab.as_slice(), &data[..]);
-        assert!(slab.is_aligned(), "u32 slab starts on a cache line");
+        assert!(is_aligned(&slab), "u32 slab starts on a cache line");
         assert!(slab.heap_bytes() >= 1000 * 4, "padding counted");
 
         let f: Vec<f64> = (0..77).map(|i| i as f64 * 0.5).collect();
         let fslab: AlignedSlab<f64> = f.clone().into();
         assert_eq!(&*fslab, &f[..]);
-        assert!(fslab.is_aligned());
+        assert!(is_aligned(&fslab));
 
         // Clone re-packs around a fresh allocation but compares equal.
         let copy = slab.clone();
         assert_eq!(copy, slab);
-        assert!(copy.is_aligned());
+        assert!(is_aligned(&copy));
 
         let empty = AlignedSlab::<f64>::default();
         assert!(empty.as_slice().is_empty());
-        assert!(empty.is_aligned());
+        assert!(is_aligned(&empty));
         assert_eq!(empty.heap_bytes(), 0);
     }
 }

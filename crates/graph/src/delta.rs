@@ -193,26 +193,6 @@ impl CsrDelta {
             weight,
         }
     }
-
-    /// Whether the delta targets a directed graph.
-    pub fn is_directed(&self) -> bool {
-        self.directed
-    }
-
-    /// Number of batch edges.
-    pub fn edge_count(&self) -> usize {
-        self.src.len()
-    }
-
-    /// Whether the delta carries no batch edges.
-    pub fn is_empty(&self) -> bool {
-        self.src.is_empty()
-    }
-
-    /// The node table after the batch (dense index = position).
-    pub fn new_node_ids(&self) -> &[NodeId] {
-        &self.new_node_ids
-    }
 }
 
 impl CsrGraph {
@@ -548,9 +528,6 @@ mod tests {
         for directed in [false, true] {
             let base = build_dense_csr(directed, node_ids.clone(), &src, &dst, &w, Some(2));
             let delta = CsrDelta::from_dense(directed, node_ids.clone(), None, &bs, &bd, &bw);
-            assert_eq!(delta.edge_count(), 37);
-            assert!(!delta.is_empty());
-            assert_eq!(delta.is_directed(), directed);
             let all_src: Vec<u32> = src.iter().chain(&bs).copied().collect();
             let all_dst: Vec<u32> = dst.iter().chain(&bd).copied().collect();
             let all_w: Vec<f64> = w.iter().chain(&bw).copied().collect();
@@ -625,7 +602,7 @@ mod tests {
             let all: Vec<_> = old_edges.iter().chain(&batch).copied().collect();
             let want = mk(&all);
             let delta = CsrDelta::extend_by_id(&base, batch.iter().copied());
-            assert_eq!(delta.new_node_ids(), want.node_ids());
+            assert_eq!(&delta.new_node_ids[..], want.node_ids());
             for threads in [1usize, 2, 4] {
                 assert_identical(&base.apply_delta(&delta, Some(threads)), &want);
             }
@@ -639,8 +616,8 @@ mod tests {
         let base = b.build();
         let delta = CsrDelta::extend_by_id(&base, [(1u64, 99u64, f64::NAN), (2, 98, -1.0)]);
         // Rejected edges intern no endpoints and carry no rows.
-        assert!(delta.is_empty());
-        assert_eq!(delta.new_node_ids(), base.node_ids());
+        assert!(delta.src.is_empty());
+        assert_eq!(&delta.new_node_ids[..], base.node_ids());
         assert_identical(&base.apply_delta(&delta, Some(2)), &base);
     }
 

@@ -1,11 +1,11 @@
-//! Text exports of graphs: DOT, CSV edge lists and GeoJSON.
+//! GeoJSON export of graphs.
 //!
 //! The paper presents its results as map figures (Figs. 1–4, 6). We cannot
 //! render raster maps here, but the GeoJSON export reproduces the underlying
 //! artefacts: node features carry the community/colour assignments and edge
 //! features carry the trip weights, so any GIS viewer reproduces the figure.
 
-use crate::{CsrGraph, NodeId, WeightedGraph};
+use crate::{CsrGraph, NodeId};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -24,49 +24,6 @@ fn json_escape(s: &str) -> String {
             }
             c => out.push(c),
         }
-    }
-    out
-}
-
-/// Render the graph in Graphviz DOT format.
-///
-/// `node_label` supplies the display label for each node id (fall back to
-/// the numeric id by returning `None`). Edge weights become `penwidth`-style
-/// weight attributes.
-pub fn to_dot<F>(graph: &WeightedGraph, name: &str, node_label: F) -> String
-where
-    F: Fn(NodeId) -> Option<String>,
-{
-    let mut out = String::new();
-    let kind = if graph.is_directed() {
-        "digraph"
-    } else {
-        "graph"
-    };
-    let arrow = if graph.is_directed() { "->" } else { "--" };
-    let _ = writeln!(out, "{kind} \"{}\" {{", json_escape(name));
-    let mut ids: Vec<NodeId> = graph.node_ids().to_vec();
-    ids.sort_unstable();
-    for id in &ids {
-        let label = node_label(*id).unwrap_or_else(|| id.to_string());
-        let _ = writeln!(out, "  n{id} [label=\"{}\"];", json_escape(&label));
-    }
-    let mut edges = graph.edges();
-    edges.sort_by_key(|a| (a.0, a.1));
-    for (src, dst, w) in edges {
-        let _ = writeln!(out, "  n{src} {arrow} n{dst} [weight={w}];");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Render the graph as a CSV edge list with header `src,dst,weight`.
-pub fn to_edge_csv(graph: &WeightedGraph) -> String {
-    let mut out = String::from("src,dst,weight\n");
-    let mut edges = graph.edges();
-    edges.sort_by_key(|a| (a.0, a.1));
-    for (src, dst, w) in edges {
-        let _ = writeln!(out, "{src},{dst},{w}");
     }
     out
 }
@@ -170,6 +127,7 @@ pub fn to_geojson(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WeightedGraph;
 
     fn sample() -> WeightedGraph {
         let mut g = WeightedGraph::new_undirected();
@@ -177,43 +135,6 @@ mod tests {
         g.add_edge(2, 3, 1.0);
         g.add_edge(1, 1, 2.0);
         g
-    }
-
-    #[test]
-    fn dot_undirected_uses_double_dash() {
-        let dot = to_dot(&sample(), "test", |_| None);
-        assert!(dot.starts_with("graph \"test\" {"));
-        assert!(dot.contains("n1 -- n2 [weight=3];"));
-        assert!(dot.contains("n1 [label=\"1\"];"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn dot_directed_uses_arrow() {
-        let mut g = WeightedGraph::new_directed();
-        g.add_edge(1, 2, 1.0);
-        let dot = to_dot(&g, "d", |id| Some(format!("S{id}")));
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("n1 -> n2"));
-        assert!(dot.contains("label=\"S1\""));
-    }
-
-    #[test]
-    fn dot_escapes_labels() {
-        let mut g = WeightedGraph::new_undirected();
-        g.add_node(1);
-        let dot = to_dot(&g, "x", |_| Some("a\"b".to_string()));
-        assert!(dot.contains("a\\\"b"));
-    }
-
-    #[test]
-    fn edge_csv_has_header_and_rows() {
-        let csv = to_edge_csv(&sample());
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        assert_eq!(lines[0], "src,dst,weight");
-        assert_eq!(lines.len(), 4); // header + 3 edges
-        assert!(lines.contains(&"1,2,3"));
-        assert!(lines.contains(&"1,1,2"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Compact weighted graphs used by the analytical algorithms.
 
-use crate::{GraphError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -96,18 +95,11 @@ impl WeightedGraph {
         i
     }
 
-    /// Add an edge with weight 1.0 (creating missing endpoints), merging
-    /// into any existing edge between the pair.
-    pub fn add_unit_edge(&mut self, src: NodeId, dst: NodeId) {
-        self.add_edge(src, dst, 1.0);
-    }
-
     /// Add an edge (creating missing endpoints), merging the weight into any
     /// existing edge between the pair.
     ///
     /// Non-finite or negative weights are ignored with a debug assertion —
-    /// callers validate weights at the boundary (see
-    /// [`WeightedGraph::try_add_edge`] for the checked variant).
+    /// callers validate weights at the boundary.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, weight: f64) {
         debug_assert!(
             weight.is_finite() && weight >= 0.0,
@@ -137,19 +129,6 @@ impl WeightedGraph {
                 self.edge_count += 1;
             }
         }
-    }
-
-    /// Checked variant of [`WeightedGraph::add_edge`].
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::InvalidWeight`] for non-finite or negative weights.
-    pub fn try_add_edge(&mut self, src: NodeId, dst: NodeId, weight: f64) -> Result<()> {
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(GraphError::InvalidWeight(weight));
-        }
-        self.add_edge(src, dst, weight);
-        Ok(())
     }
 
     /// Whether the node id is present.
@@ -385,14 +364,6 @@ mod tests {
         assert_eq!(g.in_strength(i2), 5.0);
         let in_n: Vec<usize> = g.in_neighbors(i2).map(|(n, _)| n).collect();
         assert_eq!(in_n.len(), 2);
-    }
-
-    #[test]
-    fn invalid_weights_rejected() {
-        let mut g = WeightedGraph::new_undirected();
-        assert!(g.try_add_edge(1, 2, f64::NAN).is_err());
-        assert!(g.try_add_edge(1, 2, -1.0).is_err());
-        assert!(g.try_add_edge(1, 2, 1.0).is_ok());
     }
 
     #[test]

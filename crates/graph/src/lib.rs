@@ -1,6 +1,6 @@
 //! # moby-graph
 //!
-//! In-memory weighted graphs and a network-metrics suite.
+//! In-memory weighted graphs and the few network metrics the pipeline uses.
 //!
 //! The paper stores its trip networks in Neo4j and runs the Graph Data
 //! Science library on top of it. This crate is the Rust substrate that
@@ -11,8 +11,8 @@
 //!   inserts over per-node hash maps. Since the columnar path landed this
 //!   is the compatibility / equivalence baseline, not the hot path;
 //! * [`CsrGraph`] — the frozen compressed-sparse-row projection; every
-//!   analytical algorithm (degree/strength, Louvain, centrality) runs on
-//!   this cache-friendly representation;
+//!   analytical algorithm (degree, Louvain, PageRank) runs on this
+//!   cache-friendly representation;
 //! * [`EdgeList`] / [`CsrBuilder`] — the columnar **sort-merge
 //!   construction** path: `(src, dst, weight)` triples become a frozen
 //!   [`CsrGraph`] directly (sort by row/target + adjacent-duplicate
@@ -34,11 +34,10 @@
 //!   fixed chunk-merge order, and `MOBY_THREADS` thread-count resolution.
 //!   Results are bit-identical at any thread count; see the module docs for
 //!   the contract;
-//! * [`metrics`] — degree, strength, local clustering coefficient,
-//!   betweenness, closeness, PageRank, connected components and the Gini
-//!   coefficient, the network descriptors referenced in the paper's related
-//!   work and used for validation;
-//! * [`export`] — DOT / CSV / GeoJSON emission for the paper's figures.
+//! * [`metrics`] — degree summaries (Algorithm 1's station selection),
+//!   PageRank (served per snapshot) and the Gini coefficient (the
+//!   baseline comparison's usage equity);
+//! * [`export`] — GeoJSON emission for the paper's map figures.
 //!
 //! ## Example
 //!

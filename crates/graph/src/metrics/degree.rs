@@ -1,7 +1,6 @@
-//! Degree and strength statistics.
+//! Degree summary statistics.
 
-use crate::{CsrGraph, NodeId, WeightedGraph};
-use std::collections::HashMap;
+use crate::{CsrGraph, NodeId};
 
 /// Per-graph degree summary statistics.
 ///
@@ -37,103 +36,37 @@ impl DegreeSummary {
         })
     }
 
-    /// Summarise the degrees of the given node ids in `graph`. Ids not in
-    /// the graph are skipped. Returns `None` when no listed node exists.
-    pub fn for_nodes(graph: &WeightedGraph, ids: &[NodeId]) -> Option<Self> {
-        Self::from_degrees(ids.iter().filter_map(|&id| graph.degree_of(id)).collect())
-    }
-
-    /// Summarise every node in the graph.
-    pub fn for_graph(graph: &WeightedGraph) -> Option<Self> {
-        Self::for_nodes(graph, graph.node_ids())
-    }
-
-    /// [`DegreeSummary::for_nodes`] over an already-frozen [`CsrGraph`]:
-    /// degrees come straight off the offsets array.
+    /// Summarise the degrees of the given node ids in a frozen
+    /// [`CsrGraph`]: degrees come straight off the offsets array. Ids not
+    /// in the graph are skipped. Returns `None` when no listed node exists.
     pub fn for_nodes_csr(graph: &CsrGraph, ids: &[NodeId]) -> Option<Self> {
         Self::from_degrees(ids.iter().filter_map(|&id| graph.degree_of(id)).collect())
     }
 
-    /// [`DegreeSummary::for_graph`] over an already-frozen [`CsrGraph`].
+    /// Summarise every node in a frozen [`CsrGraph`].
     pub fn for_graph_csr(graph: &CsrGraph) -> Option<Self> {
         Self::for_nodes_csr(graph, graph.node_ids())
     }
 }
 
-/// Degree (number of distinct neighbours) for every node id.
-pub fn degree_map(graph: &WeightedGraph) -> HashMap<NodeId, usize> {
-    graph
-        .node_ids()
-        .iter()
-        .map(|&id| (id, graph.degree_of(id).expect("listed id exists")))
-        .collect()
-}
-
-/// [`degree_map`] over an already-frozen [`CsrGraph`]: degrees are row
-/// lengths read straight off the offsets array.
-pub fn degree_map_csr(graph: &CsrGraph) -> HashMap<NodeId, usize> {
-    (0..graph.node_count())
-        .map(|u| (graph.id_of(u).expect("dense index valid"), graph.degree(u)))
-        .collect()
-}
-
-/// Strength (sum of incident edge weights) for every node id.
-pub fn strength_map(graph: &WeightedGraph) -> HashMap<NodeId, f64> {
-    graph
-        .node_ids()
-        .iter()
-        .map(|&id| (id, graph.strength_of(id).expect("listed id exists")))
-        .collect()
-}
-
-/// [`strength_map`] over an already-frozen [`CsrGraph`]: strengths come
-/// from the cached per-node weighted degrees, no edge walk at all.
-pub fn strength_map_csr(graph: &CsrGraph) -> HashMap<NodeId, f64> {
-    (0..graph.node_count())
-        .map(|u| {
-            (
-                graph.id_of(u).expect("dense index valid"),
-                graph.strength(u),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WeightedGraph;
 
-    fn triangle_plus_leaf() -> WeightedGraph {
+    fn triangle_plus_leaf() -> CsrGraph {
         let mut g = WeightedGraph::new_undirected();
         g.add_edge(1, 2, 2.0);
         g.add_edge(2, 3, 1.0);
         g.add_edge(1, 3, 1.0);
         g.add_edge(3, 4, 5.0);
-        g
-    }
-
-    #[test]
-    fn degree_map_counts_neighbours() {
-        let g = triangle_plus_leaf();
-        let d = degree_map(&g);
-        assert_eq!(d[&1], 2);
-        assert_eq!(d[&3], 3);
-        assert_eq!(d[&4], 1);
-    }
-
-    #[test]
-    fn strength_map_sums_weights() {
-        let g = triangle_plus_leaf();
-        let s = strength_map(&g);
-        assert_eq!(s[&1], 3.0);
-        assert_eq!(s[&3], 7.0);
-        assert_eq!(s[&4], 5.0);
+        g.freeze()
     }
 
     #[test]
     fn summary_for_all_nodes() {
         let g = triangle_plus_leaf();
-        let s = DegreeSummary::for_graph(&g).unwrap();
+        let s = DegreeSummary::for_graph_csr(&g).unwrap();
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 3);
         assert_eq!(s.count, 4);
@@ -143,7 +76,7 @@ mod tests {
     #[test]
     fn summary_for_subset_ignores_missing() {
         let g = triangle_plus_leaf();
-        let s = DegreeSummary::for_nodes(&g, &[1, 4, 999]).unwrap();
+        let s = DegreeSummary::for_nodes_csr(&g, &[1, 4, 999]).unwrap();
         assert_eq!(s.count, 2);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 2);
@@ -152,23 +85,8 @@ mod tests {
     #[test]
     fn summary_of_nothing_is_none() {
         let g = triangle_plus_leaf();
-        assert!(DegreeSummary::for_nodes(&g, &[999]).is_none());
-        let empty = WeightedGraph::new_undirected();
-        assert!(DegreeSummary::for_graph(&empty).is_none());
-    }
-
-    #[test]
-    fn csr_summary_matches_builder_summary() {
-        let g = triangle_plus_leaf();
-        let c = g.freeze();
-        assert_eq!(
-            DegreeSummary::for_graph_csr(&c),
-            DegreeSummary::for_graph(&g)
-        );
-        assert_eq!(
-            DegreeSummary::for_nodes_csr(&c, &[1, 4, 999]),
-            DegreeSummary::for_nodes(&g, &[1, 4, 999])
-        );
-        assert!(DegreeSummary::for_nodes_csr(&c, &[999]).is_none());
+        assert!(DegreeSummary::for_nodes_csr(&g, &[999]).is_none());
+        let empty = WeightedGraph::new_undirected().freeze();
+        assert!(DegreeSummary::for_graph_csr(&empty).is_none());
     }
 }

@@ -7,10 +7,10 @@
 //! chunk-merge order of the convergence norm are independent of the thread
 //! count — the scores are bit-identical at any parallelism.
 
-use crate::{par, CsrGraph, NodeId, WeightedGraph};
+use crate::{par, CsrGraph, NodeId};
 use std::collections::HashMap;
 
-/// Configuration for [`pagerank`].
+/// Configuration for [`pagerank_csr`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageRankConfig {
     /// Damping factor, conventionally 0.85.
@@ -36,25 +36,19 @@ impl Default for PageRankConfig {
     }
 }
 
-/// Weighted PageRank over the graph's (out-)edges.
+/// Weighted PageRank over a frozen [`CsrGraph`]'s (out-)edges.
 ///
 /// Transition probability from `u` to `v` is proportional to the weight of
 /// the `u -> v` edge. Dangling nodes (no out-edges) redistribute their mass
 /// uniformly. Scores sum to 1 over all nodes. Returns an empty map for an
 /// empty graph.
 ///
-/// Freezes the builder once and runs [`pagerank_csr`]; callers that
-/// already hold a frozen [`CsrGraph`] should call that directly.
-pub fn pagerank(graph: &WeightedGraph, config: &PageRankConfig) -> HashMap<NodeId, f64> {
-    pagerank_csr(&graph.freeze(), config)
-}
-
-/// Weighted PageRank over a frozen [`CsrGraph`]: each power iteration is a
-/// pull-based sweep over the in-rows, parallelised on the deterministic
-/// row-chunk scheduler. A node's next score accumulates its in-neighbour
-/// contributions positionally in row order — four register-resident lane
-/// sums folded in a fixed position-derived order (the internal `row_dot`) — so
-/// the result is bit-identical at any thread count, including one.
+/// Each power iteration is a pull-based sweep over the in-rows,
+/// parallelised on the deterministic row-chunk scheduler. A node's next
+/// score accumulates its in-neighbour contributions positionally in row
+/// order — four register-resident lane sums folded in a fixed
+/// position-derived order (the internal `row_dot`) — so the result is
+/// bit-identical at any thread count, including one.
 pub fn pagerank_csr(graph: &CsrGraph, config: &PageRankConfig) -> HashMap<NodeId, f64> {
     let n = graph.node_count();
     if n == 0 {
@@ -171,7 +165,7 @@ fn row_dot(sources: &[u32], weights: &[f64], contrib: &par::SharedF64Buf) -> f64
 /// The legacy hash-map-walk PageRank, kept private as the reference for
 /// the CSR/builder agreement tests below.
 #[cfg(test)]
-fn pagerank_hashmap(graph: &WeightedGraph, config: &PageRankConfig) -> HashMap<NodeId, f64> {
+fn pagerank_hashmap(graph: &crate::WeightedGraph, config: &PageRankConfig) -> HashMap<NodeId, f64> {
     let n = graph.node_count();
     if n == 0 {
         return HashMap::new();
@@ -210,11 +204,12 @@ fn pagerank_hashmap(graph: &WeightedGraph, config: &PageRankConfig) -> HashMap<N
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WeightedGraph;
 
     #[test]
     fn empty_graph_returns_empty() {
         let g = WeightedGraph::new_directed();
-        assert!(pagerank(&g, &PageRankConfig::default()).is_empty());
+        assert!(pagerank_csr(&g.freeze(), &PageRankConfig::default()).is_empty());
     }
 
     #[test]
@@ -224,7 +219,7 @@ mod tests {
         g.add_edge(2, 3, 1.0);
         g.add_edge(3, 1, 2.0);
         g.add_edge(1, 3, 1.0);
-        let pr = pagerank(&g, &PageRankConfig::default());
+        let pr = pagerank_csr(&g.freeze(), &PageRankConfig::default());
         let total: f64 = pr.values().sum();
         assert!((total - 1.0).abs() < 1e-6, "total {total}");
     }
@@ -235,7 +230,7 @@ mod tests {
         g.add_edge(1, 2, 1.0);
         g.add_edge(2, 3, 1.0);
         g.add_edge(3, 1, 1.0);
-        let pr = pagerank(&g, &PageRankConfig::default());
+        let pr = pagerank_csr(&g.freeze(), &PageRankConfig::default());
         for id in [1, 2, 3] {
             assert!((pr[&id] - 1.0 / 3.0).abs() < 1e-6);
         }
@@ -249,7 +244,7 @@ mod tests {
             g.add_edge(src, 1, 1.0);
         }
         g.add_edge(1, 2, 1.0);
-        let pr = pagerank(&g, &PageRankConfig::default());
+        let pr = pagerank_csr(&g.freeze(), &PageRankConfig::default());
         assert!(pr[&1] > pr[&3]);
         assert!(pr[&1] > pr[&2]);
         assert!(pr[&2] > pr[&3], "2 benefits from 1's endorsement");
@@ -260,7 +255,7 @@ mod tests {
         let mut g = WeightedGraph::new_directed();
         g.add_edge(1, 2, 1.0); // 2 is dangling
         g.add_node(3); // isolated & dangling
-        let pr = pagerank(&g, &PageRankConfig::default());
+        let pr = pagerank_csr(&g.freeze(), &PageRankConfig::default());
         let total: f64 = pr.values().sum();
         assert!((total - 1.0).abs() < 1e-6);
     }
@@ -273,7 +268,7 @@ mod tests {
         g.add_edge(1, 3, 1.0);
         g.add_edge(2, 1, 1.0);
         g.add_edge(3, 1, 1.0);
-        let pr = pagerank(&g, &PageRankConfig::default());
+        let pr = pagerank_csr(&g.freeze(), &PageRankConfig::default());
         assert!(pr[&2] > pr[&3]);
     }
 
@@ -351,7 +346,7 @@ mod tests {
             ..Default::default()
         };
         // One iteration must still produce finite, positive scores.
-        let pr = pagerank(&g, &cfg);
+        let pr = pagerank_csr(&g.freeze(), &cfg);
         assert!(pr.values().all(|v| v.is_finite() && *v > 0.0));
     }
 }

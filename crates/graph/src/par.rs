@@ -154,8 +154,9 @@ impl RowChunks {
     }
 
     /// Row-count-balanced chunks for sweeps whose per-row cost is not
-    /// proportional to the row length (e.g. one shortest-path tree per
-    /// source node): at most `max_chunks` equal-sized contiguous ranges.
+    /// proportional to the row length (e.g. the edge-list passes of a
+    /// build, one item per edge): at most `max_chunks` equal-sized
+    /// contiguous ranges.
     pub fn uniform(n: usize, max_chunks: usize) -> RowChunks {
         let chunks = max_chunks.max(1).min(n.max(1));
         let mut ranges = Vec::with_capacity(chunks);
@@ -273,7 +274,7 @@ where
     assert_eq!(
         out.len(),
         chunks.rows(),
-        "par_fill output length must equal the chunked row count"
+        "par_fill_with output length must equal the chunked row count"
     );
     let ranges = chunks.ranges();
     let threads = threads.clamp(1, MAX_THREADS).min(ranges.len().max(1));
@@ -324,16 +325,6 @@ where
         .into_iter()
         .map(|r| r.expect("every chunk executed"))
         .collect()
-}
-
-/// [`par_fill_with`] without per-worker state.
-pub fn par_fill<T, R, F>(chunks: &RowChunks, threads: usize, out: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) -> R + Sync,
-{
-    par_fill_with(chunks, threads, out, || (), move |_, i, r, s| f(i, r, s))
 }
 
 /// A shared `f64` buffer for iterative sweeps ([`par_iterate`]): plain
@@ -565,11 +556,17 @@ mod tests {
         let c = RowChunks::balanced(&o, 16, 1);
         for threads in [1, 3, 8] {
             let mut out = vec![usize::MAX; 333];
-            par_fill(&c, threads, &mut out, |_, range, slice| {
-                for (j, u) in range.clone().enumerate() {
-                    slice[j] = u * 2;
-                }
-            });
+            par_fill_with(
+                &c,
+                threads,
+                &mut out,
+                || (),
+                |_, _, range, slice| {
+                    for (j, u) in range.clone().enumerate() {
+                        slice[j] = u * 2;
+                    }
+                },
+            );
             for (u, &v) in out.iter().enumerate() {
                 assert_eq!(v, u * 2);
             }
@@ -688,7 +685,7 @@ mod tests {
         let got: Vec<usize> = par_map(&c, 4, |i, _| i);
         assert!(got.is_empty());
         let mut out: Vec<f64> = Vec::new();
-        let res: Vec<()> = par_fill(&c, 4, &mut out, |_, _, _| ());
+        let res: Vec<()> = par_fill_with(&c, 4, &mut out, || (), |_, _, _, _| ());
         assert!(res.is_empty());
     }
 }

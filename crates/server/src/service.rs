@@ -151,13 +151,6 @@ impl QueryPool {
             .expect("workers outlive the sender");
         rx
     }
-
-    /// Submit and wait for the answer.
-    pub fn query(&self, req: Request) -> Answer {
-        self.submit(req)
-            .recv()
-            .expect("worker answers every accepted job")
-    }
 }
 
 impl Drop for QueryPool {
@@ -190,8 +183,8 @@ mod tests {
     fn pool_answers_match_direct_evaluation() {
         let net = network();
         let station = net.stations[0].clone();
-        let (writer, handle) = SnapshotWriter::new(net, ServeConfig::default());
-        let pool = QueryPool::new(writer.handle(), 3);
+        let (_writer, handle) = SnapshotWriter::new(net, ServeConfig::default());
+        let pool = QueryPool::new(Arc::clone(&handle), 3);
         let snap = handle.current();
         let requests = [
             Request::Station(station.id),
@@ -205,7 +198,7 @@ mod tests {
             Request::Degrees { directed: false },
         ];
         for req in requests {
-            let got = pool.query(req.clone());
+            let got = pool.submit(req.clone()).recv().unwrap();
             assert_eq!(got, answer(&snap, &req), "pooled answer for {req:?}");
             assert_eq!(got.epoch, 0);
         }
@@ -215,12 +208,15 @@ mod tests {
     fn nearest_returns_the_station_itself_first() {
         let net = network();
         let station = net.stations[0].clone();
-        let (writer, _handle) = SnapshotWriter::new(net, ServeConfig::default());
-        let pool = QueryPool::new(writer.handle(), 2);
-        let got = pool.query(Request::Nearest {
-            at: station.position,
-            k: 2,
-        });
+        let (_writer, handle) = SnapshotWriter::new(net, ServeConfig::default());
+        let pool = QueryPool::new(Arc::clone(&handle), 2);
+        let got = pool
+            .submit(Request::Nearest {
+                at: station.position,
+                k: 2,
+            })
+            .recv()
+            .unwrap();
         let Response::Nearest(hits) = got.response else {
             panic!("wrong response variant");
         };
@@ -232,19 +228,28 @@ mod tests {
     #[test]
     fn unknown_ids_answer_none_not_panic() {
         let net = network();
-        let (writer, _handle) = SnapshotWriter::new(net, ServeConfig::default());
-        let pool = QueryPool::new(writer.handle(), 1);
+        let (_writer, handle) = SnapshotWriter::new(net, ServeConfig::default());
+        let pool = QueryPool::new(Arc::clone(&handle), 1);
         let missing = u64::MAX - 7;
         assert_eq!(
-            pool.query(Request::Station(missing)).response,
+            pool.submit(Request::Station(missing))
+                .recv()
+                .unwrap()
+                .response,
             Response::Station(None)
         );
         assert_eq!(
-            pool.query(Request::Community(missing)).response,
+            pool.submit(Request::Community(missing))
+                .recv()
+                .unwrap()
+                .response,
             Response::Community(None)
         );
         assert_eq!(
-            pool.query(Request::PageRank(missing)).response,
+            pool.submit(Request::PageRank(missing))
+                .recv()
+                .unwrap()
+                .response,
             Response::PageRank(None)
         );
     }
@@ -265,10 +270,22 @@ mod tests {
             }
             b
         };
-        let (mut writer, _handle) = SnapshotWriter::new(net, ServeConfig::default());
-        let pool = QueryPool::new(writer.handle(), 2);
-        assert_eq!(pool.query(Request::Degrees { directed: true }).epoch, 0);
+        let (mut writer, handle) = SnapshotWriter::new(net, ServeConfig::default());
+        let pool = QueryPool::new(Arc::clone(&handle), 2);
+        assert_eq!(
+            pool.submit(Request::Degrees { directed: true })
+                .recv()
+                .unwrap()
+                .epoch,
+            0
+        );
         writer.apply(WriteOp::Ingest(batch)).expect("valid batch");
-        assert_eq!(pool.query(Request::Degrees { directed: true }).epoch, 1);
+        assert_eq!(
+            pool.submit(Request::Degrees { directed: true })
+                .recv()
+                .unwrap()
+                .epoch,
+            1
+        );
     }
 }

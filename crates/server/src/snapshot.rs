@@ -326,11 +326,6 @@ impl SnapshotWriter {
         )
     }
 
-    /// The shared reader handle.
-    pub fn handle(&self) -> Arc<SnapshotHandle> {
-        Arc::clone(&self.handle)
-    }
-
     /// The writer's private successor network (for offline verification:
     /// the bench rebuilds dense CSR from these trips and panic-checks
     /// bit-identity against the published snapshot).
@@ -463,8 +458,8 @@ mod tests {
     #[test]
     fn empty_op_carries_every_metric_forward() {
         let net = network();
-        let (mut writer, _handle) = SnapshotWriter::new(net, ServeConfig::default());
-        let before = writer.handle().current();
+        let (mut writer, handle) = SnapshotWriter::new(net, ServeConfig::default());
+        let before = handle.current();
         let out = writer
             .apply(WriteOp::Ingest(TripBatch::new()))
             .expect("empty batch is valid");
@@ -482,8 +477,8 @@ mod tests {
     fn mutating_op_refreshes_metrics_with_seeded_partition() {
         let net = network();
         let config = ServeConfig::default();
-        let (mut writer, _handle) = SnapshotWriter::new(net, config.clone());
-        let before = writer.handle().current();
+        let (mut writer, handle) = SnapshotWriter::new(net, config.clone());
+        let before = handle.current();
         let batch = replay_batch(writer.network(), 40);
         let out = writer.apply(WriteOp::Ingest(batch)).expect("valid batch");
         let m = &out.snapshot.metrics;

@@ -9,11 +9,11 @@
 //!
 //! * [`geo`] — Haversine distance, polygons, spatial indexes;
 //! * [`data`] — trip schema, cleaning pipeline, synthetic Dublin generator;
-//! * [`graph`] — weighted builder graphs, frozen CSR graphs, network
-//!   metrics;
+//! * [`graph`] — weighted builder graphs, frozen CSR graphs, degree,
+//!   PageRank and Gini metrics;
 //! * [`cluster`] — constrained hierarchical agglomerative clustering;
-//! * [`community`] — Louvain, label propagation, modularity, partition
-//!   comparison;
+//! * [`community`] — Louvain, label propagation, modularity, normalised
+//!   mutual information;
 //! * [`core`] — the paper's pipeline: candidate generation, station
 //!   selection (Algorithm 1), temporal graphs and community validation;
 //! * [`server`] — the snapshot-isolated serving layer: epoch-published
@@ -41,9 +41,8 @@
 //!    compressed sparse row adjacency (`offsets`/`targets`/`weights`,
 //!    rows sorted by target), an interned dense `NodeId → u32` table, and
 //!    cached per-node weighted degrees. Every hot algorithm — Louvain,
-//!    label propagation, modularity, PageRank, centrality, clustering,
-//!    components, path metrics — walks the frozen CSR rows; the `*_csr`
-//!    entry points consume an already-frozen graph.
+//!    label propagation, modularity, PageRank — walks the frozen CSR
+//!    rows; the `*_csr` entry points consume an already-frozen graph.
 //! 3. **Apply deltas (streaming ingestion).** New trips arrive as a
 //!    [`data::trips::TripBatch`];
 //!    [`data::trips::TripTable::append_batch`] extends the sorted
@@ -99,7 +98,7 @@
 //! parallel and commit them serially with staleness checks, so the
 //! committed sequence is exactly the serial one; modularity and the
 //! freeze-time degree caches accumulate per chunk and merge in chunk
-//! order; betweenness/closeness chunk their per-source trees.
+//! order.
 //!
 //! The worker count comes from the `threads` field on the algorithm
 //! configs ([`community::LouvainConfig`], [`graph::metrics::PageRankConfig`],

@@ -147,7 +147,10 @@ impl ExpansionPipeline {
     /// # Errors
     ///
     /// Propagates configuration and data errors from the individual steps
-    /// (empty station list, no rentals, invalid thresholds).
+    /// (empty station list, no rentals, invalid thresholds), and
+    /// [`CoreError::Spill`](crate::CoreError::Spill) when a graph build
+    /// spills to disk (under the configured budget or
+    /// `MOBY_SPILL_BUDGET_MB`) and the spill I/O fails.
     pub fn run(&self, raw: &RawDataset) -> Result<ExpansionOutcome> {
         let (outcome, _temporals) = self.run_parts(raw)?;
         Ok(outcome)

@@ -30,17 +30,14 @@
 //!   over the table hands every `(station, key)` pair its dense index on
 //!   first sight, through a `station_count × stride` slot array indexed
 //!   by `station_index * stride + key`. The same intern serves the
-//!   spilled builds and the window retreat. No intern sort and no
-//!   per-edge hash operation anywhere, parallel yet bit-identical at any
-//!   thread count.
+//!   window retreat. No intern sort and no per-edge hash operation
+//!   anywhere, parallel yet bit-identical at any thread count.
 //! * **Hash-map reference (test oracle)** — [`reference_graph`] makes one
 //!   `WeightedGraph::add_edge` per table row and leaves the freeze to the
 //!   caller. Nothing on the pipeline calls it; the equivalence suites
 //!   assert both paths produce *identical* frozen graphs.
 
-use crate::CoreError;
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripTable};
-use moby_graph::spill;
 use moby_graph::{CsrDelta, CsrGraph, NodeId, WeightedGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -300,7 +297,7 @@ fn layered_columns(
 /// docs](self)), which yields the layered node table
 /// (`station * stride + key` in first-appearance order) and dense
 /// endpoint columns; those freeze with the table's weight column through
-/// [`build_dense_csr_sharded`](moby_graph::build_dense_csr_sharded) —
+/// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted) —
 /// zero sorts and zero per-edge hash operations before the row packing,
 /// and (per the scheduler contract) bit-identical results at any
 /// `threads` setting.
@@ -316,6 +313,11 @@ fn layered_columns(
 /// suite asserts this bitwise — because both paths intern nodes in the
 /// same first-appearance order and merge duplicate edges in the same row
 /// order, with each row's weight.
+///
+/// # Panics
+///
+/// As [`build_all_from_trips_sharded`]: if a spill engaged through
+/// `MOBY_SPILL_BUDGET_MB` failed on I/O.
 pub fn build_all_from_trips(
     trips: &TripTable,
     basic: Option<&CsrGraph>,
@@ -328,7 +330,7 @@ pub fn build_all_from_trips(
 /// construction shards — the city-scale entry point.
 ///
 /// Every frozen graph routes through the sharded sort-merge assembly of
-/// [`build_dense_csr_sharded`](moby_graph::build_dense_csr_sharded), so
+/// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted), so
 /// the per-shard scatter buffers bound peak construction memory to
 /// roughly a shard's worth of half-edges per worker instead of the full
 /// edge list. Results are
@@ -337,23 +339,38 @@ pub fn build_all_from_trips(
 /// row structure and the shard count, never of scheduling (see
 /// `DESIGN.md`, "Sharded construction"). `shards: None` defers to the
 /// `MOBY_SHARDS` environment knob and then to 1.
+///
+/// # Panics
+///
+/// If a spill engaged through the `MOBY_SPILL_BUDGET_MB` environment
+/// knob failed on I/O. Use [`build_all_from_trips_spilled`] to handle
+/// spill failures as errors.
 pub fn build_all_from_trips_sharded(
     trips: &TripTable,
     basic: Option<&CsrGraph>,
     shards: Option<usize>,
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
-    build_all_in_memory(trips, basic, shards, threads, None, None)
+    build_all_from_trips_spilled(trips, basic, shards, threads, None, None)
         .expect("spill I/O failed; use build_all_from_trips_spilled to handle it")
 }
 
-/// The in-memory arm shared by [`build_all_from_trips_sharded`] and
-/// [`build_all_from_trips_spilled`]: every graph freezes from dense
-/// columns through
+/// [`build_all_from_trips_sharded`] with an out-of-core **spill budget**
+/// — the bounded-memory city-scale entry point.
+///
+/// Every graph freezes through
 /// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted)
-/// under the caller's `budget_mb` and `spill_dir`, so an explicit budget
-/// is never re-resolved from the environment.
-fn build_all_in_memory(
+/// under `budget_mb` and `spill_dir`. `budget_mb = None` resolves the
+/// `MOBY_SPILL_BUDGET_MB` environment knob; an explicit budget is used as
+/// given. When a graph's estimated scatter footprint (two half-edges per
+/// trip) exceeds the budget, its half-edges partition to per-shard disk
+/// runs under `spill_dir` (default: the system temp dir) instead of
+/// in-memory scatter columns. The frozen graphs and layer maps are
+/// **bit-identical** to [`build_all_from_trips_sharded`] at any shard
+/// count × thread count × budget — the spill-budget independence axis;
+/// see `DESIGN.md`, "Out-of-core construction". Spill I/O failures
+/// surface as [`CoreError::Spill`](crate::CoreError::Spill).
+pub fn build_all_from_trips_spilled(
     trips: &TripTable,
     basic: Option<&CsrGraph>,
     shards: Option<usize>,
@@ -392,122 +409,6 @@ fn build_all_in_memory(
         layered(TemporalGranularity::TDay)?,
         layered(TemporalGranularity::THour)?,
     ])
-}
-
-/// [`build_all_from_trips_sharded`] with an out-of-core **spill budget**
-/// — the bounded-memory city-scale entry point.
-///
-/// `budget_mb = None` resolves the `MOBY_SPILL_BUDGET_MB` environment
-/// knob (via [`spill::budget_bytes`]); an explicit budget is used as
-/// given. When the resolved budget exists and the table's estimated
-/// scatter footprint exceeds it, every granularity routes through
-/// [`build_dense_csr_spilled`](moby_graph::build_dense_csr_spilled),
-/// streaming the table's columns: half-edges partition to per-shard disk
-/// runs under `spill_dir` (default: the system temp dir) instead of
-/// in-memory scatter columns. The frozen graphs and layer maps are
-/// **bit-identical** to [`build_all_from_trips_sharded`] at any shard
-/// count × thread count × budget — the spill-budget independence axis;
-/// see `DESIGN.md`, "Out-of-core construction". Spill I/O failures
-/// surface as [`CoreError::Spill`].
-pub fn build_all_from_trips_spilled(
-    trips: &TripTable,
-    basic: Option<&CsrGraph>,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    budget_mb: Option<u64>,
-    spill_dir: Option<&Path>,
-) -> crate::Result<Vec<TemporalGraph>> {
-    // Every granularity is undirected with one edge per trip: 2m halves.
-    let est_halves = 2 * trips.len();
-    if !spill::should_spill(est_halves, spill::budget_bytes(budget_mb)) {
-        return build_all_in_memory(trips, basic, shards, threads, budget_mb, spill_dir);
-    }
-    build_all_spilled(trips, basic, shards, threads, spill_dir)
-}
-
-/// The spilled arm of [`build_all_from_trips_spilled`]: `GBasic` over the
-/// station table, `GDay`/`GHour` through the layer intern — all three via
-/// [`build_dense_csr_spilled`](moby_graph::build_dense_csr_spilled),
-/// replaying the table's columns in row order.
-fn build_all_spilled(
-    trips: &TripTable,
-    basic: Option<&CsrGraph>,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    spill_dir: Option<&Path>,
-) -> crate::Result<Vec<TemporalGraph>> {
-    let (src, dst, weight) = (trips.src(), trips.dst(), trips.weights());
-    let basic_csr = match basic {
-        Some(csr) => csr.clone(),
-        None => moby_graph::build_dense_csr_spilled(
-            false,
-            trips.station_ids().to_vec(),
-            |f| {
-                for k in 0..trips.len() {
-                    f(src[k], dst[k], weight[k]);
-                }
-                Ok(())
-            },
-            shards,
-            threads,
-            spill_dir,
-        )?,
-    };
-    let day_csr =
-        build_layered_spilled(trips, TemporalGranularity::TDay, shards, threads, spill_dir)?;
-    let hour_csr = build_layered_spilled(
-        trips,
-        TemporalGranularity::THour,
-        shards,
-        threads,
-        spill_dir,
-    )?;
-    let day_map = decode_layer_map(&day_csr, TemporalGranularity::TDay.stride());
-    let hour_map = decode_layer_map(&hour_csr, TemporalGranularity::THour.stride());
-    Ok(vec![
-        TemporalGraph::from_csr(TemporalGranularity::TNull, basic_csr, None),
-        TemporalGraph::from_csr(TemporalGranularity::TDay, day_csr, Some(day_map)),
-        TemporalGraph::from_csr(TemporalGranularity::THour, hour_csr, Some(hour_map)),
-    ])
-}
-
-/// One layered granularity, spilled. The layer intern's node table is
-/// the in-memory build's first-appearance table; each spill pass streams
-/// the dense endpoints through it.
-fn build_layered_spilled(
-    trips: &TripTable,
-    granularity: TemporalGranularity,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    spill_dir: Option<&Path>,
-) -> crate::Result<CsrGraph> {
-    let (src, dst, weight) = (trips.src(), trips.dst(), trips.weights());
-    let (day, hour) = (trips.day(), trips.hour());
-    let mut intern = LayerIntern::new(trips.station_ids().len(), granularity);
-    for k in 0..trips.len() {
-        let key = granularity.layer_key(day[k], hour[k]);
-        intern.intern(src[k], key);
-        intern.intern(dst[k], key);
-    }
-    moby_graph::build_dense_csr_spilled(
-        false,
-        intern.node_ids(trips.station_ids()),
-        |f| {
-            for k in 0..trips.len() {
-                let key = granularity.layer_key(day[k], hour[k]);
-                f(
-                    intern.intern(src[k], key),
-                    intern.intern(dst[k], key),
-                    weight[k],
-                );
-            }
-            Ok(())
-        },
-        shards,
-        threads,
-        spill_dir,
-    )
-    .map_err(CoreError::from)
 }
 
 /// Advance all three temporal graphs by one ingested trip batch — the
@@ -807,6 +708,7 @@ pub fn apply_window_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
     use moby_data::trips::TripBatch;
 
     #[test]
@@ -1170,7 +1072,7 @@ mod tests {
                 }
             }
         }
-        // A huge budget takes the in-memory arm; same bits either way.
+        // A huge budget keeps every graph in memory; same bits either way.
         let unspilled =
             build_all_from_trips_spilled(&trips, None, Some(2), Some(2), Some(1 << 20), None)
                 .unwrap();

@@ -287,32 +287,17 @@ impl CsrBuilder {
             }
         }
 
-        let est_halves = if self.directed { m } else { 2 * m };
-        if spill::should_spill(est_halves, spill::budget_bytes(self.spill_budget)) {
-            build_dense_csr_spilled(
-                self.directed,
-                node_ids,
-                |f| {
-                    for k in 0..m {
-                        f(srcs[k], dsts[k], self.edges.weight[k]);
-                    }
-                    Ok(())
-                },
-                self.shards,
-                self.threads,
-                None,
-            )
-        } else {
-            Ok(assemble(
-                self.directed,
-                node_ids,
-                &srcs,
-                &dsts,
-                &self.edges.weight,
-                par::shard_count(self.shards),
-                threads,
-            ))
-        }
+        build_dense_csr_budgeted(
+            self.directed,
+            node_ids,
+            &srcs,
+            &dsts,
+            &self.edges.weight,
+            self.shards,
+            Some(threads),
+            self.spill_budget,
+            None,
+        )
     }
 }
 
@@ -410,102 +395,67 @@ pub fn build_dense_csr_budgeted(
         src.len() <= (u32::MAX / 2) as usize,
         "edge list exceeds the u32 CSR index space"
     );
-    let m = src.len();
-    let est_halves = if directed { m } else { 2 * m };
+    let est_halves = if directed { src.len() } else { 2 * src.len() };
+    let (shards, threads) = (par::shard_count(shards), par::thread_count(threads));
     if spill::should_spill(est_halves, spill::budget_bytes(budget_mb)) {
-        build_dense_csr_spilled(
-            directed,
-            node_ids,
-            |f| {
-                for k in 0..m {
-                    f(src[k], dst[k], weight[k]);
-                }
-                Ok(())
-            },
-            shards,
-            threads,
-            spill_dir,
+        assemble_spilled(
+            directed, node_ids, src, dst, weight, shards, threads, spill_dir,
         )
     } else {
         Ok(assemble(
-            directed,
-            node_ids,
-            src,
-            dst,
-            weight,
-            par::shard_count(shards),
-            par::thread_count(threads),
+            directed, node_ids, src, dst, weight, shards, threads,
         ))
     }
 }
 
-/// Out-of-core spilled assembly from a **replayable dense edge stream** —
-/// the entry the streaming city arm uses so the full edge columns never
-/// materialise in memory.
-///
-/// `for_each_edge` must replay the same `(src, dst, weight)` sequence —
-/// dense indices into `node_ids`, validated weights — on every call, in
-/// insertion order (it is called once per pass: counting, partition, and
-/// for directed graphs the same two passes again for the in-adjacency).
-/// A closure over in-memory columns or a deterministic generator both
-/// qualify. Errors returned by the stream propagate.
+/// The out-of-core counterpart of [`assemble`]: the dense edge columns
+/// are replayed once per pass (counting, partition, and for directed
+/// graphs the same two passes again for the in-adjacency) into per-shard
+/// disk runs under `spill_dir` (default: the system temp dir), in a
+/// subdirectory that is removed on return, error and panic alike.
 ///
 /// The frozen graph — node table, offsets, targets, merged weight bits,
 /// cached degrees, edge count and total weight — is **bit-identical** to
-/// [`build_dense_csr`] over the same columns; see the
-/// [module docs](self) for why insertion-order runs preserve the fold
-/// bits. Spill runs live under `spill_dir` (default: the system temp
-/// dir) in a subdirectory that is removed on return, error and panic
-/// alike.
-pub fn build_dense_csr_spilled<F>(
+/// [`assemble`] over the same columns; see the [module docs](self) for
+/// why insertion-order runs preserve the fold bits.
+#[allow(clippy::too_many_arguments)]
+fn assemble_spilled(
     directed: bool,
     node_ids: Vec<NodeId>,
-    mut for_each_edge: F,
-    shards: Option<usize>,
-    threads: Option<usize>,
+    srcs: &[u32],
+    dsts: &[u32],
+    weights_in: &[f64],
+    shards: usize,
+    threads: usize,
     spill_dir: Option<&Path>,
-) -> crate::Result<CsrGraph>
-where
-    F: FnMut(&mut dyn FnMut(u32, u32, f64)) -> crate::Result<()>,
-{
-    let threads = par::thread_count(threads);
-    let shards = par::shard_count(shards);
+) -> crate::Result<CsrGraph> {
     let n = node_ids.len();
     let dir = spill::SpillDir::create(spill_dir)?;
 
-    // Total weight folds in insertion order during the first pass only —
-    // at *edge* granularity, before the undirected expansion, exactly
-    // like the in-memory `assemble` fold.
+    // Total weight: summed in insertion order at *edge* granularity,
+    // before the undirected expansion, exactly like `assemble`.
     let mut total_weight = 0.0f64;
-    let mut m = 0u64;
-    let mut fold_done = false;
-    let mut out_halves = |f: &mut dyn FnMut(u32, u32, f64)| -> crate::Result<()> {
-        let fold = !fold_done;
-        fold_done = true;
-        for_each_edge(&mut |s, d, w| {
-            debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
-            if fold {
-                total_weight += w;
-                m += 1;
+    for &w in weights_in {
+        debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
+        total_weight += w;
+    }
+    let out_halves = |f: &mut dyn FnMut(u32, u32, f64)| {
+        for k in 0..srcs.len() {
+            f(srcs[k], dsts[k], weights_in[k]);
+            if !directed && srcs[k] != dsts[k] {
+                f(dsts[k], srcs[k], weights_in[k]);
             }
-            f(s, d, w);
-            if !directed && s != d {
-                f(d, s, w);
-            }
-        })
+        }
     };
     let (offsets, targets, weights, pairs_once) =
-        pack_rows_spilled(n, &mut out_halves, shards, threads, dir.path(), "out")?;
-    assert!(
-        m <= (u32::MAX / 2) as u64,
-        "edge list exceeds the u32 CSR index space"
-    );
+        pack_rows_spilled(n, &out_halves, shards, threads, dir.path(), "out")?;
     let (in_offsets, in_targets, in_weights) = if directed {
-        let mut in_halves = |f: &mut dyn FnMut(u32, u32, f64)| -> crate::Result<()> {
-            for_each_edge(&mut |s, d, w| f(d, s, w))
+        let in_halves = |f: &mut dyn FnMut(u32, u32, f64)| {
+            for k in 0..srcs.len() {
+                f(dsts[k], srcs[k], weights_in[k]);
+            }
         };
-        let (io, it, iw, _) =
-            pack_rows_spilled(n, &mut in_halves, shards, threads, dir.path(), "in")?;
+        let (io, it, iw, _) = pack_rows_spilled(n, &in_halves, shards, threads, dir.path(), "in")?;
         (io, it, iw)
     } else {
         (Vec::new(), Vec::new(), Vec::new())
@@ -802,7 +752,7 @@ fn concat_segments(n: usize, merged: Vec<PackSegment>) -> (Vec<u32>, Vec<u32>, V
 /// and fold bits) are byte-equal to the in-memory pass.
 fn pack_rows_spilled(
     n: usize,
-    halves: &mut dyn FnMut(&mut dyn FnMut(u32, u32, f64)) -> crate::Result<()>,
+    halves: &dyn Fn(&mut dyn FnMut(u32, u32, f64)),
     shards: usize,
     threads: usize,
     dir: &Path,
@@ -815,7 +765,7 @@ fn pack_rows_spilled(
     halves(&mut |row, _, _| {
         offsets[row as usize + 1] += 1;
         h += 1;
-    })?;
+    });
     assert!(h <= u32::MAX as u64, "half-edge space exceeds u32");
     for u in 0..n {
         offsets[u + 1] += offsets[u];
@@ -838,7 +788,7 @@ fn pack_rows_spilled(
     let mut writers = spill::ShardRunWriters::create(dir, shard_chunks.len(), tag)?;
     halves(&mut |row, col, w| {
         writers.push(shard_of[row as usize] as usize, row, col, w);
-    })?;
+    });
     let runs = writers.finish()?;
 
     // Per-shard streaming read-back + scatter + sort-merge: the bucket a

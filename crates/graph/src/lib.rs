@@ -66,8 +66,7 @@ pub mod par;
 pub mod spill;
 
 pub use build::{
-    build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, build_dense_csr_spilled,
-    CsrBuilder, EdgeList,
+    build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, CsrBuilder, EdgeList,
 };
 pub use csr::{AlignedSlab, CsrGraph, CACHE_LINE};
 pub use delta::CsrDelta;

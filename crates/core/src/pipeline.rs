@@ -29,16 +29,19 @@ pub struct PipelineConfig {
     pub detect: DetectConfig,
     /// Number of construction shards for the temporal graph builds
     /// (`None` defers to the `MOBY_SHARDS` environment knob, then 1).
-    /// Sharding changes peak construction memory, never the result —
-    /// frozen graphs are bit-identical at any shard count.
+    /// Shards split the row scatter into parallel row ranges; they change
+    /// build speed, never the result — frozen graphs are bit-identical at
+    /// any shard count.
     pub build_shards: Option<usize>,
     /// Out-of-core spill budget in megabytes for the temporal graph
     /// builds (`None` defers to the `MOBY_SPILL_BUDGET_MB` environment
     /// knob; no budget anywhere means the builds never spill). When a
-    /// granularity's estimated scatter footprint exceeds the budget its
-    /// half-edge columns spill to per-shard disk runs instead of
-    /// in-memory buffers. Spilling changes peak construction memory,
-    /// never the result — frozen graphs are bit-identical at any budget.
+    /// granularity's estimated run size exceeds the budget, its
+    /// half-edges go to per-shard disk runs and each shard fills its row
+    /// buckets from its run instead of the trip columns. The buckets stay
+    /// in memory either way, so spilling adds disk I/O without lowering
+    /// peak memory, and never changes the result — frozen graphs are
+    /// bit-identical at any budget.
     pub spill_budget_mb: Option<u64>,
     /// Windowed-lifecycle settings used by [`WindowedPipeline::advance`].
     pub window: WindowConfig,

@@ -329,11 +329,11 @@ pub fn build_all_from_trips(
 /// [`build_all_from_trips`] with explicit control over the number of
 /// construction shards — the city-scale entry point.
 ///
-/// Every frozen graph routes through the sharded sort-merge assembly of
-/// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted), so
-/// the per-shard scatter buffers bound peak construction memory to
-/// roughly a shard's worth of half-edges per worker instead of the full
-/// edge list. Results are
+/// Every frozen graph routes through the row packing of
+/// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted),
+/// where each shard scatters its own row range of one shared set of row
+/// buckets, so shards parallelise the scatter and change no memory.
+/// Results are
 /// **bit-identical** to [`build_all_from_trips`] at any `(shards,
 /// threads)` combination — shard boundaries are a pure function of the
 /// row structure and the shard count, never of scheduling (see
@@ -356,16 +356,17 @@ pub fn build_all_from_trips_sharded(
 }
 
 /// [`build_all_from_trips_sharded`] with an out-of-core **spill budget**
-/// — the bounded-memory city-scale entry point.
+/// and typed spill errors.
 ///
 /// Every graph freezes through
 /// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted)
 /// under `budget_mb` and `spill_dir`. `budget_mb = None` resolves the
 /// `MOBY_SPILL_BUDGET_MB` environment knob; an explicit budget is used as
-/// given. When a graph's estimated scatter footprint (two half-edges per
-/// trip) exceeds the budget, its half-edges partition to per-shard disk
-/// runs under `spill_dir` (default: the system temp dir) instead of
-/// in-memory scatter columns. The frozen graphs and layer maps are
+/// given. When a graph's estimated run size (two half-edges per trip)
+/// exceeds the budget, its half-edges partition to per-shard disk runs
+/// under `spill_dir` (default: the system temp dir), and each shard fills
+/// its row buckets from its run instead of the trip columns; the buckets
+/// are in memory either way. The frozen graphs and layer maps are
 /// **bit-identical** to [`build_all_from_trips_sharded`] at any shard
 /// count × thread count × budget — the spill-budget independence axis;
 /// see `DESIGN.md`, "Out-of-core construction". Spill I/O failures

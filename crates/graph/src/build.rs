@@ -1,4 +1,4 @@
-//! Columnar sort-merge CSR construction — the hashmap-free build path.
+//! Columnar CSR construction — the hashmap-free build path.
 //!
 //! [`WeightedGraph`](crate::WeightedGraph) builds adjacency through
 //! per-node hash maps: every inserted edge pays a hash probe per endpoint.
@@ -6,53 +6,45 @@
 //! pipeline's hot path now that every *algorithm* consumes a frozen
 //! [`CsrGraph`]. This module replaces it with a columnar pipeline:
 //!
-//! 1. collect `(src, dst, weight)` triples in a struct-of-arrays
-//!    [`EdgeList`];
+//! 1. [`CsrBuilder`] collects `(src, dst, weight)` triples in
+//!    struct-of-arrays columns;
 //! 2. intern external [`NodeId`]s into dense `u32` indices by
 //!    **sort + dedup** over `(id, first-occurrence slot)` pairs — no hash
 //!    map, and the dense order reproduces the builder's insertion order
 //!    exactly (seeded nodes first, then endpoints in edge order);
-//! 3. bucket the half-edges by source row with a counting pass, then
-//!    **sort each row by target and merge adjacent duplicates**, summing
-//!    weights in original insertion order.
+//! 3. pack each adjacency's rows straight from the dense edge columns: a
+//!    counting pass sizes every row's bucket, a scatter fills the buckets
+//!    in insertion order, and each row is ordered by a packed `u64` key,
+//!    `(target << 32) | position in the bucket`, and **merged in place**,
+//!    equal targets summing their weights in insertion order. The bucket
+//!    columns then become the graph's targets and weights.
 //!
-//! Steps 2–3 are expressed as fixed-chunk passes on the
-//! [`par`] scheduler, so construction parallelises while staying
-//! **bit-identical at any thread count** (chunk boundaries never depend on
-//! the thread count, and every merge folds per-chunk results in chunk
-//! order — the module contract of [`par`]).
+//! The merge runs on the [`par`] scheduler over fixed edge-balanced row
+//! chunks, each in its own slice of the bucket columns, and one serial
+//! pass closes the gaps between the chunks' merged prefixes. A merged row
+//! is a pure function of its bucket *in insertion order*, so construction
+//! is **bit-identical at any thread count** (the module contract of
+//! [`par`]).
 //!
-//! ## Sharded construction
+//! ## Shards and spill runs
 //!
-//! At city scale the serial stable-scatter pass of step 3 dominates the
-//! build, so the row packing can additionally be **sharded**: the dense
-//! row space is partitioned into contiguous station ranges (balanced by
-//! half-edge count — a pure function of the row structure and the shard
-//! count, never the thread count), each shard scatters and sort-merges
-//! its own rows in parallel, and the shard outputs concatenate in shard
-//! order. Because a merged row is a pure function of that row's bucketed
-//! entries *in insertion order* — and a shard-local forward scan
-//! preserves exactly that order — the sharded build is **bit-identical
-//! to the unsharded one at any shard count and any thread count** — the
-//! shard-count independence axis, beside thread count and spill budget.
-//! See [`build_dense_csr_sharded`] and `DESIGN.md`.
-//!
-//! ## Out-of-core spilled construction
-//!
-//! When a memory budget is set ([`CsrBuilder::spill_budget`] /
-//! [`spill::BUDGET_ENV`]) and the estimated scatter footprint — half-edge
-//! count × [`spill::HALF_EDGE_BYTES`] — exceeds it, the half-edge columns
-//! are never materialised: the counting pass streams the edges once to
-//! build the provisional offsets, a partition pass appends each half-edge
-//! to its owning shard's **disk run** (plain little-endian columnar
-//! records under a RAII temp dir, see [`spill`]) in global insertion
-//! order, and each shard's merge streams back only its own run through
-//! the same shard-local scatter + `sort_merge_rows` as the in-memory
-//! sharded pass. Because the runs preserve global insertion order within
-//! each row, the per-row buckets are byte-equal to the in-memory scatter
-//! and the frozen graph is **bit-identical to the in-memory build at any
-//! shard count × thread count × budget** — the spill-budget independence
-//! axis, enforced by `tests/proptest_spill.rs`.
+//! The bucket columns are allocated once, at the half-edge count. A
+//! **shard** is a contiguous row range, balanced by half-edge count (a
+//! pure function of the row structure and the shard count, never the
+//! thread count), that fills its own slice of them. An in-memory shard
+//! fills it with one forward scan of the edge columns. When a spill budget
+//! is set ([`CsrBuilder::spill_budget`] / [`spill::BUDGET_ENV`]) and the
+//! estimated run size — half-edge count × [`spill::HALF_EDGE_BYTES`] —
+//! exceeds it, a partition pass first writes every half-edge to its
+//! shard's **disk run** (plain little-endian records under a RAII temp
+//! dir, see [`spill`]) in global insertion order, and each shard fills its
+//! slice from its run instead. That fill is the only difference between
+//! the arms: either way every bucket lists its entries in insertion order,
+//! and the same merge follows. So the frozen graph is **bit-identical at
+//! any shard count × thread count × budget** — the shard and spill-budget
+//! independence axes, enforced by `tests/proptest_sharded.rs` and
+//! `tests/proptest_spill.rs`. Since the buckets live in memory on both
+//! arms, a spilled build does not peak lower than an in-memory one.
 //!
 //! The output is *exactly* the graph `WeightedGraph::freeze()` would have
 //! produced from the same inserts — same dense node table, same sorted
@@ -62,60 +54,11 @@
 
 use crate::csr::CsrParts;
 use crate::{par, spill, CsrGraph, NodeId};
+use std::ops::Range;
 use std::path::Path;
 
-/// A struct-of-arrays list of weighted edges — the columnar intermediate
-/// between trip records and a frozen [`CsrGraph`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EdgeList {
-    src: Vec<NodeId>,
-    dst: Vec<NodeId>,
-    weight: Vec<f64>,
-}
-
-impl EdgeList {
-    /// An empty edge list.
-    pub fn new() -> EdgeList {
-        EdgeList::default()
-    }
-
-    /// Append one edge.
-    #[inline]
-    pub fn push(&mut self, src: NodeId, dst: NodeId, weight: f64) {
-        self.src.push(src);
-        self.dst.push(dst);
-        self.weight.push(weight);
-    }
-
-    /// Number of edges.
-    pub fn len(&self) -> usize {
-        self.src.len()
-    }
-
-    /// Whether the list holds no edges.
-    pub fn is_empty(&self) -> bool {
-        self.src.is_empty()
-    }
-}
-
-impl Extend<(NodeId, NodeId, f64)> for EdgeList {
-    fn extend<T: IntoIterator<Item = (NodeId, NodeId, f64)>>(&mut self, iter: T) {
-        for (s, d, w) in iter {
-            self.push(s, d, w);
-        }
-    }
-}
-
-impl FromIterator<(NodeId, NodeId, f64)> for EdgeList {
-    fn from_iter<T: IntoIterator<Item = (NodeId, NodeId, f64)>>(iter: T) -> EdgeList {
-        let mut list = EdgeList::new();
-        list.extend(iter);
-        list
-    }
-}
-
-/// Builds a frozen [`CsrGraph`] from an [`EdgeList`] by parallel
-/// sort-merge, without touching a hash map on the per-edge path.
+/// Builds a frozen [`CsrGraph`] from `(src, dst, weight)` edges by
+/// parallel sort-merge, without touching a hash map on the per-edge path.
 ///
 /// Semantics mirror [`WeightedGraph`](crate::WeightedGraph) insertion
 /// exactly:
@@ -136,7 +79,9 @@ impl FromIterator<(NodeId, NodeId, f64)> for EdgeList {
 pub struct CsrBuilder {
     directed: bool,
     seeds: Vec<NodeId>,
-    edges: EdgeList,
+    src: Vec<NodeId>,
+    dst: Vec<NodeId>,
+    weight: Vec<f64>,
     threads: Option<usize>,
     shards: Option<usize>,
     spill_budget: Option<u64>,
@@ -172,8 +117,7 @@ impl CsrBuilder {
     /// `None` (the default) resolves `MOBY_SHARDS` via
     /// [`par::shard_count`] (default 1, unsharded). The built graph is
     /// bit-identical at any shard count; sharding only parallelises the
-    /// row-scatter pass and bounds per-shard scatter memory — see the
-    /// [module docs](self).
+    /// row-scatter pass — see the [module docs](self).
     pub fn shards(mut self, shards: Option<usize>) -> CsrBuilder {
         self.shards = shards;
         self
@@ -181,12 +125,13 @@ impl CsrBuilder {
 
     /// Set the out-of-core spill budget in **megabytes**. `None` (the
     /// default) resolves [`spill::BUDGET_ENV`]; no budget anywhere means
-    /// the build never spills. When the estimated scatter footprint
-    /// exceeds the budget, [`CsrBuilder::build`] partitions the
-    /// half-edges to per-shard disk runs instead of in-memory columns —
-    /// the frozen graph is **bit-identical either way** (see the
-    /// [module docs](self)), so this only trades build speed for bounded
-    /// peak memory. `Some(0)` spills every non-empty build.
+    /// the build never spills. When the estimated run size exceeds the
+    /// budget, [`CsrBuilder::build`] partitions the half-edges to
+    /// per-shard disk runs and fills the row buckets from them instead of
+    /// scanning the edge columns — the frozen graph is **bit-identical
+    /// either way** (see the [module docs](self)). The buckets are in
+    /// memory on both arms, so spilling adds disk I/O without lowering the
+    /// peak. `Some(0)` spills every non-empty build.
     pub fn spill_budget(mut self, budget_mb: Option<u64>) -> CsrBuilder {
         self.spill_budget = budget_mb;
         self
@@ -206,7 +151,9 @@ impl CsrBuilder {
     #[inline]
     pub fn push(&mut self, src: NodeId, dst: NodeId, weight: f64) -> &mut CsrBuilder {
         if weight.is_finite() && weight >= 0.0 {
-            self.edges.push(src, dst, weight);
+            self.src.push(src);
+            self.dst.push(dst);
+            self.weight.push(weight);
         }
         self
     }
@@ -231,7 +178,7 @@ impl CsrBuilder {
     /// Without a resolved budget this never errors.
     pub fn try_build(&self) -> crate::Result<CsrGraph> {
         let threads = par::thread_count(self.threads);
-        let m = self.edges.len();
+        let m = self.src.len();
         assert!(
             m <= (u32::MAX / 2) as usize,
             "edge list exceeds the u32 CSR index space"
@@ -247,8 +194,8 @@ impl CsrBuilder {
         }
         let base = self.seeds.len() as u64;
         for k in 0..m {
-            pairs.push((self.edges.src[k], base + 2 * k as u64));
-            pairs.push((self.edges.dst[k], base + 2 * k as u64 + 1));
+            pairs.push((self.src[k], base + 2 * k as u64));
+            pairs.push((self.dst[k], base + 2 * k as u64 + 1));
         }
         pairs.sort_unstable();
         pairs.dedup_by_key(|p| p.0); // keeps the first (minimal) slot per id
@@ -275,7 +222,7 @@ impl CsrBuilder {
         };
         let mapped = par::par_map(&edge_chunks, threads, |_, range| {
             range
-                .map(|k| (resolve(self.edges.src[k]), resolve(self.edges.dst[k])))
+                .map(|k| (resolve(self.src[k]), resolve(self.dst[k])))
                 .collect::<Vec<(u32, u32)>>()
         });
         let mut srcs: Vec<u32> = Vec::with_capacity(m);
@@ -292,7 +239,7 @@ impl CsrBuilder {
             node_ids,
             &srcs,
             &dsts,
-            &self.edges.weight,
+            &self.weight,
             self.shards,
             Some(threads),
             self.spill_budget,
@@ -305,10 +252,9 @@ impl CsrBuilder {
 /// columns** — the zero-copy entry for columnar sources like
 /// `moby_data`'s trip table, whose rows carry dense `u32` endpoints over
 /// a known node table. Skips the intern/sort and endpoint-mapping passes
-/// of [`CsrBuilder::build`]; the sort-merge row packing and its
-/// semantics (insertion-order weight merges, builder edge-count
-/// conventions, bit-identical results at any thread count) are
-/// identical.
+/// of [`CsrBuilder::build`]; the row packing and its semantics
+/// (insertion-order weight merges, builder edge-count conventions,
+/// bit-identical results at any thread count) are identical.
 ///
 /// `node_ids` supplies the dense node table (dense index = position);
 /// `src[k]`/`dst[k]` must be valid indices into it and every weight must
@@ -325,26 +271,23 @@ pub fn build_dense_csr(
     build_dense_csr_sharded(directed, node_ids, src, dst, weight, None, threads)
 }
 
-/// [`build_dense_csr`] with an explicit construction shard count — the
-/// city-scale entry point.
+/// [`build_dense_csr`] with an explicit construction shard count.
 ///
 /// The dense row space is partitioned into at most `shards` contiguous
-/// station ranges balanced by half-edge count; each shard scatters its
-/// own rows from the half-edge columns (a shard-local forward scan, so
-/// every row's bucket keeps global insertion order) and sort-merges them
-/// with the same per-row machinery as the unsharded path, then the shard
-/// outputs concatenate in shard order. The result is **bit-identical to
-/// the unsharded build at any shard count and any thread count** — the
-/// shard-independence proptests assert this bitwise over
-/// {1, 2, 4} shards × {1, 2, 4} threads — so downstream consumers
-/// (including [`CsrGraph::apply_delta`](crate::CsrGraph::apply_delta),
-/// which accepts sharded bases unchanged) cannot observe the knob.
+/// station ranges balanced by half-edge count; each shard fills its own
+/// slice of the row buckets with a forward scan of the edge columns, so
+/// every row's bucket keeps global insertion order, and the one merge
+/// pass follows. The result is **bit-identical to the unsharded build at
+/// any shard count and any thread count** — the shard-independence
+/// proptests assert this bitwise over {1, 2, 4} shards × {1, 2, 4}
+/// threads — so downstream consumers (including
+/// [`CsrGraph::apply_delta`](crate::CsrGraph::apply_delta), which accepts
+/// sharded bases unchanged) cannot observe the knob.
 ///
 /// `shards = None` resolves the `MOBY_SHARDS` environment variable via
-/// [`par::shard_count`] (default 1). Shards bound the parallelism of the
-/// scatter/merge stages, so pick `shards >= threads` when sharding for
-/// speed; per-shard scatter buffers hold only that shard's half-edges,
-/// which is what keeps peak memory bounded on 10M-trip builds.
+/// [`par::shard_count`] (default 1). Shards scan in parallel, so pick
+/// `shards >= threads` when sharding for speed; each extra shard costs
+/// one more scan of the edge columns and no extra memory.
 ///
 /// # Panics
 ///
@@ -366,17 +309,17 @@ pub fn build_dense_csr_sharded(
 }
 
 /// [`build_dense_csr_sharded`] with an explicit out-of-core **spill
-/// budget** — the bounded-memory city-scale entry point.
+/// budget** — the one entry every dense build runs through.
 ///
 /// `budget_mb = None` resolves [`spill::BUDGET_ENV`]; when the resolved
-/// budget exists and the estimated scatter footprint (half-edge count ×
-/// [`spill::HALF_EDGE_BYTES`]) exceeds it, the half-edge columns are
-/// partitioned to per-shard disk runs under `spill_dir` (default: the
-/// system temp dir) and merged by streaming each shard's run back — see
-/// the [module docs](self). The result is **bit-identical to the
-/// in-memory build at any shard count × thread count × budget**; only
-/// peak memory and build speed change. Spill I/O failures surface as
-/// [`crate::GraphError::Spill`].
+/// budget exists and the estimated run size (half-edge count ×
+/// [`spill::HALF_EDGE_BYTES`]) exceeds it, the half-edges are partitioned
+/// to per-shard disk runs under `spill_dir` (default: the system temp
+/// dir), in a subdirectory removed on return, error and unwind alike, and
+/// each shard fills its row buckets from its run — see the
+/// [module docs](self). The result is **bit-identical to the in-memory
+/// build at any shard count × thread count × budget**. Spill I/O failures
+/// surface as [`crate::GraphError::Spill`].
 #[allow(clippy::too_many_arguments)]
 pub fn build_dense_csr_budgeted(
     directed: bool,
@@ -397,73 +340,34 @@ pub fn build_dense_csr_budgeted(
     );
     let est_halves = if directed { src.len() } else { 2 * src.len() };
     let (shards, threads) = (par::shard_count(shards), par::thread_count(threads));
-    if spill::should_spill(est_halves, spill::budget_bytes(budget_mb)) {
-        assemble_spilled(
-            directed, node_ids, src, dst, weight, shards, threads, spill_dir,
-        )
+    let runs_dir = if spill::should_spill(est_halves, spill::budget_bytes(budget_mb)) {
+        Some(spill::SpillDir::create(spill_dir)?)
     } else {
-        Ok(assemble(
-            directed, node_ids, src, dst, weight, shards, threads,
-        ))
-    }
-}
-
-/// The out-of-core counterpart of [`assemble`]: the dense edge columns
-/// are replayed once per pass (counting, partition, and for directed
-/// graphs the same two passes again for the in-adjacency) into per-shard
-/// disk runs under `spill_dir` (default: the system temp dir), in a
-/// subdirectory that is removed on return, error and panic alike.
-///
-/// The frozen graph — node table, offsets, targets, merged weight bits,
-/// cached degrees, edge count and total weight — is **bit-identical** to
-/// [`assemble`] over the same columns; see the [module docs](self) for
-/// why insertion-order runs preserve the fold bits.
-#[allow(clippy::too_many_arguments)]
-fn assemble_spilled(
-    directed: bool,
-    node_ids: Vec<NodeId>,
-    srcs: &[u32],
-    dsts: &[u32],
-    weights_in: &[f64],
-    shards: usize,
-    threads: usize,
-    spill_dir: Option<&Path>,
-) -> crate::Result<CsrGraph> {
+        None
+    };
+    let runs = |tag| runs_dir.as_ref().map(|dir| (dir.path(), tag));
     let n = node_ids.len();
-    let dir = spill::SpillDir::create(spill_dir)?;
 
     // Total weight: summed in insertion order at *edge* granularity,
-    // before the undirected expansion, exactly like `assemble`.
+    // before the undirected expansion, like the builder.
     let mut total_weight = 0.0f64;
-    for &w in weights_in {
+    for &w in weight {
         debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
         total_weight += w;
     }
-    let out_halves = |f: &mut dyn FnMut(u32, u32, f64)| {
-        for k in 0..srcs.len() {
-            f(srcs[k], dsts[k], weights_in[k]);
-            if !directed && srcs[k] != dsts[k] {
-                f(dsts[k], srcs[k], weights_in[k]);
-            }
-        }
-    };
+
     let (offsets, targets, weights, pairs_once) =
-        pack_rows_spilled(n, &out_halves, shards, threads, dir.path(), "out")?;
+        pack_rows(n, src, dst, weight, directed, shards, threads, runs("out"))?;
     let (in_offsets, in_targets, in_weights) = if directed {
-        let in_halves = |f: &mut dyn FnMut(u32, u32, f64)| {
-            for k in 0..srcs.len() {
-                f(dsts[k], srcs[k], weights_in[k]);
-            }
-        };
-        let (io, it, iw, _) = pack_rows_spilled(n, &in_halves, shards, threads, dir.path(), "in")?;
+        let (io, it, iw, _) = pack_rows(n, dst, src, weight, true, shards, threads, runs("in"))?;
         (io, it, iw)
     } else {
         (Vec::new(), Vec::new(), Vec::new())
     };
     let edge_count = if directed { targets.len() } else { pairs_once };
 
-    // `dir` drops after assembly: the runs are removed on success, and
-    // the RAII guard cleans up on every early-`?` and unwind path above.
+    // `runs_dir` drops after assembly: the runs are removed on success,
+    // and the RAII guard cleans up on every early `?` and unwind above.
     Ok(CsrGraph::from_parts(
         CsrParts {
             directed,
@@ -481,355 +385,285 @@ fn assemble_spilled(
     ))
 }
 
-/// The shared tail of both construction entries: pack the dense edge
-/// columns into sorted merged CSR rows and assemble the frozen graph.
-fn assemble(
+/// Visit the half-edges of an edge list in insertion order: edge `k`
+/// yields `(rows[k], cols[k], weights[k])` and, unless `directed` or a
+/// self-loop, also `(cols[k], rows[k], weights[k])`. This one expansion
+/// feeds the build's counting, scatter and partition passes and the
+/// delta and evict merges ([`half_edges`]), so each row sees every
+/// incident edge in insertion order, as the builder's symmetric adjacency
+/// update does.
+#[inline]
+fn for_each_half_edge(
+    rows: &[u32],
+    cols: &[u32],
+    weights: &[f64],
     directed: bool,
-    node_ids: Vec<NodeId>,
-    srcs: &[u32],
-    dsts: &[u32],
-    weights_in: &[f64],
-    shards: usize,
-    threads: usize,
-) -> CsrGraph {
-    let n = node_ids.len();
-
-    // Total weight: summed in insertion order, like the builder.
-    let mut total_weight = 0.0f64;
-    for &w in weights_in {
-        debug_assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
-        total_weight += w;
+    mut f: impl FnMut(u32, u32, f64),
+) {
+    for ((&r, &c), &w) in rows.iter().zip(cols).zip(weights) {
+        f(r, c, w);
+        if !directed && r != c {
+            f(c, r, w);
+        }
     }
-
-    // Pack rows. Undirected edges emit both orientations (a self-loop
-    // emits once), so each endpoint's row sees every incident edge in
-    // insertion order, exactly as the builder's symmetric adjacency
-    // update does.
-    let out_half = half_edges(srcs, dsts, weights_in, directed);
-    let (offsets, targets, weights, pairs_once) = pack_rows(n, &out_half, shards, threads);
-    let (in_offsets, in_targets, in_weights) = if directed {
-        let in_half = half_edges(dsts, srcs, weights_in, true);
-        let (io, it, iw, _) = pack_rows(n, &in_half, shards, threads);
-        (io, it, iw)
-    } else {
-        (Vec::new(), Vec::new(), Vec::new())
-    };
-    let edge_count = if directed { targets.len() } else { pairs_once };
-
-    CsrGraph::from_parts(
-        CsrParts {
-            directed,
-            node_ids,
-            offsets,
-            targets,
-            weights,
-            in_offsets,
-            in_targets,
-            in_weights,
-            edge_count,
-            total_weight,
-        },
-        threads,
-    )
 }
 
 /// Half-edge columns: one `(row, col, weight)` record per adjacency entry,
-/// in insertion order. Shared with the delta-merge path
-/// ([`crate::delta`]), which must expand batch edges exactly the way a
-/// full rebuild would.
+/// in insertion order — the batch form the delta ([`crate::delta`]) and
+/// evict ([`crate::evict`]) merges bucket by row.
 pub(crate) struct HalfEdges {
     pub(crate) row: Vec<u32>,
     pub(crate) col: Vec<u32>,
     pub(crate) weight: Vec<f64>,
 }
 
-/// Expand edges into half-edges. Directed graphs emit one record per edge
-/// (`rows`/`cols` swapped by the caller for the in-adjacency); an
-/// undirected edge emits both orientations, self-loops once.
+/// Expand edges into half-edge columns (see [`for_each_half_edge`]):
+/// `rows`/`cols` are swapped by the caller for a directed in-adjacency.
 pub(crate) fn half_edges(rows: &[u32], cols: &[u32], weights: &[f64], directed: bool) -> HalfEdges {
-    let m = rows.len();
+    let cap = if directed { rows.len() } else { 2 * rows.len() };
     let mut half = HalfEdges {
-        row: Vec::with_capacity(if directed { m } else { 2 * m }),
-        col: Vec::with_capacity(if directed { m } else { 2 * m }),
-        weight: Vec::with_capacity(if directed { m } else { 2 * m }),
+        row: Vec::with_capacity(cap),
+        col: Vec::with_capacity(cap),
+        weight: Vec::with_capacity(cap),
     };
-    for k in 0..m {
-        half.row.push(rows[k]);
-        half.col.push(cols[k]);
-        half.weight.push(weights[k]);
-        if !directed && rows[k] != cols[k] {
-            half.row.push(cols[k]);
-            half.col.push(rows[k]);
-            half.weight.push(weights[k]);
-        }
-    }
+    for_each_half_edge(rows, cols, weights, directed, |r, c, w| {
+        half.row.push(r);
+        half.col.push(c);
+        half.weight.push(w);
+    });
     half
 }
 
-/// Sort-merge a contiguous range of rows whose bucketed entries live in
-/// `bucket_col`/`bucket_w` at positions `offsets[u] - base ..
-/// offsets[u + 1] - base`. Returns the merged
-/// `(targets, weights, per-row lens, pairs_once)` segment for the range,
-/// where `pairs_once` counts merged entries with `row <= col` (the
-/// undirected edge-count convention).
+/// Order one row's bucket by target, equal targets in bucket (insertion)
+/// order: fill `keys` with `(cols[i] << 32) | i` and sort them. The keys
+/// are distinct, so `sort_unstable` yields exactly that order; read them
+/// back with [`key_target`] and [`key_pos`]. The build's merge and
+/// [`crate::delta`]'s both order rows through this one function.
+pub(crate) fn sort_row(cols: &[u32], keys: &mut Vec<u64>) {
+    debug_assert!(cols.len() <= u32::MAX as usize, "row exceeds u32 space");
+    keys.clear();
+    keys.extend(
+        cols.iter()
+            .enumerate()
+            .map(|(i, &c)| (u64::from(c) << 32) | i as u64),
+    );
+    keys.sort_unstable();
+}
+
+/// The target a [`sort_row`] key orders by.
+#[inline]
+pub(crate) fn key_target(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+/// The bucket position a [`sort_row`] key came from.
+#[inline]
+pub(crate) fn key_pos(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// One packed adjacency: `(offsets, targets, weights, pairs_once)`, where
+/// `pairs_once` counts merged entries with `row <= col` (the undirected
+/// edge-count convention).
+type PackedRows = (Vec<u32>, Vec<u32>, Vec<f64>, usize);
+
+/// Per-worker scratch of the merge: one row's sort keys and weights.
+#[derive(Default)]
+struct RowScratch {
+    keys: Vec<u64>,
+    weights: Vec<f64>,
+}
+
+/// Pack one adjacency over `n` rows (edge `k` from `rows[k]` to `cols[k]`,
+/// expanded by [`for_each_half_edge`]) into sorted merged CSR rows. `runs`
+/// names the spill directory and file tag when the build spills.
+#[allow(clippy::too_many_arguments)]
+fn pack_rows(
+    n: usize,
+    rows: &[u32],
+    cols: &[u32],
+    weights: &[f64],
+    directed: bool,
+    shards: usize,
+    threads: usize,
+    runs: Option<(&Path, &str)>,
+) -> crate::Result<PackedRows> {
+    // Counting pass: every row's bucket size. Counts are integers, so one
+    // serial pass gives the same offsets at any thread count.
+    let mut offsets = vec![0u32; n + 1];
+    for_each_half_edge(rows, cols, weights, directed, |r, _, _| {
+        offsets[r as usize + 1] += 1;
+    });
+    for u in 0..n {
+        offsets[u + 1] += offsets[u];
+    }
+    let h = offsets[n] as usize;
+
+    // Shards: contiguous row ranges balanced by half-edge count. A spilled
+    // pack first writes every half-edge to its shard's run, in insertion
+    // order.
+    let shard_chunks = par::RowChunks::balanced(&offsets, shards, 1);
+    let runs = match runs {
+        None => None,
+        Some((dir, tag)) => {
+            let mut shard_of = vec![0u32; n];
+            for (s, range) in shard_chunks.ranges().iter().enumerate() {
+                shard_of[range.clone()].fill(s as u32);
+            }
+            let mut writers = spill::ShardRunWriters::create(dir, shard_chunks.len(), tag)?;
+            for_each_half_edge(rows, cols, weights, directed, |r, c, w| {
+                writers.push(shard_of[r as usize] as usize, r, c, w);
+            });
+            Some(writers.finish()?)
+        }
+    };
+
+    // Scatter: each shard fills its own slice of the bucket columns, every
+    // row's bucket oldest-first (the merge folds in that order).
+    let mut bucket_col = vec![0u32; h];
+    let mut bucket_w = vec![0.0f64; h];
+    let shard_buckets = chunk_buckets(&shard_chunks, &offsets, &mut bucket_col, &mut bucket_w);
+    let filled = par::par_each_with(
+        shard_buckets,
+        threads,
+        || (),
+        |_, s, (range, col, w)| {
+            let (base, bucket_len) = (offsets[range.start], col.len());
+            let mut cursor: Vec<u32> = offsets[range.clone()].iter().map(|&o| o - base).collect();
+            let mut put = |r: u32, c: u32, wt: f64| {
+                let p = &mut cursor[r as usize - range.start];
+                col[*p as usize] = c;
+                w[*p as usize] = wt;
+                *p += 1;
+            };
+            match &runs {
+                Some(runs) => {
+                    debug_assert_eq!(runs.shard_len(s) as usize, bucket_len, "run length");
+                    runs.for_each(s, &mut put)
+                }
+                None => {
+                    for_each_half_edge(rows, cols, weights, directed, |r, c, wt| {
+                        if range.contains(&(r as usize)) {
+                            put(r, c, wt);
+                        }
+                    });
+                    Ok(())
+                }
+            }
+        },
+    );
+    filled.into_iter().collect::<crate::Result<()>>()?;
+
+    // Merge: fixed edge-balanced row chunks sort and fold their rows in
+    // place, each inside its own slice of the bucket columns.
+    let row_chunks = par::RowChunks::balanced(&offsets, 64, 4096);
+    let mut lens = vec![0u32; n];
+    let row_ends = row_chunks.ranges().iter().map(|r| r.end);
+    let items: Vec<_> = chunk_buckets(&row_chunks, &offsets, &mut bucket_col, &mut bucket_w)
+        .into_iter()
+        .zip(par::split_at_ends(&mut lens, row_ends))
+        .collect();
+    let merged = par::par_each_with(
+        items,
+        threads,
+        RowScratch::default,
+        |scratch, _, ((range, col, w), lens)| {
+            merge_rows_in_place(range, &offsets, col, w, lens, scratch)
+        },
+    );
+
+    // One serial pass closes the gaps between the chunks' merged prefixes,
+    // in chunk order; the offsets become the merged ones.
+    let (mut len, mut pairs_once) = (0usize, 0usize);
+    for (range, (chunk_len, pairs)) in row_chunks.ranges().iter().zip(merged) {
+        let start = offsets[range.start] as usize;
+        bucket_col.copy_within(start..start + chunk_len, len);
+        bucket_w.copy_within(start..start + chunk_len, len);
+        len += chunk_len;
+        pairs_once += pairs;
+    }
+    bucket_col.truncate(len);
+    bucket_w.truncate(len);
+    for u in 0..n {
+        offsets[u + 1] = offsets[u] + lens[u];
+    }
+    Ok((offsets, bucket_col, bucket_w, pairs_once))
+}
+
+/// A chunk's rows and its slices of the bucket columns: `col`/`w` split
+/// at the chunks' bucket bounds, so each chunk writes only its own rows.
+type ChunkBuckets<'a> = (Range<usize>, &'a mut [u32], &'a mut [f64]);
+
+/// Split the bucket columns at the bounds of `chunks`' row ranges.
+fn chunk_buckets<'a>(
+    chunks: &par::RowChunks,
+    offsets: &[u32],
+    col: &'a mut [u32],
+    w: &'a mut [f64],
+) -> Vec<ChunkBuckets<'a>> {
+    let ends: Vec<usize> = chunks
+        .ranges()
+        .iter()
+        .map(|r| offsets[r.end] as usize)
+        .collect();
+    chunks
+        .ranges()
+        .iter()
+        .cloned()
+        .zip(par::split_at_ends(col, ends.iter().copied()))
+        .zip(par::split_at_ends(w, ends))
+        .map(|((range, col), w)| (range, col, w))
+        .collect()
+}
+
+/// Sort and merge the rows `range` in place. `col`/`w` hold their buckets
+/// in insertion order, row `u`'s at `offsets[u] - offsets[range.start]`
+/// onwards. Each row is ordered by [`sort_row`], equal targets fold in
+/// insertion order, and the merged entries are written back compacted to
+/// the front of the slices. Writes each row's merged length to `lens` and
+/// returns `(merged entries, pairs_once)`.
 ///
 /// This is a pure function of each row's bucket *in insertion order* —
-/// the invariant that makes thread-chunk and shard decompositions of the
-/// row space interchangeable bit for bit.
-fn sort_merge_rows(
-    rows: std::ops::Range<usize>,
+/// the invariant that makes every chunk, shard and spill decomposition of
+/// the row space interchangeable bit for bit.
+fn merge_rows_in_place(
+    range: Range<usize>,
     offsets: &[u32],
-    base: u32,
-    bucket_col: &[u32],
-    bucket_w: &[f64],
-) -> (Vec<u32>, Vec<f64>, Vec<u32>, usize) {
-    let mut targets = Vec::new();
-    let mut weights = Vec::new();
-    let mut lens = Vec::with_capacity(rows.len());
-    let mut pairs_once = 0usize;
-    let mut scratch: Vec<(u32, f64)> = Vec::new();
-    for u in rows {
+    col: &mut [u32],
+    w: &mut [f64],
+    lens: &mut [u32],
+    scratch: &mut RowScratch,
+) -> (usize, usize) {
+    let base = offsets[range.start];
+    let (mut out, mut pairs_once) = (0usize, 0usize);
+    for (u, len) in range.zip(lens.iter_mut()) {
         let lo = (offsets[u] - base) as usize;
         let hi = (offsets[u + 1] - base) as usize;
-        scratch.clear();
-        scratch.extend(
-            bucket_col[lo..hi]
-                .iter()
-                .copied()
-                .zip(bucket_w[lo..hi].iter().copied()),
-        );
-        // Stable: equal targets keep insertion order for the merge.
-        scratch.sort_by_key(|&(col, _)| col);
-        let before = targets.len();
+        // The keys hold the targets; the weights are copied because the
+        // compacted output may overwrite this bucket before it is read.
+        sort_row(&col[lo..hi], &mut scratch.keys);
+        scratch.weights.clear();
+        scratch.weights.extend_from_slice(&w[lo..hi]);
+        let (keys, weights) = (&scratch.keys, &scratch.weights);
+        let start = out;
         let mut i = 0usize;
-        while i < scratch.len() {
-            let col = scratch[i].0;
+        while i < keys.len() {
+            let target = key_target(keys[i]);
             let mut acc = 0.0f64;
-            while i < scratch.len() && scratch[i].0 == col {
-                acc += scratch[i].1;
+            while i < keys.len() && key_target(keys[i]) == target {
+                acc += weights[key_pos(keys[i])];
                 i += 1;
             }
-            targets.push(col);
-            weights.push(acc);
-            if u as u32 <= col {
+            col[out] = target;
+            w[out] = acc;
+            out += 1;
+            if u as u32 <= target {
                 pairs_once += 1;
             }
         }
-        lens.push((targets.len() - before) as u32);
+        *len = (out - start) as u32;
     }
-    (targets, weights, lens, pairs_once)
-}
-
-/// Bucket half-edges by row (stable counting pass), then sort each row by
-/// target and merge adjacent duplicates — weights summed in insertion
-/// order. Returns `(offsets, targets, weights, pairs_once)` where
-/// `pairs_once` counts merged entries with `row <= col` (the undirected
-/// edge-count convention).
-///
-/// With `shards > 1` the scatter itself is sharded: the row space splits
-/// into contiguous ranges balanced by half-edge count (a pure function of
-/// the provisional offsets and the shard count), each shard scatters and
-/// merges its own rows, and the shard outputs concatenate in shard
-/// order — bit-identical to the unsharded pass at any shard count (see
-/// the [module docs](self)).
-fn pack_rows(
-    n: usize,
-    half: &HalfEdges,
-    shards: usize,
-    threads: usize,
-) -> (Vec<u32>, Vec<u32>, Vec<f64>, usize) {
-    let h = half.row.len();
-    assert!(h <= u32::MAX as usize, "half-edge space exceeds u32");
-
-    // Per-chunk histograms over fixed uniform chunks, merged in chunk
-    // order: provisional row counts independent of the thread count.
-    let chunks = par::RowChunks::uniform(h, 16);
-    let histograms = par::par_map(&chunks, threads, |_, range| {
-        let mut counts = vec![0u32; n];
-        for i in range {
-            counts[half.row[i] as usize] += 1;
-        }
-        counts
-    });
-    let mut offsets = vec![0u32; n + 1];
-    for counts in &histograms {
-        for (u, &c) in counts.iter().enumerate() {
-            offsets[u + 1] += c;
-        }
-    }
-    for u in 0..n {
-        offsets[u + 1] += offsets[u];
-    }
-
-    let merged = if shards <= 1 {
-        // Stable scatter: a single linear pass in insertion order, so
-        // every row's bucket lists its entries oldest-first (the merge
-        // relies on this to reproduce the builder's accumulation order).
-        let mut bucket_col = vec![0u32; h];
-        let mut bucket_w = vec![0.0f64; h];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for i in 0..h {
-            let r = half.row[i] as usize;
-            let p = cursor[r] as usize;
-            cursor[r] += 1;
-            bucket_col[p] = half.col[i];
-            bucket_w[p] = half.weight[i];
-        }
-
-        // Per-row sort + adjacent merge, parallel over edge-balanced row
-        // chunks; per-chunk outputs concatenate in chunk order.
-        let row_chunks = par::RowChunks::balanced(&offsets, 64, 4096);
-        par::par_map(&row_chunks, threads, |_, range| {
-            sort_merge_rows(range, &offsets, 0, &bucket_col, &bucket_w)
-        })
-    } else {
-        // Shard boundaries: contiguous row ranges balanced by half-edge
-        // count — a pure function of the offsets and the shard count.
-        let shard_chunks = par::RowChunks::balanced(&offsets, shards, 1);
-        par::par_map(&shard_chunks, threads, |_, rows| {
-            // Shard-local stable scatter: one forward pass over the full
-            // half-edge columns keeps each of this shard's rows in
-            // global insertion order, so the per-row buckets are
-            // byte-equal to the slices the unsharded scatter produces.
-            let base = offsets[rows.start];
-            let len = (offsets[rows.end] - base) as usize;
-            let mut bucket_col = vec![0u32; len];
-            let mut bucket_w = vec![0.0f64; len];
-            let mut cursor: Vec<u32> = offsets[rows.clone()].to_vec();
-            for i in 0..h {
-                let r = half.row[i] as usize;
-                if r < rows.start || r >= rows.end {
-                    continue;
-                }
-                let p = (cursor[r - rows.start] - base) as usize;
-                cursor[r - rows.start] += 1;
-                bucket_col[p] = half.col[i];
-                bucket_w[p] = half.weight[i];
-            }
-            sort_merge_rows(rows, &offsets, base, &bucket_col, &bucket_w)
-        })
-    };
-
-    concat_segments(n, merged)
-}
-
-/// One merged row-range output: `(targets, weights, row lens, pairs_once)`
-/// as produced by [`sort_merge_rows`] for a contiguous row range.
-type PackSegment = (Vec<u32>, Vec<f64>, Vec<u32>, usize);
-
-/// Concatenate per-range [`sort_merge_rows`] outputs in range order into
-/// final `(offsets, targets, weights, pairs_once)` CSR columns — shared
-/// by the in-memory and spilled packing paths.
-fn concat_segments(n: usize, merged: Vec<PackSegment>) -> (Vec<u32>, Vec<u32>, Vec<f64>, usize) {
-    let mut final_offsets = Vec::with_capacity(n + 1);
-    final_offsets.push(0u32);
-    let mut final_targets = Vec::new();
-    let mut final_weights = Vec::new();
-    let mut pairs_once = 0usize;
-    for (targets, weights, lens, pairs) in merged {
-        for len in lens {
-            final_offsets.push(final_offsets.last().unwrap() + len);
-        }
-        final_targets.extend(targets);
-        final_weights.extend(weights);
-        pairs_once += pairs;
-    }
-    // Empty row spaces (n rows, zero chunks) still need n+1 offsets.
-    while final_offsets.len() < n + 1 {
-        final_offsets.push(*final_offsets.last().unwrap());
-    }
-    (final_offsets, final_targets, final_weights, pairs_once)
-}
-
-/// The out-of-core counterpart of [`pack_rows`]: the half-edge stream is
-/// replayed twice — a counting pass builds the provisional offsets, then
-/// a partition pass appends each half-edge to its owning shard's disk
-/// run (per-shard contiguous row ranges balanced by half-edge count,
-/// exactly [`pack_rows`]'s shard boundaries). Each shard then streams
-/// its own run back into a scatter bucket and merges with the shared
-/// [`sort_merge_rows`] — since the run preserves global insertion order
-/// for that shard's rows, the buckets (and therefore the merged columns
-/// and fold bits) are byte-equal to the in-memory pass.
-fn pack_rows_spilled(
-    n: usize,
-    halves: &dyn Fn(&mut dyn FnMut(u32, u32, f64)),
-    shards: usize,
-    threads: usize,
-    dir: &Path,
-    tag: &str,
-) -> crate::Result<(Vec<u32>, Vec<u32>, Vec<f64>, usize)> {
-    // Counting pass: provisional per-row offsets, no storage of the
-    // half-edges themselves.
-    let mut offsets = vec![0u32; n + 1];
-    let mut h = 0u64;
-    halves(&mut |row, _, _| {
-        offsets[row as usize + 1] += 1;
-        h += 1;
-    });
-    assert!(h <= u32::MAX as u64, "half-edge space exceeds u32");
-    for u in 0..n {
-        offsets[u + 1] += offsets[u];
-    }
-
-    // Shard boundaries are the same pure function of (offsets, shards)
-    // the in-memory path uses, so the row partition is identical.
-    let shard_chunks = par::RowChunks::balanced(&offsets, shards, 1);
-    let mut shard_of = vec![0u32; n];
-    for (s, rows) in shard_chunks.ranges().iter().enumerate() {
-        for slot in &mut shard_of[rows.clone()] {
-            *slot = s as u32;
-        }
-    }
-
-    // Partition pass: every half-edge appends to its shard's run file in
-    // stream order, so each run lists its shard's half-edges in global
-    // insertion order. Write errors latch inside the writers and surface
-    // at finish().
-    let mut writers = spill::ShardRunWriters::create(dir, shard_chunks.len(), tag)?;
-    halves(&mut |row, col, w| {
-        writers.push(shard_of[row as usize] as usize, row, col, w);
-    });
-    let runs = writers.finish()?;
-
-    // Per-shard streaming read-back + scatter + sort-merge: the bucket a
-    // shard fills from its run is byte-equal to the slice the in-memory
-    // forward scan would have produced for the same rows.
-    let merged = par::par_map(
-        &shard_chunks,
-        threads,
-        |s, rows| -> crate::Result<PackSegment> {
-            let base = offsets[rows.start];
-            let len = (offsets[rows.end] - base) as usize;
-            debug_assert_eq!(
-                runs.shard_len(s) as usize,
-                len,
-                "run/offset length mismatch"
-            );
-            let mut bucket_col = vec![0u32; len];
-            let mut bucket_w = vec![0.0f64; len];
-            let mut cursor: Vec<u32> = offsets[rows.clone()].to_vec();
-            runs.for_each(s, &mut |row, col, w| {
-                let r = row as usize;
-                debug_assert!(r >= rows.start && r < rows.end, "half-edge in wrong run");
-                let p = (cursor[r - rows.start] - base) as usize;
-                cursor[r - rows.start] += 1;
-                bucket_col[p] = col;
-                bucket_w[p] = w;
-            })?;
-            Ok(sort_merge_rows(
-                rows,
-                &offsets,
-                base,
-                &bucket_col,
-                &bucket_w,
-            ))
-        },
-    );
-    let mut segments = Vec::with_capacity(merged.len());
-    for seg in merged {
-        segments.push(seg?);
-    }
-    Ok(concat_segments(n, segments))
+    (out, pairs_once)
 }
 
 #[cfg(test)]
@@ -847,9 +681,9 @@ mod tests {
         ]
     }
 
-    fn push_all(b: &mut CsrBuilder, edges: &EdgeList) {
-        for k in 0..edges.len() {
-            b.push(edges.src[k], edges.dst[k], edges.weight[k]);
+    fn push_all(b: &mut CsrBuilder, edges: &[(NodeId, NodeId, f64)]) {
+        for &(src, dst, w) in edges {
+            b.push(src, dst, w);
         }
     }
 
@@ -1099,15 +933,41 @@ mod tests {
     }
 
     #[test]
-    fn edge_list_round_trips() {
-        let list: EdgeList = sample_edges().into_iter().collect();
-        assert_eq!(list.len(), 5);
-        assert!(!list.is_empty());
-        let back: Vec<_> = (0..list.len())
-            .map(|k| (list.src[k], list.dst[k], list.weight[k]))
-            .collect();
-        assert_eq!(back, sample_edges());
-        assert!(EdgeList::new().is_empty());
+    fn long_rows_fold_equal_targets_in_insertion_order() {
+        // Row 0 holds 121 entries, far past the small-sort cutoff. Its
+        // first entry to target 3 weighs 1e16; 60 later entries to target 3
+        // weigh 1.0, interleaved with entries to the targets on both sides
+        // of it. In insertion order each 1.0 rounds away
+        // (1e16 + 1.0 == 1e16), so the merged weight is exactly 1e16; a
+        // fold that took two 1.0 entries first would give at least
+        // 1e16 + 2.0.
+        let (mut src, mut dst, mut w) = (vec![0u32], vec![3u32], vec![1e16]);
+        for k in 0..60 {
+            src.extend([0, 0]);
+            dst.extend([[0, 1, 2, 4, 5, 6][k % 6], 3]);
+            w.extend([0.5, 1.0]);
+        }
+        let node_ids: Vec<NodeId> = (0..7).collect();
+        for directed in [false, true] {
+            for (shards, budget) in [(1, None), (3, None), (2, Some(0))] {
+                let g = build_dense_csr_budgeted(
+                    directed,
+                    node_ids.clone(),
+                    &src,
+                    &dst,
+                    &w,
+                    Some(shards),
+                    Some(2),
+                    budget,
+                    None,
+                )
+                .expect("build");
+                let (targets, weights) = g.row(0);
+                assert_eq!(targets, &[0, 1, 2, 3, 4, 5, 6]);
+                assert_eq!(weights[3].to_bits(), 1e16f64.to_bits());
+                assert_eq!(weights[4], 5.0);
+            }
+        }
     }
 
     #[test]
@@ -1190,12 +1050,12 @@ mod tests {
     fn sharded_builder_matches_unsharded_builder() {
         let base = {
             let mut b = CsrBuilder::undirected();
-            push_all(&mut b, &sample_edges().into_iter().collect());
+            push_all(&mut b, &sample_edges());
             b.build()
         };
         for shards in [1usize, 2, 4] {
             let mut b = CsrBuilder::undirected().shards(Some(shards));
-            push_all(&mut b, &sample_edges().into_iter().collect());
+            push_all(&mut b, &sample_edges());
             assert_identical(&b.build(), &base);
         }
     }
@@ -1220,7 +1080,7 @@ mod tests {
     #[test]
     fn build_is_bit_identical_across_thread_counts() {
         // A larger pseudo-random list so several chunks exist.
-        let mut edges = EdgeList::new();
+        let mut edges = Vec::new();
         let mut x = 7u64;
         for _ in 0..5000 {
             x = x
@@ -1229,7 +1089,7 @@ mod tests {
             let s = (x >> 33) % 257;
             let d = (x >> 17) % 257;
             let w = ((x >> 3) % 1000) as f64 / 64.0 + 0.25;
-            edges.push(s, d, w);
+            edges.push((s, d, w));
         }
         for directed in [false, true] {
             let mk = |threads: usize| {

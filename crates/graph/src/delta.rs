@@ -16,12 +16,13 @@
 //! count. Two facts make this hold:
 //!
 //! 1. **Merged weights are prefix folds.** The rebuild merges a row by
-//!    stable-sorting its half-edges by target and summing weights in
-//!    insertion order; all old half-edges precede all batch half-edges in
-//!    the concatenated list, so the *stored* old merged weight is exactly
-//!    the rebuild's fold prefix. Continuing the fold from it
-//!    (`acc = old_weight; acc += batch entries in order`) reproduces the
-//!    rebuild's bits. The same argument covers
+//!    ordering its half-edges by target, equal targets in insertion order,
+//!    and summing weights in that order (the batch buckets here are
+//!    ordered by the same function); all old half-edges precede all batch
+//!    half-edges in the concatenated list, so the *stored* old merged
+//!    weight is exactly the rebuild's fold prefix. Continuing the fold
+//!    from it (`acc = old_weight; acc += batch entries in order`)
+//!    reproduces the rebuild's bits. The same argument covers
 //!    [`total_weight`](CsrGraph::total_weight) and, inductively, chains of
 //!    deltas.
 //! 2. **Node tables extend monotonically.** Appending edges never reorders
@@ -46,7 +47,7 @@
 //! The shard-independence suite (`crates/graph/tests/proptest_sharded.rs`)
 //! chains deltas onto sharded bases to pin this down.
 
-use crate::build::{half_edges, HalfEdges};
+use crate::build::{half_edges, key_pos, key_target, sort_row, HalfEdges};
 use crate::csr::CsrParts;
 use crate::{par, CsrGraph, NodeId};
 
@@ -375,7 +376,7 @@ where
         let mut weights = Vec::new();
         let mut lens = Vec::with_capacity(range.len());
         let mut pairs_once = 0usize;
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
         for u in range {
             let before = targets.len();
             let (ot, ow) = match old_of_new[u] {
@@ -399,21 +400,14 @@ where
                 lens.push((targets.len() - before) as u32);
                 continue;
             }
-            // Batch entries of this row, stable-sorted by target so equal
-            // targets keep insertion order for the fold.
-            scratch.clear();
-            scratch.extend(
-                bucket_col[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(bucket_w[lo..hi].iter().copied()),
-            );
-            scratch.sort_by_key(|&(col, _)| col);
+            // Batch entries of this row, ordered by target with equal
+            // targets in insertion order for the fold — the build's order.
+            sort_row(&bucket_col[lo..hi], &mut keys);
             let remap = |c: u32| old_to_new.map_or(c, |m| m[c as usize]);
             let (mut i, mut j) = (0usize, 0usize);
-            while i < ot.len() || j < scratch.len() {
+            while i < ot.len() || j < keys.len() {
                 let next_old = (i < ot.len()).then(|| remap(ot[i]));
-                let next_new = (j < scratch.len()).then(|| scratch[j].0);
+                let next_new = (j < keys.len()).then(|| key_target(keys[j]));
                 let (col, w) = match (next_old, next_new) {
                     (Some(oc), None) => {
                         let r = (oc, ow[i]);
@@ -434,8 +428,8 @@ where
                         } else {
                             0.0
                         };
-                        while j < scratch.len() && scratch[j].0 == nc {
-                            acc += scratch[j].1;
+                        while j < keys.len() && key_target(keys[j]) == nc {
+                            acc += bucket_w[lo + key_pos(keys[j])];
                             j += 1;
                         }
                         (nc, acc)

@@ -13,12 +13,12 @@
 //! * [`CsrGraph`] — the frozen compressed-sparse-row projection; every
 //!   analytical algorithm (degree, Louvain, PageRank) runs on this
 //!   cache-friendly representation;
-//! * [`EdgeList`] / [`CsrBuilder`] — the columnar **sort-merge
-//!   construction** path: `(src, dst, weight)` triples become a frozen
-//!   [`CsrGraph`] directly (sort by row/target + adjacent-duplicate
-//!   merge, parallelised on [`par`]), producing bit-for-bit the graph
-//!   [`WeightedGraph::freeze`] would have built — with zero per-edge hash
-//!   operations;
+//! * [`CsrBuilder`] / [`build_dense_csr`] — the columnar **sort-merge
+//!   construction** path: `(src, dst, weight)` columns become a frozen
+//!   [`CsrGraph`] directly (rows bucketed straight from the edge columns,
+//!   then sorted by target and merged in place, parallelised on [`par`]),
+//!   producing bit-for-bit the graph [`WeightedGraph::freeze`] would have
+//!   built — with zero per-edge hash operations;
 //! * [`CsrDelta`] / [`CsrGraph::apply_delta`] — **incremental updates**:
 //!   an edge batch merges into an existing frozen graph row by row,
 //!   producing a graph bit-identical to rebuilding from the concatenated
@@ -65,9 +65,7 @@ pub mod metrics;
 pub mod par;
 pub mod spill;
 
-pub use build::{
-    build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, CsrBuilder, EdgeList,
-};
+pub use build::{build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, CsrBuilder};
 pub use csr::{AlignedSlab, CsrGraph, CACHE_LINE};
 pub use delta::CsrDelta;
 pub use graph::{NodeId, WeightedGraph};

@@ -88,10 +88,10 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 ///
 /// Sharding is the row-space analogue of [`thread_count`]: shard
 /// boundaries are a pure function of the row structure and the shard
-/// count, and shard outputs concatenate in shard order, so the sharded
-/// CSR build is **bit-identical at any shard count** (see
+/// count, and each shard fills only its own slice of the build's bucket
+/// columns, so the CSR build is **bit-identical at any shard count** (see
 /// `crate::build`'s contract). The knob only tunes the parallelism of
-/// the scatter pass and the peak size of the per-shard scatter buffers.
+/// the scatter pass and, on a spilled build, the number of run files.
 pub fn shard_count(explicit: Option<usize>) -> usize {
     explicit
         .filter(|&n| n > 0)
@@ -203,45 +203,7 @@ where
     M: Fn() -> S + Sync,
     F: Fn(&mut S, usize, Range<usize>) -> R + Sync,
 {
-    let ranges = chunks.ranges();
-    let threads = threads.clamp(1, MAX_THREADS).min(ranges.len().max(1));
-    if threads <= 1 {
-        let mut state = make_state();
-        return ranges
-            .iter()
-            .enumerate()
-            .map(|(i, r)| f(&mut state, i, r.clone()))
-            .collect();
-    }
-    let mut results: Vec<Option<R>> = Vec::with_capacity(ranges.len());
-    results.resize_with(ranges.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                let make_state = &make_state;
-                scope.spawn(move || {
-                    let mut state = make_state();
-                    let mut out = Vec::new();
-                    let mut i = t;
-                    while i < ranges.len() {
-                        out.push((i, f(&mut state, i, ranges[i].clone())));
-                        i += threads;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("scheduler worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every chunk executed"))
-        .collect()
+    par_each_with(chunks.ranges().to_vec(), threads, make_state, f)
 }
 
 /// [`par_map_with`] without per-worker state.
@@ -277,30 +239,51 @@ where
         "par_fill_with output length must equal the chunked row count"
     );
     let ranges = chunks.ranges();
-    let threads = threads.clamp(1, MAX_THREADS).min(ranges.len().max(1));
+    let items = ranges
+        .iter()
+        .cloned()
+        .zip(split_at_ends(out, ranges.iter().map(|r| r.end)))
+        .collect();
+    par_each_with(items, threads, make_state, |state, i, (range, slice)| {
+        f(state, i, range, slice)
+    })
+}
+
+/// The scheduler core: run `f` once per item across up to `threads` scoped
+/// workers (item `i` goes to worker `i % threads`) and return the results
+/// **in item order**. Items move into the workers, so an item may carry an
+/// exclusive `&mut` sub-slice of a shared buffer (see [`split_at_ends`]):
+/// each chunk then writes its own part with no synchronisation.
+/// `make_state` builds one scratch state per worker. With `threads <= 1`
+/// (or a single item) everything runs inline on the calling thread.
+pub(crate) fn par_each_with<T, S, R, M, F>(
+    items: Vec<T>,
+    threads: usize,
+    make_state: M,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    M: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, T) -> R + Sync,
+{
+    let count = items.len();
+    let threads = threads.clamp(1, MAX_THREADS).min(count.max(1));
     if threads <= 1 {
         let mut state = make_state();
-        return ranges
-            .iter()
+        return items
+            .into_iter()
             .enumerate()
-            .map(|(i, r)| f(&mut state, i, r.clone(), &mut out[r.clone()]))
+            .map(|(i, item)| f(&mut state, i, item))
             .collect();
     }
-    // Split `out` into per-chunk slices (ranges are contiguous and cover
-    // 0..n) and deal them round-robin to the workers.
-    let mut slices: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-    let mut rest = out;
-    for (i, r) in ranges.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(r.end - r.start);
-        slices.push((i, head));
-        rest = tail;
+    let mut per_worker: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        per_worker[i % threads].push((i, item));
     }
-    let mut per_worker: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (pos, slice) in slices.into_iter().enumerate() {
-        per_worker[pos % threads].push(slice);
-    }
-    let mut results: Vec<Option<R>> = Vec::with_capacity(ranges.len());
-    results.resize_with(ranges.len(), || None);
+    let mut results: Vec<Option<R>> = Vec::with_capacity(count);
+    results.resize_with(count, || None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = per_worker
             .into_iter()
@@ -310,7 +293,7 @@ where
                 scope.spawn(move || {
                     let mut state = make_state();
                     mine.into_iter()
-                        .map(|(i, slice)| (i, f(&mut state, i, ranges[i].clone(), slice)))
+                        .map(|(i, item)| (i, f(&mut state, i, item)))
                         .collect::<Vec<_>>()
                 })
             })
@@ -324,6 +307,23 @@ where
     results
         .into_iter()
         .map(|r| r.expect("every chunk executed"))
+        .collect()
+}
+
+/// Split `buf` into consecutive sub-slices ending at the ascending
+/// positions `ends` (the first starts at 0) — the per-chunk pieces
+/// [`par_each_with`] hands out.
+pub(crate) fn split_at_ends<T>(
+    mut buf: &mut [T],
+    ends: impl IntoIterator<Item = usize>,
+) -> Vec<&mut [T]> {
+    let mut at = 0usize;
+    ends.into_iter()
+        .map(|end| {
+            let (head, tail) = std::mem::take(&mut buf).split_at_mut(end - at);
+            (at, buf) = (end, tail);
+            head
+        })
         .collect()
 }
 

@@ -1,17 +1,18 @@
-//! Out-of-core spill runs for the sharded CSR construction path.
+//! Out-of-core spill runs for the CSR construction path.
 //!
-//! When a build's estimated scatter footprint exceeds a configured memory
-//! budget ([`CsrBuilder::spill_budget`](crate::CsrBuilder::spill_budget) /
-//! the [`BUDGET_ENV`] environment variable), the half-edge columns are
-//! **partitioned to per-shard spill files** during the counting pass
-//! instead of being materialised in memory: each shard's run holds exactly
+//! When a build's estimated run size exceeds a configured budget
+//! ([`CsrBuilder::spill_budget`](crate::CsrBuilder::spill_budget) / the
+//! [`BUDGET_ENV`] environment variable), a partition pass writes the
+//! half-edges to **per-shard spill files**: each shard's run holds exactly
 //! the half-edges whose row falls in that shard's range, written in
-//! **global insertion order**, as plain little-endian columnar records.
-//! Each shard then streams its own run back through the same shard-local
-//! scatter + sort-merge the in-memory sharded pass uses, so the frozen
-//! graph is bit-identical to the in-memory build at any
-//! shard count × thread count × budget — the spill-budget independence
-//! axis of the construction contract (see `crate::build` and `DESIGN.md`).
+//! **global insertion order**, as plain little-endian records. Each shard
+//! then fills its slice of the build's row buckets from its own run
+//! instead of scanning the edge columns; the merge that follows is the
+//! in-memory one, so the frozen graph is bit-identical to the in-memory
+//! build at any shard count × thread count × budget — the spill-budget
+//! independence axis of the construction contract (see `crate::build`
+//! and `DESIGN.md`). The row buckets are in memory on both arms, so a
+//! spilled build does not peak lower than an in-memory one.
 //!
 //! This module owns the mechanical pieces: budget resolution, the
 //! RAII-cleaned temp directory, and the run writers/readers. The actual
@@ -36,9 +37,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// matrix runs). An unset/garbage value means "no budget, never spill".
 pub const BUDGET_ENV: &str = "MOBY_SPILL_BUDGET_MB";
 
-/// Bytes one half-edge occupies both in a spill-run record and in the
-/// in-memory half-edge columns (`row: u32 + col: u32 + weight: f64`) —
-/// the unit of the budget rule.
+/// Bytes one half-edge occupies in a spill-run record
+/// (`row: u32 + col: u32 + weight: f64`) — the unit of the budget rule.
 pub const HALF_EDGE_BYTES: usize = 16;
 
 /// Resolve the spill budget in **bytes**: the explicit override (in MB)
@@ -56,11 +56,10 @@ fn parse_budget(raw: Option<&str>) -> Option<u64> {
     raw.and_then(|v| v.trim().parse::<u64>().ok())
 }
 
-/// The budget rule: spill when the estimated scatter footprint —
-/// `half_edges ×` [`HALF_EDGE_BYTES`], the in-memory half-edge columns
-/// the scatter pass would otherwise hold — **exceeds** the budget.
+/// The budget rule: spill when the estimated run size —
+/// `half_edges ×` [`HALF_EDGE_BYTES`] — **exceeds** the budget.
 /// No budget means never; an empty build never spills (there is nothing
-/// to buffer).
+/// to write).
 pub fn should_spill(half_edges: usize, budget_bytes: Option<u64>) -> bool {
     budget_bytes.is_some_and(|b| (half_edges as u64).saturating_mul(HALF_EDGE_BYTES as u64) > b)
 }

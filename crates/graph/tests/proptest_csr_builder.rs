@@ -2,7 +2,8 @@
 //! lists with duplicates and self-loops, [`CsrBuilder`] must produce a
 //! graph **identical** to `WeightedGraph::freeze()` — same dense node
 //! table, same offsets/targets, bit-identical merged weights and cached
-//! degrees — at 1, 2 and 4 build threads, seeded and unseeded.
+//! degrees — at 1, 2 and 4 build threads, seeded and unseeded, on short
+//! rows and on rows hundreds of entries long.
 
 use moby_graph::{CsrBuilder, CsrGraph, WeightedGraph};
 use proptest::prelude::*;
@@ -14,6 +15,22 @@ fn edge_list() -> impl Strategy<Value = Vec<(u64, u64, f64)>> {
         edges
             .into_iter()
             .map(|(a, b, w)| (a * 1_000 + 7, b * 1_000 + 7, w))
+            .collect()
+    })
+}
+
+/// Rows far longer than the small-sort cutoff: 2–6 node ids and
+/// 100–1 500 edges, so a row holds hundreds of entries. The weights come
+/// from {0.1, 0.3, 1.0, 1e16}, whose sums depend on the fold order, so a
+/// merge that does not fold equal targets in insertion order changes the
+/// merged bits.
+fn long_rows() -> impl Strategy<Value = Vec<(u64, u64, f64)>> {
+    const WEIGHTS: [f64; 4] = [0.1, 0.3, 1.0, 1e16];
+    let edges = prop::collection::vec((0u64..6, 0u64..6, 0usize..4), 100..1_500);
+    (2u64..7, edges).prop_map(|(ids, edges)| {
+        edges
+            .into_iter()
+            .map(|(a, b, w)| ((a % ids) * 1_000 + 7, (b % ids) * 1_000 + 7, WEIGHTS[w]))
             .collect()
     })
 }
@@ -104,5 +121,14 @@ proptest! {
     #[test]
     fn seeded_build_is_identical_to_freeze(edges in edge_list(), directed in 0u8..2) {
         check(&edges, directed == 1, true);
+    }
+
+    #[test]
+    fn long_row_build_is_identical_to_freeze(
+        edges in long_rows(),
+        directed in 0u8..2,
+        seeded in 0u8..2,
+    ) {
+        check(&edges, directed == 1, seeded == 1);
     }
 }

@@ -201,13 +201,7 @@ pub fn label_propagation_csr(graph: &CsrGraph, config: &LabelPropagationConfig) 
         }
     }
 
-    let partition: Partition = g
-        .node_ids()
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, labels[i]))
-        .collect();
-    partition.renumbered()
+    Partition::from_dense(g.node_ids(), &labels, n)
 }
 
 #[cfg(test)]

@@ -58,6 +58,7 @@
 //! ([`LouvainConfig::threads`] / `MOBY_THREADS`). The serial sweep is
 //! simply the 1-thread specialisation.
 
+use crate::modularity::dense_modularity;
 use crate::{modularity_hashmap, Partition};
 use moby_graph::{par, CsrGraph, NodeId, WeightedGraph};
 use rand::rngs::StdRng;
@@ -544,60 +545,87 @@ fn compact_labels(community: &[usize]) -> (Vec<usize>, usize) {
 }
 
 /// Aggregate a level by compacted communities into the next CSR level.
-/// The scan order (node index ascending, self-loop before forward edges)
-/// matches the legacy builder-based aggregation exactly, so merged weights
-/// and the total are bit-identical across the two paths.
+///
+/// Every contribution is taken in scan order (node index ascending,
+/// self-loop before forward edges) and bucketed by its lower community in
+/// a stable counting pass; a stable sort of each bucket then groups its
+/// contributions per upper community. So each community pair, and the
+/// total, add in scan order, as the oracle's builder-based aggregation
+/// does, and the merged weights are bit-identical across the two paths.
+/// Pairs come out ordered by (lower, upper), which fills every row in
+/// ascending target order and adds each degree in that order.
 fn aggregate_csr(graph: &CsrLevel, compact: &[usize], k: usize) -> CsrLevel {
-    let mut pair_weight: HashMap<(u32, u32), f64> = HashMap::new();
-    let mut m = 0.0f64;
-    for i in 0..graph.node_count() {
-        let ci = compact[i] as u32;
-        if graph.self_loops[i] > 0.0 {
-            *pair_weight.entry((ci, ci)).or_insert(0.0) += graph.self_loops[i];
-            m += graph.self_loops[i];
-        }
-        let (targets, weights) = graph.row(i);
-        for (&j, &w) in targets.iter().zip(weights) {
-            if (j as usize) > i {
-                let cj = compact[j as usize] as u32;
-                let key = if ci <= cj { (ci, cj) } else { (cj, ci) };
-                *pair_weight.entry(key).or_insert(0.0) += w;
-                m += w;
+    // Calls `f(lower, upper, weight)` for every contribution in scan order.
+    fn scan(graph: &CsrLevel, compact: &[usize], mut f: impl FnMut(usize, usize, f64)) {
+        for i in 0..graph.node_count() {
+            let ci = compact[i];
+            if graph.self_loops[i] > 0.0 {
+                f(ci, ci, graph.self_loops[i]);
+            }
+            let (targets, weights) = graph.row(i);
+            for (&j, &w) in targets.iter().zip(weights) {
+                if (j as usize) > i {
+                    let cj = compact[j as usize];
+                    f(ci.min(cj), ci.max(cj), w);
+                }
             }
         }
     }
+    // Stable counting pass: bucket each contribution's (upper, weight) by
+    // its lower community, in scan order.
+    let mut start = vec![0usize; k + 1];
+    scan(graph, compact, |lo, _, _| start[lo + 1] += 1);
+    for c in 0..k {
+        start[c + 1] += start[c];
+    }
+    let mut cursor = start[..k].to_vec();
+    let mut bucketed = vec![(0u32, 0.0f64); start[k]];
+    let mut m = 0.0f64;
+    scan(graph, compact, |lo, hi, w| {
+        bucketed[cursor[lo]] = (hi as u32, w);
+        cursor[lo] += 1;
+        m += w;
+    });
 
-    // Hash-map iteration order is immaterial here: each `(row, target)`
-    // pair carries one final weight and rows are sorted before packing.
-    let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); k];
-    for (&(a, b), &w) in &pair_weight {
-        if a == b {
-            rows[a as usize].push((a, w));
-        } else {
-            rows[a as usize].push((b, w));
-            rows[b as usize].push((a, w));
+    let mut self_loops = vec![0.0f64; k];
+    let mut degree = vec![0.0f64; k];
+    let mut row_len = vec![0u32; k];
+    let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
+    for lo in 0..k {
+        let bucket = &mut bucketed[start[lo]..start[lo + 1]];
+        // Stable, so each pair's run keeps scan order.
+        bucket.sort_by_key(|&(hi, _)| hi);
+        for run in bucket.chunk_by(|a, b| a.0 == b.0) {
+            let hi = run[0].0 as usize;
+            let w = run.iter().fold(0.0, |sum, &(_, w)| sum + w);
+            if hi == lo {
+                self_loops[lo] = w;
+                degree[lo] += 2.0 * w;
+            } else {
+                degree[lo] += w;
+                degree[hi] += w;
+                row_len[lo] += 1;
+                row_len[hi] += 1;
+                pairs.push((lo as u32, hi as u32, w));
+            }
         }
     }
 
     let mut offsets = Vec::with_capacity(k + 1);
     offsets.push(0u32);
-    let mut targets = Vec::new();
-    let mut weights = Vec::new();
-    let mut self_loops = vec![0.0f64; k];
-    let mut degree = vec![0.0f64; k];
-    for (c, row) in rows.iter_mut().enumerate() {
-        row.sort_unstable_by_key(|&(v, _)| v);
-        for &(v, w) in row.iter() {
-            if v as usize == c {
-                self_loops[c] = w;
-                degree[c] += 2.0 * w;
-            } else {
-                targets.push(v);
-                weights.push(w);
-                degree[c] += w;
-            }
+    for c in 0..k {
+        offsets.push(offsets[c] + row_len[c]);
+    }
+    let mut fill = offsets[..k].to_vec();
+    let mut targets = vec![0u32; 2 * pairs.len()];
+    let mut weights = vec![0.0f64; 2 * pairs.len()];
+    for &(lo, hi, w) in &pairs {
+        for (row, target) in [(lo, hi), (hi, lo)] {
+            let at = fill[row as usize] as usize;
+            targets[at] = target;
+            weights[at] = w;
+            fill[row as usize] += 1;
         }
-        offsets.push(targets.len() as u32);
     }
     CsrLevel {
         offsets,
@@ -607,59 +635,6 @@ fn aggregate_csr(graph: &CsrLevel, compact: &[usize], k: usize) -> CsrLevel {
         degree,
         m,
     }
-}
-
-/// Modularity of the current membership against the *original* frozen
-/// graph: per-chunk dense accumulators merged in fixed chunk order, so the
-/// pass gate is bit-identical at any thread count. Each edge is owned by
-/// its lower-endpoint row, so chunks never double-count.
-fn membership_modularity(graph: &CsrGraph, membership: &[usize], k: usize, threads: usize) -> f64 {
-    let m = graph.total_weight();
-    if m <= 0.0 {
-        return 0.0;
-    }
-    // Every chunk allocates two k-length accumulators and the merge costs
-    // O(k) per chunk, so bound chunks × k (the first pass gate has k = n).
-    // The budget depends only on k — never on the thread count — so the
-    // determinism contract holds.
-    let max_chunks = (4_000_000 / k.max(1)).clamp(1, 16);
-    let chunks = par::RowChunks::balanced(graph.offsets(), max_chunks, 2048);
-    let partials = par::par_map(&chunks, threads, |_, range| {
-        let mut internal = vec![0.0f64; k];
-        let mut degree = vec![0.0f64; k];
-        for u in range {
-            let cu = membership[u];
-            let (targets, weights) = graph.row(u);
-            for (&v, &w) in targets.iter().zip(weights) {
-                let v = v as usize;
-                if v == u {
-                    internal[cu] += w;
-                    degree[cu] += 2.0 * w;
-                } else if v > u {
-                    let cv = membership[v];
-                    if cu == cv {
-                        internal[cu] += w;
-                    }
-                    degree[cu] += w;
-                    degree[cv] += w;
-                }
-            }
-        }
-        (internal, degree)
-    });
-    let mut internal = vec![0.0f64; k];
-    let mut degree = vec![0.0f64; k];
-    for (pi, pd) in partials {
-        for c in 0..k {
-            internal[c] += pi[c];
-            degree[c] += pd[c];
-        }
-    }
-    let mut q = 0.0;
-    for c in 0..k {
-        q += internal[c] / m - (degree[c] / (2.0 * m)).powi(2);
-    }
-    q
 }
 
 /// Shared Louvain driver: `init` is an optional level-0 seed assignment
@@ -691,7 +666,9 @@ fn louvain_csr_impl(
     }
 
     let threads = par::thread_count(config.threads);
+    // Every membership label is `< k`.
     let mut membership: Vec<usize> = (0..n).collect();
+    let mut k = n;
     let mut level = CsrLevel::from_frozen(g);
     let mut rng = config.seed.map(StdRng::seed_from_u64);
     // The pass gate starts from the seed's modularity (cold: singletons),
@@ -699,8 +676,8 @@ fn louvain_csr_impl(
     // from — local moving never commits a losing move, so the final
     // partition's modularity is never below the seed's.
     let mut last_q = match &init {
-        Some(labels) => membership_modularity(g, labels, n, threads),
-        None => membership_modularity(g, &membership, n, threads),
+        Some(labels) => dense_modularity(g, labels, n, threads),
+        None => dense_modularity(g, &membership, n, threads),
     };
 
     for _ in 0..config.max_passes {
@@ -714,7 +691,8 @@ fn louvain_csr_impl(
             Some(labels) if active => local_moving_csr_active(&level, &order, threads, labels),
             _ => local_moving_csr(&level, &order, threads, level_init.as_deref()),
         };
-        let (compact, k) = compact_labels(&community);
+        let (compact, level_k) = compact_labels(&community);
+        k = level_k;
         // Membership values are dense indices of the current level, so the
         // per-level relabel is a direct vector lookup.
         for m in membership.iter_mut() {
@@ -725,7 +703,7 @@ fn louvain_csr_impl(
         }
 
         let aggregated = aggregate_csr(&level, &compact, k);
-        let q = membership_modularity(g, &membership, k, threads);
+        let q = dense_modularity(g, &membership, k, threads);
         if q - last_q < config.min_modularity_gain {
             // Keep the (slightly) better assignment but stop iterating.
             break;
@@ -733,7 +711,7 @@ fn louvain_csr_impl(
         last_q = q;
         level = aggregated;
     }
-    membership_to_partition(g.node_ids(), &membership).renumbered()
+    Partition::from_dense(g.node_ids(), &membership, k)
 }
 
 /// Run the Louvain algorithm over a frozen undirected [`CsrGraph`]
@@ -797,26 +775,25 @@ pub fn louvain_seeded_active(
 /// from the same counter. Every label stays < `n`, as the level scratch
 /// requires.
 fn seed_labels(graph: &CsrGraph, seed: &Partition) -> Vec<usize> {
-    let n = graph.node_count();
-    let mut relabel: HashMap<usize, usize> = HashMap::new();
-    let mut labels = Vec::with_capacity(n);
+    let (ranked, distinct) = seed.ranked_labels(graph.node_ids());
+    let mut relabel = vec![usize::MAX; distinct];
     let mut next = 0usize;
-    for &id in graph.node_ids() {
-        let label = match seed.community_of(id) {
-            Some(c) => *relabel.entry(c).or_insert_with(|| {
-                let l = next;
-                next += 1;
-                l
-            }),
-            None => {
-                let l = next;
-                next += 1;
-                l
+    ranked
+        .into_iter()
+        .map(|rank| match rank {
+            Some(r) => {
+                if relabel[r] == usize::MAX {
+                    relabel[r] = next;
+                    next += 1;
+                }
+                relabel[r]
             }
-        };
-        labels.push(label);
-    }
-    labels
+            None => {
+                next += 1;
+                next - 1
+            }
+        })
+        .collect()
 }
 
 /// Run Louvain over a builder graph: freezes once, then runs the CSR path
@@ -826,7 +803,7 @@ pub fn louvain(graph: &WeightedGraph, config: &LouvainConfig) -> Partition {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy HashMap path (benchmark baseline / equivalence reference)
+// HashMap path (the test oracle)
 // ---------------------------------------------------------------------------
 
 /// Internal working representation of the (aggregated) graph for one pass.
@@ -1091,6 +1068,34 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(louvain(&g, &seeded), louvain(&g, &seeded));
+    }
+
+    #[test]
+    fn aggregation_sums_each_pair_in_scan_order() {
+        // Community pair (A, B) first receives 1e16 from node 0's row, then
+        // 40 edges of 1.0 interleaved with A-C edges. In scan order each
+        // 1.0 rounds away (1e16 + 1 ties to the even 1e16), so the merged
+        // weight is exactly 1e16; a fold taking the 1.0 entries first
+        // would give 1e16 + 40.
+        let mut g = WeightedGraph::new_undirected();
+        g.add_edge(0, 1, 1e16);
+        for i in 0..40u64 {
+            let a = 2 + 3 * i;
+            g.add_edge(a, a + 1, 1.0);
+            g.add_edge(a, a + 2, 1.0);
+        }
+        let frozen = g.freeze();
+        let community = |id: NodeId| match id {
+            0 | 1 => id as usize,
+            _ => ((id - 2) % 3) as usize,
+        };
+        let compact: Vec<usize> = frozen.node_ids().iter().map(|&id| community(id)).collect();
+        let aggregated = aggregate_csr(&CsrLevel::from_frozen(&frozen), &compact, 3);
+        let (targets, weights) = aggregated.row(0);
+        assert_eq!(targets, &[1, 2]);
+        assert_eq!(weights[0].to_bits(), 1e16f64.to_bits());
+        assert_eq!(weights[1], 40.0);
+        assert_eq!(aggregated.row(1).1[0].to_bits(), 1e16f64.to_bits());
     }
 
     #[test]

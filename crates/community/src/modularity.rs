@@ -19,9 +19,9 @@ use std::collections::HashMap;
 /// (self-loops contribute twice to the degree, per convention).
 ///
 /// Directed graphs are converted to their undirected projection first (the
-/// paper runs Louvain on "bidirectional" graphs). Nodes missing from the
-/// partition are treated as singleton communities. Returns 0 for graphs with
-/// no edge weight.
+/// paper runs Louvain on "bidirectional" graphs). Every node missing from
+/// the partition is a singleton community of its own, whatever labels the
+/// partition uses. Returns 0 for graphs with no edge weight.
 ///
 /// This entry point freezes the builder graph and scores it with
 /// [`modularity_csr`]; callers that already hold a frozen [`CsrGraph`]
@@ -40,12 +40,12 @@ pub fn modularity_csr(graph: &CsrGraph, partition: &Partition) -> f64 {
 
 /// [`modularity_csr`] with an explicit worker-thread override.
 ///
-/// The accumulation walks CSR rows in dense index order, split into
-/// edge-balanced chunks on the deterministic scheduler: each chunk owns the
-/// edges of its rows (an edge belongs to its lower-endpoint row) and tallies
-/// per-community internal weight and degree locally; the per-chunk tallies
-/// merge in fixed chunk order, so the score is bit-identical at any thread
-/// count.
+/// The partition's labels are ranked in ascending order to dense labels
+/// `0..k`; each unassigned node becomes a singleton ranked after every
+/// label, later nodes first. The score is then accumulated over those
+/// dense labels by the same kernel as Louvain's pass gate: CSR rows in
+/// dense index order, split into edge-balanced chunks on the deterministic
+/// scheduler, so the score is bit-identical at any thread count.
 pub fn modularity_csr_threads(
     graph: &CsrGraph,
     partition: &Partition,
@@ -58,81 +58,86 @@ pub fn modularity_csr_threads(
     } else {
         graph
     };
-    let m = g.total_weight();
-    if m <= 0.0 {
-        return 0.0;
-    }
-
-    // Effective community per dense node: the partition's label, or a
-    // unique synthetic label for unassigned nodes.
-    let mut next_free = usize::MAX;
-    let node_comm: Vec<usize> = g
-        .node_ids()
-        .iter()
-        .map(|&id| {
-            partition.community_of(id).unwrap_or_else(|| {
-                next_free -= 1;
-                next_free
+    let (ranked, assigned) = partition.ranked_labels(g.node_ids());
+    let k = assigned + ranked.iter().filter(|rank| rank.is_none()).count();
+    let mut next_alone = k;
+    let labels: Vec<usize> = ranked
+        .into_iter()
+        .map(|rank| {
+            rank.unwrap_or_else(|| {
+                next_alone -= 1;
+                next_alone
             })
         })
         .collect();
+    dense_modularity(g, &labels, k, par::thread_count(threads))
+}
 
-    // Partition labels are arbitrary (and synthetic labels live near
-    // usize::MAX), so the per-chunk tallies are hash maps rather than dense
-    // arrays. Each community's entry is merged once per chunk, in chunk
-    // order, so the reduction order is fixed.
-    let threads = par::thread_count(threads);
-    let chunks = par::RowChunks::balanced(g.offsets(), 16, 2048);
-    let node_comm = &node_comm;
+/// Modularity of dense labels (`labels[u] < k` for every dense node `u`)
+/// over an undirected frozen graph: the one kernel behind
+/// [`modularity_csr_threads`] and Louvain's pass gate.
+///
+/// Each chunk of rows tallies internal weight and degree per label in two
+/// k-length vectors; an edge belongs to its lower-endpoint row, so chunks
+/// never double-count. The chunk tallies merge in chunk order and the
+/// terms of eq. 2 fold in label order, so every sum has a fixed order at
+/// any thread count. A label absent from a chunk adds `+0.0`, which leaves
+/// a non-negative sum unchanged. Every chunk allocates its two tallies and
+/// the merge costs O(k) per chunk, so the chunk budget shrinks as k grows
+/// (16 chunks up to k = 250 000); it depends only on k and the graph,
+/// never on the thread count.
+pub(crate) fn dense_modularity(
+    graph: &CsrGraph,
+    labels: &[usize],
+    k: usize,
+    threads: usize,
+) -> f64 {
+    let m = graph.total_weight();
+    if m <= 0.0 {
+        return 0.0;
+    }
+    let max_chunks = (4_000_000 / k.max(1)).clamp(1, 16);
+    let chunks = par::RowChunks::balanced(graph.offsets(), max_chunks, 2048);
     let partials = par::par_map(&chunks, threads, |_, range| {
-        let mut internal: HashMap<usize, f64> = HashMap::new();
-        let mut degree: HashMap<usize, f64> = HashMap::new();
+        let mut internal = vec![0.0f64; k];
+        let mut degree = vec![0.0f64; k];
         for u in range {
-            let cu = node_comm[u];
-            let (targets, weights) = g.row(u);
+            let cu = labels[u];
+            let (targets, weights) = graph.row(u);
             for (&v, &w) in targets.iter().zip(weights) {
                 let v = v as usize;
                 if v == u {
                     // Self-loop: counts once towards internal, twice to degree.
-                    *internal.entry(cu).or_insert(0.0) += w;
-                    *degree.entry(cu).or_insert(0.0) += 2.0 * w;
+                    internal[cu] += w;
+                    degree[cu] += 2.0 * w;
                 } else if v > u {
-                    let cv = node_comm[v];
+                    let cv = labels[v];
                     if cu == cv {
-                        *internal.entry(cu).or_insert(0.0) += w;
+                        internal[cu] += w;
                     }
-                    *degree.entry(cu).or_insert(0.0) += w;
-                    *degree.entry(cv).or_insert(0.0) += w;
+                    degree[cu] += w;
+                    degree[cv] += w;
                 }
             }
         }
         (internal, degree)
     });
-
-    // Merge the per-chunk tallies in chunk order, then fold the
-    // per-community terms of eq. 2 in ascending community-label order.
-    let mut internal: HashMap<usize, f64> = HashMap::new();
-    let mut degree: HashMap<usize, f64> = HashMap::new();
+    let mut internal = vec![0.0f64; k];
+    let mut degree = vec![0.0f64; k];
     for (pi, pd) in partials {
-        for (c, w) in pi {
-            *internal.entry(c).or_insert(0.0) += w;
-        }
-        for (c, w) in pd {
-            *degree.entry(c).or_insert(0.0) += w;
+        for c in 0..k {
+            internal[c] += pi[c];
+            degree[c] += pd[c];
         }
     }
-
     let mut q = 0.0;
-    let all_communities: std::collections::BTreeSet<usize> = node_comm.iter().copied().collect();
-    for c in all_communities {
-        let l_c = internal.get(&c).copied().unwrap_or(0.0);
-        let k_c = degree.get(&c).copied().unwrap_or(0.0);
-        q += l_c / m - (k_c / (2.0 * m)).powi(2);
+    for c in 0..k {
+        q += internal[c] / m - (degree[c] / (2.0 * m)).powi(2);
     }
     q
 }
 
-/// The legacy modularity implementation over the builder graph's hash-map
+/// The modularity implementation over the builder graph's hash-map
 /// adjacency (materialise + sort all edges, then accumulate). Kept as the
 /// test oracle of the CSR/builder agreement property tests and the
 /// equivalence suite, which check [`modularity_csr`] against it.
@@ -150,25 +155,24 @@ pub fn modularity_hashmap(graph: &WeightedGraph, partition: &Partition) -> f64 {
         return 0.0;
     }
 
-    // Effective community of each node: the partition's label, or a unique
-    // synthetic label for unassigned nodes.
+    // Effective community of each node, keyed so that every partition
+    // label sorts first and each unassigned node is a singleton after
+    // them, later nodes first — the order `modularity_csr` folds in.
     let mut next_free = usize::MAX;
-    let community = |node: u64, next_free: &mut usize| -> usize {
-        partition.community_of(node).unwrap_or_else(|| {
-            *next_free -= 1;
-            *next_free
-        })
-    };
-
-    let mut internal: HashMap<usize, f64> = HashMap::new();
-    let mut degree: HashMap<usize, f64> = HashMap::new();
-
-    // Cache node -> community to keep synthetic labels stable per node.
-    let mut node_comm: HashMap<u64, usize> = HashMap::new();
+    let mut node_comm: HashMap<u64, (bool, usize)> = HashMap::new();
     for &id in g.node_ids() {
-        let c = community(id, &mut next_free);
+        let c = match partition.community_of(id) {
+            Some(label) => (false, label),
+            None => {
+                next_free -= 1;
+                (true, next_free)
+            }
+        };
         node_comm.insert(id, c);
     }
+
+    let mut internal: HashMap<(bool, usize), f64> = HashMap::new();
+    let mut degree: HashMap<(bool, usize), f64> = HashMap::new();
 
     // Sort edges so floating-point accumulation order (and therefore the
     // last-ULP value of Q) is identical across runs.
@@ -191,7 +195,8 @@ pub fn modularity_hashmap(graph: &WeightedGraph, partition: &Partition) -> f64 {
     }
 
     let mut q = 0.0;
-    let all_communities: std::collections::BTreeSet<usize> = node_comm.values().copied().collect();
+    let all_communities: std::collections::BTreeSet<(bool, usize)> =
+        node_comm.values().copied().collect();
     for c in all_communities {
         let l_c = internal.get(&c).copied().unwrap_or(0.0);
         let k_c = degree.get(&c).copied().unwrap_or(0.0);
@@ -280,6 +285,25 @@ mod tests {
             .into_iter()
             .collect();
         assert!((q_partial - modularity(&g, &q_explicit)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unassigned_nodes_stay_singletons_beside_any_label() {
+        // A triangle {1, 2, 3} and an edge 4-5, with 4 and 5 unassigned:
+        // m = 4, the triangle scores 3/4 - (6/8)^2 and each of 4 and 5
+        // scores -(1/8)^2, whatever label the triangle carries.
+        let mut g = WeightedGraph::new_undirected();
+        for (a, b) in [(1, 2), (2, 3), (1, 3), (4, 5)] {
+            g.add_edge(a, b, 1.0);
+        }
+        let frozen = g.freeze();
+        for label in [0, usize::MAX - 1, usize::MAX - 2, usize::MAX] {
+            let p: Partition = [(1u64, label), (2, label), (3, label)]
+                .into_iter()
+                .collect();
+            assert_eq!(modularity_csr(&frozen, &p), 0.15625, "label {label}");
+            assert_eq!(modularity_hashmap(&g, &p), 0.15625, "label {label}");
+        }
     }
 
     #[test]

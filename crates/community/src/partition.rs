@@ -101,6 +101,47 @@ impl Partition {
                 .collect(),
         }
     }
+
+    /// Each listed node's community as its rank among the distinct
+    /// communities of the listed nodes, in ascending label order (`None`
+    /// for an unassigned node), and the number of distinct communities.
+    pub(crate) fn ranked_labels(&self, nodes: &[NodeId]) -> (Vec<Option<usize>>, usize) {
+        let mut labels: Vec<Option<usize>> =
+            nodes.iter().map(|&id| self.community_of(id)).collect();
+        let mut distinct: Vec<usize> = labels.iter().flatten().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for label in labels.iter_mut().flatten() {
+            let (Ok(rank) | Err(rank)) = distinct.binary_search(label);
+            *label = rank;
+        }
+        (labels, distinct.len())
+    }
+
+    /// The partition that puts `nodes[u]` in community `labels[u]` (each
+    /// label `< k`, node ids distinct), with the canonical labels of
+    /// [`Partition::renumbered`]: communities ordered by smallest member.
+    pub(crate) fn from_dense(nodes: &[NodeId], labels: &[usize], k: usize) -> Partition {
+        let mut smallest: Vec<Option<NodeId>> = vec![None; k];
+        for (&id, &c) in nodes.iter().zip(labels) {
+            smallest[c] = Some(smallest[c].map_or(id, |s| s.min(id)));
+        }
+        let mut order: Vec<(NodeId, usize)> = smallest
+            .iter()
+            .enumerate()
+            .filter_map(|(c, s)| s.map(|s| (s, c)))
+            .collect();
+        order.sort_unstable();
+        let mut relabel = vec![0usize; k];
+        for (new, &(_, old)) in order.iter().enumerate() {
+            relabel[old] = new;
+        }
+        nodes
+            .iter()
+            .zip(labels)
+            .map(|(&id, &c)| (id, relabel[c]))
+            .collect()
+    }
 }
 
 impl FromIterator<(NodeId, usize)> for Partition {
@@ -153,5 +194,18 @@ mod tests {
         assert_eq!(r.community_of(3), Some(1));
         // Renumbering twice is a fixed point.
         assert_eq!(r.renumbered(), r);
+    }
+
+    #[test]
+    fn dense_labels_round_trip_canonically() {
+        let p: Partition = [(9u64, 7usize), (4, 7), (6, usize::MAX), (2, 3)]
+            .into_iter()
+            .collect();
+        let nodes = [9u64, 4, 5, 6];
+        let (ranked, k) = p.ranked_labels(&nodes);
+        assert_eq!(ranked, vec![Some(0), Some(0), None, Some(1)]);
+        assert_eq!(k, 2);
+        let dense = Partition::from_dense(&[9, 4, 6, 2], &[1, 1, 2, 0], 4);
+        assert_eq!(dense, p.renumbered());
     }
 }

@@ -4,19 +4,14 @@
 //! and new (selected) stations, and the number of trips that start and end
 //! inside the community (*within*), start inside but end elsewhere (*out*),
 //! and start elsewhere but end inside (*in*). The *total* column is
-//! `within * 2 + out + in` in the paper's convention? No — the paper's
-//! total column is the sum of trips that touch the community counting
-//! within-trips once at each end: `Total = Within + Out + In + Within`,
-//! which equals the total number of trip-endpoints in the community. We
-//! reproduce the exact columns (within / out / in) and a `total` equal to
-//! `within + out + in + within` so the rows match the paper's arithmetic
-//! (e.g. community 1 of Table IV: 12,012 + 5,238 + 5,255 = 22,505 with
-//! within counted once — the paper's total equals within + out + in).
+//! `within + out + in`, each within-trip counted once
+//! ([`CommunityRow::total_trips`]); e.g. community 1 of the paper's
+//! Table IV: 12,012 + 5,238 + 5,255 = 22,505.
 
 use crate::Partition;
 use moby_graph::{CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// Trip accounting for one community.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -103,55 +98,56 @@ pub fn community_table(
     old_stations: &HashSet<NodeId>,
     modularity: f64,
 ) -> CommunityTable {
-    let mut rows: BTreeMap<usize, CommunityRow> = BTreeMap::new();
-    // Station membership counts.
-    for (&node, &comm) in partition
-        .communities()
+    // One row per community label, in ascending label order.
+    let mut labels: Vec<usize> = partition.iter().map(|(_, c)| c).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    let row_of = |c: usize| {
+        let (Ok(row) | Err(row)) = labels.binary_search(&c);
+        row
+    };
+    let mut rows: Vec<CommunityRow> = labels
         .iter()
-        .flat_map(|(c, members)| members.iter().map(move |m| (m, c)))
-    {
-        let row = rows.entry(comm).or_insert_with(|| CommunityRow {
-            community: comm,
+        .map(|&community| CommunityRow {
+            community,
             ..Default::default()
-        });
+        })
+        .collect();
+    // Station membership counts, over every partition node.
+    for (node, c) in partition.iter() {
+        let row = &mut rows[row_of(c)];
         if old_stations.contains(&node) {
             row.old_stations += 1;
         } else {
             row.new_stations += 1;
         }
     }
-    // Trip flows.
-    for (src, dst, w) in trip_graph.edges() {
-        let (Some(cs), Some(cd)) = (partition.community_of(src), partition.community_of(dst))
-        else {
-            continue;
-        };
-        if cs == cd {
-            rows.entry(cs)
-                .or_insert_with(|| CommunityRow {
-                    community: cs,
-                    ..Default::default()
-                })
-                .within += w;
-        } else {
-            rows.entry(cs)
-                .or_insert_with(|| CommunityRow {
-                    community: cs,
-                    ..Default::default()
-                })
-                .out += w;
-            rows.entry(cd)
-                .or_insert_with(|| CommunityRow {
-                    community: cd,
-                    ..Default::default()
-                })
-                .incoming += w;
+    // Trip flows in `CsrGraph::edges` order: every out-entry of a directed
+    // graph, `v >= u` of an undirected one. Trips with an unassigned
+    // endpoint are skipped.
+    let node_row: Vec<Option<usize>> = trip_graph
+        .node_ids()
+        .iter()
+        .map(|&id| partition.community_of(id).map(row_of))
+        .collect();
+    for (u, &src) in node_row.iter().enumerate() {
+        let Some(cs) = src else { continue };
+        let (targets, weights) = trip_graph.row(u);
+        for (&v, &w) in targets.iter().zip(weights) {
+            let v = v as usize;
+            if !trip_graph.is_directed() && v < u {
+                continue;
+            }
+            let Some(cd) = node_row[v] else { continue };
+            if cs == cd {
+                rows[cs].within += w;
+            } else {
+                rows[cs].out += w;
+                rows[cd].incoming += w;
+            }
         }
     }
-    CommunityTable {
-        rows: rows.into_values().collect(),
-        modularity,
-    }
+    CommunityTable { rows, modularity }
 }
 
 #[cfg(test)]
@@ -231,6 +227,31 @@ mod tests {
         let table2 = community_table(&g, &p, &none_old, 0.0);
         assert!(table2.rows.iter().all(|r| r.old_stations == 0));
         assert_eq!(table2.rows[0].total_stations(), 2);
+    }
+
+    #[test]
+    fn undirected_trip_graph_counts_each_edge_once() {
+        // Undirected trips: 1-2: 10 and a 1-1 self-loop of 4 (within A),
+        // 1-3: 2 (A to B), 3-4: 8 (within B), 4-5: 7 with 5 unassigned.
+        // Node 6 is in the partition but not in the graph.
+        let mut g = WeightedGraph::new_undirected();
+        g.add_edge(1, 2, 10.0);
+        g.add_edge(1, 1, 4.0);
+        g.add_edge(1, 3, 2.0);
+        g.add_edge(3, 4, 8.0);
+        g.add_edge(4, 5, 7.0);
+        let p: Partition = [(1u64, 4usize), (2, 4), (3, 9), (4, 9), (6, 9)]
+            .into_iter()
+            .collect();
+        let old: HashSet<NodeId> = [1, 6].into_iter().collect();
+        let table = community_table(&g.freeze(), &p, &old, 0.0);
+        assert_eq!(table.community_count(), 2);
+        let (a, b) = (&table.rows[0], &table.rows[1]);
+        assert_eq!((a.community, a.old_stations, a.new_stations), (4, 1, 1));
+        assert_eq!((a.within, a.out, a.incoming), (14.0, 2.0, 0.0));
+        assert_eq!((b.community, b.old_stations, b.new_stations), (9, 1, 2));
+        assert_eq!((b.within, b.out, b.incoming), (8.0, 0.0, 2.0));
+        assert_eq!(table.total_trips(), 24.0);
     }
 
     #[test]

@@ -67,6 +67,30 @@ proptest! {
     }
 
     #[test]
+    fn modularity_does_not_depend_on_label_values(
+        edges in edge_list(),
+        partition in arbitrary_partition(),
+        directed in 0u8..2,
+    ) {
+        // The shift keeps the labels' order and moves them next to
+        // usize::MAX; unassigned nodes must stay singletons beside them.
+        let g = build(directed == 1, &edges);
+        let frozen = g.freeze();
+        let shifted: Partition = partition
+            .iter()
+            .map(|(node, c)| (node, c + (usize::MAX - 8)))
+            .collect();
+        prop_assert_eq!(
+            modularity_csr(&frozen, &partition).to_bits(),
+            modularity_csr(&frozen, &shifted).to_bits()
+        );
+        prop_assert_eq!(
+            modularity_hashmap(&g, &partition).to_bits(),
+            modularity_hashmap(&g, &shifted).to_bits()
+        );
+    }
+
+    #[test]
     fn louvain_partitions_are_identical_across_paths(edges in edge_list()) {
         let g = build(false, &edges);
         let cfg = LouvainConfig::default();

@@ -15,7 +15,7 @@ use moby_community::{
 use moby_community::{LabelPropagationConfig, LouvainConfig, Partition};
 use moby_graph::{CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Which community detector to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,48 +80,70 @@ impl CommunityDetection {
 /// Fold a partition over layered `(station, key)` nodes down to stations:
 /// each station joins the community in which its layer nodes carry the most
 /// strength (trip weight); ties break towards the smaller community label.
-/// Strengths add in ascending layered-node order, so fractional weights
-/// fold to the same bits on every call.
+/// The strengths of each `(station, community)` add in ascending
+/// layered-node order, so fractional weights fold to the same bits on
+/// every call. The folded labels are canonical, numbered by each
+/// community's smallest station id.
+///
+/// `raw` partitions the detection graph's nodes: each node is looked up
+/// once in `raw` and once in the layer map, and its strength is read from
+/// the graph's dense cache.
 fn fold_to_stations(temporal: &TemporalGraph, raw: &Partition) -> Partition {
-    match &temporal.layer_map {
-        None => raw.clone(),
-        Some(map) => {
-            let mut nodes: Vec<(NodeId, usize)> = raw.iter().collect();
-            nodes.sort_unstable();
-            // station -> community -> accumulated strength
-            let mut weights: HashMap<NodeId, HashMap<usize, f64>> = HashMap::new();
-            for (layered_node, community) in nodes {
-                let Some(&(station, _)) = map.get(&layered_node) else {
-                    continue;
-                };
-                let strength = temporal
-                    .csr
-                    .strength_of(layered_node)
-                    .unwrap_or(0.0)
-                    // Every layer node should keep some influence even if it
-                    // only has zero-weight presence.
-                    .max(1e-9);
-                *weights
-                    .entry(station)
-                    .or_default()
-                    .entry(community)
-                    .or_insert(0.0) += strength;
+    let Some(map) = &temporal.layer_map else {
+        return raw.clone();
+    };
+    let csr = &temporal.csr;
+    let mut layers: Vec<(NodeId, usize, NodeId, f64)> = csr
+        .node_ids()
+        .iter()
+        .enumerate()
+        .filter_map(|(u, &layered)| {
+            let community = raw.community_of(layered)?;
+            let &(station, _) = map.get(&layered)?;
+            // Every layer node keeps some influence even if it only has
+            // zero-weight presence.
+            Some((station, community, layered, csr.strength(u).max(1e-9)))
+        })
+        .collect();
+    layers.sort_unstable_by_key(|&(station, community, layered, _)| (station, community, layered));
+
+    // Sum each (station, community) run in ascending layered order; each
+    // station keeps its heaviest run, the first (smallest label) of equals.
+    let mut winners: Vec<(NodeId, usize)> = Vec::new();
+    let mut best = 0.0f64;
+    for run in layers.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (station, community, _, _) = run[0];
+        let total = run.iter().fold(0.0, |sum, layer| sum + layer.3);
+        match winners.last_mut() {
+            Some(last) if last.0 == station => {
+                if total > best {
+                    last.1 = community;
+                    best = total;
+                }
             }
-            let assignment: HashMap<NodeId, usize> = weights
-                .into_iter()
-                .map(|(station, by_comm)| {
-                    let mut entries: Vec<(usize, f64)> = by_comm.into_iter().collect();
-                    entries.sort_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            .expect("finite weights")
-                            .then(a.0.cmp(&b.0))
-                    });
-                    (station, entries[0].0)
-                })
-                .collect();
-            Partition::from_assignment(assignment).renumbered()
+            _ => {
+                winners.push((station, community));
+                best = total;
+            }
         }
     }
+    // Stations ascend, so first-appearance labels are the canonical ones.
+    let mut labels: Vec<usize> = winners.iter().map(|&(_, c)| c).collect();
+    labels.sort_unstable();
+    labels.dedup();
+    let mut relabel = vec![usize::MAX; labels.len()];
+    let mut next = 0;
+    winners
+        .into_iter()
+        .map(|(station, community)| {
+            let (Ok(rank) | Err(rank)) = labels.binary_search(&community);
+            if relabel[rank] == usize::MAX {
+                relabel[rank] = next;
+                next += 1;
+            }
+            (station, relabel[rank])
+        })
+        .collect()
 }
 
 /// Run community detection on a temporal graph and produce the paper-style
@@ -500,6 +522,30 @@ mod tests {
         for _ in 0..200 {
             assert_eq!(fold(), first);
         }
+    }
+
+    #[test]
+    fn station_fold_breaks_ties_towards_the_smaller_label() {
+        // Station 1's day-0 layer (id 8) shares community 5 with station 2
+        // and its day-1 layer (id 9) shares community 2 with station 3, at
+        // equal strength: station 1 folds to community 2, with station 3,
+        // although its first layer node sits in community 5.
+        let mut b = moby_graph::CsrBuilder::undirected();
+        b.push(8, 16, 1.0);
+        b.push(9, 25, 1.0);
+        let csr = b.build();
+        let map = csr
+            .node_ids()
+            .iter()
+            .map(|&id| (id, (id / 8, (id % 8) as u32)))
+            .collect();
+        let gday = TemporalGraph::from_csr(TemporalGranularity::TDay, csr, Some(map));
+        let raw: Partition = [(8u64, 5usize), (16, 5), (9, 2), (25, 2)]
+            .into_iter()
+            .collect();
+        let folded = fold_to_stations(&gday, &raw);
+        let expected: Partition = [(1u64, 0usize), (3, 0), (2, 1)].into_iter().collect();
+        assert_eq!(folded, expected);
     }
 
     #[test]

@@ -82,8 +82,7 @@ impl CommunityDetection {
 /// strength (trip weight); ties break towards the smaller community label.
 /// The strengths of each `(station, community)` add in ascending
 /// layered-node order, so fractional weights fold to the same bits on
-/// every call. The folded labels are canonical, numbered by each
-/// community's smallest station id.
+/// every call.
 ///
 /// `raw` partitions the detection graph's nodes: each node is looked up
 /// once in `raw` and once in the layer map, and its strength is read from
@@ -127,23 +126,7 @@ fn fold_to_stations(temporal: &TemporalGraph, raw: &Partition) -> Partition {
             }
         }
     }
-    // Stations ascend, so first-appearance labels are the canonical ones.
-    let mut labels: Vec<usize> = winners.iter().map(|&(_, c)| c).collect();
-    labels.sort_unstable();
-    labels.dedup();
-    let mut relabel = vec![usize::MAX; labels.len()];
-    let mut next = 0;
-    winners
-        .into_iter()
-        .map(|(station, community)| {
-            let (Ok(rank) | Err(rank)) = labels.binary_search(&community);
-            if relabel[rank] == usize::MAX {
-                relabel[rank] = next;
-                next += 1;
-            }
-            (station, relabel[rank])
-        })
-        .collect()
+    winners.into_iter().collect::<Partition>().renumbered()
 }
 
 /// Run community detection on a temporal graph and produce the paper-style

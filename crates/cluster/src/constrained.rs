@@ -11,7 +11,7 @@
 //! free locations absorbed into it) from **candidate clusters** (clusters of
 //! the remaining free locations, each a potential new station).
 
-use crate::hac::{cluster_diameter, try_hac_clusters};
+use crate::hac::try_hac_clusters_with_diameters;
 use crate::linkage::Linkage;
 use crate::{ClusterError, Result};
 use moby_geo::{GeoPoint, KdTree};
@@ -127,14 +127,14 @@ pub fn constrained_clustering(
 
     // Cluster the free locations.
     let free_points: Vec<GeoPoint> = free.iter().map(|&i| locations[i]).collect();
-    let clusters = try_hac_clusters(&free_points, config.linkage, config.cluster_boundary_m)?;
+    let clusters =
+        try_hac_clusters_with_diameters(&free_points, config.linkage, config.cluster_boundary_m)?;
     let candidate_clusters: Vec<CandidateCluster> = clusters
         .into_iter()
-        .map(|local_members| {
+        .map(|(local_members, diameter_m)| {
             let members: Vec<usize> = local_members.iter().map(|&li| free[li]).collect();
             let pts: Vec<GeoPoint> = local_members.iter().map(|&li| free_points[li]).collect();
             let centroid = GeoPoint::centroid(&pts).expect("cluster is non-empty");
-            let diameter_m = cluster_diameter(&free_points, &local_members);
             CandidateCluster {
                 members,
                 centroid,

@@ -18,7 +18,9 @@
 //!    mark their entries for the merged cluster stale, and the next read
 //!    repairs an entry from the merged cluster's own row. A chain top with
 //!    no neighbour left never merges at or below *t* again, since
-//!    complete-linkage distances only grow, so it is popped. Memory is
+//!    complete-linkage distances only grow, so it is popped. Each
+//!    cluster's diameter is the `max` of its two parts' and their merge
+//!    distance, so the diameters need no pass over member pairs. Memory is
 //!    linear in the number of pairs within *t*; nothing is quadratic in a
 //!    component's size.
 //! 3. **Single and average linkage** take the connected components of the
@@ -207,17 +209,22 @@ pub fn hac_dendrogram(points: &[GeoPoint], linkage: Linkage) -> Dendrogram {
 }
 
 /// The rows of the "within `threshold` metres" relation over `points`.
-fn neighbour_rows(points: &[GeoPoint], threshold: f64) -> NeighbourRows {
+///
+/// # Errors
+///
+/// [`ClusterError::InvalidThreshold`] when `threshold` is negative or not
+/// finite.
+fn neighbour_rows(points: &[GeoPoint], threshold: f64) -> Result<NeighbourRows> {
+    let invalid = |_| ClusterError::InvalidThreshold(threshold);
     // Columns as wide as the cut at the most poleward point, and so at
     // least as wide everywhere else: a probe then spans about one cell
     // either way.
     let reference_lat = points.iter().map(|p| p.lat().abs()).fold(0.0, f64::max);
-    let mut grid =
-        GridIndex::new(threshold.max(1.0), reference_lat).expect("positive finite cell size");
+    let mut grid = GridIndex::new(threshold.max(1.0), reference_lat).map_err(invalid)?;
     for p in points {
-        grid.insert(*p, ());
+        grid.insert(*p);
     }
-    grid.neighbour_rows(threshold).expect("validated threshold")
+    grid.neighbour_rows(threshold).map_err(invalid)
 }
 
 /// Connected components of the rows' relation, each sorted, listed by
@@ -301,9 +308,9 @@ impl SparseChain {
     }
 
     /// Refresh row `top` (drop merged-away and out-of-cut neighbours,
-    /// repair stale distances) and return its nearest neighbour: the
-    /// smallest distance, then the lowest slot.
-    fn nearest(&mut self, top: usize) -> Option<usize> {
+    /// repair stale distances) and return its nearest neighbour, the
+    /// smallest distance and then the lowest slot, with that distance.
+    fn nearest(&mut self, top: usize) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         let mut kept = self.start[top];
         for at in self.start[top]..self.end[top] {
@@ -322,7 +329,7 @@ impl SparseChain {
         }
         self.end[top] = kept;
         self.fresh[top] = self.merges;
-        best.map(|(j, _)| j)
+        best
     }
 
     /// Merge cluster `drop` into `keep` (`keep < drop`). The merged row is
@@ -360,12 +367,21 @@ impl SparseChain {
 }
 
 /// Flat complete-linkage clusters at the rows' cut, each sorted, listed by
-/// smallest member.
-fn complete_linkage(rows: NeighbourRows) -> Vec<Vec<usize>> {
+/// smallest member, with its diameter.
+///
+/// A cluster's diameter is folded from its merges. A merge at or below the
+/// cut has every pair across its two clusters within the cut, so its
+/// distance is the largest of their stored distances, and each stored
+/// distance is `haversine_m` with the lower index first. So
+/// `max(diameter(A), diameter(B), d(A, B))` is bit for bit what
+/// [`cluster_diameter`] returns for `A ∪ B`.
+fn complete_linkage(rows: NeighbourRows) -> Vec<(Vec<usize>, f64)> {
     let n = rows.len();
     let mut chain_rows = SparseChain::new(rows);
     // `parent[i] < i` once slot `i` merged into a lower one.
     let mut parent: Vec<usize> = (0..n).collect();
+    // The diameter of the cluster in slot `i`.
+    let mut height = vec![0.0f64; n];
     let mut chain: Vec<usize> = Vec::new();
     let mut next_start = 0;
     loop {
@@ -389,27 +405,28 @@ fn complete_linkage(rows: NeighbourRows) -> Vec<Vec<usize>> {
             None => {
                 chain.pop();
             }
-            Some(best) if chain.len() >= 2 && chain[chain.len() - 2] == best => {
+            Some((best, d)) if chain.len() >= 2 && chain[chain.len() - 2] == best => {
                 chain.truncate(chain.len() - 2);
                 let (keep, drop) = (top.min(best), top.max(best));
                 chain_rows.merge(keep, drop);
                 parent[drop] = keep;
+                height[keep] = height[keep].max(height[drop]).max(d);
             }
-            Some(best) => chain.push(best),
+            Some((best, _)) => chain.push(best),
         }
     }
     // Ascending order resolves each parent before its children, and a
     // root is its cluster's lowest member.
     let mut index = vec![usize::MAX; n];
-    let mut clusters: Vec<Vec<usize>> = Vec::new();
+    let mut clusters: Vec<(Vec<usize>, f64)> = Vec::new();
     for i in 0..n {
         parent[i] = parent[parent[i]];
         let root = parent[i];
         if root == i {
             index[i] = clusters.len();
-            clusters.push(vec![i]);
+            clusters.push((vec![i], height[i]));
         } else {
-            clusters[index[root]].push(i);
+            clusters[index[root]].0.push(i);
         }
     }
     clusters
@@ -448,15 +465,12 @@ pub fn try_hac_clusters(
     linkage: Linkage,
     threshold_m: f64,
 ) -> Result<Vec<Vec<usize>>> {
-    if !threshold_m.is_finite() || threshold_m < 0.0 {
-        return Err(ClusterError::InvalidThreshold(threshold_m));
-    }
-    if points.is_empty() {
-        return Ok(Vec::new());
-    }
-    let rows = neighbour_rows(points, threshold_m);
+    let rows = neighbour_rows(points, threshold_m)?;
     match linkage {
-        Linkage::Complete => Ok(complete_linkage(rows)),
+        Linkage::Complete => Ok(complete_linkage(rows)
+            .into_iter()
+            .map(|(members, _)| members)
+            .collect()),
         // The components *are* the flat single-linkage clusters.
         Linkage::Single => Ok(components(&rows)),
         Linkage::Average => {
@@ -483,6 +497,26 @@ pub fn try_hac_clusters(
             Ok(clusters)
         }
     }
+}
+
+/// [`try_hac_clusters`] with each cluster's [`cluster_diameter`]. Complete
+/// linkage folds the diameters from its merges instead of re-measuring
+/// every pair; the other linkages' merge heights are not diameters.
+pub(crate) fn try_hac_clusters_with_diameters(
+    points: &[GeoPoint],
+    linkage: Linkage,
+    threshold_m: f64,
+) -> Result<Vec<(Vec<usize>, f64)>> {
+    if linkage == Linkage::Complete {
+        return Ok(complete_linkage(neighbour_rows(points, threshold_m)?));
+    }
+    Ok(try_hac_clusters(points, linkage, threshold_m)?
+        .into_iter()
+        .map(|members| {
+            let diameter = cluster_diameter(points, &members);
+            (members, diameter)
+        })
+        .collect())
 }
 
 /// The maximum pairwise Haversine distance (metres) among the given members.

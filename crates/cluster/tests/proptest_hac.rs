@@ -2,19 +2,45 @@
 //! `try_hac_clusters` cuts to exactly the clusters of the dense reference
 //! `hac_dendrogram(points, linkage).cut(t)`, for every linkage, on random
 //! points, on lattices full of duplicates and exact ties, and at any
-//! latitude.
+//! latitude; and the diameters that `constrained_clustering` folds from
+//! the complete-linkage merges equal `cluster_diameter` bit for bit.
 
-use moby_cluster::hac::{hac_dendrogram, try_hac_clusters};
+use moby_cluster::constrained::{constrained_clustering, ConstrainedConfig};
+use moby_cluster::hac::{cluster_diameter, hac_dendrogram, try_hac_clusters};
 use moby_cluster::linkage::Linkage;
 use moby_geo::{destination_point, GeoPoint};
 use proptest::prelude::*;
 
-/// Compare every linkage's flat clusters with the dense reference.
+/// Compare every linkage's flat clusters with the dense reference, and the
+/// complete-linkage candidates' diameters with a pass over every pair.
 fn assert_matches_dense(points: &[GeoPoint], cut: f64) {
     for linkage in [Linkage::Complete, Linkage::Single, Linkage::Average] {
         let got = try_hac_clusters(points, linkage, cut).expect("small input, valid cut");
         let want = hac_dendrogram(points, linkage).cut(cut);
         prop_assert_eq!(got, want, "{:?} linkage cut at {} m", linkage, cut);
+    }
+    assert_diameters_match(points, cut);
+}
+
+/// Every candidate cluster's `diameter_m` is bit for bit its
+/// `cluster_diameter`. A zero absorb radius leaves every location free
+/// unless it sits exactly on the station.
+fn assert_diameters_match(points: &[GeoPoint], cut: f64) {
+    let config = ConstrainedConfig {
+        station_absorb_radius_m: 0.0,
+        cluster_boundary_m: cut,
+        linkage: Linkage::Complete,
+    };
+    let station = GeoPoint::new(0.0, 0.0).expect("in range");
+    let out = constrained_clustering(&[station], points, &config).expect("valid config");
+    for c in &out.candidate_clusters {
+        prop_assert_eq!(
+            c.diameter_m.to_bits(),
+            cluster_diameter(points, &c.members).to_bits(),
+            "cluster {:?} cut at {} m",
+            c.members,
+            cut
+        );
     }
 }
 

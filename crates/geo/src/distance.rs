@@ -31,14 +31,22 @@ pub fn haversine_m(a: GeoPoint, b: GeoPoint) -> f64 {
 /// can pre-convert coordinates to radians once.
 #[inline]
 pub fn haversine_rad(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
-    haversine_cos(lat1, lon1, lat1.cos(), lat2, lon2, lat2.cos())
+    term_to_m(haversine_term(
+        lat1,
+        lon1,
+        lat1.cos(),
+        lat2,
+        lon2,
+        lat2.cos(),
+    ))
 }
 
-/// [`haversine_rad`] with each latitude's cosine passed in, so that a loop
-/// over many pairs computes each cosine once. It performs the same
-/// operations in the same order, so the result is bit-identical.
+/// The Haversine term `h = sin²(Δφ/2) + cos φ1 cos φ2 sin²(Δλ/2)`, with
+/// each latitude's cosine passed in, so that a loop over many pairs
+/// computes each cosine once. [`term_to_m`] of it is bit for bit
+/// [`haversine_rad`].
 #[inline]
-pub(crate) fn haversine_cos(
+pub(crate) fn haversine_term(
     lat1: f64,
     lon1: f64,
     cos1: f64,
@@ -48,9 +56,32 @@ pub(crate) fn haversine_cos(
 ) -> f64 {
     let dlat = (lat1 - lat2) * 0.5;
     let dlon = (lon1 - lon2) * 0.5;
-    let h = dlat.sin().powi(2) + cos1 * cos2 * dlon.sin().powi(2);
+    dlat.sin().powi(2) + cos1 * cos2 * dlon.sin().powi(2)
+}
+
+/// The distance in metres of a Haversine term, non-decreasing in `h`.
+#[inline]
+pub(crate) fn term_to_m(h: f64) -> f64 {
     // Clamp to guard against floating point drift pushing sqrt(h) above 1.
     2.0 * EARTH_RADIUS_M * h.sqrt().min(1.0).asin()
+}
+
+/// A lower bound on [`haversine_term`] without trigonometry:
+/// `sin²x ≥ x²(1 − x²/3)` for every `x`. Rounding can put the computed
+/// bound a few ulps above the computed term, so a caller that rejects on
+/// it compares with a relative margin.
+#[inline]
+pub(crate) fn haversine_term_lower(
+    lat1: f64,
+    lon1: f64,
+    cos1: f64,
+    lat2: f64,
+    lon2: f64,
+    cos2: f64,
+) -> f64 {
+    let a = (lat1 - lat2) * 0.5;
+    let b = (lon1 - lon2) * 0.5;
+    a * a * (1.0 - a * a / 3.0) + cos1 * cos2 * (b * b * (1.0 - b * b / 3.0))
 }
 
 /// Fast equirectangular approximation of the distance between two points,

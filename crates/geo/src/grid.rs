@@ -1,10 +1,9 @@
 //! A uniform-cell spatial index.
 //!
-//! The grid index answers radius queries ("every location within 100 m of
-//! this one") and builds the whole "within a radius" relation at once as
-//! sorted neighbour rows ([`GridIndex::neighbour_rows`]). The rows are what
-//! the HAC clustering runs on; nearest-neighbour queries go to the
-//! [`crate::KdTree`].
+//! The grid index builds the whole "within a radius" relation over its
+//! points at once, as sorted neighbour rows ([`GridIndex::neighbour_rows`]).
+//! The rows are what the HAC clustering runs on; nearest-neighbour queries
+//! go to the [`crate::KdTree`].
 //!
 //! Cells are uniform in degrees and sized in metres at a reference
 //! latitude. A radius probe visits as many cells as the query's own
@@ -13,29 +12,22 @@
 //! reaches a pole visits every column. Longitude does not wrap: two points
 //! on either side of the ±180° meridian are never neighbours to the grid.
 
-use crate::distance::haversine_cos;
-use crate::{haversine_m, GeoError, GeoPoint, Result, EARTH_RADIUS_M};
-use std::collections::BTreeMap;
+use crate::distance::{haversine_term, haversine_term_lower, term_to_m};
+use crate::{GeoError, GeoPoint, Result, EARTH_RADIUS_M};
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// Approximate metres per degree of latitude.
 const M_PER_DEG_LAT: f64 = 111_195.0;
 
-/// A spatial index over uniform latitude/longitude cells, mapping points to
-/// caller-supplied payloads of type `T`.
+/// A spatial index over uniform latitude/longitude cells.
 ///
-/// The cell size is chosen in metres at construction; all distance
-/// computations inside queries use the exact Haversine distance, the grid
-/// only prunes candidates.
+/// The cell size is chosen in metres at construction; the cells only prune
+/// candidates, and every kept distance is the exact Haversine distance.
 #[derive(Debug, Clone)]
-pub struct GridIndex<T> {
+pub struct GridIndex {
     cell_m: f64,
     cos_ref_lat: f64,
-    /// Entry indices per `(row, column)` cell. Sorted keys make the cells
-    /// of one row within a column range a single range scan, however wide
-    /// the range.
-    cells: BTreeMap<(i64, i64), Vec<usize>>,
-    entries: Vec<(GeoPoint, T)>,
+    points: Vec<GeoPoint>,
 }
 
 /// The "within a radius" relation over a [`GridIndex`]'s points, one row
@@ -81,7 +73,48 @@ fn span(reach: f64, at: i64) -> i64 {
     (reach + slack).ceil() as i64
 }
 
-impl<T> GridIndex<T> {
+/// The points in one flat layout sorted by cell, so that a probe finds a
+/// cell row's run of cells by binary search and scans it contiguously.
+struct Cells {
+    /// The occupied cells, `(row, column)`, ascending.
+    keys: Vec<(i64, i64)>,
+    /// Cell `c` holds `points[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// Each point's index and `[lat, lon, cos lat]` (radians), by cell and
+    /// then by index.
+    points: Vec<(usize, [f64; 3])>,
+}
+
+impl Cells {
+    fn new(mut cells: Vec<((i64, i64), usize)>, trig: &[[f64; 3]]) -> Cells {
+        cells.sort_unstable();
+        let mut keys: Vec<(i64, i64)> = Vec::new();
+        let mut starts = Vec::new();
+        let mut points = Vec::with_capacity(cells.len());
+        for (cell, i) in cells {
+            if keys.last() != Some(&cell) {
+                keys.push(cell);
+                starts.push(points.len());
+            }
+            points.push((i, trig[i]));
+        }
+        starts.push(points.len());
+        Cells {
+            keys,
+            starts,
+            points,
+        }
+    }
+
+    /// The points of row `y`'s cells in columns `x_lo..=x_hi`.
+    fn run(&self, y: i64, x_lo: i64, x_hi: i64) -> &[(usize, [f64; 3])] {
+        let from = self.keys.partition_point(|&k| k < (y, x_lo));
+        let to = from + self.keys[from..].partition_point(|&k| k <= (y, x_hi));
+        &self.points[self.starts[from]..self.starts[to]]
+    }
+}
+
+impl GridIndex {
     /// Create an empty index with the given cell edge length in metres.
     ///
     /// `reference_lat_deg` is used to convert longitude degrees to metres;
@@ -100,8 +133,7 @@ impl<T> GridIndex<T> {
         Ok(Self {
             cell_m,
             cos_ref_lat: reference_lat_deg.to_radians().cos().max(1e-6),
-            cells: BTreeMap::new(),
-            entries: Vec::new(),
+            points: Vec::new(),
         })
     }
 
@@ -111,12 +143,9 @@ impl<T> GridIndex<T> {
         (y, x)
     }
 
-    /// Insert a point with its payload.
-    pub fn insert(&mut self, p: GeoPoint, payload: T) {
-        let idx = self.entries.len();
-        let cell = self.cell_of(p);
-        self.entries.push((p, payload));
-        self.cells.entry(cell).or_default().push(idx);
+    /// Insert a point. Points are indexed in insertion order.
+    pub fn insert(&mut self, p: GeoPoint) {
+        self.points.push(p);
     }
 
     /// Columns to probe on each side of a query in column `at` at
@@ -139,53 +168,6 @@ impl<T> GridIndex<T> {
         Some(span(reach, at))
     }
 
-    /// Call `visit` with the index of every entry in the cells that a
-    /// query at `query` with angular radius `theta` must probe.
-    fn for_each_candidate(&self, query: GeoPoint, theta: f64, mut visit: impl FnMut(usize)) {
-        let (Some((&(y_min, _), _)), Some((&(y_max, _), _))) =
-            (self.cells.first_key_value(), self.cells.last_key_value())
-        else {
-            return;
-        };
-        let (cy, cx) = self.cell_of(query);
-        let rows = span(theta.to_degrees() * M_PER_DEG_LAT / self.cell_m, cy);
-        let (x_lo, x_hi) = match self.column_span(theta, query.lat(), cx) {
-            Some(cols) => (cx.saturating_sub(cols), cx.saturating_add(cols)),
-            None => (i64::MIN, i64::MAX),
-        };
-        for y in cy.saturating_sub(rows).max(y_min)..=cy.saturating_add(rows).min(y_max) {
-            for bucket in self.cells.range((y, x_lo)..=(y, x_hi)).map(|(_, b)| b) {
-                bucket.iter().copied().for_each(&mut visit);
-            }
-        }
-    }
-
-    /// All payloads (with their points and exact distances) within
-    /// `radius_m` of `query`, unsorted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::InvalidDistance`] for a negative or non-finite
-    /// radius.
-    pub fn within_radius(
-        &self,
-        query: GeoPoint,
-        radius_m: f64,
-    ) -> Result<Vec<(&GeoPoint, &T, f64)>> {
-        if !radius_m.is_finite() || radius_m < 0.0 {
-            return Err(GeoError::InvalidDistance(radius_m));
-        }
-        let mut out = Vec::new();
-        self.for_each_candidate(query, radius_m / EARTH_RADIUS_M, |i| {
-            let (p, payload) = &self.entries[i];
-            let d = haversine_m(query, *p);
-            if d <= radius_m {
-                out.push((p, payload, d));
-            }
-        });
-        Ok(out)
-    }
-
     /// Every pair of indexed points at most `radius_m` apart, as one row
     /// per point.
     ///
@@ -193,11 +175,12 @@ impl<T> GridIndex<T> {
     /// within the radius, sorted by `j`, where `d` is bit for bit
     /// `haversine_m` of the two points with the lower index first.
     ///
-    /// Each pair is found once, from its lower index. Per-point
-    /// trigonometry is computed once, and a polynomial lower bound on the
-    /// Haversine term rejects most far candidates before the exact
-    /// distance is taken; the bound never rejects a pair the exact
-    /// distance would keep.
+    /// The points are sorted by cell once. Each pair is found once, from
+    /// its lower index. Per-point trigonometry is computed once, and a
+    /// polynomial lower bound on the Haversine term rejects most far
+    /// candidates before the exact distance is taken; the bound never
+    /// rejects a pair the exact distance would keep. Two scatter passes
+    /// then order every row by partner, with no comparison sort.
     ///
     /// # Errors
     ///
@@ -207,16 +190,30 @@ impl<T> GridIndex<T> {
         if !radius_m.is_finite() || radius_m < 0.0 {
             return Err(GeoError::InvalidDistance(radius_m));
         }
-        let n = self.entries.len();
+        let n = self.points.len();
         let theta = radius_m / EARTH_RADIUS_M;
         let trig: Vec<[f64; 3]> = self
-            .entries
+            .points
             .iter()
-            .map(|(p, _)| {
+            .map(|p| {
                 let lat = p.lat_rad();
                 [lat, p.lon_rad(), lat.cos()]
             })
             .collect();
+        let cells = Cells::new(
+            self.points
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (self.cell_of(p), i))
+                .collect(),
+            &trig,
+        );
+        let (Some(&(y_min, _)), Some(&(y_max, _))) = (cells.keys.first(), cells.keys.last()) else {
+            return Ok(NeighbourRows {
+                offsets: vec![0],
+                entries: Vec::new(),
+            });
+        };
         // `haversine_m(p, q) <= radius_m` needs the Haversine term
         // `h = sin²(Δφ/2) + cos φp cos φq sin²(Δλ/2)` to be at most
         // `sin²(θ/2)`. The relative margin covers the rounding of both
@@ -227,42 +224,43 @@ impl<T> GridIndex<T> {
             ((theta * 0.5).sin().powi(2) * (1.0 + 1e-9)).max(f64::MIN_POSITIVE)
         };
 
-        // Pairs (i, j > i), grouped by i and sorted by j within a group,
-        // counting each row's lower neighbours as they turn up.
+        // Pairs (i, j > i), grouped by ascending i, counting each row's
+        // lower neighbours as they turn up.
         let mut entries: Vec<(usize, f64)> = Vec::new();
         let mut upper_len = vec![0usize; n];
         let mut lower_len = vec![0usize; n];
-        for (i, &(query, _)) in self.entries.iter().enumerate() {
+        for (i, &query) in self.points.iter().enumerate() {
             let [lat_i, lon_i, cos_i] = trig[i];
             let first = entries.len();
-            self.for_each_candidate(query, theta, |j| {
-                if j <= i {
-                    return;
+            let (cy, cx) = self.cell_of(query);
+            let rows = span(theta.to_degrees() * M_PER_DEG_LAT / self.cell_m, cy);
+            let (x_lo, x_hi) = match self.column_span(theta, query.lat(), cx) {
+                Some(cols) => (cx.saturating_sub(cols), cx.saturating_add(cols)),
+                None => (i64::MIN, i64::MAX),
+            };
+            for y in cy.saturating_sub(rows).max(y_min)..=cy.saturating_add(rows).min(y_max) {
+                for &(j, [lat_j, lon_j, cos_j]) in cells.run(y, x_lo, x_hi) {
+                    if j <= i
+                        || haversine_term_lower(lat_i, lon_i, cos_i, lat_j, lon_j, cos_j) > h_max
+                    {
+                        continue;
+                    }
+                    let d = term_to_m(haversine_term(lat_i, lon_i, cos_i, lat_j, lon_j, cos_j));
+                    if d <= radius_m {
+                        entries.push((j, d));
+                        lower_len[j] += 1;
+                    }
                 }
-                let [lat_j, lon_j, cos_j] = trig[j];
-                let a = (lat_i - lat_j) * 0.5;
-                let b = (lon_i - lon_j) * 0.5;
-                // sin²x ≥ x²(1 − x²/3) for every x, so this is at most h.
-                let lower =
-                    a * a * (1.0 - a * a / 3.0) + cos_i * cos_j * (b * b * (1.0 - b * b / 3.0));
-                if lower > h_max {
-                    return;
-                }
-                let d = haversine_cos(lat_i, lon_i, cos_i, lat_j, lon_j, cos_j);
-                if d <= radius_m {
-                    entries.push((j, d));
-                    lower_len[j] += 1;
-                }
-            });
-            entries[first..].sort_unstable_by_key(|&(j, _)| j);
+            }
             upper_len[i] = entries.len() - first;
         }
 
         // Row i is its lower neighbours, then its upper ones. Move each
         // upper group to its final place in the same buffer, last group
-        // first since each moves up; then mirror every pair into its lower
-        // row. Sweeping i upwards writes each row's lower neighbours in
-        // ascending order.
+        // first since each moves up. Then scatter the groups into the
+        // lower halves in ascending i, which sorts each lower half, and
+        // the lower halves back over the upper ones in ascending j, which
+        // sorts each upper half.
         let mut offsets = vec![0usize; n + 1];
         for i in 0..n {
             offsets[i + 1] = offsets[i] + lower_len[i] + upper_len[i];
@@ -281,6 +279,14 @@ impl<T> GridIndex<T> {
                 cursor[j] += 1;
             }
         }
+        // Each cursor now stands at its row's upper half.
+        for j in 0..n {
+            for k in offsets[j]..offsets[j] + lower_len[j] {
+                let (i, d) = entries[k];
+                entries[cursor[i]] = (j, d);
+                cursor[i] += 1;
+            }
+        }
         Ok(NeighbourRows { offsets, entries })
     }
 }
@@ -288,6 +294,7 @@ impl<T> GridIndex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::haversine_m;
 
     fn p(lat: f64, lon: f64) -> GeoPoint {
         GeoPoint::new(lat, lon).unwrap()
@@ -295,37 +302,35 @@ mod tests {
 
     #[test]
     fn rejects_bad_cell_size() {
-        assert!(GridIndex::<u32>::new(0.0, 53.0).is_err());
-        assert!(GridIndex::<u32>::new(-5.0, 53.0).is_err());
-        assert!(GridIndex::<u32>::new(f64::NAN, 53.0).is_err());
+        assert!(GridIndex::new(0.0, 53.0).is_err());
+        assert!(GridIndex::new(-5.0, 53.0).is_err());
+        assert!(GridIndex::new(f64::NAN, 53.0).is_err());
     }
 
     #[test]
-    fn within_radius_respects_threshold() {
+    fn neighbour_rows_respect_the_radius() {
         let mut g = GridIndex::new(50.0, 53.35).unwrap();
-        let base = p(53.3500, -6.2600);
-        // ~0, ~55 m, ~111 m north of base.
-        g.insert(base, 0u32);
-        g.insert(p(53.3505, -6.2600), 1u32);
-        g.insert(p(53.3510, -6.2600), 2u32);
-        let near = g.within_radius(base, 60.0).unwrap();
-        let ids: Vec<u32> = near.iter().map(|(_, id, _)| **id).collect();
-        assert!(ids.contains(&0));
-        assert!(ids.contains(&1));
-        assert!(!ids.contains(&2));
+        // ~0, ~55 m, ~111 m north of the first point.
+        g.insert(p(53.3500, -6.2600));
+        g.insert(p(53.3505, -6.2600));
+        g.insert(p(53.3510, -6.2600));
+        let rows = g.neighbour_rows(60.0).unwrap();
+        let partners = |i: usize| rows.row(i).iter().map(|&(j, _)| j).collect::<Vec<_>>();
+        assert_eq!(partners(0), vec![1]);
+        assert_eq!(partners(1), vec![0, 2]);
+        assert_eq!(partners(2), vec![1]);
     }
 
     #[test]
-    fn within_radius_rejects_bad_radius() {
-        let g = GridIndex::<u32>::new(50.0, 53.35).unwrap();
-        assert!(g.within_radius(p(53.3, -6.2), -1.0).is_err());
-        assert!(g.within_radius(p(53.3, -6.2), f64::NAN).is_err());
+    fn neighbour_rows_reject_a_bad_radius() {
+        let g = GridIndex::new(50.0, 53.35).unwrap();
         assert!(g.neighbour_rows(-1.0).is_err());
+        assert!(g.neighbour_rows(f64::NAN).is_err());
         assert!(g.neighbour_rows(f64::INFINITY).is_err());
     }
 
     #[test]
-    fn within_radius_finds_east_west_pairs_at_high_latitude() {
+    fn neighbour_rows_find_east_west_pairs_at_high_latitude() {
         // A grid sized at Dublin's latitude has columns ~100 m wide there
         // but only ~47 m wide at 75° N and ~31 m at 80° N; a probe sized
         // from the reference latitude missed most 90 m east-west pairs.
@@ -333,16 +338,8 @@ mod tests {
             let mut g = GridIndex::new(100.0, 53.35).unwrap();
             for k in 0..200 {
                 let a = p(lat + f64::from(k) * 0.01, -6.26 + f64::from(k) * 0.013);
-                g.insert(a, 2 * k);
-                g.insert(crate::destination_point(a, 90.0, 90.0), 2 * k + 1);
-            }
-            for (k, (q, id)) in g.entries.iter().enumerate() {
-                let near = g.within_radius(*q, 100.0).unwrap();
-                let partner = id ^ 1;
-                assert!(
-                    near.iter().any(|(_, j, _)| **j == partner),
-                    "lat {lat}: point {k} lost its partner 90 m east-west"
-                );
+                g.insert(a);
+                g.insert(crate::destination_point(a, 90.0, 90.0));
             }
             let rows = g.neighbour_rows(100.0).unwrap();
             for i in 0..rows.len() {
@@ -354,16 +351,14 @@ mod tests {
     #[test]
     fn radius_reaching_a_pole_probes_every_column() {
         let mut g = GridIndex::new(100.0, 53.35).unwrap();
-        let pole_side = [p(89.9995, -170.0), p(89.9995, 10.0), p(89.9995, 100.0)];
-        for (i, q) in pole_side.iter().enumerate() {
-            g.insert(*q, i);
+        for q in [p(89.9995, -170.0), p(89.9995, 10.0), p(89.9995, 100.0)] {
+            g.insert(q);
         }
         // The three points sit ~56 m from the pole, so at most ~112 m apart.
         let rows = g.neighbour_rows(120.0).unwrap();
         for i in 0..3 {
             assert_eq!(rows.row(i).len(), 2, "row {i}: {:?}", rows.row(i));
         }
-        assert_eq!(g.within_radius(pole_side[0], 120.0).unwrap().len(), 3);
     }
 
     #[test]
@@ -389,8 +384,8 @@ mod tests {
                     )
                 })
                 .collect();
-            for (i, q) in pts.iter().enumerate() {
-                g.insert(*q, i);
+            for q in &pts {
+                g.insert(*q);
             }
             let rows = g.neighbour_rows(radius).unwrap();
             assert_eq!(rows.len(), pts.len());
@@ -410,12 +405,12 @@ mod tests {
 
     #[test]
     fn neighbour_rows_of_duplicates_and_an_empty_grid() {
-        let g = GridIndex::<()>::new(100.0, 53.35).unwrap();
+        let g = GridIndex::new(100.0, 53.35).unwrap();
         assert!(g.neighbour_rows(100.0).unwrap().is_empty());
         let mut g = GridIndex::new(1.0, 53.35).unwrap();
         let q = p(53.35, -6.26);
-        for i in 0..3 {
-            g.insert(q, i);
+        for _ in 0..3 {
+            g.insert(q);
         }
         let rows = g.neighbour_rows(0.0).unwrap();
         assert_eq!(rows.row(1), &[(0, 0.0), (2, 0.0)]);

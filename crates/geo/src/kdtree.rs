@@ -1,29 +1,45 @@
 //! A 2-d k-d tree over geographic points.
 //!
 //! The k-d tree answers the crate's nearest-neighbour queries (the
-//! [`crate::GridIndex`] answers radius queries only): exact
-//! k-nearest-neighbour search without tuning a cell size, which the
-//! selection pipeline uses when ranking candidate stations against their
-//! spatial context (e.g. "distance to the nearest pre-existing station" in
-//! Algorithm 1, line 6).
+//! [`crate::GridIndex`] builds radius relations): exact k-nearest-neighbour
+//! search without tuning a cell size. The pipeline absorbs each location
+//! into its nearest fixed station with it, measures a candidate's distance
+//! to the nearest fixed station (Algorithm 1, line 6), reassigns locations
+//! to their nearest selected station, and serves `Nearest` queries.
 //!
-//! Points are stored in a planar equirectangular projection centred on the
-//! dataset, which keeps splitting balanced; candidate distances are refined
-//! with the exact Haversine formula before being returned.
+//! The tree splits at the median, on longitude and latitude in turn, and
+//! stores its points in tree order. Each point's radians and latitude
+//! cosine are cached at build, and a query's once per query, so every
+//! distance is bit for bit `haversine_m(query, point)` without recomputing
+//! a point's trigonometry. A visited node costs the exact distance only
+//! when a polynomial lower bound on its Haversine term does not already
+//! rule it out. A subtree beyond a split is skipped only when a true lower
+//! bound on the distance from the query to any point beyond the split
+//! exceeds the current `k`-th distance (Friedman, Bentley & Finkel, "An
+//! algorithm for finding best matches in logarithmic expected time", ACM
+//! TOMS 3(3), 1977):
+//!
+//! * across a latitude split, `R·|Δφ|`;
+//! * across a longitude split, `R·cos φq·|Δλ|(1 − Δλ²/6)`. It is at most
+//!   `R·cos φq·sin|Δλ|`, which is at most the distance from the query to
+//!   the meridian `|Δλ|` away while `|Δλ| < π/2`; at `|Δλ| ≥ π/2` nothing
+//!   is pruned. `|Δλ|` is capped by the smallest gap to a held point the
+//!   other way round the ±180° meridian.
+//!
+//! Both bounds carry a rounding slack on the safe side.
 
-use crate::{haversine_m, GeoError, GeoPoint, Result};
+use crate::distance::{haversine_term, haversine_term_lower, term_to_m};
+use crate::{GeoError, GeoPoint, Result, EARTH_RADIUS_M};
+use std::f64::consts::{FRAC_PI_2, TAU};
 
-const M_PER_DEG_LAT: f64 = 111_195.0;
+/// Indices into a point's cached `[lat, lon, cos lat]`; a split axis is
+/// one of the first two.
+const LAT: usize = 0;
+const LON: usize = 1;
 
-#[derive(Debug, Clone)]
-struct Node {
-    /// Index into `points` / `payloads`.
-    idx: usize,
-    left: Option<usize>,
-    right: Option<usize>,
-    /// 0 = split on x (projected lon), 1 = split on y (projected lat).
-    axis: u8,
-}
+/// Relative (and, in metres, absolute) slack that keeps every computed
+/// bound on the safe side of its rounding.
+const SLACK: f64 = 1e-9;
 
 /// A static 2-d k-d tree mapping geographic points to payloads.
 ///
@@ -31,12 +47,98 @@ struct Node {
 /// insertion (none of the pipeline needs it).
 #[derive(Debug, Clone)]
 pub struct KdTree<T> {
-    nodes: Vec<Node>,
-    root: Option<usize>,
+    /// Points in tree order: the node of a range `lo..hi` sits at
+    /// `lo + (hi - lo) / 2`, with the range's lower half before it and its
+    /// upper half after it on the node's split axis.
     points: Vec<GeoPoint>,
-    projected: Vec<(f64, f64)>,
+    /// `[lat, lon, cos lat]` of each point, radians.
+    trig: Vec<[f64; 3]>,
     payloads: Vec<T>,
-    cos_ref_lat: f64,
+    /// The smallest and the largest longitude held, radians.
+    lon_range: (f64, f64),
+}
+
+/// A query point's cached trigonometry.
+struct Query {
+    trig: [f64; 3],
+    /// The smallest longitude gap, radians, from the query to a held point
+    /// the other way round the ±180° meridian.
+    wrap: f64,
+}
+
+/// The nearest points a search has found so far.
+trait Best {
+    /// The distance and Haversine term a point must not exceed to enter:
+    /// the current `k`-th nearest's, or infinity while fewer are held.
+    fn worst(&self) -> (f64, f64);
+    /// Offer the point at tree position `at`, `d` metres from the query
+    /// with Haversine term `h`. An equal distance replaces.
+    fn offer(&mut self, d: f64, h: f64, at: usize);
+}
+
+/// The single nearest point: distance, Haversine term, tree position.
+struct Nearest(f64, f64, usize);
+
+impl Best for Nearest {
+    fn worst(&self) -> (f64, f64) {
+        (self.0, self.1)
+    }
+
+    fn offer(&mut self, d: f64, h: f64, at: usize) {
+        if d <= self.0 {
+            *self = Nearest(d, h, at);
+        }
+    }
+}
+
+/// The `k` nearest points, ascending by distance.
+struct KNearest {
+    k: usize,
+    found: Vec<(f64, f64, usize)>,
+}
+
+impl Best for KNearest {
+    fn worst(&self) -> (f64, f64) {
+        match self.found.last() {
+            Some(&(d, h, _)) if self.found.len() == self.k => (d, h),
+            _ => (f64::INFINITY, f64::INFINITY),
+        }
+    }
+
+    fn offer(&mut self, d: f64, h: f64, at: usize) {
+        if d > self.worst().0 {
+            return;
+        }
+        let pos = self.found.partition_point(|&(bd, _, _)| bd < d);
+        self.found.insert(pos, (d, h, at));
+        self.found.truncate(self.k);
+    }
+}
+
+/// The Haversine term above which a point cannot enter: the worst's, plus
+/// a margin far wider than rounding, so that a point at the worst's own
+/// distance, which replaces it, is never rejected. The floor keeps
+/// underflowed terms; near the antipode, where the distance clamps, every
+/// point is kept.
+fn reject_above(worst_h: f64) -> f64 {
+    let t = worst_h * (1.0 + SLACK);
+    if t >= 1.0 {
+        f64::INFINITY
+    } else {
+        t.max(f64::MIN_POSITIVE)
+    }
+}
+
+/// Put `items` in tree order, splitting on `axis` at the median.
+fn split<U>(items: &mut [([f64; 3], U)], axis: usize) {
+    if items.len() <= 1 {
+        return;
+    }
+    let mid = items.len() / 2;
+    items.select_nth_unstable_by(mid, |a, b| a.0[axis].total_cmp(&b.0[axis]));
+    let (lower, upper) = items.split_at_mut(mid);
+    split(lower, axis ^ 1);
+    split(&mut upper[1..], axis ^ 1);
 }
 
 impl<T> KdTree<T> {
@@ -45,77 +147,31 @@ impl<T> KdTree<T> {
     /// An empty input produces an empty tree; queries on it return
     /// [`GeoError::EmptyIndex`].
     pub fn build(items: Vec<(GeoPoint, T)>) -> Self {
-        let ref_lat = if items.is_empty() {
-            0.0
-        } else {
-            items.iter().map(|(p, _)| p.lat()).sum::<f64>() / items.len() as f64
-        };
-        let cos_ref_lat = ref_lat.to_radians().cos().max(1e-6);
-
-        let mut points = Vec::with_capacity(items.len());
-        let mut payloads = Vec::with_capacity(items.len());
-        for (p, t) in items {
-            points.push(p);
-            payloads.push(t);
-        }
-        let projected: Vec<(f64, f64)> = points
-            .iter()
-            .map(|p| {
-                (
-                    p.lon() * M_PER_DEG_LAT * cos_ref_lat,
-                    p.lat() * M_PER_DEG_LAT,
-                )
+        let mut items: Vec<([f64; 3], (GeoPoint, T))> = items
+            .into_iter()
+            .map(|(p, t)| {
+                let lat = p.lat_rad();
+                ([lat, p.lon_rad(), lat.cos()], (p, t))
             })
             .collect();
-
+        split(&mut items, LON);
+        let lon_range = items
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (c, _)| {
+                (lo.min(c[LON]), hi.max(c[LON]))
+            });
         let mut tree = Self {
-            nodes: Vec::with_capacity(points.len()),
-            root: None,
-            points,
-            projected,
-            payloads,
-            cos_ref_lat,
+            points: Vec::with_capacity(items.len()),
+            trig: Vec::with_capacity(items.len()),
+            payloads: Vec::with_capacity(items.len()),
+            lon_range,
         };
-        let mut order: Vec<usize> = (0..tree.points.len()).collect();
-        tree.root = tree.build_rec(&mut order, 0);
-        tree
-    }
-
-    fn build_rec(&mut self, order: &mut [usize], depth: u8) -> Option<usize> {
-        if order.is_empty() {
-            return None;
+        for (trig, (p, t)) in items {
+            tree.points.push(p);
+            tree.trig.push(trig);
+            tree.payloads.push(t);
         }
-        let axis = depth % 2;
-        order.sort_unstable_by(|&a, &b| {
-            let ka = if axis == 0 {
-                self.projected[a].0
-            } else {
-                self.projected[a].1
-            };
-            let kb = if axis == 0 {
-                self.projected[b].0
-            } else {
-                self.projected[b].1
-            };
-            ka.partial_cmp(&kb).expect("projected coords are finite")
-        });
-        let mid = order.len() / 2;
-        let idx = order[mid];
-        let node_slot = self.nodes.len();
-        self.nodes.push(Node {
-            idx,
-            left: None,
-            right: None,
-            axis,
-        });
-        let (left_slice, rest) = order.split_at_mut(mid);
-        let right_slice = &mut rest[1..];
-        // Recurse after pushing so children land after the parent.
-        let left = self.build_rec(left_slice, depth.wrapping_add(1));
-        let right = self.build_rec(right_slice, depth.wrapping_add(1));
-        self.nodes[node_slot].left = left;
-        self.nodes[node_slot].right = right;
-        Some(node_slot)
+        tree
     }
 
     /// Whether the tree is empty.
@@ -123,21 +179,21 @@ impl<T> KdTree<T> {
         self.points.is_empty()
     }
 
-    fn project(&self, p: GeoPoint) -> (f64, f64) {
-        (
-            p.lon() * M_PER_DEG_LAT * self.cos_ref_lat,
-            p.lat() * M_PER_DEG_LAT,
-        )
-    }
-
-    /// The single nearest neighbour of `query`.
+    /// The single nearest neighbour of `query`; of several at the same
+    /// distance, the last the search visits. Allocates nothing.
     ///
     /// # Errors
     ///
     /// [`GeoError::EmptyIndex`] when the tree is empty.
     pub fn nearest(&self, query: GeoPoint) -> Result<(&GeoPoint, &T, f64)> {
-        let mut knn = self.k_nearest(query, 1)?;
-        Ok(knn.remove(0))
+        if self.is_empty() {
+            return Err(GeoError::EmptyIndex);
+        }
+        // The root always enters, so `at` is overwritten.
+        let mut best = Nearest(f64::INFINITY, f64::INFINITY, 0);
+        self.search(0, self.points.len(), LON, &self.query(query), &mut best);
+        let Nearest(d, _, at) = best;
+        Ok((&self.points[at], &self.payloads[at], d))
     }
 
     /// The `k` nearest neighbours of `query`, sorted by ascending distance.
@@ -154,113 +210,73 @@ impl<T> KdTree<T> {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let q = self.project(query);
-        // Max-heap of (distance, idx) capped at k, kept as a sorted Vec
-        // (k is small in all our uses: 1..=10).
-        let mut best: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
-        self.knn_rec(self.root, q, query, k, &mut best);
+        let mut best = KNearest {
+            k,
+            found: Vec::with_capacity(k.min(self.points.len()) + 1),
+        };
+        self.search(0, self.points.len(), LON, &self.query(query), &mut best);
         Ok(best
+            .found
             .into_iter()
-            .map(|(d, i)| (&self.points[i], &self.payloads[i], d))
+            .map(|(d, _, at)| (&self.points[at], &self.payloads[at], d))
             .collect())
     }
 
-    fn knn_rec(
-        &self,
-        node: Option<usize>,
-        q_proj: (f64, f64),
-        q_geo: GeoPoint,
-        k: usize,
-        best: &mut Vec<(f64, usize)>,
-    ) {
-        let Some(ni) = node else { return };
-        let n = &self.nodes[ni];
-        let d = haversine_m(q_geo, self.points[n.idx]);
-        // Insert in sorted order, keep at most k.
-        let pos = best.partition_point(|&(bd, _)| bd < d);
-        best.insert(pos, (d, n.idx));
-        if best.len() > k {
-            best.pop();
-        }
-
-        let (qk, nk) = if n.axis == 0 {
-            (q_proj.0, self.projected[n.idx].0)
-        } else {
-            (q_proj.1, self.projected[n.idx].1)
-        };
-        let (near, far) = if qk < nk {
-            (n.left, n.right)
-        } else {
-            (n.right, n.left)
-        };
-        self.knn_rec(near, q_proj, q_geo, k, best);
-        // The projected axis distance is a slight approximation of the true
-        // separating distance; inflate it a little so we never wrongly prune.
-        let axis_gap = (qk - nk).abs() * 1.001 + 1e-9;
-        let worst = best.last().map(|&(d, _)| d).unwrap_or(f64::INFINITY);
-        if best.len() < k || axis_gap < worst {
-            self.knn_rec(far, q_proj, q_geo, k, best);
+    fn query(&self, p: GeoPoint) -> Query {
+        let (lat, lon) = (p.lat_rad(), p.lon_rad());
+        let (lo, hi) = self.lon_range;
+        Query {
+            trig: [lat, lon, lat.cos()],
+            wrap: TAU - (lon - lo).max(hi - lon),
         }
     }
 
-    /// All points within `radius_m` of `query`, sorted by ascending distance.
-    ///
-    /// # Errors
-    ///
-    /// [`GeoError::InvalidDistance`] for a negative or non-finite radius.
-    pub fn within_radius(
-        &self,
-        query: GeoPoint,
-        radius_m: f64,
-    ) -> Result<Vec<(&GeoPoint, &T, f64)>> {
-        if !radius_m.is_finite() || radius_m < 0.0 {
-            return Err(GeoError::InvalidDistance(radius_m));
+    /// Search the subtree over tree positions `lo..hi`, split on `axis`.
+    fn search(&self, lo: usize, hi: usize, axis: usize, q: &Query, best: &mut impl Best) {
+        if lo >= hi {
+            return;
         }
-        let q = self.project(query);
-        let mut out: Vec<(f64, usize)> = Vec::new();
-        self.radius_rec(self.root, q, query, radius_m, &mut out);
-        out.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
-        Ok(out
-            .into_iter()
-            .map(|(d, i)| (&self.points[i], &self.payloads[i], d))
-            .collect())
+        let mid = lo + (hi - lo) / 2;
+        let [lat_q, lon_q, cos_q] = q.trig;
+        let [lat, lon, cos] = self.trig[mid];
+        if haversine_term_lower(lat_q, lon_q, cos_q, lat, lon, cos) <= reject_above(best.worst().1)
+        {
+            let h = haversine_term(lat_q, lon_q, cos_q, lat, lon, cos);
+            best.offer(term_to_m(h), h, mid);
+        }
+        let (at, from) = (self.trig[mid][axis], q.trig[axis]);
+        let (near, far) = if from < at {
+            ((lo, mid), (mid + 1, hi))
+        } else {
+            ((mid + 1, hi), (lo, mid))
+        };
+        self.search(near.0, near.1, axis ^ 1, q, best);
+        if gap_m(axis, (at - from).abs(), q) <= best.worst().0 {
+            self.search(far.0, far.1, axis ^ 1, q, best);
+        }
     }
+}
 
-    fn radius_rec(
-        &self,
-        node: Option<usize>,
-        q_proj: (f64, f64),
-        q_geo: GeoPoint,
-        radius_m: f64,
-        out: &mut Vec<(f64, usize)>,
-    ) {
-        let Some(ni) = node else { return };
-        let n = &self.nodes[ni];
-        let d = haversine_m(q_geo, self.points[n.idx]);
-        if d <= radius_m {
-            out.push((d, n.idx));
+/// A lower bound, in metres, on the distance from the query to any point
+/// at least `delta` radians from it on `axis`.
+fn gap_m(axis: usize, delta: f64, q: &Query) -> f64 {
+    let bound = if axis == LAT {
+        EARTH_RADIUS_M * delta
+    } else {
+        let dl = delta.min(q.wrap);
+        if dl >= FRAC_PI_2 {
+            return 0.0;
         }
-        let (qk, nk) = if n.axis == 0 {
-            (q_proj.0, self.projected[n.idx].0)
-        } else {
-            (q_proj.1, self.projected[n.idx].1)
-        };
-        let axis_gap = (qk - nk).abs();
-        let (near, far) = if qk < nk {
-            (n.left, n.right)
-        } else {
-            (n.right, n.left)
-        };
-        self.radius_rec(near, q_proj, q_geo, radius_m, out);
-        if axis_gap <= radius_m * 1.001 + 1e-9 {
-            self.radius_rec(far, q_proj, q_geo, radius_m, out);
-        }
-    }
+        // sin x ≥ x(1 − x²/6) for x ≥ 0.
+        EARTH_RADIUS_M * q.trig[2] * (dl * (1.0 - dl * dl / 6.0))
+    };
+    bound * (1.0 - SLACK) - SLACK
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{destination_point, haversine_m};
     use rand::{Rng, SeedableRng};
 
     fn p(lat: f64, lon: f64) -> GeoPoint {
@@ -319,7 +335,7 @@ mod tests {
                 .iter()
                 .map(|(pt, _)| haversine_m(q, *pt))
                 .fold(f64::INFINITY, f64::min);
-            assert!((got - want).abs() < 1e-6, "got {got}, want {want}");
+            assert_eq!(got.to_bits(), want.to_bits(), "got {got}, want {want}");
         }
     }
 
@@ -337,9 +353,9 @@ mod tests {
         }
         // Matches brute force top-k distances.
         let mut all: Vec<f64> = pts.iter().map(|(pt, _)| haversine_m(q, *pt)).collect();
-        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        all.sort_by(f64::total_cmp);
         for (i, (_, _, d)) in got.iter().enumerate() {
-            assert!((d - all[i]).abs() < 1e-6);
+            assert_eq!(d.to_bits(), all[i].to_bits());
         }
     }
 
@@ -349,44 +365,43 @@ mod tests {
         let t = KdTree::build(pts);
         let got = t.k_nearest(p(53.3, -6.2), 50).unwrap();
         assert_eq!(got.len(), 5);
+        assert_eq!(t.k_nearest(p(53.3, -6.2), usize::MAX).unwrap().len(), 5);
     }
 
     #[test]
-    fn within_radius_matches_brute_force() {
-        let pts = random_points(500, 21);
-        let t = KdTree::build(pts.clone());
-        let q = p(53.34, -6.26);
-        for radius in [100.0, 500.0, 2_000.0, 10_000.0] {
-            let got: Vec<usize> = t
-                .within_radius(q, radius)
-                .unwrap()
-                .iter()
-                .map(|(_, id, _)| **id)
-                .collect();
-            let want: Vec<usize> = pts
-                .iter()
-                .filter(|(pt, _)| haversine_m(q, *pt) <= radius)
-                .map(|(_, id)| *id)
-                .collect();
-            let mut got_sorted = got.clone();
-            got_sorted.sort_unstable();
-            let mut want_sorted = want.clone();
-            want_sorted.sort_unstable();
-            assert_eq!(got_sorted, want_sorted, "radius {radius}");
-        }
+    fn nearest_searches_past_a_split_the_old_gap_pruned() {
+        // The root splits on longitude at A, 100 m east of the query (and
+        // 500 m north). A gap inflated by 0.1 % put C, 100.01 m east,
+        // beyond B at 100.05 m west, so the search returned B.
+        let q = p(53.35, -6.26);
+        let a = destination_point(destination_point(q, 90.0, 100.0), 0.0, 500.0);
+        let b = destination_point(q, 270.0, 100.05);
+        let c = destination_point(q, 90.0, 100.01);
+        let t = KdTree::build(vec![(a, 'A'), (b, 'B'), (c, 'C')]);
+        let (_, &id, d) = t.nearest(q).unwrap();
+        assert_eq!((id, d.to_bits()), ('C', haversine_m(q, c).to_bits()));
+        let ids: Vec<char> = t.k_nearest(q, 2).unwrap().iter().map(|h| *h.1).collect();
+        assert_eq!(ids, vec!['C', 'B']);
     }
 
     #[test]
-    fn within_radius_rejects_bad_radius() {
-        let t = KdTree::build(vec![(p(53.35, -6.26), 0usize)]);
-        assert!(t.within_radius(p(53.3, -6.2), -5.0).is_err());
+    fn nearest_reaches_across_the_antimeridian() {
+        // X is ~22 m away the other way round the ±180° meridian, behind a
+        // longitude split ~2 km west of the query.
+        let q = p(10.0, 179.9999);
+        let x = p(10.0, -179.9999);
+        let t = KdTree::build(vec![(p(10.0, 179.99), 1), (p(10.0, 179.98), 2), (x, 3)]);
+        let (_, &id, d) = t.nearest(q).unwrap();
+        assert_eq!((id, d.to_bits()), (3, haversine_m(q, x).to_bits()));
+        assert!(d < 25.0);
     }
 
     #[test]
     fn duplicate_points_are_all_returned() {
         let dup = p(53.35, -6.26);
         let t = KdTree::build(vec![(dup, 1usize), (dup, 2usize), (dup, 3usize)]);
-        let got = t.within_radius(dup, 0.5).unwrap();
+        let got = t.k_nearest(dup, 5).unwrap();
         assert_eq!(got.len(), 3);
+        assert!(got.iter().all(|h| h.2 == 0.0));
     }
 }

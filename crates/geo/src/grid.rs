@@ -225,8 +225,12 @@ impl GridIndex {
         };
 
         // Pairs (i, j > i), grouped by ascending i, counting each row's
-        // lower neighbours as they turn up.
-        let mut entries: Vec<(usize, f64)> = Vec::new();
+        // lower neighbours as they turn up. The buffer starts at one entry
+        // a point: grown from a tiny first allocation, it can start in a
+        // chunk that glibc's thread cache recycled from a worker thread's
+        // arena, and every regrowth then stays in that arena, whose free
+        // top `malloc_trim` does not return.
+        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(n);
         let mut upper_len = vec![0usize; n];
         let mut lower_len = vec![0usize; n];
         for (i, &query) in self.points.iter().enumerate() {

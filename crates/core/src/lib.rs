@@ -175,10 +175,10 @@ mod tests {
             CoreError::from(DataError::EmptyInput),
             CoreError::Internal(_)
         ));
-        // The trip domain and the eviction domain share one cap.
+        // The trip domain and the window kernel's domain share one cap.
         assert_eq!(
             moby_data::trips::MAX_TRIP_WEIGHT,
-            moby_graph::evict::MAX_EVICT_WEIGHT
+            moby_graph::window::MAX_EVICT_WEIGHT
         );
     }
 }

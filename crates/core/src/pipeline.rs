@@ -47,7 +47,7 @@ pub struct PipelineConfig {
     pub window: WindowConfig,
 }
 
-/// Settings for the windowed delta lifecycle.
+/// Settings for the windowed lifecycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowConfig {
     /// Refresh communities with [`refresh_communities`] (Louvain seeded
@@ -246,10 +246,10 @@ fn detect_set(
 ///
 /// Produced by [`ExpansionPipeline::run_windowed`]. Each
 /// [`advance`](Self::advance) call slides the trip window: expired trips
-/// leave through the eviction arm
-/// ([`SelectedNetwork::advance_window`]), fresh trips enter through the
-/// ingestion arm, all three temporal graphs advance incrementally
-/// (bit-identical to full rebuilds over the surviving data), and the
+/// leave and fresh trips enter the station-level state
+/// ([`SelectedNetwork::advance_window`]), all three temporal graphs
+/// advance incrementally (one window-kernel pass per graph,
+/// bit-identical to full rebuilds over the surviving data), and the
 /// community detections refresh — seeded from the previous partitions by
 /// default ([`WindowConfig::seeded_refresh`]).
 #[derive(Debug, Clone)]

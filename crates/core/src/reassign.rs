@@ -16,7 +16,7 @@ use moby_data::trips::{
     check_trip_weight, AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart,
 };
 use moby_geo::GeoPoint;
-use moby_graph::{CsrDelta, CsrGraph, NodeId};
+use moby_graph::{CsrGraph, EdgeColumns, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -140,13 +140,14 @@ impl SelectedNetwork {
     /// table, advances the frozen
     /// [`directed`](SelectedNetwork::directed) /
     /// [`undirected`](SelectedNetwork::undirected) graphs by
-    /// [`CsrGraph::apply_delta`] (bit-identical to rebuilding them from
-    /// the concatenated table, untouched rows copied rather than
-    /// re-merged), and updates Table III — trip counters incrementally
-    /// from the batch, edge counters from the merged rows.
-    /// Feed the returned [`AppendOutcome`] to
-    /// [`temporal::apply_batch_all`](crate::temporal::apply_batch_all) to
-    /// advance the `GBasic`/`GDay`/`GHour` graphs from the same batch.
+    /// [`CsrGraph::apply_window`] with nothing evicted (bit-identical to
+    /// rebuilding them from the concatenated table, untouched rows copied
+    /// rather than re-merged), and updates Table III — trip counters
+    /// incrementally from the batch, edge counters from the merged rows.
+    /// To carry the `GBasic`/`GDay`/`GHour` graphs along, use
+    /// [`advance_window`](SelectedNetwork::advance_window) with
+    /// [`temporal::apply_window_all`](crate::temporal::apply_window_all),
+    /// or rebuild them.
     ///
     /// The station set of a selected network is fixed by the expansion
     /// run, so every batch endpoint must be a known station.
@@ -166,67 +167,26 @@ impl SelectedNetwork {
         // infallible, so the network never ends up with a half-applied
         // batch.
         self.check_batch(batch)?;
-        let outcome = self.trips.append_batch(batch)?;
-        debug_assert!(
-            outcome.old_to_new.is_none(),
-            "validated batches never intern new stations"
-        );
-
-        // Advance the frozen trip graphs row-by-row from the batch columns.
-        let bs = outcome.batch_start;
-        let (src, dst, w) = (
-            &self.trips.src()[bs..],
-            &self.trips.dst()[bs..],
-            &self.trips.weights()[bs..],
-        );
-        let station_ids = self.trips.station_ids().to_vec();
-        let delta = CsrDelta::from_dense(true, station_ids.clone(), None, src, dst, w);
-        self.directed = self.directed.apply_delta(&delta, threads);
-        let delta = CsrDelta::from_dense(false, station_ids, None, src, dst, w);
-        self.undirected = self.undirected.apply_delta(&delta, threads);
-
-        // Table III: trip counters advance from the batch rows alone;
-        // edge counters re-tally from the merged directed rows (distinct
-        // edges can only be counted there).
-        let fixed_dense = fixed_flags(&self.stations, &self.trips);
-        for k in bs..self.trips.len() {
-            tally_trip(
-                &fixed_dense,
-                self.trips.src()[k],
-                self.trips.dst()[k],
-                &mut self.table.pre_existing,
-                &mut self.table.selected,
-            );
-        }
-        self.table.total_trips = self.trips.len();
-        self.table.total_edges = tally_edges(
-            &fixed_dense,
-            &self.trips,
-            &self.directed,
-            &mut self.table.pre_existing,
-            &mut self.table.selected,
-        );
-        Ok(outcome)
+        self.step(batch, (&[], &[], &[]), threads)
     }
 
     /// Advance the network by one window step: **evict** every trip that
     /// started before `window`, then **ingest** `batch` — the composed
-    /// sliding-window verb of the delta lifecycle.
+    /// sliding-window verb of the lifecycle.
     ///
     /// The station set of a selected network is fixed by the expansion
     /// run, so the eviction is *pinned*
     /// ([`TripTable::evict_before_pinned`]): a station whose last trip
-    /// expires stays in the intern table as an isolated row, dense
-    /// indices never shift, and the frozen
+    /// expires stays in the intern table as an isolated row, and dense
+    /// indices never shift. One [`CsrGraph::apply_window`] pass per graph
+    /// then subtracts the evicted rows from the frozen
     /// [`directed`](SelectedNetwork::directed) /
-    /// [`undirected`](SelectedNetwork::undirected) graphs retreat through
-    /// [`CsrGraph::apply_evict`], which subtracts the evicted rows —
-    /// exact over the table's integer weights, so bit-identical to
-    /// rebuilding them from the surviving table. Table III advances
-    /// incrementally: evicted rows decrement the per-group trip counters,
-    /// the batch increments them, and distinct-edge counts re-tally from
-    /// the merged rows (inside
-    /// [`ingest_batch`](SelectedNetwork::ingest_batch)).
+    /// [`undirected`](SelectedNetwork::undirected) graphs and merges the
+    /// batch in — exact over the table's integer weights, so bit-identical
+    /// to rebuilding them from the table after the step. Table III
+    /// advances incrementally: evicted rows decrement the per-group trip
+    /// counters, the batch increments them, and distinct-edge counts
+    /// re-tally from the merged rows.
     ///
     /// The eviction runs **before** the ingest, so batch rows predating
     /// `window` are accepted and survive until the *next* window step —
@@ -245,8 +205,10 @@ impl SelectedNetwork {
     /// station of this network, and [`CoreError::InvalidWeight`] when a
     /// batch weight is outside the trip domain. Validation happens before
     /// the eviction, so a failed call leaves the network *completely*
-    /// untouched — no half-applied window. [`CoreError::Internal`] when
-    /// the graphs do not hold the evicted rows, a broken invariant (the
+    /// untouched — no half-applied window. After the eviction,
+    /// [`CoreError::UnknownStation`] for an evicted endpoint the pinned
+    /// table no longer holds and [`CoreError::Internal`] when the graphs
+    /// do not hold the evicted rows mark a broken invariant (the
     /// [`trips`](SelectedNetwork::trips) table was changed behind the
     /// graphs' back) that leaves the network inconsistent.
     pub fn advance_window(
@@ -258,47 +220,65 @@ impl SelectedNetwork {
         self.check_batch(batch)?;
 
         let evicted = self.trips.evict_before_pinned(window);
-        if !evicted.is_noop() {
-            let evict = |graph: &CsrGraph| {
-                graph.apply_evict(
-                    self.trips.station_ids().to_vec(),
-                    &evicted.evicted_src,
-                    &evicted.evicted_dst,
-                    &evicted.evicted_weight,
-                    threads,
-                )
-            };
-            self.directed = evict(&self.directed)?;
-            self.undirected = evict(&self.undirected)?;
+        // The pinned table keeps every station, so the evicted endpoints
+        // resolve to the dense rows the graphs hold them in.
+        let dense = |ids: &[NodeId]| -> Result<Vec<u32>> {
+            ids.iter()
+                .map(|&id| {
+                    self.trips
+                        .station_index(id)
+                        .ok_or(CoreError::UnknownStation(id))
+                })
+                .collect()
+        };
+        let (src, dst) = (dense(&evicted.evicted_src)?, dense(&evicted.evicted_dst)?);
+        let appended = self.step(batch, (&src, &dst, &evicted.evicted_weight), threads)?;
+        Ok(WindowOutcome { evicted, appended })
+    }
 
-            // Table III: evicted rows decrement the per-group trip
-            // counters (the pinned table keeps dense indices stable, so
-            // the evicted endpoints still resolve).
-            let fixed_dense = fixed_flags(&self.stations, &self.trips);
-            for k in 0..evicted.evicted_rows() {
-                let src = self
-                    .trips
-                    .station_index(evicted.evicted_src[k])
-                    .expect("pinned table keeps every station");
-                let dst = self
-                    .trips
-                    .station_index(evicted.evicted_dst[k])
-                    .expect("pinned table keeps every station");
-                untally_trip(
-                    &fixed_dense,
-                    src,
-                    dst,
-                    &mut self.table.pre_existing,
-                    &mut self.table.selected,
-                );
-            }
+    /// One step past a validated `batch` and the `evicted` rows (dense
+    /// `src`, `dst` and `weight` columns) the table has already dropped:
+    /// untally the evicted trips, append the batch, run both graphs
+    /// through the window kernel and tally the new trips and the merged
+    /// rows' edges.
+    fn step(
+        &mut self,
+        batch: &TripBatch,
+        (src, dst, weight): (&[u32], &[u32], &[f64]),
+        threads: Option<usize>,
+    ) -> Result<AppendOutcome> {
+        let fixed_dense = fixed_flags(&self.stations, &self.trips);
+        let (pre, sel) = (&mut self.table.pre_existing, &mut self.table.selected);
+        for (&s, &d) in src.iter().zip(dst) {
+            untally_trip(&fixed_dense, s, d, pre, sel);
         }
 
-        // The trailing ingest refreshes total_trips and re-tallies the
-        // distinct-edge counters off the post-window merged rows, so the
-        // table is fully consistent on return even for an empty batch.
-        let appended = self.ingest_batch(batch, threads)?;
-        Ok(WindowOutcome { evicted, appended })
+        let outcome = self.trips.append_batch(batch)?;
+        let (trips, bs) = (&self.trips, outcome.batch_start);
+        let evicted = EdgeColumns::new(src, dst, weight);
+        let appended = EdgeColumns::new(
+            &trips.src()[bs..],
+            &trips.dst()[bs..],
+            &trips.weights()[bs..],
+        );
+        // A validated batch interns no station, so the table is pinned.
+        let advance = |graph: &CsrGraph| {
+            let ids = trips.station_ids().to_vec();
+            graph.apply_window(ids, None, evicted, appended, threads)
+        };
+        self.directed = advance(&self.directed)?;
+        self.undirected = advance(&self.undirected)?;
+
+        // Table III: trip counters advance from the batch rows alone;
+        // edge counters re-tally from the merged directed rows (distinct
+        // edges can only be counted there).
+        let (pre, sel) = (&mut self.table.pre_existing, &mut self.table.selected);
+        for k in bs..trips.len() {
+            tally_trip(&fixed_dense, trips.src()[k], trips.dst()[k], pre, sel);
+        }
+        self.table.total_trips = trips.len();
+        self.table.total_edges = tally_edges(&fixed_dense, trips, &self.directed, pre, sel);
+        Ok(outcome)
     }
 
     /// The first batch row that cannot enter this network:
@@ -459,7 +439,9 @@ fn untally_trip(fixed_dense: &[bool], src: u32, dst: u32, pre: &mut GroupRow, se
 }
 
 /// Re-tally the distinct directed edges per group straight off the frozen
-/// rows (resetting the groups' edge counters) and return the total.
+/// dense rows (resetting the groups' edge counters) and return the total.
+/// The directed graph's node table is the trip table's station table, so
+/// a row and each of its targets index `fixed_dense` directly.
 fn tally_edges(
     fixed_dense: &[bool],
     trips: &TripTable,
@@ -467,28 +449,30 @@ fn tally_edges(
     pre: &mut GroupRow,
     sel: &mut GroupRow,
 ) -> usize {
+    debug_assert_eq!(
+        directed.node_ids(),
+        trips.station_ids(),
+        "the directed graph's node table is the station table"
+    );
     pre.edges_from = 0;
     pre.edges_to = 0;
     sel.edges_from = 0;
     sel.edges_to = 0;
     let mut total_edges = 0usize;
-    let fixed_of_id = |id: NodeId| {
-        trips
-            .station_index(id)
-            .map(|i| fixed_dense[i as usize])
-            .unwrap_or(false)
-    };
-    for (src, dst, _) in directed.edges() {
-        total_edges += 1;
-        if fixed_of_id(src) {
-            pre.edges_from += 1;
+    for (u, &fixed) in fixed_dense.iter().enumerate().take(directed.node_count()) {
+        let (targets, _) = directed.row(u);
+        total_edges += targets.len();
+        if fixed {
+            pre.edges_from += targets.len();
         } else {
-            sel.edges_from += 1;
+            sel.edges_from += targets.len();
         }
-        if fixed_of_id(dst) {
-            pre.edges_to += 1;
-        } else {
-            sel.edges_to += 1;
+        for &v in targets {
+            if fixed_dense[v as usize] {
+                pre.edges_to += 1;
+            } else {
+                sel.edges_to += 1;
+            }
         }
     }
     total_edges

@@ -29,18 +29,25 @@
 //!   layered graph from dense columns over its **layer intern**: one pass
 //!   over the table hands every `(station, key)` pair its dense index on
 //!   first sight, through a `station_count × stride` slot array indexed
-//!   by `station_index * stride + key`. The same intern serves the
-//!   window retreat. No intern sort and no per-edge hash operation
-//!   anywhere, parallel yet bit-identical at any thread count.
+//!   by `station_index * stride + key`. No intern sort and no per-edge
+//!   hash operation anywhere, parallel yet bit-identical at any thread
+//!   count.
+//! * **Window steps** — [`apply_window_all`] carries all three graphs
+//!   through a step of
+//!   [`SelectedNetwork::advance_window`](crate::reassign::SelectedNetwork::advance_window),
+//!   one [`CsrGraph::apply_window`] pass per graph. The layered graphs
+//!   re-run the same intern for the new node table and map their old
+//!   nodes into it through the slot array.
 //! * **Hash-map reference (test oracle)** — [`reference_graph`] makes one
 //!   `WeightedGraph::add_edge` per table row and leaves the freeze to the
 //!   caller. Nothing on the pipeline calls it; the equivalence suites
 //!   assert both paths produce *identical* frozen graphs.
 
-use moby_data::trips::{AppendOutcome, EvictOutcome, TripTable};
-use moby_graph::{CsrDelta, CsrGraph, NodeId, WeightedGraph};
+use moby_data::trips::TripTable;
+use moby_graph::{CsrGraph, EdgeColumns, NodeId, WeightedGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::Path;
 
 /// Temporal granularity of a station graph.
@@ -190,23 +197,6 @@ fn decode_layer_map(csr: &CsrGraph, stride: u64) -> HashMap<NodeId, (NodeId, u32
         .collect()
 }
 
-/// Extend a layer map (taken by value — the delta path moves it out of
-/// the consumed [`TemporalGraph`]) with only the layered nodes a delta
-/// appended (dense indices `n_old..`) — the incremental counterpart of
-/// [`decode_layer_map`], with an identical result at O(batch) cost.
-fn extend_layer_map(
-    old: Option<HashMap<NodeId, (NodeId, u32)>>,
-    csr: &CsrGraph,
-    stride: u64,
-    n_old: usize,
-) -> HashMap<NodeId, (NodeId, u32)> {
-    let mut map = old.unwrap_or_default();
-    for &id in &csr.node_ids()[n_old..] {
-        map.insert(id, (id / stride, (id % stride) as u32));
-    }
-    map
-}
-
 /// The layer-node intern of one `GDay`/`GHour` build: a
 /// `station_count × stride` slot array indexed by
 /// `station_index * stride + key` gives each `(station, key)` pair its
@@ -246,6 +236,23 @@ impl LayerIntern {
         self.dense[slot]
     }
 
+    /// Intern table rows `rows`, each row's src then dst, handing each
+    /// row's dense endpoints to `sink`.
+    fn intern_rows(
+        &mut self,
+        trips: &TripTable,
+        rows: Range<usize>,
+        granularity: TemporalGranularity,
+        mut sink: impl FnMut(u32, u32),
+    ) {
+        let (src, dst, day, hour) = (trips.src(), trips.dst(), trips.day(), trips.hour());
+        for k in rows {
+            let key = granularity.layer_key(day[k], hour[k]);
+            let s = self.intern(src[k], key);
+            sink(s, self.intern(dst[k], key));
+        }
+    }
+
     /// The layered node table (`station * stride + key` per dense index),
     /// allocated at its exact length.
     fn node_ids(&self, stations: &[NodeId]) -> Vec<NodeId> {
@@ -257,19 +264,6 @@ impl LayerIntern {
     }
 }
 
-/// The layered node table of the leading `rows` table rows, in the
-/// first-appearance order a build interns them.
-fn layer_node_ids(trips: &TripTable, rows: usize, granularity: TemporalGranularity) -> Vec<NodeId> {
-    let (day, hour) = (trips.day(), trips.hour());
-    let mut intern = LayerIntern::new(trips.station_ids().len(), granularity);
-    for k in 0..rows {
-        let key = granularity.layer_key(day[k], hour[k]);
-        intern.intern(trips.src()[k], key);
-        intern.intern(trips.dst()[k], key);
-    }
-    intern.node_ids(trips.station_ids())
-}
-
 /// Intern the layer nodes of the leading `rows` table rows: the layered
 /// node table and the dense endpoint columns over it.
 fn layered_columns(
@@ -277,14 +271,12 @@ fn layered_columns(
     rows: usize,
     granularity: TemporalGranularity,
 ) -> (Vec<NodeId>, Vec<u32>, Vec<u32>) {
-    let (day, hour) = (trips.day(), trips.hour());
     let mut intern = LayerIntern::new(trips.station_ids().len(), granularity);
     let (mut src, mut dst) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-    for k in 0..rows {
-        let key = granularity.layer_key(day[k], hour[k]);
-        src.push(intern.intern(trips.src()[k], key));
-        dst.push(intern.intern(trips.dst()[k], key));
-    }
+    intern.intern_rows(trips, 0..rows, granularity, |s, d| {
+        src.push(s);
+        dst.push(d);
+    });
     (intern.node_ids(trips.station_ids()), src, dst)
 }
 
@@ -412,159 +404,6 @@ pub fn build_all_from_trips_spilled(
     ])
 }
 
-/// Advance all three temporal graphs by one ingested trip batch — the
-/// incremental counterpart of [`build_all_from_trips`].
-///
-/// `trips` is the table **after**
-/// [`TripTable::append_batch`](moby_data::trips::TripTable::append_batch)
-/// and `outcome` is what that append returned; **one pass** over the
-/// appended rows (`outcome.batch_start..`) emits the per-granularity edge
-/// deltas (layer keys folded into node ids inline, as in the full build),
-/// which merge into the existing frozen graphs via
-/// [`CsrGraph::apply_delta`] — untouched rows are copied, never re-merged
-/// from trips.
-///
-/// The three graphs are **consumed**: their frozen CSRs seed the deltas
-/// and the layered maps move into the results (no per-batch clone of
-/// state the batch didn't touch) — call as
-/// `temporals = apply_batch_all(temporals, ..)`. `basic` optionally
-/// supplies the already-delta-updated station-level undirected CSR (the
-/// pipeline clones
-/// [`SelectedNetwork::undirected`](crate::reassign::SelectedNetwork::undirected)
-/// in after [`ingest_batch`](crate::reassign::SelectedNetwork::ingest_batch),
-/// so `GBasic` is advanced exactly once); pass `None` to delta `GBasic`
-/// from the batch here.
-///
-/// **Equivalence contract:** the returned graphs (and layer maps) are
-/// bit-identical to [`build_all_from_trips`] over the full appended
-/// table, at any thread count — new layered nodes intern exactly where a
-/// full rebuild would place them (first batch appearance, after all
-/// existing nodes) and new stations shift the `GBasic` node table through
-/// `outcome.old_to_new`. The differential proptest suite
-/// (`crates/core/tests/proptest_delta.rs`) asserts this for random batch
-/// chains at 1/2/4 threads.
-///
-/// # Panics
-///
-/// If `temporals` is not the three-granularity slice the build functions
-/// produce, in granularity order.
-pub fn apply_batch_all(
-    temporals: Vec<TemporalGraph>,
-    trips: &TripTable,
-    outcome: &AppendOutcome,
-    basic: Option<CsrGraph>,
-    threads: Option<usize>,
-) -> Vec<TemporalGraph> {
-    let [basic_t, day_t, hour_t] = granularities(temporals);
-    let day_stride = TemporalGranularity::TDay.stride();
-    let hour_stride = TemporalGranularity::THour.stride();
-
-    // One pass over the appended rows: layered edge lists per granularity.
-    let rows = outcome.batch_start..trips.len();
-    let (src, dst) = (trips.src(), trips.dst());
-    let (day, hour, weight) = (trips.day(), trips.hour(), trips.weights());
-    let mut day_edges = Vec::with_capacity(rows.len());
-    let mut hour_edges = Vec::with_capacity(rows.len());
-    for k in rows {
-        let s = trips.station_id(src[k]);
-        let d = trips.station_id(dst[k]);
-        let w = weight[k];
-        let dk = day[k] as u64;
-        day_edges.push((s * day_stride + dk, d * day_stride + dk, w));
-        let hk = hour[k] as u64;
-        hour_edges.push((s * hour_stride + hk, d * hour_stride + hk, w));
-    }
-
-    let basic_csr = match basic {
-        Some(csr) => csr,
-        None => {
-            // Station-level delta over the (possibly extended) sorted
-            // intern table, dense columns straight from the appended rows.
-            let bs = outcome.batch_start;
-            let delta = CsrDelta::from_dense(
-                false,
-                trips.station_ids().to_vec(),
-                outcome.old_to_new.clone(),
-                &trips.src()[bs..],
-                &trips.dst()[bs..],
-                &trips.weights()[bs..],
-            );
-            basic_t.csr.apply_delta(&delta, threads)
-        }
-    };
-    let (day_old_n, hour_old_n) = (day_t.csr.node_count(), hour_t.csr.node_count());
-    let day_delta = CsrDelta::extend_by_id(&day_t.csr, day_edges);
-    let day_csr = day_t.csr.apply_delta(&day_delta, threads);
-    let hour_delta = CsrDelta::extend_by_id(&hour_t.csr, hour_edges);
-    let hour_csr = hour_t.csr.apply_delta(&hour_delta, threads);
-
-    // Layer maps are moved out of the consumed graphs and extended with
-    // only the layered nodes the deltas appended — O(batch) hash inserts
-    // and no re-decode of the full node table.
-    let day_map = extend_layer_map(day_t.layer_map, &day_csr, day_stride, day_old_n);
-    let hour_map = extend_layer_map(hour_t.layer_map, &hour_csr, hour_stride, hour_old_n);
-    vec![
-        TemporalGraph::from_csr(TemporalGranularity::TNull, basic_csr, None),
-        TemporalGraph::from_csr(TemporalGranularity::TDay, day_csr, Some(day_map)),
-        TemporalGraph::from_csr(TemporalGranularity::THour, hour_csr, Some(hour_map)),
-    ]
-}
-
-/// Retreat all three temporal graphs past an eviction — the removal
-/// counterpart of [`apply_batch_all`] and the other half of the windowed
-/// lifecycle.
-///
-/// `trips` is the table **after**
-/// [`TripTable::evict_before`](moby_data::trips::TripTable::evict_before)
-/// (or its pinned variant) and `outcome` is what that eviction returned;
-/// no rows may have been appended since, because the layered graphs
-/// re-intern every row of `trips` as a survivor. After
-/// [`SelectedNetwork::advance_window`](crate::reassign::SelectedNetwork::advance_window),
-/// which appends its batch, use [`apply_window_all`] instead.
-///
-/// Every graph subtracts the evicted rows through
-/// [`CsrGraph::apply_evict`]. `GBasic` keeps the table's sorted station
-/// intern. `GDay`/`GHour` re-run their layer intern over the survivors
-/// for the new node table only: first-appearance order is *not* stable
-/// under row removal (a layer first interned by an evicted trip moves to
-/// its next surviving appearance).
-///
-/// As with [`apply_batch_all`], the graphs are consumed and `basic` can
-/// supply an already-evicted station-level CSR so the pipeline advances
-/// `GBasic` exactly once.
-///
-/// **Equivalence contract:** the returned graphs and layer maps are
-/// bit-identical to [`build_all_from_trips`] over the surviving table, at
-/// any thread count (and against bases built at any shard count) — the
-/// windowed differential suite (`crates/core/tests/proptest_window.rs`)
-/// asserts this for interleaved ingest/evict chains.
-///
-/// # Panics
-///
-/// If `temporals` is not the three-granularity slice the build functions
-/// produce, in granularity order, or if the graphs do not hold the
-/// evicted rows — a broken invariant: the graphs were not built from the
-/// table the outcome came from.
-pub fn apply_evict_all(
-    temporals: Vec<TemporalGraph>,
-    trips: &TripTable,
-    outcome: &EvictOutcome,
-    basic: Option<CsrGraph>,
-    threads: Option<usize>,
-) -> Vec<TemporalGraph> {
-    let [basic_t, day_t, hour_t] = granularities(temporals);
-    let (day_t, hour_t) = evict_layered_pair(day_t, hour_t, trips, trips.len(), outcome, threads);
-    let basic_csr = match basic {
-        Some(csr) => csr,
-        None => evict_basic(basic_t.csr, trips, outcome, threads),
-    };
-    vec![
-        TemporalGraph::from_csr(TemporalGranularity::TNull, basic_csr, None),
-        day_t,
-        hour_t,
-    ]
-}
-
 /// The three graphs of a build, checked to be `GBasic`, `GDay` and
 /// `GHour` in that order.
 fn granularities(temporals: Vec<TemporalGraph>) -> [TemporalGraph; 3] {
@@ -577,96 +416,39 @@ fn granularities(temporals: Vec<TemporalGraph>) -> [TemporalGraph; 3] {
     temporals
 }
 
-/// `GBasic` past an eviction: the evicted rows subtract from the graph
-/// over the table's station intern.
-fn evict_basic(
-    basic: CsrGraph,
-    trips: &TripTable,
-    outcome: &EvictOutcome,
-    threads: Option<usize>,
-) -> CsrGraph {
-    if outcome.is_noop() {
-        return basic;
-    }
-    basic
-        .apply_evict(
-            trips.station_ids().to_vec(),
-            &outcome.evicted_src,
-            &outcome.evicted_dst,
-            &outcome.evicted_weight,
-            threads,
-        )
-        .expect("GBasic holds the evicted rows")
-}
-
-/// The layered (`GDay`/`GHour`) half of an eviction. Each graph re-runs
-/// the layer intern over the leading `rows_end` table rows (the surviving
-/// prefix — a trailing batch may already sit behind it) for its new node
-/// table, folds each evicted row's temporal key into its endpoints as
-/// `station * stride + key`, and subtracts those edges. Layer maps
-/// re-decode from the new tables — eviction can permute a
-/// first-appearance intern (see [`apply_evict_all`]), and the decode is
-/// exactly what a full rebuild would produce.
-fn evict_layered_pair(
-    day_t: TemporalGraph,
-    hour_t: TemporalGraph,
-    trips: &TripTable,
-    rows_end: usize,
-    outcome: &EvictOutcome,
-    threads: Option<usize>,
-) -> (TemporalGraph, TemporalGraph) {
-    if outcome.is_noop() {
-        return (day_t, hour_t);
-    }
-    let retreat = |t: TemporalGraph| {
-        let (granularity, stride) = (t.granularity, t.granularity.stride());
-        let layered = |station: &[NodeId]| -> Vec<NodeId> {
-            (0..outcome.evicted_rows())
-                .map(|k| {
-                    let key =
-                        granularity.layer_key(outcome.evicted_day[k], outcome.evicted_hour[k]);
-                    station[k] * stride + u64::from(key)
-                })
-                .collect()
-        };
-        let csr = t
-            .csr
-            .apply_evict(
-                layer_node_ids(trips, rows_end, granularity),
-                &layered(&outcome.evicted_src),
-                &layered(&outcome.evicted_dst),
-                &outcome.evicted_weight,
-                threads,
-            )
-            .expect("layered graph holds the evicted rows");
-        let map = decode_layer_map(&csr, stride);
-        TemporalGraph::from_csr(granularity, csr, Some(map))
-    };
-    (retreat(day_t), retreat(hour_t))
-}
-
 /// Carry all three temporal graphs through one **window step** — the
-/// eviction then the batch, matching what
+/// pinned eviction and the batch that
 /// [`SelectedNetwork::advance_window`](crate::reassign::SelectedNetwork::advance_window)
-/// did to the station-level state.
+/// applied to the station-level state — with one
+/// [`CsrGraph::apply_window`] pass per graph.
 ///
-/// `trips` is the table *after* `advance_window` (surviving rows first,
-/// then the appended batch — appends only ever extend, so the leading
-/// `outcome.appended.batch_start` rows are exactly the post-evict
-/// survivors the retreat must see). `basic` optionally supplies the
-/// network's already-advanced undirected graph, in which case `GBasic`
-/// skips both phases and swaps it in; with `None`, `GBasic` subtracts the
-/// evicted rows and then takes the batch.
+/// `trips` is the table *after* `advance_window`: the surviving rows
+/// first, then the appended batch (`outcome.appended.batch_start..`).
+/// `basic` optionally supplies the network's already-advanced undirected
+/// graph, which then becomes `GBasic`; with `None`, `GBasic` takes the
+/// step over the table's station intern. `GDay`/`GHour` re-run their
+/// layer intern over every row for the new node table, because eviction
+/// can move a layer node's first appearance. Their old nodes map into
+/// the new table through the intern's `station × stride` slot array, the
+/// evicted rows resolve through the old graph's slots, and the batch rows
+/// take their dense endpoints from the intern. The layer maps drop the
+/// dropped nodes and gain the new ones in place.
 ///
-/// Composes the equivalence contracts of [`apply_evict_all`] and
-/// [`apply_batch_all`]: the result is bit-identical to
-/// [`build_all_from_trips`] over the post-window table at any thread
-/// count.
+/// The graphs are **consumed**, so the layer maps move into the results
+/// — call as `temporals = apply_window_all(temporals, ..)`.
+///
+/// **Equivalence contract:** the result is bit-identical to
+/// [`build_all_from_trips`] over the post-window table, graphs and layer
+/// maps alike, at any thread count. The windowed differential suite
+/// (`crates/core/tests/proptest_window.rs`) asserts this for chains of
+/// steps.
 ///
 /// # Panics
 ///
 /// If `temporals` is not the three-granularity slice the build functions
-/// produce, in granularity order, or if the graphs do not hold the
+/// produce, in granularity order; if `outcome` is not one
+/// `advance_window` returns (its eviction compacted the station table or
+/// its append interned a station); or if the graphs do not hold the
 /// evicted rows — a broken invariant: the graphs were not advanced
 /// through every earlier step of the table `outcome` came from.
 pub fn apply_window_all(
@@ -677,40 +459,171 @@ pub fn apply_window_all(
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
     let [basic_t, day_t, hour_t] = granularities(temporals);
-    let evicted = &outcome.evicted;
-    let (day_t, hour_t) = evict_layered_pair(
-        day_t,
-        hour_t,
-        trips,
-        outcome.appended.batch_start,
-        evicted,
-        threads,
+    let (evicted, bs) = (&outcome.evicted, outcome.appended.batch_start);
+    assert!(
+        evicted.new_to_old.is_none() && outcome.appended.old_to_new.is_none(),
+        "apply_window_all takes advance_window's outcome: a pinned station table"
     );
-    // GBasic retreats unless the caller shares an already-advanced graph
-    // (then the ingest phase swaps it in and no station-level pass runs
-    // here at all). `advance_window` pins the station table, so the
-    // intern the eviction saw is still the table's.
-    let basic_t = match basic {
-        Some(_) => basic_t,
-        None => {
-            let csr = evict_basic(basic_t.csr, trips, evicted, threads);
-            TemporalGraph::from_csr(TemporalGranularity::TNull, csr, None)
-        }
+    // The evicted endpoints' station rows; u32::MAX, which the kernel
+    // rejects, for a station the table does not hold.
+    let station = |ids: &[NodeId]| -> Vec<u32> {
+        ids.iter()
+            .map(|&id| trips.station_index(id).unwrap_or(u32::MAX))
+            .collect()
     };
-    apply_batch_all(
-        vec![basic_t, day_t, hour_t],
+    let step = WindowStep {
         trips,
-        &outcome.appended,
-        basic,
+        batch: bs..trips.len(),
+        evicted_src: station(&evicted.evicted_src),
+        evicted_dst: station(&evicted.evicted_dst),
+        evicted_day: &evicted.evicted_day,
+        evicted_hour: &evicted.evicted_hour,
+        evicted_weight: &evicted.evicted_weight,
         threads,
-    )
+    };
+    let basic_csr = match basic {
+        Some(csr) => csr,
+        None => step.apply(
+            &basic_t.csr,
+            trips.station_ids().to_vec(),
+            None,
+            (&step.evicted_src, &step.evicted_dst),
+            (&trips.src()[bs..], &trips.dst()[bs..]),
+        ),
+    };
+    vec![
+        TemporalGraph::from_csr(TemporalGranularity::TNull, basic_csr, None),
+        step.layered(day_t),
+        step.layered(hour_t),
+    ]
+}
+
+/// One window step of [`apply_window_all`]: the table after it, and the
+/// evicted rows with their endpoints as station rows.
+struct WindowStep<'a> {
+    trips: &'a TripTable,
+    /// The appended batch's table rows.
+    batch: Range<usize>,
+    evicted_src: Vec<u32>,
+    evicted_dst: Vec<u32>,
+    evicted_day: &'a [u8],
+    evicted_hour: &'a [u8],
+    evicted_weight: &'a [f64],
+    threads: Option<usize>,
+}
+
+impl WindowStep<'_> {
+    /// Run `graph` through the kernel: `evicted` endpoints in its dense
+    /// rows, `appended` ones in the new table's.
+    fn apply(
+        &self,
+        graph: &CsrGraph,
+        node_ids: Vec<NodeId>,
+        old_to_new: Option<&[u32]>,
+        (evicted_src, evicted_dst): (&[u32], &[u32]),
+        (appended_src, appended_dst): (&[u32], &[u32]),
+    ) -> CsrGraph {
+        let appended_weight = &self.trips.weights()[self.batch.clone()];
+        graph
+            .apply_window(
+                node_ids,
+                old_to_new,
+                EdgeColumns::new(evicted_src, evicted_dst, self.evicted_weight),
+                EdgeColumns::new(appended_src, appended_dst, appended_weight),
+                self.threads,
+            )
+            .expect("the temporal graphs hold the evicted rows")
+    }
+
+    /// Carry one layered graph (`GDay` or `GHour`) through the step.
+    fn layered(&self, t: TemporalGraph) -> TemporalGraph {
+        let (trips, granularity) = (self.trips, t.granularity);
+        if self.evicted_weight.is_empty() && self.batch.is_empty() {
+            return t;
+        }
+        // The new table: the intern over the survivors, then the batch,
+        // whose dense endpoints it hands over.
+        let mut intern = LayerIntern::new(trips.station_ids().len(), granularity);
+        intern.intern_rows(trips, 0..self.batch.start, granularity, |_, _| {});
+        let rows = self.batch.len();
+        let (mut src, mut dst) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        intern.intern_rows(trips, self.batch.clone(), granularity, |s, d| {
+            src.push(s);
+            dst.push(d);
+        });
+
+        // The old nodes' slots, `station row * stride + key`: the old →
+        // new map reads the intern's slot array, and the evicted rows
+        // resolve through the old graph's.
+        let (stations, stride) = (trips.station_ids(), intern.stride);
+        let mut old_dense = vec![u32::MAX; intern.dense.len()];
+        let old_ids = t.csr.node_ids();
+        let mut old_to_new = Vec::with_capacity(old_ids.len());
+        for (ou, &id) in old_ids.iter().enumerate() {
+            let slot = stations
+                .binary_search(&(id / stride as u64))
+                .map(|s| s * stride + (id % stride as u64) as usize);
+            old_to_new.push(slot.map_or(u32::MAX, |slot| {
+                old_dense[slot] = ou as u32;
+                intern.dense[slot]
+            }));
+        }
+        let old_row = |station: u32, k: usize| {
+            let key = granularity.layer_key(self.evicted_day[k], self.evicted_hour[k]);
+            let slot = station as usize * stride + usize::from(key);
+            old_dense.get(slot).copied().unwrap_or(u32::MAX)
+        };
+        let evicted = |stations: &[u32]| -> Vec<u32> {
+            stations
+                .iter()
+                .enumerate()
+                .map(|(k, &s)| old_row(s, k))
+                .collect()
+        };
+        let (evicted_src, evicted_dst) = (evicted(&self.evicted_src), evicted(&self.evicted_dst));
+
+        let node_ids = intern.node_ids(stations);
+        let identity = node_ids.len() == old_to_new.len()
+            && old_to_new.iter().enumerate().all(|(i, &n)| n as usize == i);
+        let map = (!identity).then_some(&old_to_new[..]);
+        let csr = self.apply(
+            &t.csr,
+            node_ids,
+            map,
+            (&evicted_src, &evicted_dst),
+            (&src, &dst),
+        );
+
+        // The layer map in place: the dropped nodes leave, and the new
+        // table's nodes without an old slot arrive.
+        let stride = stride as u64;
+        let layer_map = match t.layer_map {
+            Some(mut layer_map) => {
+                for (ou, &nu) in old_to_new.iter().enumerate() {
+                    if nu == u32::MAX {
+                        layer_map.remove(&old_ids[ou]);
+                    }
+                }
+                for (nu, &slot) in intern.slots.iter().enumerate() {
+                    if old_dense[slot as usize] == u32::MAX {
+                        let id = csr.node_ids()[nu];
+                        layer_map.insert(id, (id / stride, (id % stride) as u32));
+                    }
+                }
+                layer_map
+            }
+            None => decode_layer_map(&csr, stride),
+        };
+        TemporalGraph::from_csr(granularity, csr, Some(layer_map))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reassign::WindowOutcome;
     use crate::CoreError;
-    use moby_data::trips::TripBatch;
+    use moby_data::trips::{TripBatch, WindowStart};
 
     #[test]
     fn granularity_metadata() {
@@ -941,78 +854,24 @@ mod tests {
         }
     }
 
+    /// The outcome of a pinned eviction at `window` with an empty batch,
+    /// as `advance_window` reports it.
+    fn evict_step(trips: &mut TripTable, window: WindowStart) -> WindowOutcome {
+        let evicted = trips.evict_before_pinned(window);
+        let appended = trips.append_batch(&TripBatch::new()).unwrap();
+        WindowOutcome { evicted, appended }
+    }
+
     #[test]
-    fn apply_batch_all_matches_full_rebuild() {
+    fn window_step_keeps_isolated_stations_in_gbasic() {
         let mut trips = trip_table();
         let base = build_all_from_trips(&trips, None, Some(1));
-        let mut batch = TripBatch::new();
-        // Existing stations at new times, a repeated edge, and a brand-new
-        // station (id 2, which sorts between 1 and 3).
-        let t = |day: u32, hour: u32| {
-            moby_data::timeparse::Timestamp::from_ymd_hms(2020, 6, 1 + day, hour, 0, 0).unwrap()
-        };
-        batch.push(1, 0, t(0, 8)); // station 0 is new and sorts first,
-                                   // shifting every old dense index
-        batch.push(1, 0, t(0, 8)); // duplicate layered edge
-        batch.push(3, 1, t(3, 21));
-        let outcome = trips.append_batch(&batch).unwrap();
-        assert_eq!(outcome.new_stations, vec![0]);
-        for threads in [Some(1), Some(2), Some(4)] {
-            let got = apply_batch_all(base.clone(), &trips, &outcome, None, threads);
-            let want = build_all_from_trips(&trips, None, threads);
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.granularity, w.granularity);
-                assert_eq!(g.csr, w.csr, "{:?} diverged from rebuild", g.granularity);
-                assert_eq!(g.layer_map, w.layer_map, "{:?} map", g.granularity);
-            }
-        }
-        // Sharing an already-updated GBasic skips the station-level delta.
-        let updated = build_all_from_trips(&trips, None, Some(1));
-        let shared = apply_batch_all(
-            base,
-            &trips,
-            &outcome,
-            Some(updated[0].csr.clone()),
-            Some(1),
+        let outcome = evict_step(&mut trips, WindowStart::new(5, 0));
+        assert!(
+            outcome.evicted.new_to_old.is_none(),
+            "pinned table never compacts"
         );
-        assert_eq!(shared[0].csr, updated[0].csr);
-        assert_eq!(shared[1].csr, updated[1].csr);
-    }
-
-    #[test]
-    fn apply_evict_all_matches_rebuild_over_survivors() {
-        use moby_data::trips::WindowStart;
-        // Compacting eviction: day-0..4 rows expire, station 1 loses every
-        // trip and leaves the intern table.
-        let mut trips = trip_table();
-        let base = build_all_from_trips(&trips, None, Some(1));
-        let outcome = trips.evict_before(WindowStart::new(5, 0));
-        assert_eq!(outcome.evicted_rows(), 3);
-        assert!(outcome.new_to_old.is_some(), "station 1 must drop");
-        for threads in [Some(1), Some(2), Some(4)] {
-            let got = apply_evict_all(base.clone(), &trips, &outcome, None, threads);
-            let want = build_all_from_trips(&trips, None, threads);
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.granularity, w.granularity);
-                assert_eq!(g.csr, w.csr, "{:?} diverged from rebuild", g.granularity);
-                assert_eq!(g.layer_map, w.layer_map, "{:?} map", g.granularity);
-            }
-        }
-        // Sharing an already-evicted GBasic skips the station-level pass.
-        let want = build_all_from_trips(&trips, None, Some(1));
-        let shared = apply_evict_all(base, &trips, &outcome, Some(want[0].csr.clone()), Some(1));
-        assert_eq!(shared[0].csr, want[0].csr);
-        assert_eq!(shared[2].csr, want[2].csr);
-    }
-
-    #[test]
-    fn pinned_evict_keeps_isolated_stations_in_gbasic() {
-        use moby_data::trips::WindowStart;
-        let mut trips = trip_table();
-        let base = build_all_from_trips(&trips, None, Some(1));
-        let outcome = trips.evict_before_pinned(WindowStart::new(5, 0));
-        assert!(outcome.new_to_old.is_none(), "pinned table never compacts");
-        let got = apply_evict_all(base, &trips, &outcome, None, Some(2));
+        let got = apply_window_all(base, &trips, &outcome, None, Some(2));
         // GBasic keeps station 1 as an isolated row, exactly as a rebuild
         // seeded with the full pinned station table would.
         let want = build_all_from_trips(&trips, None, Some(1));
@@ -1020,21 +879,35 @@ mod tests {
         assert_eq!(got[0].csr.node_count(), 3);
         let row1 = got[0].csr.index_of(1).unwrap() as usize;
         assert_eq!(got[0].csr.degree(row1), 0);
-        assert_eq!(got[1].csr, want[1].csr);
-        assert_eq!(got[2].csr, want[2].csr);
+        for (g, w) in got.iter().zip(&want).skip(1) {
+            assert_eq!(g.csr, w.csr);
+            assert_eq!(g.layer_map, w.layer_map);
+        }
     }
 
     #[test]
-    fn noop_evict_returns_graphs_unchanged() {
-        use moby_data::trips::WindowStart;
+    fn empty_window_step_returns_graphs_unchanged() {
         let mut trips = trip_table();
         let base = build_all_from_trips(&trips, None, Some(1));
-        let outcome = trips.evict_before(WindowStart::new(0, 0));
-        assert!(outcome.is_noop());
-        let got = apply_evict_all(base.clone(), &trips, &outcome, None, Some(2));
+        let outcome = evict_step(&mut trips, WindowStart::new(0, 0));
+        assert!(outcome.evicted.is_noop());
+        let got = apply_window_all(base.clone(), &trips, &outcome, None, Some(2));
         for (g, b) in got.iter().zip(&base) {
-            assert_eq!(g.csr, b.csr);
+            assert!(g.csr.shares_storage(&b.csr));
+            assert_eq!(g.layer_map, b.layer_map);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pinned station table")]
+    fn a_compacting_eviction_is_not_a_window_step() {
+        let mut trips = trip_table();
+        let base = build_all_from_trips(&trips, None, Some(1));
+        let evicted = trips.evict_before(WindowStart::new(5, 0));
+        assert!(evicted.new_to_old.is_some(), "station 1 must drop");
+        let appended = trips.append_batch(&TripBatch::new()).unwrap();
+        let outcome = WindowOutcome { evicted, appended };
+        apply_window_all(base, &trips, &outcome, None, Some(1));
     }
 
     #[test]

@@ -1,20 +1,25 @@
 //! Differential proptests for the incremental ingestion path.
 //!
-//! The contract under test (PR 4's tentpole): appending random trip
-//! batches to a [`TripTable`] and advancing the frozen graphs via
-//! `CsrDelta` / `apply_delta` / `apply_batch_all` is **bitwise equal** —
-//! node table, offsets, targets, weights, cached degrees, edge counts,
-//! total weight — to rebuilding everything in one shot from the
+//! The contract under test: appending random trip batches to a
+//! [`TripTable`] and advancing the frozen graphs through the window
+//! kernel (`CsrGraph::apply_window` with nothing evicted) is **bitwise
+//! equal** — node table, offsets, targets, weights, cached degrees, edge
+//! counts, total weight — to rebuilding everything in one shot from the
 //! concatenated table via `build_dense_csr` / `build_all_from_trips`, at
 //! 1/2/4 threads, and the temporal graphs equal the independent hash-map
-//! reference (`reference_graph(..).freeze()`). Random cases are
-//! supplemented by the named edge cases:
-//! empty batches, batches of only-duplicate edges, and batches
-//! introducing only-new stations.
+//! reference (`reference_graph(..).freeze()`). The station graphs take
+//! each batch through the kernel with `AppendOutcome::old_to_new` as the
+//! map. A batch over known stations is a window step that evicts
+//! nothing, so the temporal graphs take it through `apply_window_all`;
+//! one that interns a station has no incremental temporal path, and the
+//! temporal graphs are rebuilt. Random cases are supplemented by the
+//! named edge cases: empty batches, batches of only-duplicate edges, and
+//! batches introducing only-new stations.
 
-use moby_core::temporal::{apply_batch_all, build_all_from_trips, reference_graph, TemporalGraph};
-use moby_data::trips::{TripBatch, TripTable};
-use moby_graph::{build_dense_csr, CsrGraph};
+use moby_core::reassign::WindowOutcome;
+use moby_core::temporal::{apply_window_all, build_all_from_trips, reference_graph, TemporalGraph};
+use moby_data::trips::{EvictOutcome, TripBatch, TripTable};
+use moby_graph::{build_dense_csr, CsrGraph, EdgeColumns};
 use proptest::prelude::*;
 
 /// A generated trip row: external endpoints, temporal keys, weight.
@@ -84,6 +89,19 @@ fn assert_identical(got: &CsrGraph, want: &CsrGraph, what: &str) {
     }
 }
 
+/// What an eviction that removed nothing reports.
+fn no_eviction() -> EvictOutcome {
+    EvictOutcome {
+        evicted_src: Vec::new(),
+        evicted_dst: Vec::new(),
+        evicted_day: Vec::new(),
+        evicted_hour: Vec::new(),
+        evicted_weight: Vec::new(),
+        new_to_old: None,
+        removed_stations: Vec::new(),
+    }
+}
+
 /// Build the base table over [`BASE_POOL`] (isolated stations included)
 /// and push the base rows.
 fn base_table(base_rows: &[Row]) -> TripTable {
@@ -142,27 +160,34 @@ fn check_chain(base_rows: &[Row], batches: &[Vec<Row>], threads: usize) {
         }
         assert_eq!(table, scratch, "appended table diverged from scratch");
 
-        // Graph deltas vs one-shot rebuilds.
+        // Kernel steps vs one-shot rebuilds.
         let bs = outcome.batch_start;
-        let delta = moby_graph::CsrDelta::from_dense(
-            true,
-            table.station_ids().to_vec(),
-            outcome.old_to_new.clone(),
+        let appended = EdgeColumns::new(
             &table.src()[bs..],
             &table.dst()[bs..],
             &table.weights()[bs..],
         );
-        directed = directed.apply_delta(&delta, threads);
-        let delta = moby_graph::CsrDelta::from_dense(
-            false,
-            table.station_ids().to_vec(),
-            outcome.old_to_new.clone(),
-            &table.src()[bs..],
-            &table.dst()[bs..],
-            &table.weights()[bs..],
-        );
-        undirected = undirected.apply_delta(&delta, threads);
-        temporals = apply_batch_all(temporals, &table, &outcome, None, threads);
+        for graph in [&mut directed, &mut undirected] {
+            let next = graph
+                .apply_window(
+                    table.station_ids().to_vec(),
+                    outcome.old_to_new.as_deref(),
+                    EdgeColumns::default(),
+                    appended,
+                    threads,
+                )
+                .expect("a batch in the trip domain");
+            *graph = next;
+        }
+        temporals = if outcome.old_to_new.is_none() {
+            let outcome = WindowOutcome {
+                evicted: no_eviction(),
+                appended: outcome,
+            };
+            apply_window_all(temporals, &table, &outcome, None, threads)
+        } else {
+            build_all_from_trips(&table, None, threads)
+        };
 
         let want_directed = build_dense_csr(
             true,
@@ -222,8 +247,7 @@ fn empty_batches_are_identity() {
 fn only_duplicate_edge_batches_merge_into_existing_entries() {
     // Every batch row repeats an edge the base already has, at the same
     // temporal key — merged weights must continue the rebuild's fold.
-    // Trip weights are integers, so the order of that fold cannot show
-    // here; `moby_graph`'s delta tests pin it with fractional weights.
+    // Trip weights are integers, so the order of that fold cannot show.
     let base: Vec<Row> = vec![
         (100, 102, 0, 8, 1.0),
         (100, 102, 0, 8, 5.0),

@@ -1,10 +1,9 @@
-//! Differential proptests for the windowed delta lifecycle.
+//! Differential proptests for the windowed lifecycle.
 //!
-//! The contract under test (PR 7's tentpole): interleaving random trip
-//! batches, window evictions and whole window steps over a
-//! [`TripTable`] — advancing the frozen graphs via `CsrDelta` /
-//! `CsrGraph::apply_evict` / `apply_batch_all` / `apply_evict_all` /
-//! `apply_window_all` — is **bitwise equal** — node table, offsets,
+//! The contract under test: interleaving random trip batches, window
+//! evictions and whole window steps over a [`TripTable`] — advancing the
+//! frozen graphs through the window kernel (`CsrGraph::apply_window`)
+//! and `apply_window_all` — is **bitwise equal** — node table, offsets,
 //! targets, weights, cached degrees, edge counts, total weight, layer
 //! maps — to rebuilding everything in one shot from the surviving table,
 //! at 1/2/4 threads and 1/4 construction shards. Trip weights are
@@ -13,24 +12,31 @@
 //! also pinned to the independent hash-map reference
 //! (`reference_graph(..).freeze()`), since evictions move layer nodes'
 //! first appearances and the rebuild shares the layer intern under test.
-//! A window step runs as `SelectedNetwork::advance_window` does — a
-//! pinned eviction, then a batch over stations the table holds — and
-//! goes through `apply_window_all` both with `GBasic` shared and with it
-//! advanced there. Random chains are
-//! supplemented by the named edge cases: evicting everything, evicting
-//! nothing, pinned evictions that leave isolated stations, and a batch
-//! re-adding a station the previous eviction compacted away.
+//!
+//! The station graphs take every op through the kernel, with the maps
+//! `AppendOutcome::old_to_new` and `EvictOutcome::new_to_old` give. A
+//! window step runs as `SelectedNetwork::advance_window` does — a pinned
+//! eviction, then a batch over stations the table holds, one kernel pass
+//! per graph — and the temporal graphs follow through `apply_window_all`,
+//! both with `GBasic` shared and with it advanced there. An ingest-only
+//! or evict-only op that keeps the station table is such a step with one
+//! side empty and goes the same way; one that interns or compacts away a
+//! station has no incremental temporal path, so the temporal graphs are
+//! rebuilt. Random chains are supplemented by the named edge cases:
+//! evicting everything, evicting nothing, pinned evictions that leave
+//! isolated stations, and a batch re-adding a station the previous
+//! eviction compacted away.
 
 use moby_core::detect::{
     detect_communities, refresh_communities, refresh_communities_active, DetectConfig,
 };
 use moby_core::reassign::WindowOutcome;
 use moby_core::temporal::{
-    apply_batch_all, apply_evict_all, apply_window_all, build_all_from_trips,
-    build_all_from_trips_sharded, reference_graph, TemporalGraph,
+    apply_window_all, build_all_from_trips, build_all_from_trips_sharded, reference_graph,
+    TemporalGraph,
 };
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart};
-use moby_graph::{build_dense_csr, CsrDelta, CsrGraph};
+use moby_graph::{build_dense_csr, CsrGraph, EdgeColumns};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 
@@ -117,44 +123,99 @@ fn append(table: &mut TripTable, rows: &[Row]) -> AppendOutcome {
         .expect("weights in the trip domain")
 }
 
-/// Advance both station graphs past an append, by delta.
-fn delta_station_graphs(
+/// Advance both station graphs through the kernel past one op: the
+/// rows `evicted` dropped (external ids over the graphs' own table,
+/// which the eviction compacted by its `new_to_old` when it dropped
+/// stations), then the rows `appended` added (over the table after it,
+/// shifted by its `old_to_new`).
+fn step_station_graphs(
     table: &TripTable,
-    outcome: &AppendOutcome,
+    evicted: Option<&EvictOutcome>,
+    appended: Option<&AppendOutcome>,
     graphs: [&mut CsrGraph; 2],
     threads: Option<usize>,
 ) {
-    let bs = outcome.batch_start;
     for graph in graphs {
-        let delta = CsrDelta::from_dense(
-            graph.is_directed(),
-            table.station_ids().to_vec(),
-            outcome.old_to_new.clone(),
+        let old_ids = graph.node_ids();
+        let dense = |ids: &[u64]| -> Vec<u32> {
+            ids.iter()
+                .map(|id| old_ids.binary_search(id).expect("evicted station") as u32)
+                .collect()
+        };
+        let none = (Vec::new(), Vec::new(), Vec::new());
+        let gone = evicted.map_or(none, |e| {
+            let weight = e.evicted_weight.clone();
+            (dense(&e.evicted_src), dense(&e.evicted_dst), weight)
+        });
+        // Old → new: through the eviction's compaction, then the append's
+        // shift.
+        let mut map: Vec<u32> = (0..old_ids.len() as u32).collect();
+        if let Some(new_to_old) = evicted.and_then(|e| e.new_to_old.as_ref()) {
+            map.fill(u32::MAX);
+            for (nu, &ou) in new_to_old.iter().enumerate() {
+                map[ou as usize] = nu as u32;
+            }
+        }
+        if let Some(shift) = appended.and_then(|a| a.old_to_new.as_ref()) {
+            for nu in map.iter_mut().filter(|nu| **nu != u32::MAX) {
+                *nu = shift[*nu as usize];
+            }
+        }
+        let unchanged = evicted.is_none_or(|e| e.new_to_old.is_none())
+            && appended.is_none_or(|a| a.old_to_new.is_none());
+        let bs = appended.map_or(table.len(), |a| a.batch_start);
+        let added = EdgeColumns::new(
             &table.src()[bs..],
             &table.dst()[bs..],
             &table.weights()[bs..],
         );
-        *graph = graph.apply_delta(&delta, threads);
-    }
-}
-
-/// Retreat both station graphs past an eviction, by subtraction.
-fn evict_station_graphs(
-    table: &TripTable,
-    outcome: &EvictOutcome,
-    graphs: [&mut CsrGraph; 2],
-    threads: Option<usize>,
-) {
-    for graph in graphs {
-        *graph = graph
-            .apply_evict(
+        let next = graph
+            .apply_window(
                 table.station_ids().to_vec(),
-                &outcome.evicted_src,
-                &outcome.evicted_dst,
-                &outcome.evicted_weight,
+                (!unchanged).then_some(&map[..]),
+                EdgeColumns::new(&gone.0, &gone.1, &gone.2),
+                added,
                 threads,
             )
             .expect("the graph holds the evicted rows");
+        *graph = next;
+    }
+}
+
+/// Carry the temporal graphs past one op: through `apply_window_all`
+/// when the op is a window step (the station table kept), by a rebuild
+/// otherwise.
+fn step_temporals(
+    temporals: Vec<TemporalGraph>,
+    table: &TripTable,
+    outcome: WindowOutcome,
+    threads: Option<usize>,
+) -> Vec<TemporalGraph> {
+    if outcome.evicted.new_to_old.is_none() && outcome.appended.old_to_new.is_none() {
+        apply_window_all(temporals, table, &outcome, None, threads)
+    } else {
+        build_all_from_trips(table, None, threads)
+    }
+}
+
+/// What an empty eviction or an empty append of `table` reports.
+fn no_eviction() -> EvictOutcome {
+    EvictOutcome {
+        evicted_src: Vec::new(),
+        evicted_dst: Vec::new(),
+        evicted_day: Vec::new(),
+        evicted_hour: Vec::new(),
+        evicted_weight: Vec::new(),
+        new_to_old: None,
+        removed_stations: Vec::new(),
+    }
+}
+
+fn no_append(table: &TripTable) -> AppendOutcome {
+    AppendOutcome {
+        batch_start: table.len(),
+        old_to_new: None,
+        new_stations: Vec::new(),
     }
 }
 
@@ -283,50 +344,45 @@ fn check_chain(base_rows: &[Row], ops: &[Op], threads: usize, shards: usize, pin
     for op in ops {
         match op {
             Op::Ingest(batch_rows) => {
-                let outcome = append(&mut table, batch_rows);
+                let appended = append(&mut table, batch_rows);
                 rows.extend_from_slice(batch_rows);
                 stations.extend(batch_rows.iter().flat_map(|&(s, d, ..)| [s, d]));
-                delta_station_graphs(&table, &outcome, [&mut directed, &mut undirected], threads);
-                temporals = apply_batch_all(temporals, &table, &outcome, None, threads);
+                let graphs = [&mut directed, &mut undirected];
+                step_station_graphs(&table, None, Some(&appended), graphs, threads);
+                let outcome = WindowOutcome {
+                    evicted: no_eviction(),
+                    appended,
+                };
+                temporals = step_temporals(temporals, &table, outcome, threads);
             }
             Op::Evict(window) => {
-                let outcome = if pinned {
+                let evicted = if pinned {
                     table.evict_before_pinned(*window)
                 } else {
                     table.evict_before(*window)
                 };
                 rows.retain(|&(_, _, day, hour, _)| window.keeps(day, hour));
-                if !pinned && !outcome.is_noop() {
+                if !pinned && !evicted.is_noop() {
                     stations = rows.iter().flat_map(|&(s, d, ..)| [s, d]).collect();
                 }
-                if !outcome.is_noop() {
-                    evict_station_graphs(
-                        &table,
-                        &outcome,
-                        [&mut directed, &mut undirected],
-                        threads,
-                    );
-                }
-                temporals = apply_evict_all(temporals, &table, &outcome, None, threads);
+                let graphs = [&mut directed, &mut undirected];
+                step_station_graphs(&table, Some(&evicted), None, graphs, threads);
+                let appended = no_append(&table);
+                let outcome = WindowOutcome { evicted, appended };
+                temporals = step_temporals(temporals, &table, outcome, threads);
             }
             Op::Window(window, batch_rows) => {
                 // As `SelectedNetwork::advance_window`: the pinned
-                // eviction, then the batch; the station set stays.
+                // eviction, then the batch, in one kernel pass per graph;
+                // the station set stays.
                 let batch_rows = onto_known_stations(&table, batch_rows);
                 let evicted = table.evict_before_pinned(*window);
                 rows.retain(|&(_, _, day, hour, _)| window.keeps(day, hour));
-                if !evicted.is_noop() {
-                    evict_station_graphs(
-                        &table,
-                        &evicted,
-                        [&mut directed, &mut undirected],
-                        threads,
-                    );
-                }
                 let appended = append(&mut table, &batch_rows);
                 assert!(appended.old_to_new.is_none(), "batch over known stations");
                 rows.extend_from_slice(&batch_rows);
-                delta_station_graphs(&table, &appended, [&mut directed, &mut undirected], threads);
+                let graphs = [&mut directed, &mut undirected];
+                step_station_graphs(&table, Some(&evicted), Some(&appended), graphs, threads);
 
                 let outcome = WindowOutcome { evicted, appended };
                 let shared = apply_window_all(
@@ -393,7 +449,7 @@ fn check_active_refresh_chain(base_rows: &[Row], ops: &[Op], threads: usize) {
                 append(&mut table, &batch_rows);
             }
         }
-        // The delta paths are proven bitwise-equal to rebuilds above, so
+        // The incremental paths are proven bitwise-equal to rebuilds above, so
         // the refresh property can rebuild one-shot and focus on the
         // seeded-sweep equivalence alone.
         directed = build_directed(&table);

@@ -208,10 +208,10 @@ impl WindowStart {
 
 /// What [`TripTable::evict_before`] removed from the table — the
 /// subtraction-side mirror of [`AppendOutcome`]. Downstream incremental
-/// consumers (the graph layer's `CsrGraph::apply_evict`) subtract the
-/// expired rows themselves from the merged weights that hold them; every
-/// row's weight is an integer in the trip domain, so the subtraction is
-/// exact.
+/// consumers (the graph layer's window kernel, `CsrGraph::apply_window`)
+/// subtract the expired rows themselves from the merged weights that
+/// hold them; every row's weight is an integer in the trip domain, so
+/// the subtraction is exact.
 ///
 /// Evicted endpoints are reported as **external** station ids: after a
 /// compacting evict the old dense index space no longer exists, and
@@ -270,8 +270,9 @@ impl EvictOutcome {
 }
 
 /// What [`TripTable::append_batch`] did to the table — everything a
-/// downstream incremental consumer (the graph layer's `CsrDelta`) needs
-/// to mirror the update without re-reading untouched rows.
+/// downstream incremental consumer (the graph layer's window kernel,
+/// `CsrGraph::apply_window`) needs to mirror the update without
+/// re-reading untouched rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppendOutcome {
     /// Row index where the appended batch begins (the table's length

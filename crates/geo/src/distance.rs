@@ -84,20 +84,6 @@ pub(crate) fn haversine_term_lower(
     a * a * (1.0 - a * a / 3.0) + cos1 * cos2 * (b * b * (1.0 - b * b / 3.0))
 }
 
-/// Fast equirectangular approximation of the distance between two points,
-/// in metres.
-///
-/// Accurate to well under 0.1 % at city scale; used only where an index
-/// needs a cheap lower bound (the exact Haversine is always used for the
-/// final rule checks).
-#[inline]
-pub fn equirectangular_m(a: GeoPoint, b: GeoPoint) -> f64 {
-    let mean_lat = 0.5 * (a.lat_rad() + b.lat_rad());
-    let x = (b.lon_rad() - a.lon_rad()) * mean_lat.cos();
-    let y = b.lat_rad() - a.lat_rad();
-    EARTH_RADIUS_M * (x * x + y * y).sqrt()
-}
-
 /// Initial bearing (forward azimuth) from `a` to `b`, in degrees in
 /// `[0, 360)`.
 pub fn bearing_deg(a: GeoPoint, b: GeoPoint) -> f64 {
@@ -178,15 +164,6 @@ mod tests {
         let b = p(53.35 + 50.0 / 111_195.0, -6.26);
         let d = haversine_m(a, b);
         assert!((d - 50.0).abs() < 0.05, "got {d}");
-    }
-
-    #[test]
-    fn equirectangular_close_to_haversine_at_city_scale() {
-        let a = p(53.3498, -6.2603);
-        let b = p(53.3600, -6.3200);
-        let h = haversine_m(a, b);
-        let e = equirectangular_m(a, b);
-        assert!((h - e).abs() / h < 1e-3, "h={h} e={e}");
     }
 
     #[test]

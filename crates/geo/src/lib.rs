@@ -44,9 +44,7 @@ mod point;
 mod polygon;
 
 pub use bbox::BoundingBox;
-pub use distance::{
-    bearing_deg, destination_point, equirectangular_m, haversine_m, haversine_rad, EARTH_RADIUS_M,
-};
+pub use distance::{bearing_deg, destination_point, haversine_m, haversine_rad, EARTH_RADIUS_M};
 pub use error::GeoError;
 pub use grid::{GridIndex, NeighbourRows};
 pub use kdtree::KdTree;

@@ -281,8 +281,8 @@ pub fn build_dense_csr(
 /// any shard count and any thread count** — the shard-independence
 /// proptests assert this bitwise over {1, 2, 4} shards × {1, 2, 4}
 /// threads — so downstream consumers (including
-/// [`CsrGraph::apply_delta`](crate::CsrGraph::apply_delta), which accepts
-/// sharded bases unchanged) cannot observe the knob.
+/// [`CsrGraph::apply_window`](crate::CsrGraph::apply_window), which
+/// accepts sharded bases unchanged) cannot observe the knob.
 ///
 /// `shards = None` resolves the `MOBY_SHARDS` environment variable via
 /// [`par::shard_count`] (default 1). Shards scan in parallel, so pick
@@ -373,11 +373,12 @@ pub fn build_dense_csr_budgeted(
             directed,
             node_ids,
             offsets,
-            targets,
-            weights,
+            targets: targets.into(),
+            weights: weights.into(),
             in_offsets,
-            in_targets,
-            in_weights,
+            in_targets: in_targets.into(),
+            in_weights: in_weights.into(),
+            degrees: None,
             edge_count,
             total_weight,
         },
@@ -389,11 +390,11 @@ pub fn build_dense_csr_budgeted(
 /// yields `(rows[k], cols[k], weights[k])` and, unless `directed` or a
 /// self-loop, also `(cols[k], rows[k], weights[k])`. This one expansion
 /// feeds the build's counting, scatter and partition passes and the
-/// delta and evict merges ([`half_edges`]), so each row sees every
+/// window kernel's buckets ([`crate::window`]), so each row sees every
 /// incident edge in insertion order, as the builder's symmetric adjacency
 /// update does.
 #[inline]
-fn for_each_half_edge(
+pub(crate) fn for_each_half_edge(
     rows: &[u32],
     cols: &[u32],
     weights: &[f64],
@@ -408,37 +409,12 @@ fn for_each_half_edge(
     }
 }
 
-/// Half-edge columns: one `(row, col, weight)` record per adjacency entry,
-/// in insertion order — the batch form the delta ([`crate::delta`]) and
-/// evict ([`crate::evict`]) merges bucket by row.
-pub(crate) struct HalfEdges {
-    pub(crate) row: Vec<u32>,
-    pub(crate) col: Vec<u32>,
-    pub(crate) weight: Vec<f64>,
-}
-
-/// Expand edges into half-edge columns (see [`for_each_half_edge`]):
-/// `rows`/`cols` are swapped by the caller for a directed in-adjacency.
-pub(crate) fn half_edges(rows: &[u32], cols: &[u32], weights: &[f64], directed: bool) -> HalfEdges {
-    let cap = if directed { rows.len() } else { 2 * rows.len() };
-    let mut half = HalfEdges {
-        row: Vec::with_capacity(cap),
-        col: Vec::with_capacity(cap),
-        weight: Vec::with_capacity(cap),
-    };
-    for_each_half_edge(rows, cols, weights, directed, |r, c, w| {
-        half.row.push(r);
-        half.col.push(c);
-        half.weight.push(w);
-    });
-    half
-}
-
 /// Order one row's bucket by target, equal targets in bucket (insertion)
 /// order: fill `keys` with `(cols[i] << 32) | i` and sort them. The keys
 /// are distinct, so `sort_unstable` yields exactly that order; read them
-/// back with [`key_target`] and [`key_pos`]. The build's merge and
-/// [`crate::delta`]'s both order rows through this one function.
+/// back with [`key_target`] and [`key_pos`]. The build's merge and the
+/// window kernel's ([`crate::window`]) both order rows through this one
+/// function.
 pub(crate) fn sort_row(cols: &[u32], keys: &mut Vec<u64>) {
     debug_assert!(cols.len() <= u32::MAX as usize, "row exceeds u32 space");
     keys.clear();

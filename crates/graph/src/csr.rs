@@ -12,8 +12,12 @@
 //!   `targets[offsets[u]..offsets[u+1]]` (sorted by target index) with
 //!   parallel edge weights, so an edge scan is a linear walk over dense
 //!   arrays;
-//! * an interned dense table mapping external [`NodeId`]s to `u32` indices
-//!   (and back via `node_ids`);
+//! * the dense node table (`node_ids`: the external [`NodeId`] at each
+//!   `u32` index) and, built lazily on the first lookup by id
+//!   ([`CsrGraph::index_of`], [`CsrGraph::contains`], the `*_of`
+//!   accessors), the inverse id index. Algorithms address nodes by dense
+//!   index, so a graph that is built, advanced by
+//!   [`CsrGraph::apply_window`] and swept never pays for the index;
 //! * cached per-node weighted degrees: `strength` (incident weight, loops
 //!   once) and `weighted_degree` (the Louvain convention, loops twice),
 //!   plus the self-loop weight, so the community layer never recomputes
@@ -27,7 +31,7 @@
 
 use crate::{par, CsrBuilder, NodeId, WeightedGraph};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Cache-line width (bytes) the adjacency slabs align to.
 pub const CACHE_LINE: usize = 64;
@@ -60,13 +64,18 @@ impl<T: Copy + Default> AlignedSlab<T> {
 
     /// Copy `data` into a freshly aligned slab.
     pub fn from_slice(data: &[T]) -> Self {
-        let len = data.len();
+        Self::concat(data.len(), [data])
+    }
+
+    /// Copy consecutive `parts`, `len` elements in all, into one freshly
+    /// aligned slab — how the window kernel packs its per-chunk rows
+    /// without an intermediate concatenated `Vec`.
+    pub(crate) fn concat<'a>(len: usize, parts: impl IntoIterator<Item = &'a [T]>) -> Self
+    where
+        T: 'a,
+    {
         if len == 0 {
-            return Self {
-                buf: Vec::new(),
-                off: 0,
-                len: 0,
-            };
+            return Self::default();
         }
         let pad = Self::lane_count();
         let mut buf = vec![T::default(); len + pad];
@@ -74,7 +83,12 @@ impl<T: Copy + Default> AlignedSlab<T> {
         // alignment is a pure optimisation, so fall back to offset 0.
         let off = buf.as_ptr().align_offset(CACHE_LINE);
         let off = if off > pad { 0 } else { off };
-        buf[off..off + len].copy_from_slice(data);
+        let mut at = off;
+        for part in parts {
+            buf[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        assert_eq!(at, off + len, "slab parts must fill the slab");
         Self { buf, off, len }
     }
 
@@ -137,9 +151,9 @@ impl<T: Copy + Default + PartialEq> PartialEq for AlignedSlab<T> {
 
 /// The raw arrays of a CSR graph, handed to
 /// [`CsrGraph::from_parts`] by construction paths that assemble the
-/// adjacency themselves (the freeze path and the columnar
-/// [`CsrBuilder`](crate::CsrBuilder)). Rows must already be
-/// sorted by target index with duplicates merged.
+/// adjacency themselves (the freeze path, the columnar
+/// [`CsrBuilder`](crate::CsrBuilder) and the window kernel). Rows must
+/// already be sorted by target index with duplicates merged.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CsrParts {
     /// Whether the graph is directed.
@@ -149,31 +163,94 @@ pub(crate) struct CsrParts {
     /// Out-row offsets (`n + 1` entries).
     pub offsets: Vec<u32>,
     /// Out-row targets, sorted per row.
-    pub targets: Vec<u32>,
+    pub targets: AlignedSlab<u32>,
     /// Out-row merged weights, parallel to `targets`.
-    pub weights: Vec<f64>,
+    pub weights: AlignedSlab<f64>,
     /// In-row offsets (empty for undirected graphs).
     pub in_offsets: Vec<u32>,
     /// In-row targets (empty for undirected graphs).
-    pub in_targets: Vec<u32>,
+    pub in_targets: AlignedSlab<u32>,
     /// In-row merged weights (empty for undirected graphs).
-    pub in_weights: Vec<f64>,
+    pub in_weights: AlignedSlab<f64>,
+    /// The cached degrees when the caller already has them; `None` has
+    /// [`CsrGraph::from_parts`] sweep every row for them.
+    pub degrees: Option<Degrees>,
     /// Number of distinct merged edges (builder convention).
     pub edge_count: usize,
     /// Sum of merged edge weights, each edge counted once.
     pub total_weight: f64,
 }
 
+/// The cached per-node degree sums of a frozen graph, one entry per
+/// node, each computed by [`row_degrees`] over the node's out-row.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Degrees {
+    /// Incident weight, self-loops once.
+    pub(crate) strength: Vec<f64>,
+    /// The Louvain convention: self-loops twice.
+    pub(crate) weighted_degree: Vec<f64>,
+    /// The self-loop weight, 0.0 when absent.
+    pub(crate) self_loops: Vec<f64>,
+}
+
+impl Degrees {
+    /// Room for `n` nodes.
+    pub(crate) fn with_capacity(n: usize) -> Degrees {
+        Degrees {
+            strength: Vec::with_capacity(n),
+            weighted_degree: Vec::with_capacity(n),
+            self_loops: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append one node's `(strength, weighted degree, self-loop)`.
+    #[inline]
+    pub(crate) fn push(&mut self, (s, wd, sl): (f64, f64, f64)) {
+        self.strength.push(s);
+        self.weighted_degree.push(wd);
+        self.self_loops.push(sl);
+    }
+
+    /// Append every node of `other`, in order.
+    pub(crate) fn extend(&mut self, other: &Degrees) {
+        self.strength.extend_from_slice(&other.strength);
+        self.weighted_degree
+            .extend_from_slice(&other.weighted_degree);
+        self.self_loops.extend_from_slice(&other.self_loops);
+    }
+}
+
+/// Row `u`'s `(strength, weighted degree, self-loop)`, accumulated in row
+/// order — the one sweep behind every cached degree, so a row produces
+/// the same bits whichever path froze it.
+#[inline]
+pub(crate) fn row_degrees(u: usize, targets: &[u32], weights: &[f64]) -> (f64, f64, f64) {
+    let (mut s, mut wd, mut sl) = (0.0f64, 0.0f64, 0.0f64);
+    for (&t, &w) in targets.iter().zip(weights) {
+        s += w;
+        if t as usize == u {
+            sl = w;
+            wd += 2.0 * w;
+        } else {
+            wd += w;
+        }
+    }
+    (s, wd, sl)
+}
+
 /// The frozen arrays behind a [`CsrGraph`]. Held behind an `Arc` so that
 /// cloning a graph — which the serving layer does on every snapshot
 /// publish — is a reference-count bump instead of a deep copy of the
 /// adjacency slabs. The inner arrays are never mutated after
-/// construction, which is what makes the sharing sound.
-#[derive(Debug, PartialEq)]
+/// construction, which is what makes the sharing sound; the id index is
+/// written once, on the first lookup by id, through its `OnceLock`.
+#[derive(Debug)]
 struct CsrInner {
     directed: bool,
     node_ids: Vec<NodeId>,
-    index: HashMap<NodeId, u32>,
+    /// External id → dense index, built on first use: it is a pure
+    /// function of `node_ids`, so equality ignores it.
+    index: OnceLock<HashMap<NodeId, u32>>,
     offsets: Vec<u32>,
     targets: AlignedSlab<u32>,
     weights: AlignedSlab<f64>,
@@ -185,6 +262,24 @@ struct CsrInner {
     self_loops: Vec<f64>,
     edge_count: usize,
     total_weight: f64,
+}
+
+impl PartialEq for CsrInner {
+    fn eq(&self, other: &Self) -> bool {
+        self.directed == other.directed
+            && self.node_ids == other.node_ids
+            && self.offsets == other.offsets
+            && self.targets == other.targets
+            && self.weights == other.weights
+            && self.in_offsets == other.in_offsets
+            && self.in_targets == other.in_targets
+            && self.in_weights == other.in_weights
+            && self.strength == other.strength
+            && self.weighted_degree == other.weighted_degree
+            && self.self_loops == other.self_loops
+            && self.edge_count == other.edge_count
+            && self.total_weight == other.total_weight
+    }
 }
 
 /// A frozen, immutable weighted graph in compressed sparse row form.
@@ -224,11 +319,12 @@ impl CsrGraph {
                 directed: graph.is_directed(),
                 node_ids,
                 offsets,
-                targets,
-                weights,
+                targets: targets.into(),
+                weights: weights.into(),
                 in_offsets,
-                in_targets,
-                in_weights,
+                in_targets: in_targets.into(),
+                in_weights: in_weights.into(),
+                degrees: None,
                 edge_count: graph.edge_count(),
                 total_weight: graph.total_weight(),
             },
@@ -237,10 +333,12 @@ impl CsrGraph {
     }
 
     /// Assemble a frozen graph from already-sorted-and-merged CSR arrays.
-    /// Shared by [`CsrGraph::from_weighted`] and the columnar
-    /// [`CsrBuilder`](crate::CsrBuilder), so both paths intern ids and
-    /// cache the per-node weighted degrees through the exact same sweep —
-    /// which is what makes the two construction paths bit-identical.
+    /// Shared by [`CsrGraph::from_weighted`], the columnar
+    /// [`CsrBuilder`](crate::CsrBuilder) and the window kernel, so every
+    /// path caches the per-node weighted degrees through the same
+    /// [`row_degrees`] sweep — which is what makes them bit-identical.
+    /// The kernel passes the degrees it already holds; otherwise every
+    /// row is swept here. The id index is left to the first lookup.
     pub(crate) fn from_parts(parts: CsrParts, threads: usize) -> CsrGraph {
         let CsrParts {
             directed,
@@ -251,71 +349,49 @@ impl CsrGraph {
             in_offsets,
             in_targets,
             in_weights,
+            degrees,
             edge_count,
             total_weight,
         } = parts;
         let n = node_ids.len();
         assert!(n <= u32::MAX as usize, "CSR index space is u32");
         debug_assert_eq!(offsets.len(), n + 1);
-        let index: HashMap<NodeId, u32> = node_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
 
         // Cache the per-node weighted degrees with a parallel row sweep.
         // Each row's accumulation is independent and runs in row order, so
         // the cached values are bit-identical at any thread count.
-        let mut strength = vec![0.0f64; n];
-        let mut weighted_degree = vec![0.0f64; n];
-        let mut self_loops = vec![0.0f64; n];
-        {
+        let degrees = degrees.unwrap_or_else(|| {
             let chunks = par::RowChunks::balanced(&offsets, 64, 4096);
             let cached = par::par_map(&chunks, threads, |_, range| {
-                let mut out = Vec::with_capacity(range.len());
+                let mut out = Degrees::with_capacity(range.len());
                 for u in range {
                     let (row_t, row_w) = row(&offsets, &targets, &weights, u);
-                    let mut s = 0.0f64;
-                    let mut wd = 0.0f64;
-                    let mut sl = 0.0f64;
-                    for (&t, &w) in row_t.iter().zip(row_w) {
-                        s += w;
-                        if t as usize == u {
-                            sl = w;
-                            wd += 2.0 * w;
-                        } else {
-                            wd += w;
-                        }
-                    }
-                    out.push((s, wd, sl));
+                    out.push(row_degrees(u, row_t, row_w));
                 }
                 out
             });
-            let mut u = 0usize;
-            for chunk in cached {
-                for (s, wd, sl) in chunk {
-                    strength[u] = s;
-                    weighted_degree[u] = wd;
-                    self_loops[u] = sl;
-                    u += 1;
-                }
+            let mut degrees = Degrees::with_capacity(n);
+            for chunk in &cached {
+                degrees.extend(chunk);
             }
-        }
+            degrees
+        });
+        debug_assert_eq!(degrees.strength.len(), n);
 
         CsrGraph {
             inner: Arc::new(CsrInner {
                 directed,
                 node_ids,
-                index,
+                index: OnceLock::new(),
                 offsets,
-                targets: targets.into(),
-                weights: weights.into(),
+                targets,
+                weights,
                 in_offsets,
-                in_targets: in_targets.into(),
-                in_weights: in_weights.into(),
-                strength,
-                weighted_degree,
-                self_loops,
+                in_targets,
+                in_weights,
+                strength: degrees.strength,
+                weighted_degree: degrees.weighted_degree,
+                self_loops: degrees.self_loops,
                 edge_count,
                 total_weight,
             }),
@@ -356,16 +432,18 @@ impl CsrGraph {
     }
 
     /// Approximate heap footprint of the frozen arrays in bytes: the node
-    /// table, the id index, both adjacency halves and the cached degree
-    /// sweeps. The `large` bench tier reports this next to peak RSS so
-    /// the memory claims of city-scale builds stay auditable. The
+    /// table, both adjacency halves, the cached degree sweeps and — once
+    /// a lookup by id has built it — the id index. The benchmark's
+    /// `city_build` workload reports this as `graph.bytes` next to peak
+    /// RSS, so the memory claims of city-scale builds stay auditable. The
     /// adjacency slabs report their **padded** capacity (each aligned
     /// slab over-allocates one cache line; see [`AlignedSlab`]), so the
     /// figure tracks what the allocator really handed out.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
+        let index = self.inner.index.get().map_or(0, HashMap::capacity);
         self.inner.node_ids.capacity() * size_of::<NodeId>()
-            + self.inner.index.capacity() * (size_of::<NodeId>() + size_of::<u32>())
+            + index * (size_of::<NodeId>() + size_of::<u32>())
             + (self.inner.offsets.capacity() + self.inner.in_offsets.capacity()) * size_of::<u32>()
             + self.inner.targets.heap_bytes()
             + self.inner.in_targets.heap_bytes()
@@ -377,9 +455,23 @@ impl CsrGraph {
                 * size_of::<f64>()
     }
 
-    /// The dense index of an external node id.
+    /// The id index, built on the first call (by whichever thread gets
+    /// there first; the others wait for it).
+    fn index(&self) -> &HashMap<NodeId, u32> {
+        self.inner.index.get_or_init(|| {
+            self.inner
+                .node_ids
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| (id, i as u32))
+                .collect()
+        })
+    }
+
+    /// The dense index of an external node id. The first lookup by id
+    /// builds the graph's id index (see the [module docs](self)).
     pub fn index_of(&self, id: NodeId) -> Option<u32> {
-        self.inner.index.get(&id).copied()
+        self.index().get(&id).copied()
     }
 
     /// The external node id at a dense index.
@@ -394,7 +486,7 @@ impl CsrGraph {
 
     /// Whether the node id is present.
     pub fn contains(&self, id: NodeId) -> bool {
-        self.inner.index.contains_key(&id)
+        self.index().contains_key(&id)
     }
 
     /// The (out-)neighbour row of a node: parallel target and weight
@@ -577,7 +669,7 @@ impl CsrGraph {
             inner: Arc::new(CsrInner {
                 directed: false,
                 node_ids: self.inner.node_ids.clone(),
-                index: self.inner.index.clone(),
+                index: OnceLock::new(),
                 offsets,
                 targets: targets.into(),
                 weights: weights.into(),
@@ -729,6 +821,51 @@ mod tests {
         assert!(!c.contains(1));
         assert_eq!(c.index_of(1), None);
         assert_eq!(c.id_of(1000), None);
+    }
+
+    #[test]
+    fn the_id_index_is_built_on_first_lookup_and_ignored_by_equality() {
+        let (a, b) = (sample_undirected().freeze(), sample_undirected().freeze());
+        assert!(a.inner.index.get().is_none(), "a freeze builds no index");
+        let bare = a.heap_bytes();
+        assert_eq!(a, b);
+        // One side looks an id up: equality still holds both ways, and
+        // only that side's footprint grows, by at least one slot per node.
+        assert_eq!(a.index_of(30), Some(2));
+        assert!(a.inner.index.get().is_some());
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        assert_eq!(b.heap_bytes(), bare);
+        let entry = std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>();
+        assert!(a.heap_bytes() >= bare + a.node_count() * entry);
+        assert!(b.contains(99));
+        assert_eq!(a.heap_bytes(), b.heap_bytes());
+    }
+
+    #[test]
+    fn concurrent_first_lookups_agree_with_a_serial_one() {
+        let mut g = WeightedGraph::new_directed();
+        for i in 0..500u64 {
+            g.add_edge(i * 3, (i * 7 + 1) % 1500, 1.0);
+        }
+        let serial = g.freeze();
+        let want: Vec<Option<u32>> = (0..1500).map(|id| serial.index_of(id)).collect();
+        // A fresh graph whose index four threads race to build, released
+        // together by a barrier, each through its own clone.
+        let fresh = g.freeze();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let (graph, barrier, want) = (fresh.clone(), &barrier, &want);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for id in 0..1500u64 {
+                        assert_eq!(graph.index_of(id), want[id as usize], "id {id}");
+                    }
+                });
+            }
+        });
+        assert!(fresh.inner.index.get().is_some());
     }
 
     #[test]

@@ -19,16 +19,13 @@
 //!   then sorted by target and merged in place, parallelised on [`par`]),
 //!   producing bit-for-bit the graph [`WeightedGraph::freeze`] would have
 //!   built — with zero per-edge hash operations;
-//! * [`CsrDelta`] / [`CsrGraph::apply_delta`] — **incremental updates**:
-//!   an edge batch merges into an existing frozen graph row by row,
-//!   producing a graph bit-identical to rebuilding from the concatenated
-//!   edge list (see [`delta`] for the contract) — the streaming-ingestion
-//!   path;
-//! * [`CsrGraph::apply_evict`] — the **removal arm**: a sliding window
-//!   subtracts expired edges from a frozen graph. Over integer weights
-//!   from 1 to 2^20 every sum is an exact `f64`, so the result is
-//!   bit-identical to rebuilding from the surviving edge list (see
-//!   [`evict`] for the cap arithmetic);
+//! * [`CsrGraph::apply_window`] — the one **incremental update**: a
+//!   window step's evicted and appended edges (either side may be empty)
+//!   and the new node table go in, and one merge pass per adjacency
+//!   writes the next frozen graph. Over integer weights from 1 to 2^20
+//!   every sum is an exact `f64`, so the result is bit-identical to
+//!   rebuilding from the edge list after the step (see [`window`] for the
+//!   argument);
 //! * [`par`] — the deterministic parallel scheduler: edge-balanced
 //!   contiguous row chunks over CSR offsets, scoped-thread execution with a
 //!   fixed chunk-merge order, and `MOBY_THREADS` thread-count resolution.
@@ -57,18 +54,17 @@
 
 pub mod build;
 pub mod csr;
-pub mod delta;
-pub mod evict;
 pub mod export;
 mod graph;
 pub mod metrics;
 pub mod par;
 pub mod spill;
+pub mod window;
 
 pub use build::{build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, CsrBuilder};
 pub use csr::{AlignedSlab, CsrGraph, CACHE_LINE};
-pub use delta::CsrDelta;
 pub use graph::{NodeId, WeightedGraph};
+pub use window::EdgeColumns;
 
 use std::fmt;
 
@@ -77,9 +73,9 @@ use std::fmt;
 pub enum GraphError {
     /// An edge weight was outside the operation's domain: non-finite or
     /// negative for a build, or not an integer from 1 to
-    /// [`evict::MAX_EVICT_WEIGHT`] for an eviction.
+    /// [`window::MAX_EVICT_WEIGHT`] for a window step.
     InvalidWeight(f64),
-    /// An eviction removes an edge the graph does not hold, or more
+    /// A window step evicts an edge the graph does not hold, or more
     /// weight than the graph holds on it.
     EdgeNotHeld {
         /// External id of the evicted edge's source.
@@ -87,8 +83,10 @@ pub enum GraphError {
         /// External id of the evicted edge's target.
         dst: NodeId,
     },
-    /// An eviction's node table names a node the graph does not hold or
-    /// names one twice, or leaves out a node that keeps a surviving edge.
+    /// A window step's node table or index map does not fit the graph
+    /// (a node mapped twice or to another id, a dropped node that keeps
+    /// an entry), or an endpoint lies outside its table. Carries the
+    /// node's id, or the index when it has none.
     NodeTable(NodeId),
     /// A spill-to-disk construction run failed on I/O (temp dir not
     /// writable, disk full, a run vanished mid-merge). Carries the
@@ -105,7 +103,7 @@ impl fmt::Display for GraphError {
                 write!(f, "evicted edge {src} -> {dst} is not held by the graph")
             }
             GraphError::NodeTable(id) => {
-                write!(f, "eviction node table does not fit the graph at node {id}")
+                write!(f, "window node table does not fit the graph at node {id}")
             }
             GraphError::Spill(msg) => write!(f, "spill I/O failed: {msg}"),
         }

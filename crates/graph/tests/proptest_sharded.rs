@@ -3,13 +3,11 @@
 //! graph **bit-identical** to the unsharded [`build_dense_csr`] — same
 //! dense node table, same offsets/targets, bit-identical merged weights
 //! and cached degrees — at every `(shards, threads)` combination in
-//! {1, 2, 4} × {1, 2, 4}, directed and undirected, and [`apply_delta`]
-//! must treat a sharded-built base exactly like an unsharded one across
-//! a chain of batches.
-//!
-//! [`apply_delta`]: CsrGraph::apply_delta
+//! {1, 2, 4} × {1, 2, 4}, directed and undirected, and
+//! [`CsrGraph::apply_window`] must treat a sharded-built base exactly
+//! like an unsharded one across a chain of window steps.
 
-use moby_graph::{build_dense_csr, build_dense_csr_sharded, CsrBuilder, CsrDelta, CsrGraph};
+use moby_graph::{build_dense_csr, build_dense_csr_sharded, CsrBuilder, CsrGraph, EdgeColumns};
 use proptest::prelude::*;
 
 /// Random dense edge columns over a small sorted station table:
@@ -139,26 +137,23 @@ proptest! {
         }
     }
 
-    /// Delta chains on a **sharded-built base**: splitting the columns
-    /// into a base plus two appended batches and applying each batch as a
-    /// [`CsrDelta`] lands bit-identically on the one-shot unsharded
-    /// rebuild of the full columns — sharding the base never leaks into
-    /// the incremental path.
+    /// Window chains on a **sharded-built base**: the columns split into
+    /// a base, a step that appends the next slice, and a step that evicts
+    /// a leading slice and appends the rest. The kernel lands bit for bit
+    /// on the one-shot unsharded rebuild of the surviving columns, so
+    /// sharding the base never leaks into the incremental path. The
+    /// kernel takes integer weights, so the weights map onto 1 to 5.
     #[test]
-    fn apply_delta_on_sharded_base_matches_unsharded_rebuild(
+    fn window_chain_on_sharded_base_matches_unsharded_rebuild(
         cols in dense_columns(),
         directed in 0u8..2,
-        cut_a in 0usize..1000,
-        cut_b in 0usize..1000,
+        cuts in (0usize..1000, 0usize..1000, 0usize..1000),
     ) {
         let (node_ids, src, dst, weight) = cols;
+        let weight: Vec<f64> = weight.iter().map(|w| w.floor() % 5.0 + 1.0).collect();
         let directed = directed == 1;
-        let m = src.len();
-        let (mut a, mut b) = (cut_a % (m + 1), cut_b % (m + 1));
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        let mut graph = build_dense_csr_sharded(
+        let (a, b, e) = chain_cuts(src.len(), cuts);
+        let base = build_dense_csr_sharded(
             directed,
             node_ids.clone(),
             &src[..a],
@@ -167,18 +162,36 @@ proptest! {
             Some(4),
             Some(2),
         );
-        for batch in [a..b, b..m] {
-            let delta = CsrDelta::from_dense(
-                directed,
-                node_ids.clone(),
-                None,
-                &src[batch.clone()],
-                &dst[batch.clone()],
-                &weight[batch],
-            );
-            graph = graph.apply_delta(&delta, Some(2));
-        }
-        let rebuilt = build_dense_csr(directed, node_ids, &src, &dst, &weight, Some(1));
+        let graph = window_chain(&base, &node_ids, (&src, &dst, &weight), (a, b, e));
+        let rebuilt = build_dense_csr(directed, node_ids, &src[e..], &dst[e..], &weight[e..], Some(1));
         assert_bit_identical(&graph, &rebuilt);
     }
+}
+
+/// Order three cuts of `m` columns as `(a, b, e)`: the base holds `..a`,
+/// the first step appends `a..b`, the second evicts `..e` (`e <= b`) and
+/// appends `b..`.
+fn chain_cuts(m: usize, (a, b, e): (usize, usize, usize)) -> (usize, usize, usize) {
+    let (mut a, mut b) = (a % (m + 1), b % (m + 1));
+    if a > b {
+        std::mem::swap(&mut a, &mut b);
+    }
+    (a, b, e % (b + 1))
+}
+
+/// Run [`chain_cuts`]' two steps on `base` over the pinned table.
+fn window_chain(
+    base: &CsrGraph,
+    node_ids: &[u64],
+    (src, dst, weight): (&[u32], &[u32], &[f64]),
+    (a, b, e): (usize, usize, usize),
+) -> CsrGraph {
+    let slice =
+        |r: std::ops::Range<usize>| EdgeColumns::new(&src[r.clone()], &dst[r.clone()], &weight[r]);
+    let step = |g: &CsrGraph, evicted, appended| {
+        g.apply_window(node_ids.to_vec(), None, evicted, appended, Some(2))
+            .expect("the graph holds every evicted edge")
+    };
+    let graph = step(base, EdgeColumns::default(), slice(a..b));
+    step(&graph, slice(0..e), slice(b..src.len()))
 }

@@ -5,12 +5,10 @@
 //! offsets/targets, bit-identical merged weights, cached degrees and
 //! total weight — at every `(shards, threads, budget)` combination,
 //! directed and undirected, including a zero budget (spill everything)
-//! and a huge budget (spill nothing). Delta and evict chains applied on
+//! and a huge budget (spill nothing). Window chains applied on
 //! spill-built bases must land exactly where the in-memory rebuild does.
-//!
-//! [`apply_delta`]: CsrGraph::apply_delta
 
-use moby_graph::{build_dense_csr, build_dense_csr_budgeted, CsrBuilder, CsrDelta, CsrGraph};
+use moby_graph::{build_dense_csr, build_dense_csr_budgeted, CsrBuilder, CsrGraph, EdgeColumns};
 use proptest::prelude::*;
 
 /// Random dense edge columns over a small sorted station table:
@@ -153,26 +151,23 @@ proptest! {
         }
     }
 
-    /// Delta chains on a **spill-built base**: splitting the columns into
-    /// a base plus two appended batches and applying each batch as a
-    /// [`CsrDelta`] lands bit-identically on the one-shot in-memory
-    /// rebuild of the full columns — spilling the base never leaks into
-    /// the incremental path.
+    /// Window chains on a **spill-built base**: the columns split into a
+    /// base, a step that appends the next slice, and a step that evicts a
+    /// leading slice and appends the rest. The kernel lands bit for bit on
+    /// the in-memory rebuild of the surviving columns, blind to how its
+    /// input was constructed. The kernel takes integer weights, so the
+    /// weights map onto 1 to 5.
     #[test]
-    fn apply_delta_on_spilled_base_matches_in_memory_rebuild(
+    fn window_chain_on_spilled_base_matches_in_memory_rebuild(
         cols in dense_columns(),
         directed in 0u8..2,
-        cut_a in 0usize..1000,
-        cut_b in 0usize..1000,
+        cuts in (0usize..1000, 0usize..1000, 0usize..1000),
     ) {
         let (node_ids, src, dst, weight) = cols;
+        let weight: Vec<f64> = weight.iter().map(|w| w.floor() % 5.0 + 1.0).collect();
         let directed = directed == 1;
-        let m = src.len();
-        let (mut a, mut b) = (cut_a % (m + 1), cut_b % (m + 1));
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        let mut graph = build_dense_csr_budgeted(
+        let (a, b, e) = chain_cuts(src.len(), cuts);
+        let base = build_dense_csr_budgeted(
             directed,
             node_ids.clone(),
             &src[..a],
@@ -184,69 +179,36 @@ proptest! {
             None,
         )
         .expect("spilled base build");
-        for batch in [a..b, b..m] {
-            let delta = CsrDelta::from_dense(
-                directed,
-                node_ids.clone(),
-                None,
-                &src[batch.clone()],
-                &dst[batch.clone()],
-                &weight[batch],
-            );
-            graph = graph.apply_delta(&delta, Some(2));
-        }
-        let rebuilt = build_dense_csr(directed, node_ids, &src, &dst, &weight, Some(1));
+        let graph = window_chain(&base, &node_ids, (&src, &dst, &weight), (a, b, e));
+        let rebuilt = build_dense_csr(directed, node_ids, &src[e..], &dst[e..], &weight[e..], Some(1));
         assert_bit_identical(&graph, &rebuilt);
     }
+}
 
-    /// Evicting the tail of the columns from a **spill-built base** lands
-    /// bit-identically on the in-memory build of the surviving prefix —
-    /// the removal arm is equally blind to how its input was constructed.
-    /// Eviction subtracts exactly only over integer weights, so the
-    /// weight column maps onto integers from 1 to 5.
-    #[test]
-    fn apply_evict_on_spilled_base_matches_in_memory_rebuild(
-        cols in dense_columns(),
-        directed in 0u8..2,
-        cut in 0usize..1000,
-    ) {
-        let (node_ids, src, dst, weight) = cols;
-        let weight: Vec<f64> = weight.iter().map(|w| w.floor() % 5.0 + 1.0).collect();
-        let directed = directed == 1;
-        let m = src.len();
-        let keep = cut % (m + 1);
-        let base = build_dense_csr_budgeted(
-            directed,
-            node_ids.clone(),
-            &src,
-            &dst,
-            &weight,
-            Some(2),
-            Some(4),
-            Some(0),
-            None,
-        )
-        .expect("spilled base build");
-        let id = |u: &u32| node_ids[*u as usize];
-        let evicted_src: Vec<u64> = src[keep..].iter().map(id).collect();
-        let evicted_dst: Vec<u64> = dst[keep..].iter().map(id).collect();
-        let evicted = base
-            .apply_evict(
-                node_ids.clone(),
-                &evicted_src,
-                &evicted_dst,
-                &weight[keep..],
-                Some(2),
-            )
-            .expect("the base holds every evicted edge");
-        let rebuilt = build_dense_csr(
-            directed,
-            node_ids,
-            &src[..keep],
-            &dst[..keep],
-            &weight[..keep],
-            Some(1),
-        );
-        assert_bit_identical(&evicted, &rebuilt);
+/// Order three cuts of `m` columns as `(a, b, e)`: the base holds `..a`,
+/// the first step appends `a..b`, the second evicts `..e` (`e <= b`) and
+/// appends `b..`.
+fn chain_cuts(m: usize, (a, b, e): (usize, usize, usize)) -> (usize, usize, usize) {
+    let (mut a, mut b) = (a % (m + 1), b % (m + 1));
+    if a > b {
+        std::mem::swap(&mut a, &mut b);
     }
+    (a, b, e % (b + 1))
+}
+
+/// Run [`chain_cuts`]' two steps on `base` over the pinned table.
+fn window_chain(
+    base: &CsrGraph,
+    node_ids: &[u64],
+    (src, dst, weight): (&[u32], &[u32], &[f64]),
+    (a, b, e): (usize, usize, usize),
+) -> CsrGraph {
+    let slice =
+        |r: std::ops::Range<usize>| EdgeColumns::new(&src[r.clone()], &dst[r.clone()], &weight[r]);
+    let step = |g: &CsrGraph, evicted, appended| {
+        g.apply_window(node_ids.to_vec(), None, evicted, appended, Some(2))
+            .expect("the graph holds every evicted edge")
+    };
+    let graph = step(base, EdgeColumns::default(), slice(a..b));
+    step(&graph, slice(0..e), slice(b..src.len()))
 }

@@ -21,9 +21,9 @@
 //!   deltas, a std-only query worker pool and per-snapshot metric
 //!   caches.
 //!
-//! ## Architecture: columnar build → freeze → apply_delta lifecycle
+//! ## Architecture: columnar build → freeze → window-step lifecycle
 //!
-//! The analytical core follows a **build → freeze → apply_delta** graph
+//! The analytical core follows a **build → freeze → apply_window** graph
 //! lifecycle:
 //!
 //! 1. **Build (columnar).** Cleaning emits a struct-of-arrays
@@ -39,31 +39,35 @@
 //!    ([`core::temporal::build_all_from_trips`]).
 //! 2. **Freeze.** The product is an immutable [`graph::CsrGraph`]:
 //!    compressed sparse row adjacency (`offsets`/`targets`/`weights`,
-//!    rows sorted by target), an interned dense `NodeId → u32` table, and
-//!    cached per-node weighted degrees. Every hot algorithm — Louvain,
-//!    label propagation, modularity, PageRank — walks the frozen CSR
-//!    rows; the `*_csr` entry points consume an already-frozen graph.
-//! 3. **Apply deltas (streaming ingestion).** New trips arrive as a
-//!    [`data::trips::TripBatch`];
-//!    [`data::trips::TripTable::append_batch`] extends the sorted
-//!    station-intern table in place (old endpoints shift through a
-//!    monotone remap — they are never re-interned), and a
-//!    [`graph::CsrDelta`] merges the batch into each existing frozen
-//!    graph via [`graph::CsrGraph::apply_delta`] — untouched rows are
-//!    copied, rows with batch entries continue the rebuild's weight fold
-//!    from the stored merged weights. The result is **bit-identical to
-//!    rebuilding from the concatenated table**, at any thread count (see
-//!    [`graph::delta`] for why the fold-prefix argument makes this
-//!    exact).
-//!    [`core::reassign::SelectedNetwork::ingest_batch`] wires this
-//!    through the pipeline state (trip table, frozen directed/undirected
-//!    trip graphs, Table III) and
-//!    [`core::temporal::apply_batch_all`] advances `GBasic`/`GDay`/
-//!    `GHour` from one pass over the batch — so a live deployment pays
-//!    per batch for what the batch touches, not for a full rebuild. The
-//!    differential suite (`crates/core/tests/proptest_delta.rs`) asserts
-//!    the delta chain equals the one-shot rebuild bitwise at 1/2/4
-//!    threads.
+//!    rows sorted by target), the dense node table (its `NodeId → u32`
+//!    index is built on the first lookup by id), and cached per-node
+//!    weighted degrees. Every hot algorithm — Louvain, label
+//!    propagation, modularity, PageRank — walks the frozen CSR rows by
+//!    dense index; the `*_csr` entry points consume an already-frozen
+//!    graph.
+//! 3. **Advance by window steps (streaming).** A live deployment slides
+//!    a window: each step's expired trips leave
+//!    ([`data::trips::TripTable::evict_before_pinned`]) and a
+//!    [`data::trips::TripBatch`] of new ones arrives
+//!    ([`data::trips::TripTable::append_batch`]). One kernel,
+//!    [`graph::CsrGraph::apply_window`], takes a step's evicted and
+//!    appended edges as dense indices and writes the next frozen graph
+//!    in one merge pass per adjacency: each row subtracts its evicted
+//!    half-edges, remaps into the new node table and merges its appended
+//!    ones, and untouched rows keep their degree caches. Trip weights are
+//!    integers from 1 to 2^20, so every sum is exact in any order and the
+//!    result is **bit-identical to rebuilding from the table after the
+//!    step**, at any thread count (see [`graph::window`] for the
+//!    argument). [`core::reassign::SelectedNetwork::advance_window`] (and
+//!    [`core::reassign::SelectedNetwork::ingest_batch`], a step that
+//!    evicts nothing) wires this through the pipeline state (trip table,
+//!    frozen directed/undirected trip graphs, Table III), and
+//!    [`core::temporal::apply_window_all`] carries `GBasic`/`GDay`/`GHour`
+//!    through the same step — so a live deployment pays per step for
+//!    what the step touches, not for a full rebuild. The differential
+//!    suites (`crates/core/tests/proptest_{delta,window}.rs`,
+//!    `crates/graph/tests/proptest_window_kernel.rs`) assert step chains
+//!    equal the one-shot rebuild bitwise at 1/2/4 threads.
 //!
 //! **Which layer owns freezing:** the selected-network/temporal layer.
 //! [`core::reassign::build_selected_network`] freezes the directed and

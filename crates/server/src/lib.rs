@@ -20,7 +20,11 @@
 //! * [`QueryPool`] — a fixed-size std-only worker pool serving
 //!   station-lookup, k-nearest (kd-tree), community-membership, PageRank
 //!   and degree-summary [`Request`]s, each answered against one coherent
-//!   snapshot.
+//!   snapshot. Jobs wait in one bounded queue, whose lock holder polls for
+//!   50 µs before it parks, and reply through one-slot channels.
+//!   [`QueryPool::submit`] never blocks or panics: a full queue answers
+//!   [`Response::Overloaded`], and a job that panics, or a pool with no
+//!   live worker, answers [`Response::Failed`].
 //!
 //! Per-snapshot metric results live in a [`MetricCache`]: PageRank, the
 //! degree summaries and the Louvain partition are carried forward

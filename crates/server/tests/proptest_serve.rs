@@ -10,16 +10,30 @@
 //! {1,2,4} threads then fingerprint every snapshot they load and require
 //! it to equal the model state *for that snapshot's own epoch*, with
 //! epochs observed monotonically per reader.
+//!
+//! The same contract holds through the `QueryPool`: clients submitting
+//! station profiles against a live writer get, for every request, the
+//! answer of the published snapshot of that answer's epoch, at an epoch
+//! published between the submit and the receipt. A request sent after
+//! any idle gap, shorter or longer than the pool's poll window, is
+//! answered.
 
 use moby_core::pipeline::{ExpansionPipeline, PipelineConfig};
-use moby_core::reassign::SelectedNetwork;
+use moby_core::reassign::{FinalStation, SelectedNetwork};
 use moby_data::synth::{generate, SynthConfig};
 use moby_data::trips::{TripBatch, WindowStart};
-use moby_server::{answer, Request, ServeConfig, ServeSnapshot, SnapshotWriter, WriteOp};
+use moby_server::{
+    answer, Answer, QueryPool, Request, ServeConfig, ServeSnapshot, SnapshotHandle, SnapshotWriter,
+    WriteOp,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+/// How long a pooled client waits for an answer before calling it lost.
+const WAIT: Duration = Duration::from_secs(5);
 
 /// One generated chain step: op selector, batch rows as station-pool
 /// indices with temporal keys, and the window start for evictions (the
@@ -208,4 +222,145 @@ fn eviction_heavy_chain_serves_consistently() {
         (0, vec![], 0, 0),                                          // empty op
     ];
     check_serving(&ops, 4);
+}
+
+/// One request of each kind about the `p`-th station, as a client asking
+/// for a station profile sends them.
+fn profile(p: usize, stations: &[FinalStation]) -> [Request; 5] {
+    let s = &stations[(p * 7) % stations.len()];
+    [
+        Request::Station(s.id),
+        Request::Nearest {
+            at: s.position,
+            k: 4,
+        },
+        Request::Community(s.id),
+        Request::PageRank(s.id),
+        Request::Degrees {
+            directed: p.is_multiple_of(2),
+        },
+    ]
+}
+
+/// A request, its pooled answer, and the handle's epoch at submit and
+/// after receipt.
+type Observed = (Request, Answer, u64, u64);
+
+/// Submit station profiles, each as one burst of five requests, until
+/// the writer is done (and at least 20), and record every answer.
+fn pooled_client(
+    pool: &QueryPool,
+    handle: &SnapshotHandle,
+    writer_done: &AtomicBool,
+    first: usize,
+) -> Vec<Observed> {
+    let stations = &base_network().stations;
+    let mut seen = Vec::new();
+    let mut p = first;
+    while !writer_done.load(Ordering::Acquire) || p < first + 20 {
+        let sent: Vec<_> = profile(p, stations)
+            .into_iter()
+            .map(|req| (handle.epoch(), pool.submit(req.clone()), req))
+            .collect();
+        for (before, reply, req) in sent {
+            let got = reply
+                .recv_timeout(WAIT)
+                .expect("a pooled request is answered");
+            seen.push((req, got, before, handle.epoch()));
+        }
+        p += 1;
+    }
+    seen
+}
+
+#[test]
+fn pooled_answers_match_the_published_snapshot_of_their_epoch() {
+    let net = base_network();
+    let ops: Vec<Op> = (0..12u8)
+        .map(|i| {
+            let rows = vec![(i, i + 5, i % 7, (i * 5) % 24), (i + 9, i, (i + 3) % 7, i)];
+            (i % 3, rows, i % 7, (i * 7) % 24)
+        })
+        .collect();
+    let config = ServeConfig {
+        threads: Some(1),
+        ..Default::default()
+    };
+    for workers in [1usize, 2, 4] {
+        let (mut writer, handle) = SnapshotWriter::new(net.clone(), config.clone());
+        let pool = QueryPool::new(Arc::clone(&handle), workers);
+        let writer_done = AtomicBool::new(false);
+        let mut published = HashMap::from([(0, handle.current())]);
+        let seen: Vec<Observed> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..2)
+                .map(|c| {
+                    let (pool, handle, done) = (&pool, &handle, &writer_done);
+                    scope.spawn(move || pooled_client(pool, handle, done, c * 1000))
+                })
+                .collect();
+            for op in &ops {
+                let out = writer
+                    .apply(materialise(net, op))
+                    .expect("ops only reference known stations");
+                published.insert(out.snapshot.epoch, out.snapshot);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            writer_done.store(true, Ordering::Release);
+            clients
+                .into_iter()
+                .flat_map(|c| c.join().expect("a pooled client failed"))
+                .collect()
+        });
+        assert_eq!(published.len(), ops.len() + 1);
+        for (req, got, before, after) in &seen {
+            assert!(
+                (*before..=*after).contains(&got.epoch),
+                "{workers} workers: {req:?} answered at epoch {} outside [{before}, {after}]",
+                got.epoch
+            );
+            let snapshot = &published[&got.epoch];
+            assert_eq!(
+                got,
+                &answer(snapshot, req),
+                "{workers} workers: pooled answer differs from the epoch-{} snapshot's",
+                got.epoch
+            );
+        }
+    }
+}
+
+/// Wait `gap` by yielding, which keeps the wait close to `gap` even when
+/// it is shorter than the timer's slack.
+fn idle(gap: Duration) {
+    let until = Instant::now() + gap;
+    while Instant::now() < until {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn single_requests_after_idle_gaps_are_answered() {
+    let net = base_network();
+    let (_writer, handle) = SnapshotWriter::new(net.clone(), ServeConfig::default());
+    let snapshot = handle.current();
+    // Gaps on both sides of the pool's 50 µs poll window: the worker is
+    // still polling, parks at about the moment the request arrives, or is
+    // parked and must be woken.
+    let gaps = [0, 10, 50, 100, 1000].map(Duration::from_micros);
+    for workers in [1usize, 2] {
+        let pool = QueryPool::new(Arc::clone(&handle), workers);
+        for gap in gaps {
+            for k in 0..40 {
+                idle(gap);
+                let req = profile(k, &net.stations)[k % 5].clone();
+                let got = pool
+                    .submit(req.clone())
+                    .recv_timeout(WAIT)
+                    .unwrap_or_else(|e| {
+                        panic!("{workers} workers, {gap:?} gap, request {k}: no answer ({e})")
+                    });
+                assert_eq!(got, answer(&snapshot, &req));
+            }
+        }
+    }
 }

@@ -139,17 +139,14 @@ struct Job {
 /// snapshot.
 ///
 /// Jobs wait in one bounded queue of 1024 jobs. One worker at a time
-/// holds the queue lock; when it finds the queue empty it polls for 50 µs,
-/// yielding its core between polls, and only then parks, so a client that
-/// submits again within that window reaches an awake worker and wakes no
-/// thread. Each job is answered against the
-/// snapshot current *at dispatch time* on its worker and replies through
-/// a one-slot channel. A job that panics answers [`Response::Failed`] and
-/// its worker keeps serving. [`QueryPool::submit`] never blocks: a full
-/// queue answers [`Response::Overloaded`] and a pool without a live worker
-/// answers [`Response::Failed`], both at the handle's current epoch.
-/// Dropping the pool closes the queue; the workers answer what is queued,
-/// then exit and are joined.
+/// holds the queue lock; when it finds the queue empty it polls for
+/// 50 µs, yielding its core between polls, and only then parks, so a
+/// client that submits again within that window reaches an awake worker
+/// and wakes no thread. Each job is answered against the snapshot current
+/// *at dispatch time* on its worker and replies through a one-slot
+/// channel. A job that panics answers [`Response::Failed`] and its worker
+/// keeps serving. Dropping the pool closes the queue; the workers answer
+/// what is queued, then exit and are joined.
 pub struct QueryPool {
     // Fields drop in declaration order: the queue closes before `Workers`
     // joins the threads that drain it.
@@ -189,6 +186,10 @@ impl QueryPool {
     }
 
     /// Enqueue a request; the returned channel yields the [`Answer`].
+    ///
+    /// Never blocks: a full queue answers [`Response::Overloaded`] and a
+    /// pool with no live worker answers [`Response::Failed`] at once, both
+    /// at the handle's current epoch.
     pub fn submit(&self, req: Request) -> Receiver<Answer> {
         self.dispatch(Work::Request(req))
     }
@@ -226,24 +227,23 @@ fn serve(jobs: &Mutex<Receiver<Job>>, handle: &SnapshotHandle) {
 /// The next job, or `None` once the queue is closed and empty.
 ///
 /// The lock guards only the dequeue; the job runs unlocked, so workers
-/// answer in parallel, and only the lock holder polls. The poll yields
-/// rather than spinning on `spin_loop`: on a host with as many busy
-/// threads as cores, a spinning poller takes its core from the writer,
-/// while a yielding one gives it back whenever another thread is ready.
+/// answer in parallel, and only the lock holder polls. Nothing under the
+/// lock can panic, and a receive leaves the receiver usable, so a
+/// poisoned lock still guards a sound queue.
+///
+/// The poll yields rather than spinning on `spin_loop`: on a host with as
+/// many busy threads as cores, a spinning poller takes its core from the
+/// writer, while a yielding one gives it back whenever another thread is
+/// ready.
 fn next_job(jobs: &Mutex<Receiver<Job>>) -> Option<Job> {
     let jobs = jobs.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut deadline = None;
+    let deadline = Instant::now() + POLL_WINDOW;
     loop {
         match jobs.try_recv() {
             Ok(job) => return Some(job),
             Err(TryRecvError::Disconnected) => return None,
-            Err(TryRecvError::Empty) => {
-                let deadline = *deadline.get_or_insert_with(|| Instant::now() + POLL_WINDOW);
-                if Instant::now() >= deadline {
-                    return jobs.recv().ok();
-                }
-                std::thread::yield_now();
-            }
+            Err(TryRecvError::Empty) if Instant::now() < deadline => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => return jobs.recv().ok(),
         }
     }
 }

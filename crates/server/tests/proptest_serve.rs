@@ -28,6 +28,7 @@ use moby_server::{
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -242,6 +243,13 @@ fn profile(p: usize, stations: &[FinalStation]) -> [Request; 5] {
     ]
 }
 
+/// A pool that only a passing test joins. Dropping a pool joins its
+/// workers, so a failing test that dropped a pool whose worker never
+/// wakes would hang in that join instead of failing.
+fn unjoined_pool(handle: &Arc<SnapshotHandle>, workers: usize) -> ManuallyDrop<QueryPool> {
+    ManuallyDrop::new(QueryPool::new(Arc::clone(handle), workers))
+}
+
 /// A request, its pooled answer, and the handle's epoch at submit and
 /// after receipt.
 type Observed = (Request, Answer, u64, u64);
@@ -288,7 +296,7 @@ fn pooled_answers_match_the_published_snapshot_of_their_epoch() {
     };
     for workers in [1usize, 2, 4] {
         let (mut writer, handle) = SnapshotWriter::new(net.clone(), config.clone());
-        let pool = QueryPool::new(Arc::clone(&handle), workers);
+        let pool = unjoined_pool(&handle, workers);
         let writer_done = AtomicBool::new(false);
         let mut published = HashMap::from([(0, handle.current())]);
         let seen: Vec<Observed> = std::thread::scope(|scope| {
@@ -311,6 +319,7 @@ fn pooled_answers_match_the_published_snapshot_of_their_epoch() {
                 .flat_map(|c| c.join().expect("a pooled client failed"))
                 .collect()
         });
+        drop(ManuallyDrop::into_inner(pool));
         assert_eq!(published.len(), ops.len() + 1);
         for (req, got, before, after) in &seen {
             assert!(
@@ -348,7 +357,7 @@ fn single_requests_after_idle_gaps_are_answered() {
     // parked and must be woken.
     let gaps = [0, 10, 50, 100, 1000].map(Duration::from_micros);
     for workers in [1usize, 2] {
-        let pool = QueryPool::new(Arc::clone(&handle), workers);
+        let pool = unjoined_pool(&handle, workers);
         for gap in gaps {
             for k in 0..40 {
                 idle(gap);
@@ -362,5 +371,6 @@ fn single_requests_after_idle_gaps_are_answered() {
                 assert_eq!(got, answer(&snapshot, &req));
             }
         }
+        drop(ManuallyDrop::into_inner(pool));
     }
 }

@@ -13,7 +13,7 @@ use moby_cluster::constrained::{constrained_clustering, ConstrainedConfig};
 use moby_data::schema::{CleanDataset, LocationId, StationId};
 use moby_data::trips::TripTable;
 use moby_geo::GeoPoint;
-use moby_graph::{build_dense_csr_budgeted, CsrGraph, NodeId};
+use moby_graph::{build_dense_csr, CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -212,7 +212,7 @@ pub fn build_candidate_network(
         &location_to_node,
         dataset,
     )?;
-    let (directed, undirected) = trip_graphs(&trips)?;
+    let (directed, undirected) = trip_graphs(&trips);
     let summary = summarize(&directed, &undirected, trips.len());
 
     Ok(CandidateNetwork {
@@ -274,26 +274,18 @@ pub(crate) fn trip_table(
 /// The directed and undirected trip graphs of a table, built by columnar
 /// sort-merge over its full sorted station set (isolated stations stay
 /// visible). Shared by the candidate network and the selected network.
-///
-/// # Errors
-///
-/// [`CoreError::Spill`] when `MOBY_SPILL_BUDGET_MB` routes a build to
-/// disk and the spill fails on I/O.
-pub(crate) fn trip_graphs(trips: &TripTable) -> Result<(CsrGraph, CsrGraph)> {
+pub(crate) fn trip_graphs(trips: &TripTable) -> (CsrGraph, CsrGraph) {
     let build = |directed| {
-        build_dense_csr_budgeted(
+        build_dense_csr(
             directed,
             trips.station_ids().to_vec(),
             trips.src(),
             trips.dst(),
             trips.weights(),
             None,
-            None,
-            None,
-            None,
         )
     };
-    Ok((build(true)?, build(false)?))
+    (build(true), build(false))
 }
 
 /// Table II counts of a table's trip graphs: distinct edges are the CSR
@@ -406,7 +398,7 @@ mod tests {
             let (s, d) = (t.station_index(src).unwrap(), t.station_index(dst).unwrap());
             t.push_keyed(s, d, 0, 8, w).unwrap();
         }
-        let (directed, undirected) = trip_graphs(&t).unwrap();
+        let (directed, undirected) = trip_graphs(&t);
         let summary = summarize(&directed, &undirected, t.len());
         (directed, undirected, summary)
     }

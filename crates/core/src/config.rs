@@ -5,19 +5,9 @@ use crate::{CoreError, Result};
 use moby_cluster::linkage::Linkage;
 use serde::{Deserialize, Serialize};
 
-/// How the degree threshold of Rule 3 (*Degree-Threshold*) is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DegreeThreshold {
-    /// The minimum degree over the pre-existing fixed stations (the paper's
-    /// choice, Algorithm 1 line 1).
-    MinFixedStationDegree,
-    /// An explicit absolute degree value (used by the ablation benches).
-    Absolute(usize),
-    /// A percentile (0–100) of the fixed-station degree distribution.
-    FixedStationPercentile(f64),
-}
-
-/// All §IV thresholds.
+/// All §IV thresholds. Rule 3, *Degree-Threshold*, has none to set: its
+/// threshold is the minimum degree over the pre-existing fixed stations
+/// (Algorithm 1, line 1).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExpansionConfig {
     /// Locations within this radius of a fixed station are absorbed into the
@@ -33,9 +23,6 @@ pub struct ExpansionConfig {
     /// station must be at least this far from any other station
     /// (paper: 250 m).
     pub secondary_distance_m: f64,
-    /// Rule 3, *Degree-Threshold*: how the minimum degree for candidates is
-    /// derived (paper: minimum fixed-station degree).
-    pub degree_threshold: DegreeThreshold,
     /// HAC linkage criterion (paper: complete).
     pub linkage: Linkage,
 }
@@ -47,15 +34,13 @@ impl Default for ExpansionConfig {
             cluster_boundary_m: 100.0,
             centroid_min_separation_m: 50.0,
             secondary_distance_m: 250.0,
-            degree_threshold: DegreeThreshold::MinFixedStationDegree,
             linkage: Linkage::Complete,
         }
     }
 }
 
 impl ExpansionConfig {
-    /// Validate that every threshold is finite and non-negative, and that
-    /// the percentile (if used) is within 0–100.
+    /// Validate that every threshold is finite and non-negative.
     pub fn validate(&self) -> Result<()> {
         let checks = [
             ("station_absorb_radius_m", self.station_absorb_radius_m),
@@ -67,13 +52,6 @@ impl ExpansionConfig {
             if !value.is_finite() || value < 0.0 {
                 return Err(CoreError::InvalidConfig(format!(
                     "{name} must be finite and non-negative, got {value}"
-                )));
-            }
-        }
-        if let DegreeThreshold::FixedStationPercentile(p) = self.degree_threshold {
-            if !(0.0..=100.0).contains(&p) || !p.is_finite() {
-                return Err(CoreError::InvalidConfig(format!(
-                    "degree percentile must be within 0–100, got {p}"
                 )));
             }
         }
@@ -92,7 +70,6 @@ mod tests {
         assert_eq!(c.cluster_boundary_m, 100.0);
         assert_eq!(c.centroid_min_separation_m, 50.0);
         assert_eq!(c.secondary_distance_m, 250.0);
-        assert_eq!(c.degree_threshold, DegreeThreshold::MinFixedStationDegree);
         assert_eq!(c.linkage, Linkage::Complete);
         assert!(c.validate().is_ok());
     }
@@ -105,16 +82,5 @@ mod tests {
         let mut c2 = ExpansionConfig::default();
         c2.cluster_boundary_m = f64::NAN;
         assert!(c2.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_bad_percentile() {
-        let mut c = ExpansionConfig::default();
-        c.degree_threshold = DegreeThreshold::FixedStationPercentile(120.0);
-        assert!(c.validate().is_err());
-        c.degree_threshold = DegreeThreshold::FixedStationPercentile(25.0);
-        assert!(c.validate().is_ok());
-        c.degree_threshold = DegreeThreshold::Absolute(3);
-        assert!(c.validate().is_ok());
     }
 }

@@ -483,11 +483,11 @@ mod tests {
         // weights are integers, so the graph is built straight from its
         // layered edges (station * 8 + day), as a `GDay` build from one
         // 1 -> 2 trip a day would intern them.
-        let mut b = moby_graph::CsrBuilder::undirected();
+        let mut g = moby_graph::WeightedGraph::new_undirected();
         for (day, w) in [(0u64, 0.1), (1, 0.2), (2, 0.3), (3, 0.6)] {
-            b.push(8 + day, 16 + day, w);
+            g.add_edge(8 + day, 16 + day, w);
         }
-        let csr = b.build();
+        let csr = g.freeze();
         let map = csr
             .node_ids()
             .iter()
@@ -513,10 +513,10 @@ mod tests {
         // and its day-1 layer (id 9) shares community 2 with station 3, at
         // equal strength: station 1 folds to community 2, with station 3,
         // although its first layer node sits in community 5.
-        let mut b = moby_graph::CsrBuilder::undirected();
-        b.push(8, 16, 1.0);
-        b.push(9, 25, 1.0);
-        let csr = b.build();
+        let mut g = moby_graph::WeightedGraph::new_undirected();
+        g.add_edge(8, 16, 1.0);
+        g.add_edge(9, 25, 1.0);
+        let csr = g.freeze();
         let map = csr
             .node_ids()
             .iter()

@@ -28,20 +28,17 @@ pub struct PipelineConfig {
     /// Community-detection settings (§IV-C).
     pub detect: DetectConfig,
     /// Number of construction shards for the temporal graph builds
-    /// (`None` defers to the `MOBY_SHARDS` environment knob, then 1).
-    /// Shards split the row scatter into parallel row ranges; they change
-    /// build speed, never the result — frozen graphs are bit-identical at
-    /// any shard count.
+    /// (`None` is one shard). Shards split the row scatter into parallel
+    /// row ranges; they change build speed, never the result — frozen
+    /// graphs are bit-identical at any shard count.
     pub build_shards: Option<usize>,
     /// Out-of-core spill budget in megabytes for the temporal graph
-    /// builds (`None` defers to the `MOBY_SPILL_BUDGET_MB` environment
-    /// knob; no budget anywhere means the builds never spill). When a
-    /// granularity's estimated run size exceeds the budget, its
-    /// half-edges go to per-shard disk runs and each shard fills its row
-    /// buckets from its run instead of the trip columns. The buckets stay
-    /// in memory either way, so spilling adds disk I/O without lowering
-    /// peak memory, and never changes the result — frozen graphs are
-    /// bit-identical at any budget.
+    /// builds (`None` never spills). When a granularity's estimated run
+    /// size exceeds the budget, its half-edges go to per-shard disk runs
+    /// and each shard fills its row buckets from its run instead of the
+    /// trip columns. The buckets stay in memory either way, so spilling
+    /// adds disk I/O without lowering peak memory, and never changes the
+    /// result — frozen graphs are bit-identical at any budget.
     pub spill_budget_mb: Option<u64>,
     /// Windowed-lifecycle settings used by [`WindowedPipeline::advance`].
     pub window: WindowConfig,
@@ -151,9 +148,9 @@ impl ExpansionPipeline {
     ///
     /// Propagates configuration and data errors from the individual steps
     /// (empty station list, no rentals, invalid thresholds), and
-    /// [`CoreError::Spill`](crate::CoreError::Spill) when a graph build
-    /// spills to disk (under the configured budget or
-    /// `MOBY_SPILL_BUDGET_MB`) and the spill I/O fails.
+    /// [`CoreError::Spill`](crate::CoreError::Spill) when a temporal graph
+    /// build spills to disk under
+    /// [`PipelineConfig::spill_budget_mb`] and the spill I/O fails.
     pub fn run(&self, raw: &RawDataset) -> Result<ExpansionOutcome> {
         let (outcome, _temporals) = self.run_parts(raw)?;
         Ok(outcome)
@@ -194,9 +191,9 @@ impl ExpansionPipeline {
         // all three granularities; `GBasic` shares the already-built
         // undirected CSR and the directed trip graph was frozen once at
         // network build — nothing on this path touches a hash-map builder
-        // or re-derives adjacency. With a spill budget set (config or
-        // `MOBY_SPILL_BUDGET_MB`), oversized builds route through the
-        // out-of-core disk runs — bit-identical either way.
+        // or re-derives adjacency. With a spill budget set in the config,
+        // oversized builds route through the out-of-core disk runs —
+        // bit-identical either way.
         let temporals = build_all_from_trips_spilled(
             &selected.trips,
             Some(&selected.undirected),
@@ -436,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_result_is_shard_count_independent() {
+    fn pipeline_result_is_independent_of_the_build_shards() {
         let raw = generate(&SynthConfig::small_test());
         let base = ExpansionPipeline::new(PipelineConfig::default())
             .run(&raw)

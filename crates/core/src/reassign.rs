@@ -382,7 +382,7 @@ pub fn build_selected_network(
     // --- Frozen trip graphs, built by columnar sort-merge straight from
     //     the dense trip columns (one shared station-intern table; no
     //     hash-map builder, no re-interning). ---
-    let (directed, undirected) = trip_graphs(&trips)?;
+    let (directed, undirected) = trip_graphs(&trips);
     let table = build_table(&stations, &trips, &directed);
 
     Ok(SelectedNetwork {

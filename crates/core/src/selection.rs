@@ -17,7 +17,6 @@
 //! new stations (line 17–18).
 
 use crate::candidate::CandidateNetwork;
-use crate::config::DegreeThreshold;
 use crate::{CoreError, ExpansionConfig, Result};
 use moby_geo::{haversine_m, GeoPoint, KdTree};
 use moby_graph::metrics::DegreeSummary;
@@ -82,27 +81,12 @@ impl SelectionOutcome {
     }
 }
 
-/// Resolve the degree threshold for Rule 3 from the fixed stations' degrees.
-fn resolve_threshold(
-    config: &ExpansionConfig,
-    network: &CandidateNetwork,
-    fixed_ids: &[NodeId],
-) -> Result<usize> {
-    let summary = DegreeSummary::for_nodes_csr(&network.undirected, fixed_ids)
-        .ok_or_else(|| CoreError::Internal("no fixed stations in candidate graph".into()))?;
-    Ok(match config.degree_threshold {
-        DegreeThreshold::MinFixedStationDegree => summary.min,
-        DegreeThreshold::Absolute(v) => v,
-        DegreeThreshold::FixedStationPercentile(p) => {
-            let mut degrees: Vec<usize> = fixed_ids
-                .iter()
-                .filter_map(|&id| network.undirected.degree_of(id))
-                .collect();
-            degrees.sort_unstable();
-            let idx = ((p / 100.0) * (degrees.len().saturating_sub(1)) as f64).round() as usize;
-            degrees[idx.min(degrees.len() - 1)]
-        }
-    })
+/// Rule 3's degree threshold: the minimum degree over the fixed stations
+/// (Algorithm 1, line 1).
+fn degree_threshold(network: &CandidateNetwork, fixed_ids: &[NodeId]) -> Result<usize> {
+    DegreeSummary::for_nodes_csr(&network.undirected, fixed_ids)
+        .map(|summary| summary.min)
+        .ok_or_else(|| CoreError::Internal("no fixed stations in candidate graph".into()))
 }
 
 /// Run Algorithm 1 over a candidate network.
@@ -122,7 +106,7 @@ pub fn select_stations(
             "candidate network has no fixed stations".into(),
         ));
     }
-    let threshold = resolve_threshold(config, network, &fixed_ids)?;
+    let threshold = degree_threshold(network, &fixed_ids)?;
 
     // Fixed-station index for Rule 4 distances.
     let fixed_tree = KdTree::build(
@@ -318,18 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn absolute_threshold_overrides_fixed_minimum() {
-        let net = network();
-        let mut cfg = ExpansionConfig::default();
-        cfg.degree_threshold = DegreeThreshold::Absolute(usize::MAX);
-        let out = select_stations(&net, &cfg).unwrap();
-        assert!(out.selected.is_empty());
-        assert!(out
-            .rejections_by_reason()
-            .contains_key(&RejectReason::DegreeBelowThreshold));
-    }
-
-    #[test]
     fn rejections_by_reason_render_in_one_order() {
         let reasons = [
             RejectReason::CentroidTooClose,
@@ -346,18 +318,6 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(format!("{:?}", out.rejections_by_reason()), first);
         }
-    }
-
-    #[test]
-    fn percentile_threshold_is_monotone() {
-        let net = network();
-        let mut low = ExpansionConfig::default();
-        low.degree_threshold = DegreeThreshold::FixedStationPercentile(0.0);
-        let mut high = ExpansionConfig::default();
-        high.degree_threshold = DegreeThreshold::FixedStationPercentile(95.0);
-        let selected_low = select_stations(&net, &low).unwrap().selected.len();
-        let selected_high = select_stations(&net, &high).unwrap().selected.len();
-        assert!(selected_high <= selected_low);
     }
 
     #[test]

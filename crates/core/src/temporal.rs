@@ -47,6 +47,7 @@ use moby_data::trips::TripTable;
 use moby_graph::{CsrGraph, EdgeColumns, NodeId, WeightedGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::path::Path;
 
@@ -289,10 +290,9 @@ fn layered_columns(
 /// docs](self)), which yields the layered node table
 /// (`station * stride + key` in first-appearance order) and dense
 /// endpoint columns; those freeze with the table's weight column through
-/// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted) —
-/// zero sorts and zero per-edge hash operations before the row packing,
-/// and (per the scheduler contract) bit-identical results at any
-/// `threads` setting.
+/// [`build_dense_csr`](moby_graph::build_dense_csr) — zero sorts and zero
+/// per-edge hash operations before the row packing, and (per the
+/// scheduler contract) bit-identical results at any `threads` setting.
 ///
 /// `basic` optionally supplies an already-built station-level undirected
 /// CSR (the pipeline shares the selected network's
@@ -305,64 +305,44 @@ fn layered_columns(
 /// suite asserts this bitwise — because both paths intern nodes in the
 /// same first-appearance order and merge duplicate edges in the same row
 /// order, with each row's weight.
-///
-/// # Panics
-///
-/// As [`build_all_from_trips_sharded`]: if a spill engaged through
-/// `MOBY_SPILL_BUDGET_MB` failed on I/O.
 pub fn build_all_from_trips(
     trips: &TripTable,
     basic: Option<&CsrGraph>,
     threads: Option<usize>,
 ) -> Vec<TemporalGraph> {
-    build_all_from_trips_sharded(trips, basic, None, threads)
+    let Ok(graphs) = build_all_with(trips, basic, |node_ids, src, dst| {
+        Ok::<_, Infallible>(moby_graph::build_dense_csr(
+            false,
+            node_ids,
+            src,
+            dst,
+            trips.weights(),
+            threads,
+        ))
+    });
+    graphs
 }
 
-/// [`build_all_from_trips`] with explicit control over the number of
-/// construction shards — the city-scale entry point.
-///
-/// Every frozen graph routes through the row packing of
-/// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted),
-/// where each shard scatters its own row range of one shared set of row
-/// buckets, so shards parallelise the scatter and change no memory.
-/// Results are
-/// **bit-identical** to [`build_all_from_trips`] at any `(shards,
-/// threads)` combination — shard boundaries are a pure function of the
-/// row structure and the shard count, never of scheduling (see
-/// `DESIGN.md`, "Sharded construction"). `shards: None` defers to the
-/// `MOBY_SHARDS` environment knob and then to 1.
-///
-/// # Panics
-///
-/// If a spill engaged through the `MOBY_SPILL_BUDGET_MB` environment
-/// knob failed on I/O. Use [`build_all_from_trips_spilled`] to handle
-/// spill failures as errors.
-pub fn build_all_from_trips_sharded(
-    trips: &TripTable,
-    basic: Option<&CsrGraph>,
-    shards: Option<usize>,
-    threads: Option<usize>,
-) -> Vec<TemporalGraph> {
-    build_all_from_trips_spilled(trips, basic, shards, threads, None, None)
-        .expect("spill I/O failed; use build_all_from_trips_spilled to handle it")
-}
-
-/// [`build_all_from_trips_sharded`] with an out-of-core **spill budget**
-/// and typed spill errors.
+/// [`build_all_from_trips`] at an explicit construction shard count and
+/// out-of-core **spill budget**, with typed spill errors.
 ///
 /// Every graph freezes through
 /// [`build_dense_csr_budgeted`](moby_graph::build_dense_csr_budgeted)
-/// under `budget_mb` and `spill_dir`. `budget_mb = None` resolves the
-/// `MOBY_SPILL_BUDGET_MB` environment knob; an explicit budget is used as
-/// given. When a graph's estimated run size (two half-edges per trip)
-/// exceeds the budget, its half-edges partition to per-shard disk runs
-/// under `spill_dir` (default: the system temp dir), and each shard fills
-/// its row buckets from its run instead of the trip columns; the buckets
-/// are in memory either way. The frozen graphs and layer maps are
-/// **bit-identical** to [`build_all_from_trips_sharded`] at any shard
-/// count × thread count × budget — the spill-budget independence axis;
-/// see `DESIGN.md`, "Out-of-core construction". Spill I/O failures
-/// surface as [`CoreError::Spill`](crate::CoreError::Spill).
+/// with `shards`, `budget_mb` and `spill_dir` as given: `None` is one
+/// shard and no budget. Shards split the row scatter into parallel row
+/// ranges of one shared set of row buckets, so they change no memory.
+/// When a graph's estimated run size (two half-edges per trip) exceeds
+/// the budget, its half-edges partition to per-shard disk runs under
+/// `spill_dir` (default: the system temp dir), and each shard fills its
+/// row buckets from its run instead of the trip columns; the buckets are
+/// in memory either way. The frozen graphs and layer maps are
+/// **bit-identical** to [`build_all_from_trips`] at any shard count ×
+/// thread count × budget — shard boundaries are a pure function of the
+/// row structure and the shard count, never of scheduling; see
+/// `DESIGN.md`, "Sharded city-scale construction" and "Out-of-core
+/// construction".
+/// Spill I/O failures surface as
+/// [`CoreError::Spill`](crate::CoreError::Spill).
 pub fn build_all_from_trips_spilled(
     trips: &TripTable,
     basic: Option<&CsrGraph>,
@@ -371,7 +351,7 @@ pub fn build_all_from_trips_spilled(
     budget_mb: Option<u64>,
     spill_dir: Option<&Path>,
 ) -> crate::Result<Vec<TemporalGraph>> {
-    let build = |node_ids, src: &[u32], dst: &[u32]| {
+    let graphs = build_all_with(trips, basic, |node_ids, src, dst| {
         moby_graph::build_dense_csr_budgeted(
             false,
             node_ids,
@@ -383,7 +363,17 @@ pub fn build_all_from_trips_spilled(
             budget_mb,
             spill_dir,
         )
-    };
+    })?;
+    Ok(graphs)
+}
+
+/// The three graphs of a table, each frozen by `build` from a node table
+/// and dense endpoint columns over the table's rows.
+fn build_all_with<E>(
+    trips: &TripTable,
+    basic: Option<&CsrGraph>,
+    build: impl Fn(Vec<NodeId>, &[u32], &[u32]) -> std::result::Result<CsrGraph, E>,
+) -> std::result::Result<Vec<TemporalGraph>, E> {
     let basic_csr = match basic {
         Some(csr) => csr.clone(),
         // The station-level graph builds straight from the dense trip
@@ -391,7 +381,7 @@ pub fn build_all_from_trips_spilled(
         // station visible, like the hash-map reference.
         None => build(trips.station_ids().to_vec(), trips.src(), trips.dst())?,
     };
-    let layered = |granularity: TemporalGranularity| -> crate::Result<TemporalGraph> {
+    let layered = |granularity: TemporalGranularity| {
         let (node_ids, src, dst) = layered_columns(trips, trips.len(), granularity);
         let csr = build(node_ids, &src, &dst)?;
         let map = decode_layer_map(&csr, granularity.stride());
@@ -842,13 +832,12 @@ mod tests {
             for threads in [Some(1), Some(2), Some(4)] {
                 check(build_all_from_trips(&trips, None, threads), "in memory");
                 for shards in [Some(1), Some(4)] {
-                    check(
-                        build_all_from_trips_sharded(&trips, None, shards, threads),
-                        "sharded",
-                    );
-                    let spilled =
-                        build_all_from_trips_spilled(&trips, None, shards, threads, Some(0), None);
-                    check(spilled.unwrap(), "spilled");
+                    for (budget, what) in [(None, "sharded"), (Some(0), "spilled")] {
+                        let built = build_all_from_trips_spilled(
+                            &trips, None, shards, threads, budget, None,
+                        );
+                        check(built.unwrap(), what);
+                    }
                 }
             }
         }
@@ -916,7 +905,9 @@ mod tests {
         let baseline = build_all_from_trips(&trips, None, Some(1));
         for shards in [Some(1), Some(2), Some(4)] {
             for threads in [Some(1), Some(2), Some(4)] {
-                let sharded = build_all_from_trips_sharded(&trips, None, shards, threads);
+                let sharded =
+                    build_all_from_trips_spilled(&trips, None, shards, threads, None, None)
+                        .unwrap();
                 for (g, b) in sharded.iter().zip(&baseline) {
                     assert_eq!(g.csr, b.csr, "{:?} @ {shards:?} shards", g.granularity);
                     assert_eq!(g.layer_map, b.layer_map);

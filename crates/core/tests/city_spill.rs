@@ -2,16 +2,14 @@
 //! 10 240 stations, cleaned into a trip table and forced through the
 //! spilled build (`build_all_from_trips_spilled` at a zero budget), give
 //! the same three temporal graphs — node tables, rows, weight bits,
-//! total-weight bits and layer maps — as the in-memory build
-//! (`build_all_from_trips_sharded`).
+//! total-weight bits and layer maps — as the in-memory build (the same
+//! function with no budget).
 //!
 //! Both sides run at 4 shards and 2 threads. The random trip sets of
 //! `proptest_spill.rs` and the temporal unit tests stay small; this test
-//! holds the contract at the size the spill path exists for. Under a
-//! `MOBY_SPILL_BUDGET_MB` small enough to spill, the in-memory side
-//! spills too, one graph at a time.
+//! holds the contract at the size the spill path exists for.
 
-use moby_core::temporal::{build_all_from_trips_sharded, build_all_from_trips_spilled};
+use moby_core::temporal::build_all_from_trips_spilled;
 use moby_data::clean::clean_trip_stream;
 use moby_data::synth::{city_trip_stream, SynthConfig};
 
@@ -28,7 +26,8 @@ fn spilled_city_build_equals_the_in_memory_build() {
         city_trip_stream(&cfg),
     );
     assert!(report.rows_kept >= 990_000, "the tier keeps ~1 M trips");
-    let in_memory = build_all_from_trips_sharded(&table, None, SHARDS, THREADS);
+    let in_memory = build_all_from_trips_spilled(&table, None, SHARDS, THREADS, None, None)
+        .expect("an unbudgeted build never spills");
     let spilled = build_all_from_trips_spilled(&table, None, SHARDS, THREADS, Some(0), None)
         .expect("spilled city build");
 

@@ -32,7 +32,7 @@ use moby_core::detect::{
 };
 use moby_core::reassign::WindowOutcome;
 use moby_core::temporal::{
-    apply_window_all, build_all_from_trips, build_all_from_trips_sharded, reference_graph,
+    apply_window_all, build_all_from_trips, build_all_from_trips_spilled, reference_graph,
     TemporalGraph,
 };
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart};
@@ -333,7 +333,9 @@ fn check_chain(base_rows: &[Row], ops: &[Op], threads: usize, shards: usize, pin
         table.weights(),
         threads,
     );
-    let mut temporals = build_all_from_trips_sharded(&table, None, Some(shards), threads);
+    let mut temporals =
+        build_all_from_trips_spilled(&table, None, Some(shards), threads, None, None)
+            .expect("an unbudgeted build never spills");
 
     // The model: surviving rows in order, plus the station set the intern
     // table must hold (always sorted — both append and compaction keep

@@ -1,20 +1,23 @@
-//! Spill settings under a hostile environment: `MOBY_SPILL_BUDGET_MB=0`
-//! asks every build that sets no budget of its own to spill, and `TMPDIR`
-//! names a regular file, so any spill fails on I/O.
+//! Build settings under a hostile environment: `MOBY_SPILL_BUDGET_MB=0`
+//! and `MOBY_SHARDS=4` are set, and `TMPDIR` names a regular file, so any
+//! build that spilled would fail on I/O.
 //!
-//! * An explicit budget wins over the environment: the temporal build at
-//!   `Some(u64::MAX)` never touches disk and equals the plain build.
-//! * The pipeline's own graph builds take their budget from the
-//!   environment, and their spill failure comes back as
-//!   [`CoreError::Spill`] instead of a panic.
+//! * No build reads those variables. `build_dense_csr`,
+//!   `build_all_from_trips` and a default pipeline run succeed and equal
+//!   the same builds made with a clean environment.
+//! * A spill budget is set only by an explicit argument: a pipeline
+//!   configured with `spill_budget_mb: Some(0)` spills, and its spill
+//!   failure comes back as [`CoreError::Spill`] instead of a panic.
 //!
 //! The test sets process environment variables, so it lives alone in its
 //! own test binary.
 
-use moby_core::pipeline::{ExpansionPipeline, PipelineConfig};
-use moby_core::temporal::{build_all_from_trips, build_all_from_trips_spilled};
+use moby_core::pipeline::{ExpansionOutcome, ExpansionPipeline, PipelineConfig};
+use moby_core::temporal::{build_all_from_trips, TemporalGraph};
 use moby_core::CoreError;
 use moby_data::synth::{generate, SynthConfig};
+use moby_data::trips::TripTable;
+use moby_graph::{build_dense_csr, CsrGraph};
 use std::path::PathBuf;
 
 /// Removes the stand-in `TMPDIR` file however the test ends.
@@ -26,43 +29,102 @@ impl Drop for RemoveOnDrop {
     }
 }
 
-#[test]
-fn explicit_budget_ignores_the_environment_and_pipeline_spill_errors_are_typed() {
-    // References first, with no spill settings in the environment.
-    std::env::remove_var("MOBY_SPILL_BUDGET_MB");
-    let raw = generate(&SynthConfig::small_test());
-    let pipeline = ExpansionPipeline::new(PipelineConfig::default());
-    let outcome = pipeline
-        .run(&raw)
-        .expect("pipeline runs with a clean environment");
-    let trips = &outcome.selected.trips;
-    let want = build_all_from_trips(trips, None, None);
+/// The station graph of a trip table, as the pipeline builds it.
+fn station_graph(trips: &TripTable) -> CsrGraph {
+    build_dense_csr(
+        false,
+        trips.station_ids().to_vec(),
+        trips.src(),
+        trips.dst(),
+        trips.weights(),
+        None,
+    )
+}
 
-    let file = std::env::temp_dir().join(format!("moby-spill-settings-{}", std::process::id()));
-    std::fs::write(&file, b"not a directory").expect("writing the stand-in TMPDIR file");
-    let _cleanup = RemoveOnDrop(file.clone());
-    std::env::set_var("MOBY_SPILL_BUDGET_MB", "0");
-    std::env::set_var("TMPDIR", &file);
+/// Equal graphs, total-weight bits included.
+fn assert_same_graph(got: &CsrGraph, want: &CsrGraph, what: &str) {
+    assert_eq!(got, want, "{what}: CSR diverged");
+    assert_eq!(
+        got.total_weight().to_bits(),
+        want.total_weight().to_bits(),
+        "{what}: total weight bits diverged"
+    );
+}
 
-    let got = build_all_from_trips_spilled(trips, None, None, None, Some(u64::MAX), None)
-        .expect("an explicit budget of u64::MAX never spills");
+/// Equal temporal graphs and layer maps.
+fn assert_same_temporals(got: &[TemporalGraph], want: &[TemporalGraph]) {
     assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(&want) {
+    for (g, w) in got.iter().zip(want) {
         let granularity = g.granularity;
         assert_eq!(granularity, w.granularity);
-        assert_eq!(g.csr, w.csr, "{granularity:?}: CSR diverged");
-        assert_eq!(
-            g.csr.total_weight().to_bits(),
-            w.csr.total_weight().to_bits(),
-            "{granularity:?}: total weight bits diverged"
-        );
+        assert_same_graph(&g.csr, &w.csr, &format!("{granularity:?}"));
         assert_eq!(
             g.layer_map, w.layer_map,
             "{granularity:?}: layer map diverged"
         );
     }
+}
 
-    match pipeline.run(&raw) {
+/// Equal pipeline outcomes: the trip graphs, the selection and every
+/// detection.
+fn assert_same_outcome(got: &ExpansionOutcome, want: &ExpansionOutcome) {
+    assert_same_graph(
+        &got.candidate.directed,
+        &want.candidate.directed,
+        "candidate",
+    );
+    assert_same_graph(
+        &got.candidate.undirected,
+        &want.candidate.undirected,
+        "candidate",
+    );
+    assert_eq!(got.selection, want.selection);
+    assert_same_graph(&got.selected.directed, &want.selected.directed, "selected");
+    assert_same_graph(
+        &got.selected.undirected,
+        &want.selected.undirected,
+        "selected",
+    );
+    for (g, w) in got.communities.all().iter().zip(want.communities.all()) {
+        assert_eq!(g.raw_partition, w.raw_partition);
+        assert_eq!(g.station_partition, w.station_partition);
+        assert_eq!(g.modularity.to_bits(), w.modularity.to_bits());
+    }
+}
+
+#[test]
+fn builds_ignore_the_environment_and_explicit_spill_errors_are_typed() {
+    // References first, with no build settings in the environment.
+    std::env::remove_var("MOBY_SPILL_BUDGET_MB");
+    std::env::remove_var("MOBY_SHARDS");
+    let raw = generate(&SynthConfig::small_test());
+    let pipeline = ExpansionPipeline::new(PipelineConfig::default());
+    let want_outcome = pipeline
+        .run(&raw)
+        .expect("pipeline runs with a clean environment");
+    let trips = &want_outcome.selected.trips;
+    let want_station = station_graph(trips);
+    let want_temporals = build_all_from_trips(trips, None, None);
+
+    let file = std::env::temp_dir().join(format!("moby-spill-settings-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("writing the stand-in TMPDIR file");
+    let _cleanup = RemoveOnDrop(file.clone());
+    std::env::set_var("MOBY_SPILL_BUDGET_MB", "0");
+    std::env::set_var("MOBY_SHARDS", "4");
+    std::env::set_var("TMPDIR", &file);
+
+    assert_same_graph(&station_graph(trips), &want_station, "station graph");
+    assert_same_temporals(&build_all_from_trips(trips, None, None), &want_temporals);
+    let outcome = pipeline
+        .run(&raw)
+        .expect("a default pipeline run never spills");
+    assert_same_outcome(&outcome, &want_outcome);
+
+    let spilling = ExpansionPipeline::new(PipelineConfig {
+        spill_budget_mb: Some(0),
+        ..PipelineConfig::default()
+    });
+    match spilling.run(&raw) {
         Err(CoreError::Spill(msg)) => assert!(!msg.is_empty()),
         Err(other) => panic!("expected CoreError::Spill, got {other:?}"),
         Ok(_) => panic!("expected CoreError::Spill, the pipeline ran"),

@@ -29,7 +29,7 @@
 //! downstream — is deterministic regardless of hash-map iteration order in
 //! the builder.
 
-use crate::{par, CsrBuilder, NodeId, WeightedGraph};
+use crate::{build_dense_csr, par, NodeId, WeightedGraph};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -152,7 +152,7 @@ impl<T: Copy + Default + PartialEq> PartialEq for AlignedSlab<T> {
 /// The raw arrays of a CSR graph, handed to
 /// [`CsrGraph::from_parts`] by construction paths that assemble the
 /// adjacency themselves (the freeze path, the columnar
-/// [`CsrBuilder`](crate::CsrBuilder) and the window kernel). Rows must
+/// [`build_dense_csr`] and the window kernel). Rows must
 /// already be sorted by target index with duplicates merged.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CsrParts {
@@ -334,7 +334,7 @@ impl CsrGraph {
 
     /// Assemble a frozen graph from already-sorted-and-merged CSR arrays.
     /// Shared by [`CsrGraph::from_weighted`], the columnar
-    /// [`CsrBuilder`](crate::CsrBuilder) and the window kernel, so every
+    /// [`build_dense_csr`] and the window kernel, so every
     /// path caches the per-node weighted degrees through the same
     /// [`row_degrees`] sweep — which is what makes them bit-identical.
     /// The kernel passes the degrees it already holds; otherwise every
@@ -691,18 +691,29 @@ impl CsrGraph {
     /// [`WeightedGraph::subgraph`](crate::WeightedGraph::subgraph) followed
     /// by a freeze.
     pub fn subgraph<F: Fn(NodeId) -> bool>(&self, keep: F) -> CsrGraph {
-        let mut builder = if self.inner.directed {
-            CsrBuilder::directed()
-        } else {
-            CsrBuilder::undirected()
-        };
-        builder.seed_nodes(self.inner.node_ids.iter().copied().filter(|&id| keep(id)));
-        for (src, dst, w) in self.edges() {
-            if keep(src) && keep(dst) {
-                builder.push(src, dst, w);
+        // Each kept node's dense index in the subgraph; u32::MAX drops it.
+        let mut dense = vec![u32::MAX; self.node_count()];
+        let mut node_ids = Vec::new();
+        for (u, &id) in self.inner.node_ids.iter().enumerate() {
+            if keep(id) {
+                dense[u] = node_ids.len() as u32;
+                node_ids.push(id);
             }
         }
-        builder.build()
+        // The kept edges in `edges()` order: an undirected edge once.
+        let (mut src, mut dst, mut weight) = (Vec::new(), Vec::new(), Vec::new());
+        for u in 0..self.node_count() {
+            let (targets, weights) = self.row(u);
+            for (&v, &w) in targets.iter().zip(weights) {
+                let (a, b) = (dense[u], dense[v as usize]);
+                if a != u32::MAX && b != u32::MAX && (self.inner.directed || u as u32 <= v) {
+                    src.push(a);
+                    dst.push(b);
+                    weight.push(w);
+                }
+            }
+        }
+        build_dense_csr(self.inner.directed, node_ids, &src, &dst, &weight, None)
     }
 }
 
@@ -903,6 +914,35 @@ mod tests {
         g.add_edge(3, 3, 2.0);
         let c = g.freeze();
         assert_eq!(c.edges().count(), 3);
+    }
+
+    #[test]
+    fn subgraph_matches_builder_subgraph() {
+        // Dropping node 2 shifts the dense indices behind it; dropping 4
+        // cuts the tail. The isolated node 9 stays in both.
+        let keeps: [fn(NodeId) -> bool; 2] = [|id| id != 4, |id| id != 2];
+        for directed in [false, true] {
+            let mut g = if directed {
+                WeightedGraph::new_directed()
+            } else {
+                WeightedGraph::new_undirected()
+            };
+            g.add_edge(1, 2, 1.0);
+            g.add_edge(2, 3, 1.5);
+            g.add_edge(3, 4, 2.0);
+            g.add_edge(2, 2, 0.5);
+            g.add_edge(3, 1, 0.25);
+            g.add_node(9);
+            for keep in keeps {
+                let via_builder = g.subgraph(keep).freeze();
+                let via_csr = g.freeze().subgraph(keep);
+                assert_eq!(via_csr, via_builder);
+                assert_eq!(
+                    via_csr.total_weight().to_bits(),
+                    via_builder.total_weight().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

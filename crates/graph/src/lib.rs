@@ -13,12 +13,14 @@
 //! * [`CsrGraph`] — the frozen compressed-sparse-row projection; every
 //!   analytical algorithm (degree, Louvain, PageRank) runs on this
 //!   cache-friendly representation;
-//! * [`CsrBuilder`] / [`build_dense_csr`] — the columnar **sort-merge
-//!   construction** path: `(src, dst, weight)` columns become a frozen
-//!   [`CsrGraph`] directly (rows bucketed straight from the edge columns,
-//!   then sorted by target and merged in place, parallelised on [`par`]),
-//!   producing bit-for-bit the graph [`WeightedGraph::freeze`] would have
-//!   built — with zero per-edge hash operations;
+//! * [`build_dense_csr`] — the columnar **sort-merge construction**
+//!   path: dense `(src, dst, weight)` columns over a node table become a
+//!   frozen [`CsrGraph`] directly (rows bucketed straight from the edge
+//!   columns, then sorted by target and merged in place, parallelised on
+//!   [`par`]), producing bit-for-bit the graph [`WeightedGraph::freeze`]
+//!   builds from the same table and edges — with zero per-edge hash
+//!   operations. [`build_dense_csr_budgeted`] runs the same build at an
+//!   explicit shard count and spill budget ([`spill`]);
 //! * [`CsrGraph::apply_window`] — the one **incremental update**: a
 //!   window step's evicted and appended edges (either side may be empty)
 //!   and the new node table go in, and one merge pass per adjacency
@@ -61,7 +63,7 @@ pub mod par;
 pub mod spill;
 pub mod window;
 
-pub use build::{build_dense_csr, build_dense_csr_budgeted, build_dense_csr_sharded, CsrBuilder};
+pub use build::{build_dense_csr, build_dense_csr_budgeted};
 pub use csr::{AlignedSlab, CsrGraph, CACHE_LINE};
 pub use graph::{NodeId, WeightedGraph};
 pub use window::EdgeColumns;

@@ -46,13 +46,6 @@ pub const MAX_THREADS: usize = 64;
 /// override is given.
 pub const THREADS_ENV: &str = "MOBY_THREADS";
 
-/// Hard ceiling on the number of construction shards.
-pub const MAX_SHARDS: usize = 256;
-
-/// Environment variable consulted by [`shard_count`] when no explicit
-/// override is given.
-pub const SHARDS_ENV: &str = "MOBY_SHARDS";
-
 /// Default maximum number of chunks a row space is split into.
 const DEFAULT_MAX_CHUNKS: usize = 64;
 
@@ -80,24 +73,6 @@ pub fn thread_count(explicit: Option<usize>) -> usize {
 fn parse_threads(raw: Option<&str>) -> Option<usize> {
     raw.and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
-}
-
-/// Resolve the construction shard count: `explicit` override, then the
-/// [`SHARDS_ENV`] environment variable, then `1` (unsharded); clamped to
-/// `1..=`[`MAX_SHARDS`].
-///
-/// Sharding is the row-space analogue of [`thread_count`]: shard
-/// boundaries are a pure function of the row structure and the shard
-/// count, and each shard fills only its own slice of the build's bucket
-/// columns, so the CSR build is **bit-identical at any shard count** (see
-/// `crate::build`'s contract). The knob only tunes the parallelism of
-/// the scatter pass and, on a spilled build, the number of run files.
-pub fn shard_count(explicit: Option<usize>) -> usize {
-    explicit
-        .filter(|&n| n > 0)
-        .or_else(|| parse_threads(std::env::var(SHARDS_ENV).ok().as_deref()))
-        .unwrap_or(1)
-        .clamp(1, MAX_SHARDS)
 }
 
 /// A deterministic partition of the row space `0..n` into contiguous
@@ -470,17 +445,6 @@ mod tests {
         assert_eq!(parse_threads(Some("0")), None);
         assert_eq!(parse_threads(Some("auto")), None);
         assert_eq!(parse_threads(None), None);
-    }
-
-    #[test]
-    fn shard_count_resolution() {
-        assert_eq!(shard_count(Some(4)), 4);
-        assert_eq!(shard_count(Some(100_000)), MAX_SHARDS);
-        // Explicit 0 falls through to the default (no env set in tests
-        // that own this process: the default is 1, but an inherited env
-        // var may raise it — only assert the floor).
-        assert!(shard_count(Some(0)) >= 1);
-        assert!(shard_count(None) >= 1);
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Out-of-core spill runs for the CSR construction path.
 //!
-//! When a build's estimated run size exceeds a configured budget
-//! ([`CsrBuilder::spill_budget`](crate::CsrBuilder::spill_budget) / the
-//! [`BUDGET_ENV`] environment variable), a partition pass writes the
-//! half-edges to **per-shard spill files**: each shard's run holds exactly
-//! the half-edges whose row falls in that shard's range, written in
-//! **global insertion order**, as plain little-endian records. Each shard
-//! then fills its slice of the build's row buckets from its own run
-//! instead of scanning the edge columns; the merge that follows is the
-//! in-memory one, so the frozen graph is bit-identical to the in-memory
-//! build at any shard count × thread count × budget — the spill-budget
-//! independence axis of the construction contract (see `crate::build`
-//! and `DESIGN.md`). The row buckets are in memory on both arms, so a
-//! spilled build does not peak lower than an in-memory one.
+//! When a build's estimated run size exceeds the spill budget its caller
+//! passes to [`build_dense_csr_budgeted`](crate::build_dense_csr_budgeted),
+//! a partition pass writes the half-edges to **per-shard spill files**:
+//! each shard's run holds exactly the half-edges whose row falls in that
+//! shard's range, written in **global insertion order**, as plain
+//! little-endian records. Each shard then fills its slice of the build's
+//! row buckets from its own run instead of scanning the edge columns; the
+//! merge that follows is the in-memory one, so the frozen graph is
+//! bit-identical to the in-memory build at any shard count × thread count
+//! × budget — the spill-budget independence axis of the construction
+//! contract (see `crate::build` and `DESIGN.md`). The row buckets are in
+//! memory on both arms, so a spilled build does not peak lower than an
+//! in-memory one.
 //!
-//! This module owns the mechanical pieces: budget resolution, the
+//! This module owns the mechanical pieces: the budget rule, the
 //! RAII-cleaned temp directory, and the run writers/readers. The actual
 //! spilled packing lives in `crate::build`.
 //!
@@ -31,37 +31,16 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Environment variable holding the spill budget in **megabytes**.
-/// Unlike `MOBY_THREADS`/`MOBY_SHARDS`, `0` is meaningful: a zero budget
-/// spills every non-empty build (the spill-everything stress mode the CI
-/// matrix runs). An unset/garbage value means "no budget, never spill".
-pub const BUDGET_ENV: &str = "MOBY_SPILL_BUDGET_MB";
-
 /// Bytes one half-edge occupies in a spill-run record
 /// (`row: u32 + col: u32 + weight: f64`) — the unit of the budget rule.
 pub const HALF_EDGE_BYTES: usize = 16;
 
-/// Resolve the spill budget in **bytes**: the explicit override (in MB)
-/// wins, then [`BUDGET_ENV`], then `None` (no budget — never spill).
-/// Mirrors [`crate::par::thread_count`]-style resolution, except that `0`
-/// is kept (spill everything) rather than treated as "auto".
-pub fn budget_bytes(explicit_mb: Option<u64>) -> Option<u64> {
-    explicit_mb
-        .or_else(|| parse_budget(std::env::var(BUDGET_ENV).ok().as_deref()))
-        .map(|mb| mb.saturating_mul(1024 * 1024))
-}
-
-/// Parse a [`BUDGET_ENV`] value; empty or garbage mean "no budget".
-fn parse_budget(raw: Option<&str>) -> Option<u64> {
-    raw.and_then(|v| v.trim().parse::<u64>().ok())
-}
-
 /// The budget rule: spill when the estimated run size —
-/// `half_edges ×` [`HALF_EDGE_BYTES`] — **exceeds** the budget.
+/// `half_edges ×` [`HALF_EDGE_BYTES`] — **exceeds** the budget, in bytes.
 /// No budget means never; an empty build never spills (there is nothing
 /// to write).
-pub fn should_spill(half_edges: usize, budget_bytes: Option<u64>) -> bool {
-    budget_bytes.is_some_and(|b| (half_edges as u64).saturating_mul(HALF_EDGE_BYTES as u64) > b)
+pub fn should_spill(half_edges: usize, budget: Option<u64>) -> bool {
+    budget.is_some_and(|b| (half_edges as u64).saturating_mul(HALF_EDGE_BYTES as u64) > b)
 }
 
 /// Format a spill I/O failure as the crate's [`GraphError::Spill`]
@@ -149,11 +128,9 @@ impl ShardRunWriters {
         if self.err.is_some() {
             return;
         }
-        let mut rec = [0u8; HALF_EDGE_BYTES];
-        rec[0..4].copy_from_slice(&row.to_le_bytes());
-        rec[4..8].copy_from_slice(&col.to_le_bytes());
-        rec[8..16].copy_from_slice(&weight.to_bits().to_le_bytes());
-        if let Err(e) = self.writers[shard].write_all(&rec) {
+        // The record is one little-endian `u128`, `row` in its low bits.
+        let rec = u128::from(row) | u128::from(col) << 32 | u128::from(weight.to_bits()) << 64;
+        if let Err(e) = self.writers[shard].write_all(&rec.to_le_bytes()) {
             self.err = Some(spill_error("writing spill run", &self.paths[shard], &e));
             return;
         }
@@ -202,10 +179,12 @@ impl ShardRuns {
             reader
                 .read_exact(&mut rec)
                 .map_err(|e| spill_error("reading spill run", path, &e))?;
-            let row = u32::from_le_bytes(rec[0..4].try_into().expect("record layout"));
-            let col = u32::from_le_bytes(rec[4..8].try_into().expect("record layout"));
-            let w = f64::from_bits(u64::from_le_bytes(rec[8..16].try_into().expect("layout")));
-            f(row, col, w);
+            let rec = u128::from_le_bytes(rec);
+            f(
+                rec as u32,
+                (rec >> 32) as u32,
+                f64::from_bits((rec >> 64) as u64),
+            );
         }
         Ok(())
     }
@@ -214,22 +193,6 @@ impl ShardRuns {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_resolution_prefers_explicit_and_keeps_zero() {
-        assert_eq!(budget_bytes(Some(2)), Some(2 * 1024 * 1024));
-        assert_eq!(budget_bytes(Some(0)), Some(0));
-        // Explicit None falls through to the environment; the test
-        // processes don't set it globally, so unset means no budget here.
-        if std::env::var(BUDGET_ENV).is_err() {
-            assert_eq!(budget_bytes(None), None);
-        }
-        assert_eq!(parse_budget(Some("64")), Some(64));
-        assert_eq!(parse_budget(Some(" 0 ")), Some(0));
-        assert_eq!(parse_budget(Some("garbage")), None);
-        assert_eq!(parse_budget(Some("")), None);
-        assert_eq!(parse_budget(None), None);
-    }
 
     #[test]
     fn budget_rule_gates_on_estimated_footprint() {

@@ -638,7 +638,7 @@ fn merge(survivors: &[(u32, f64)], keys: &[u64], added_w: &[f64], chunk: &mut Ch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_dense_csr, CsrBuilder};
+    use crate::{build_dense_csr, WeightedGraph};
 
     /// Bit-strict equality between two frozen graphs (the kernel's
     /// contract).
@@ -839,15 +839,15 @@ mod tests {
 
     /// A first-appearance build of `edges`.
     fn intern_build(directed: bool, edges: &[(NodeId, NodeId, f64)]) -> CsrGraph {
-        let mut b = if directed {
-            CsrBuilder::directed()
+        let mut g = if directed {
+            WeightedGraph::new_directed()
         } else {
-            CsrBuilder::undirected()
+            WeightedGraph::new_undirected()
         };
         for &(s, d, w) in edges {
-            b.push(s, d, w);
+            g.add_edge(s, d, w);
         }
-        b.build()
+        g.freeze()
     }
 
     #[test]
@@ -904,7 +904,7 @@ mod tests {
             .unwrap();
         assert!(got.is_empty());
         assert_eq!(got.total_weight(), 0.0);
-        assert_identical(&got, &CsrBuilder::undirected().build());
+        assert_identical(&got, &WeightedGraph::new_undirected().freeze());
     }
 
     #[test]

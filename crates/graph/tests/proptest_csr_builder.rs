@@ -1,11 +1,14 @@
 //! Property tests for the columnar construction path: on arbitrary edge
-//! lists with duplicates and self-loops, [`CsrBuilder`] must produce a
-//! graph **identical** to `WeightedGraph::freeze()` — same dense node
-//! table, same offsets/targets, bit-identical merged weights and cached
-//! degrees — at 1, 2 and 4 build threads, seeded and unseeded, on short
-//! rows and on rows hundreds of entries long.
+//! lists with duplicates and self-loops, [`build_dense_csr`] over the
+//! edges' dense columns must produce a graph **identical** to
+//! `WeightedGraph::freeze()` of the same edges — same dense node table,
+//! same offsets/targets, bit-identical merged weights and cached degrees —
+//! at 1, 2 and 4 build threads, on short rows and on rows hundreds of
+//! entries long. The node table is either the edges' first-appearance
+//! order, which `WeightedGraph` interns without seeding, or a sorted table
+//! with an isolated node, seeded into `WeightedGraph` up front.
 
-use moby_graph::{CsrBuilder, CsrGraph, WeightedGraph};
+use moby_graph::{build_dense_csr, CsrGraph, NodeId, WeightedGraph};
 use proptest::prelude::*;
 
 /// Random edge list over a sparse id space; duplicates and `a == b`
@@ -74,34 +77,37 @@ fn check(edges: &[(u64, u64, f64)], directed: bool, seeded: bool) {
     } else {
         WeightedGraph::new_undirected()
     };
-    // Seeding mirrors how projections pre-add the full (sorted) node set so
-    // isolated nodes stay visible.
-    let mut seeds: Vec<u64> = Vec::new();
+    let mut table: Vec<NodeId> = Vec::new();
     if seeded {
-        seeds = edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();
-        seeds.push(999_999_999); // one isolated node
-        seeds.sort_unstable();
-        seeds.dedup();
-        for &id in &seeds {
+        // Seeding mirrors how projections pre-add the full (sorted) node
+        // set so isolated nodes stay visible.
+        table = edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+        table.push(999_999_999); // one isolated node
+        table.sort_unstable();
+        table.dedup();
+        for &id in &table {
             g.add_node(id);
+        }
+    } else {
+        for &(a, b, _) in edges {
+            for id in [a, b] {
+                if !table.contains(&id) {
+                    table.push(id);
+                }
+            }
         }
     }
     for &(a, b, w) in edges {
         g.add_edge(a, b, w);
     }
     let frozen = g.freeze();
+    let dense = |id: NodeId| table.iter().position(|&x| x == id).unwrap() as u32;
+    let src: Vec<u32> = edges.iter().map(|e| dense(e.0)).collect();
+    let dst: Vec<u32> = edges.iter().map(|e| dense(e.1)).collect();
+    let weight: Vec<f64> = edges.iter().map(|e| e.2).collect();
     for threads in [1usize, 2, 4] {
-        let mut builder = if directed {
-            CsrBuilder::directed()
-        } else {
-            CsrBuilder::undirected()
-        }
-        .threads(Some(threads));
-        builder.seed_nodes(seeds.iter().copied());
-        for &(a, b, w) in edges {
-            builder.push(a, b, w);
-        }
-        assert_bit_identical(&builder.build(), &frozen);
+        let built = build_dense_csr(directed, table.clone(), &src, &dst, &weight, Some(threads));
+        assert_bit_identical(&built, &frozen);
     }
 }
 

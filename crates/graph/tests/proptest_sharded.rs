@@ -1,13 +1,14 @@
 //! Property tests for the **shard independence contract**: on arbitrary
-//! dense edge columns, the sharded construction path must produce a
-//! graph **bit-identical** to the unsharded [`build_dense_csr`] — same
-//! dense node table, same offsets/targets, bit-identical merged weights
-//! and cached degrees — at every `(shards, threads)` combination in
-//! {1, 2, 4} × {1, 2, 4}, directed and undirected, and
-//! [`CsrGraph::apply_window`] must treat a sharded-built base exactly
-//! like an unsharded one across a chain of window steps.
+//! dense edge columns, [`build_dense_csr_budgeted`] at an explicit shard
+//! count (and no spill budget) must produce a graph **bit-identical** to
+//! the one-shard [`build_dense_csr`] — same dense node table, same
+//! offsets/targets, bit-identical merged weights and cached degrees — at
+//! every `(shards, threads)` combination in {1, 2, 4} × {1, 2, 4},
+//! directed and undirected, and [`CsrGraph::apply_window`] must treat a
+//! sharded-built base exactly like an unsharded one across a chain of
+//! window steps.
 
-use moby_graph::{build_dense_csr, build_dense_csr_sharded, CsrBuilder, CsrGraph, EdgeColumns};
+use moby_graph::{build_dense_csr, build_dense_csr_budgeted, CsrGraph, EdgeColumns};
 use proptest::prelude::*;
 
 /// Random dense edge columns over a small sorted station table:
@@ -83,7 +84,7 @@ proptest! {
             build_dense_csr(directed, node_ids.clone(), &src, &dst, &weight, Some(1));
         for shards in SHARDS {
             for threads in THREADS {
-                let sharded = build_dense_csr_sharded(
+                let sharded = build_dense_csr_budgeted(
                     directed,
                     node_ids.clone(),
                     &src,
@@ -91,48 +92,11 @@ proptest! {
                     &weight,
                     Some(shards),
                     Some(threads),
-                );
+                    None,
+                    None,
+                )
+                .expect("an unbudgeted build never spills");
                 assert_bit_identical(&sharded, &baseline);
-            }
-        }
-    }
-
-    /// The first-appearance-interning builder honours the same contract
-    /// through [`CsrBuilder::shards`].
-    #[test]
-    fn sharded_builder_is_shard_and_thread_independent(
-        cols in dense_columns(),
-        directed in 0u8..2,
-    ) {
-        let (node_ids, src, dst, weight) = cols;
-        let directed = directed == 1;
-        let push_all = |builder: &mut CsrBuilder| {
-            for k in 0..src.len() {
-                builder.push(
-                    node_ids[src[k] as usize],
-                    node_ids[dst[k] as usize],
-                    weight[k],
-                );
-            }
-        };
-        let mut base = if directed {
-            CsrBuilder::directed()
-        } else {
-            CsrBuilder::undirected()
-        };
-        push_all(&mut base);
-        let baseline = base.build();
-        for shards in SHARDS {
-            for threads in THREADS {
-                let mut b = if directed {
-                    CsrBuilder::directed()
-                } else {
-                    CsrBuilder::undirected()
-                }
-                .shards(Some(shards))
-                .threads(Some(threads));
-                push_all(&mut b);
-                assert_bit_identical(&b.build(), &baseline);
             }
         }
     }
@@ -153,7 +117,7 @@ proptest! {
         let weight: Vec<f64> = weight.iter().map(|w| w.floor() % 5.0 + 1.0).collect();
         let directed = directed == 1;
         let (a, b, e) = chain_cuts(src.len(), cuts);
-        let base = build_dense_csr_sharded(
+        let base = build_dense_csr_budgeted(
             directed,
             node_ids.clone(),
             &src[..a],
@@ -161,7 +125,10 @@ proptest! {
             &weight[..a],
             Some(4),
             Some(2),
-        );
+            None,
+            None,
+        )
+        .expect("an unbudgeted build never spills");
         let graph = window_chain(&base, &node_ids, (&src, &dst, &weight), (a, b, e));
         let rebuilt = build_dense_csr(directed, node_ids, &src[e..], &dst[e..], &weight[e..], Some(1));
         assert_bit_identical(&graph, &rebuilt);

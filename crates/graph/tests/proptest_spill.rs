@@ -8,7 +8,7 @@
 //! and a huge budget (spill nothing). Window chains applied on
 //! spill-built bases must land exactly where the in-memory rebuild does.
 
-use moby_graph::{build_dense_csr, build_dense_csr_budgeted, CsrBuilder, CsrGraph, EdgeColumns};
+use moby_graph::{build_dense_csr, build_dense_csr_budgeted, CsrGraph, EdgeColumns};
 use proptest::prelude::*;
 
 /// Random dense edge columns over a small sorted station table:
@@ -102,50 +102,6 @@ proptest! {
                     )
                     .expect("spilled build");
                     assert_bit_identical(&spilled, &baseline);
-                }
-            }
-        }
-    }
-
-    /// The first-appearance-interning builder honours the same contract
-    /// through [`CsrBuilder::spill_budget`] / [`CsrBuilder::try_build`].
-    #[test]
-    fn spilled_builder_is_budget_shard_and_thread_independent(
-        cols in dense_columns(),
-        directed in 0u8..2,
-    ) {
-        let (node_ids, src, dst, weight) = cols;
-        let directed = directed == 1;
-        let push_all = |builder: &mut CsrBuilder| {
-            for k in 0..src.len() {
-                builder.push(
-                    node_ids[src[k] as usize],
-                    node_ids[dst[k] as usize],
-                    weight[k],
-                );
-            }
-        };
-        let mut base = if directed {
-            CsrBuilder::directed()
-        } else {
-            CsrBuilder::undirected()
-        };
-        push_all(&mut base);
-        let baseline = base.build();
-        for budget_mb in BUDGETS_MB {
-            for shards in SHARDS {
-                for threads in THREADS {
-                    let mut b = if directed {
-                        CsrBuilder::directed()
-                    } else {
-                        CsrBuilder::undirected()
-                    }
-                    .shards(Some(shards))
-                    .threads(Some(threads))
-                    .spill_budget(Some(budget_mb));
-                    push_all(&mut b);
-                    let built = b.try_build().expect("spilled builder build");
-                    assert_bit_identical(&built, &baseline);
                 }
             }
         }

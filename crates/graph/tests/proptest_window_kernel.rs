@@ -8,15 +8,16 @@
 //! weight.
 //!
 //! Two kinds of table are covered. A *pinned* table is a sorted pool of
-//! ids that [`build_dense_csr`] builds over and every step keeps (map
-//! `None`). A *first-appearance* table is what [`CsrBuilder`] interns;
-//! a step's new table is the builder's intern of the survivors followed
-//! by the appended edges, so nodes drop, move (a row's remapped targets
-//! then come out of order) and arrive anywhere. Named cases pin the
+//! ids that every step keeps (map `None`). A *first-appearance* table
+//! holds the edges' endpoints in the order they first appear, as
+//! `WeightedGraph` interns them; a step's new table is that order over
+//! the survivors followed by the appended edges, so nodes drop, move (a
+//! row's remapped targets then come out of order) and arrive anywhere.
+//! Both rebuild through [`build_dense_csr`]. Named cases pin the
 //! corners the random chains may miss, and the typed errors.
 
 use moby_graph::window::MAX_EVICT_WEIGHT;
-use moby_graph::{build_dense_csr, CsrBuilder, CsrGraph, EdgeColumns, GraphError, NodeId};
+use moby_graph::{build_dense_csr, CsrGraph, EdgeColumns, GraphError, NodeId};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -55,36 +56,28 @@ fn edge(pool: u64) -> impl Strategy<Value = Edge> {
 /// How a graph's node table is kept.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Table {
-    /// Every id of the wide pool, sorted, built by `build_dense_csr`.
+    /// Every id of the wide pool, sorted.
     Pinned,
-    /// The builder's first-appearance intern of the edges.
+    /// The edges' endpoints in first-appearance order.
     FirstAppearance,
 }
 
 /// The one-shot build of `edges` under `table`.
 fn build(directed: bool, table: Table, edges: &[Edge], threads: usize) -> CsrGraph {
-    match table {
-        Table::Pinned => {
-            let ids: Vec<NodeId> = (0..WIDE_POOL).map(id).collect();
-            let dense = |x: NodeId| ((x - id(0)) / 7) as u32;
-            let src: Vec<u32> = edges.iter().map(|e| dense(e.0)).collect();
-            let dst: Vec<u32> = edges.iter().map(|e| dense(e.1)).collect();
-            let w: Vec<f64> = edges.iter().map(|e| e.2).collect();
-            build_dense_csr(directed, ids, &src, &dst, &w, Some(threads))
-        }
+    let ids: Vec<NodeId> = match table {
+        Table::Pinned => (0..WIDE_POOL).map(id).collect(),
         Table::FirstAppearance => {
-            let mut b = if directed {
-                CsrBuilder::directed()
-            } else {
-                CsrBuilder::undirected()
+            let mut ids = Vec::new();
+            for x in edges.iter().flat_map(|e| [e.0, e.1]) {
+                if !ids.contains(&x) {
+                    ids.push(x);
+                }
             }
-            .threads(Some(threads));
-            for &(s, d, w) in edges {
-                b.push(s, d, w);
-            }
-            b.build()
+            ids
         }
-    }
+    };
+    let (src, dst, w) = columns(edges, &positions(&ids));
+    build_dense_csr(directed, ids, &src, &dst, &w, Some(threads))
 }
 
 /// Each id's dense index in `ids`.

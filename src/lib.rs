@@ -79,9 +79,10 @@
 //!
 //! The legacy mutable builder, [`graph::WeightedGraph`] (per-node
 //! hash-map adjacency, `freeze()` to CSR), survives **off the hot path**
-//! as the compatibility and equivalence baseline: `CsrBuilder` output is
-//! bit-identical to `WeightedGraph::freeze()` by construction, proptests
-//! enforce it at 1/2/4 build threads, the synthetic-dataset suite proves
+//! as the compatibility and equivalence baseline: [`graph::build_dense_csr`]
+//! over a node table is bit-identical to `WeightedGraph::freeze()` after
+//! seeding that table, proptests enforce it at 1/2/4 build threads, the
+//! synthetic-dataset suite proves
 //! the columnar pipeline reproduces the hash-map reference build
 //! ([`core::temporal::reference_graph`], fed from the same trip table)
 //! partition-for-partition, and the repository benchmark

@@ -201,7 +201,7 @@ pub fn label_propagation_csr(graph: &CsrGraph, config: &LabelPropagationConfig) 
         }
     }
 
-    Partition::from_dense(g.node_ids(), &labels, n)
+    Partition::from_dense(g.node_ids(), &mut labels, n)
 }
 
 #[cfg(test)]

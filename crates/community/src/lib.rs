@@ -54,7 +54,8 @@ pub mod stats;
 
 pub use labelprop::{label_propagation_csr, LabelPropagationConfig};
 pub use louvain::{
-    louvain, louvain_csr, louvain_hashmap, louvain_seeded, louvain_seeded_active, LouvainConfig,
+    louvain, louvain_csr, louvain_hashmap, louvain_scored, louvain_seeded, louvain_seeded_active,
+    LouvainConfig, ScoredPartition,
 };
 pub use modularity::{modularity, modularity_csr, modularity_csr_threads, modularity_hashmap};
 pub use partition::Partition;

@@ -20,7 +20,8 @@
 //! Two implementations share that algorithm:
 //!
 //! * [`louvain_csr`] — the production path. It consumes a frozen
-//!   [`CsrGraph`], keeps every level in flat CSR arrays, replaces the
+//!   [`CsrGraph`], reads level 0 in place from the graph's own columns,
+//!   keeps every aggregated level in flat CSR arrays, replaces the
 //!   per-node hash scratch with dense index-addressed buffers, and
 //!   relabels memberships through the interned dense index in O(n).
 //! * [`louvain_hashmap`] — the legacy path over the mutable
@@ -45,6 +46,10 @@
 //! the seed's modularity and moves are never losing, so the result's
 //! modularity never drops below the seed's; with an empty seed it is the
 //! cold start bit-for-bit.
+//!
+//! [`louvain_scored`] runs either start and hands the result over on the
+//! graph's dense node indices, with its modularity, so the detection
+//! layer folds and scores it without looking a node up.
 //!
 //! ## Parallelism
 //!
@@ -99,49 +104,39 @@ impl Default for LouvainConfig {
 // CSR path (production)
 // ---------------------------------------------------------------------------
 
-/// One level of the aggregation hierarchy in flat CSR form. Self-loops are
-/// held out of the adjacency rows (they never affect a move decision) but
-/// count twice in `degree`, matching the standard convention.
-struct CsrLevel {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    weights: Vec<f64>,
-    self_loops: Vec<f64>,
+/// One level of the aggregation hierarchy as borrowed flat CSR columns.
+///
+/// Level 0 reads the frozen graph in place ([`Level::frozen`]), so its
+/// rows still hold each node's self-loop entry; the move scan skips it
+/// ([`Level::row_runs`]). Every aggregated level borrows a [`CsrLevel`],
+/// whose rows hold none. Either way `self_loops` holds each node's
+/// self-loop weight and `degree` counts it twice, the standard convention.
+#[derive(Clone, Copy)]
+struct Level<'a> {
+    offsets: &'a [u32],
+    targets: &'a [u32],
+    weights: &'a [f64],
+    self_loops: &'a [f64],
     /// Weighted degree per node (self-loops twice).
-    degree: Vec<f64>,
+    degree: &'a [f64],
     /// Total edge weight m (undirected edges once, self-loops once).
     m: f64,
+    /// Whether a row may hold its own node's self-loop entry.
+    loops_in_rows: bool,
 }
 
-impl CsrLevel {
-    fn from_frozen(graph: &CsrGraph) -> CsrLevel {
-        let n = graph.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        let mut self_loops = vec![0.0f64; n];
-        let mut degree = vec![0.0f64; n];
-        for u in 0..n {
-            let (t, w) = graph.row(u);
-            for (&v, &w) in t.iter().zip(w) {
-                if v as usize == u {
-                    self_loops[u] = w;
-                } else {
-                    targets.push(v);
-                    weights.push(w);
-                }
-            }
-            offsets.push(targets.len() as u32);
-            degree[u] = graph.weighted_degree(u);
-        }
-        CsrLevel {
+impl<'a> Level<'a> {
+    /// Level 0: the frozen graph's own columns and degree caches.
+    fn frozen(graph: &'a CsrGraph) -> Level<'a> {
+        let (offsets, targets, weights, degree, self_loops) = graph.columns();
+        Level {
             offsets,
             targets,
             weights,
             self_loops,
             degree,
             m: graph.total_weight(),
+            loops_in_rows: true,
         }
     }
 
@@ -150,10 +145,53 @@ impl CsrLevel {
     }
 
     #[inline]
-    fn row(&self, u: usize) -> (&[u32], &[f64]) {
+    fn row(&self, u: usize) -> (&'a [u32], &'a [f64]) {
         let lo = self.offsets[u] as usize;
         let hi = self.offsets[u + 1] as usize;
         (&self.targets[lo..hi], &self.weights[lo..hi])
+    }
+
+    /// Row `u` without its self-loop entry, as the runs before and after
+    /// it. Rows are sorted by target, so the two runs hold the other
+    /// entries in row order.
+    #[inline]
+    fn row_runs(&self, u: usize) -> [(&'a [u32], &'a [f64]); 2] {
+        let (targets, weights) = self.row(u);
+        let at = if self.loops_in_rows {
+            targets.partition_point(|&v| (v as usize) < u)
+        } else {
+            targets.len()
+        };
+        let after = at + usize::from(targets.get(at) == Some(&(u as u32)));
+        [
+            (&targets[..at], &weights[..at]),
+            (&targets[after..], &weights[after..]),
+        ]
+    }
+}
+
+/// An aggregated level, owned. Self-loops are held out of the adjacency
+/// rows (they never affect a move decision).
+struct CsrLevel {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    weights: Vec<f64>,
+    self_loops: Vec<f64>,
+    degree: Vec<f64>,
+    m: f64,
+}
+
+impl CsrLevel {
+    fn view(&self) -> Level<'_> {
+        Level {
+            offsets: &self.offsets,
+            targets: &self.targets,
+            weights: &self.weights,
+            self_loops: &self.self_loops,
+            degree: &self.degree,
+            m: self.m,
+            loops_in_rows: false,
+        }
     }
 }
 
@@ -172,6 +210,41 @@ impl ScanScratch {
             touched: Vec::new(),
         }
     }
+
+    /// Add one run of row entries to `links_to`, by the community of each
+    /// target.
+    ///
+    /// Fixed-width gather blocks: read a block of u32 targets and resolve
+    /// their community labels branch-free into a register-resident block,
+    /// then scatter the weights. The scatter walks the block in position
+    /// order, so every per-community sum accumulates in exactly the scalar
+    /// (and legacy hash-map path) order — batching buys the separation of
+    /// the label gather from the branchy scatter, not a reassociation.
+    #[inline]
+    fn tally(&mut self, community: &[usize], targets: &[u32], weights: &[f64]) {
+        const GATHER: usize = 8;
+        let mut tc = targets.chunks_exact(GATHER);
+        let mut wc = weights.chunks_exact(GATHER);
+        let mut comms = [0usize; GATHER];
+        for (t, w) in (&mut tc).zip(&mut wc) {
+            for (slot, &nbr) in comms.iter_mut().zip(t) {
+                *slot = community[nbr as usize];
+            }
+            for (j, &c) in comms.iter().enumerate() {
+                if self.links_to[c] == 0.0 {
+                    self.touched.push(c);
+                }
+                self.links_to[c] += w[j];
+            }
+        }
+        for (&nbr, &w) in tc.remainder().iter().zip(wc.remainder()) {
+            let c = community[nbr as usize];
+            if self.links_to[c] == 0.0 {
+                self.touched.push(c);
+            }
+            self.links_to[c] += w;
+        }
+    }
 }
 
 /// The move decision for one node against the *current* `community` /
@@ -185,7 +258,7 @@ impl ScanScratch {
 /// serial sweep, the parallel speculative scan and the commit-time
 /// recomputation, so a decision is the same bits wherever it is evaluated.
 fn scan_move_csr(
-    graph: &CsrLevel,
+    graph: &Level,
     community: &[usize],
     comm_degree: &[f64],
     two_m: f64,
@@ -199,34 +272,12 @@ fn scan_move_csr(
         scratch.links_to[c] = 0.0;
     }
     scratch.touched.clear();
-    // Fixed-width gather blocks: read a block of u32 targets and resolve
-    // their community labels branch-free into a register-resident block,
-    // then scatter the weights. The scatter walks the block in position
-    // order, so every per-community sum accumulates in exactly the scalar
-    // (and legacy hash-map path) order — batching buys the separation of
-    // the label gather from the branchy scatter, not a reassociation.
-    const GATHER: usize = 8;
-    let (targets, weights) = graph.row(node);
-    let mut tc = targets.chunks_exact(GATHER);
-    let mut wc = weights.chunks_exact(GATHER);
-    let mut comms = [0usize; GATHER];
-    for (t, w) in (&mut tc).zip(&mut wc) {
-        for (slot, &nbr) in comms.iter_mut().zip(t) {
-            *slot = community[nbr as usize];
-        }
-        for (j, &c) in comms.iter().enumerate() {
-            if scratch.links_to[c] == 0.0 {
-                scratch.touched.push(c);
-            }
-            scratch.links_to[c] += w[j];
-        }
-    }
-    for (&nbr, &w) in tc.remainder().iter().zip(wc.remainder()) {
-        let c = community[nbr as usize];
-        if scratch.links_to[c] == 0.0 {
-            scratch.touched.push(c);
-        }
-        scratch.links_to[c] += w;
+    // A self-loop links the node to no community (it counts in `k_i`
+    // only), so the scan skips the entry level 0 keeps in the row. The two
+    // runs around it add in row order, so every per-community sum is the
+    // one a row without the entry gives.
+    for (targets, weights) in graph.row_runs(node) {
+        scratch.tally(community, targets, weights);
     }
 
     // Degree of the node's community with the node itself removed.
@@ -271,7 +322,7 @@ fn scan_move_csr(
 /// parallel scan only prepays the scan cost of nodes whose neighbourhood
 /// stayed untouched (the common case once the sweep starts converging).
 fn local_moving_csr(
-    graph: &CsrLevel,
+    graph: &Level,
     order: &[usize],
     threads: usize,
     init: Option<&[usize]>,
@@ -293,7 +344,7 @@ fn local_moving_csr(
             }
             cd
         }
-        None => graph.degree.clone(),
+        None => graph.degree.to_vec(),
     };
     let two_m = 2.0 * graph.m;
     if two_m <= 0.0 {
@@ -304,7 +355,7 @@ fn local_moving_csr(
     let mut improved = true;
     let mut scratch = ScanScratch::new(n);
 
-    let chunks = par::RowChunks::from_offsets(&graph.offsets);
+    let chunks = par::RowChunks::from_offsets(graph.offsets);
     let speculate = threads > 1 && chunks.len() > 1;
     // Move stamps, used only when speculating: `tick` counts applied moves;
     // a node / community stamped after the sweep-start tick invalidates any
@@ -389,7 +440,7 @@ fn local_moving_csr(
 /// *pruning* needs the dependency argument — so the fallback never
 /// changes bits either.
 fn local_moving_csr_active(
-    graph: &CsrLevel,
+    graph: &Level,
     order: &[usize],
     threads: usize,
     init: &[usize],
@@ -424,7 +475,7 @@ fn local_moving_csr_active(
     let mut improved = true;
     let mut scratch = ScanScratch::new(n);
 
-    let chunks = par::RowChunks::from_offsets(&graph.offsets);
+    let chunks = par::RowChunks::from_offsets(graph.offsets);
     let can_speculate = threads > 1 && chunks.len() > 1;
     let mut tick: u64 = 0;
     let mut node_stamp = vec![0u64; if can_speculate { n } else { 0 }];
@@ -485,13 +536,12 @@ fn local_moving_csr_active(
                     comm_stamp[node_comm] = tick;
                     comm_stamp[best_comm] = tick;
                 }
-                // Move the node between membership lists (swap-remove).
+                // Move the node between membership lists: swap-remove it,
+                // then record the new position of the member that took
+                // its slot, if any.
                 let pos = member_pos[node] as usize;
-                let swapped = *members[node_comm]
-                    .last()
-                    .expect("mover is a member of its community");
                 members[node_comm].swap_remove(pos);
-                if swapped as usize != node {
+                if let Some(&swapped) = members[node_comm].get(pos) {
                     member_pos[swapped as usize] = pos as u32;
                 }
                 member_pos[node] = members[best_comm].len() as u32;
@@ -554,9 +604,10 @@ fn compact_labels(community: &[usize]) -> (Vec<usize>, usize) {
 /// does, and the merged weights are bit-identical across the two paths.
 /// Pairs come out ordered by (lower, upper), which fills every row in
 /// ascending target order and adds each degree in that order.
-fn aggregate_csr(graph: &CsrLevel, compact: &[usize], k: usize) -> CsrLevel {
+fn aggregate_csr(graph: &Level, compact: &[usize], k: usize) -> CsrLevel {
     // Calls `f(lower, upper, weight)` for every contribution in scan order.
-    fn scan(graph: &CsrLevel, compact: &[usize], mut f: impl FnMut(usize, usize, f64)) {
+    // A self-loop entry left in a level-0 row has `j == i` and is skipped.
+    fn scan(graph: &Level, compact: &[usize], mut f: impl FnMut(usize, usize, f64)) {
         for i in 0..graph.node_count() {
             let ci = compact[i];
             if graph.self_loops[i] > 0.0 {
@@ -637,50 +688,48 @@ fn aggregate_csr(graph: &CsrLevel, compact: &[usize], k: usize) -> CsrLevel {
     }
 }
 
-/// Shared Louvain driver: `init` is an optional level-0 seed assignment
-/// (compacted labels `< n`, one per dense node index). Cold runs pass
-/// `None`; [`louvain_seeded`] passes the previous partition's labels.
+/// Shared Louvain driver over an undirected graph `g`: the partition, with
+/// each dense node's label in it (canonical `0..k`) and `k`. `seed` seeds
+/// the first local-moving phase ([`seed_labels`]); `active` runs that
+/// phase's sweeps on the active set.
 ///
-/// The seed only changes where the *first* local-moving phase starts —
-/// every later level begins from the aggregated singletons as usual. The
-/// relabel step runs even when no node moved (for a cold start the
-/// identity community compacts to the identity, so this is bit-identical
-/// to breaking first; for a seeded start it is what carries an
-/// already-optimal seed into the result instead of discarding it).
+/// Level 0 reads `g`'s columns in place; every later level is an owned
+/// aggregate. The seed only changes where the *first* local-moving phase
+/// starts — every later level begins from the aggregated singletons as
+/// usual. The relabel step runs even when no node moved (for a cold start
+/// the identity community compacts to the identity, so this is
+/// bit-identical to breaking first; for a seeded start it is what carries
+/// an already-optimal seed into the result instead of discarding it).
 fn louvain_csr_impl(
-    graph: &CsrGraph,
-    config: &LouvainConfig,
-    mut init: Option<Vec<usize>>,
+    g: &CsrGraph,
+    seed: Option<&Partition>,
     active: bool,
-) -> Partition {
-    let undirected;
-    let g = if graph.is_directed() {
-        undirected = graph.to_undirected();
-        &undirected
-    } else {
-        graph
-    };
+    config: &LouvainConfig,
+) -> (Partition, Vec<usize>, usize) {
     let n = g.node_count();
     if n == 0 {
-        return Partition::new();
+        return (Partition::new(), Vec::new(), 0);
     }
 
     let threads = par::thread_count(config.threads);
+    let mut init = seed.map(|seed| seed_labels(g, seed));
     // Every membership label is `< k`.
     let mut membership: Vec<usize> = (0..n).collect();
     let mut k = n;
-    let mut level = CsrLevel::from_frozen(g);
+    let mut aggregated: Option<CsrLevel> = None;
     let mut rng = config.seed.map(StdRng::seed_from_u64);
     // The pass gate starts from the seed's modularity (cold: singletons),
     // so a pass only counts as progress if it beats the state it started
     // from — local moving never commits a losing move, so the final
-    // partition's modularity is never below the seed's.
-    let mut last_q = match &init {
-        Some(labels) => dense_modularity(g, labels, n, threads),
-        None => dense_modularity(g, &membership, n, threads),
-    };
+    // partition's modularity is never below the seed's. That start is
+    // scored only once the first pass has moved a node: when none moves,
+    // the loop ends before the gate runs.
+    let mut last_q: Option<f64> = None;
 
     for _ in 0..config.max_passes {
+        let level = aggregated
+            .as_ref()
+            .map_or_else(|| Level::frozen(g), CsrLevel::view);
         let mut order: Vec<usize> = (0..level.node_count()).collect();
         if let Some(rng) = rng.as_mut() {
             order.shuffle(rng);
@@ -691,6 +740,14 @@ fn louvain_csr_impl(
             Some(labels) if active => local_moving_csr_active(&level, &order, threads, labels),
             _ => local_moving_csr(&level, &order, threads, level_init.as_deref()),
         };
+        // In the first pass `membership` still holds the singletons a cold
+        // start began from.
+        let start = moved.then(|| {
+            last_q.unwrap_or_else(|| {
+                let begun = level_init.as_deref().unwrap_or(&membership);
+                dense_modularity(g, begun, n, threads)
+            })
+        });
         let (compact, level_k) = compact_labels(&community);
         k = level_k;
         // Membership values are dense indices of the current level, so the
@@ -698,27 +755,28 @@ fn louvain_csr_impl(
         for m in membership.iter_mut() {
             *m = compact[*m];
         }
-        if !moved {
+        let Some(start) = start else {
             break;
-        }
+        };
 
-        let aggregated = aggregate_csr(&level, &compact, k);
+        let next = aggregate_csr(&level, &compact, k);
         let q = dense_modularity(g, &membership, k, threads);
-        if q - last_q < config.min_modularity_gain {
+        if q - start < config.min_modularity_gain {
             // Keep the (slightly) better assignment but stop iterating.
             break;
         }
-        last_q = q;
-        level = aggregated;
+        last_q = Some(q);
+        aggregated = Some(next);
     }
-    Partition::from_dense(g.node_ids(), &membership, k)
+    let partition = Partition::from_dense(g.node_ids(), &mut membership, k);
+    (partition, membership, k)
 }
 
 /// Run the Louvain algorithm over a frozen undirected [`CsrGraph`]
 /// (directed graphs are projected to undirected first) and return the
 /// detected partition with canonical community labels `0..k`.
 pub fn louvain_csr(graph: &CsrGraph, config: &LouvainConfig) -> Partition {
-    louvain_csr_impl(graph, config, None, false)
+    louvain_csr_impl(&graph.to_undirected(), None, false, config).0
 }
 
 /// Run Louvain **seeded from a previous partition**: the first
@@ -739,20 +797,16 @@ pub fn louvain_csr(graph: &CsrGraph, config: &LouvainConfig) -> Partition {
 /// strict dominance over the cold run is not a theorem, but the seed
 /// floor is). An empty seed degenerates to the cold start bit-for-bit.
 pub fn louvain_seeded(graph: &CsrGraph, seed: &Partition, config: &LouvainConfig) -> Partition {
-    let n = graph.node_count();
-    if n == 0 {
-        return Partition::new();
-    }
-    louvain_csr_impl(graph, config, Some(seed_labels(graph, seed)), false)
+    louvain_csr_impl(&graph.to_undirected(), Some(seed), false, config).0
 }
 
 /// [`louvain_seeded`] with **active-set** local moving: after the first
-/// (necessarily whole-graph) sweep of the seeded pass, only the nodes a
-/// committed move actually invalidated are re-examined — the members of
-/// the move's source and target communities plus their neighbours (the
-/// internal `local_moving_csr_active` scan). In a windowed refresh those movers
-/// cluster around the rows the delta/evict touched, so later sweeps
-/// shrink from O(n) scans to O(touched frontier).
+/// sweep of the seeded pass, which is always whole-graph, only the nodes
+/// a committed move invalidated are re-examined — the members of the
+/// move's source and target communities plus their neighbours (the
+/// internal `local_moving_csr_active` scan). That trims the later sweeps
+/// of the first pass only: the run still makes that whole-graph sweep,
+/// and every later pass sweeps its whole aggregated level.
 ///
 /// The returned partition is **bit-identical** to [`louvain_seeded`] for
 /// the same inputs — the skipped nodes are provably no-ops — so callers
@@ -763,11 +817,47 @@ pub fn louvain_seeded_active(
     seed: &Partition,
     config: &LouvainConfig,
 ) -> Partition {
-    let n = graph.node_count();
-    if n == 0 {
-        return Partition::new();
+    louvain_csr_impl(&graph.to_undirected(), Some(seed), true, config).0
+}
+
+/// A Louvain partition handed over on the graph's dense node indices, with
+/// its modularity: what [`louvain_scored`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScoredPartition {
+    /// The detected partition, with the canonical labels `0..k` of
+    /// [`louvain_csr`].
+    pub partition: Partition,
+    /// `labels[u]` is the community in `partition` of the graph's dense
+    /// node `u` (its `node_ids()[u]`).
+    pub labels: Vec<usize>,
+    /// The partition's modularity on the graph: the bits
+    /// [`modularity_csr_threads`](crate::modularity_csr_threads) gives for
+    /// `partition` at the run's `threads`.
+    pub modularity: f64,
+}
+
+/// Run Louvain cold (`seed` `None`, as [`louvain_csr`]) or seeded (as
+/// [`louvain_seeded`], or [`louvain_seeded_active`] when `active` is set;
+/// `active` changes nothing in a cold run), and return its partition with
+/// each dense node's label and the partition's modularity. The three are
+/// bit for bit those entry points' partition and
+/// [`modularity_csr_threads`](crate::modularity_csr_threads) of it, but a
+/// caller that folds or tables the result per node reads the labels
+/// without a lookup, and the score is taken on those labels directly.
+pub fn louvain_scored(
+    graph: &CsrGraph,
+    seed: Option<&Partition>,
+    active: bool,
+    config: &LouvainConfig,
+) -> ScoredPartition {
+    let g = graph.to_undirected();
+    let (partition, labels, k) = louvain_csr_impl(&g, seed, active, config);
+    let modularity = dense_modularity(&g, &labels, k, par::thread_count(config.threads));
+    ScoredPartition {
+        partition,
+        labels,
+        modularity,
     }
-    louvain_csr_impl(graph, config, Some(seed_labels(graph, seed)), true)
 }
 
 /// Compact a seed partition's labels to dense `0..k` in first-appearance
@@ -1019,7 +1109,7 @@ fn membership_to_partition(ids: &[NodeId], membership: &[usize]) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modularity;
+    use crate::{modularity, modularity_csr_threads};
     use rand::Rng;
 
     fn two_cliques(bridge_weight: f64) -> WeightedGraph {
@@ -1090,7 +1180,8 @@ mod tests {
             _ => ((id - 2) % 3) as usize,
         };
         let compact: Vec<usize> = frozen.node_ids().iter().map(|&id| community(id)).collect();
-        let aggregated = aggregate_csr(&CsrLevel::from_frozen(&frozen), &compact, 3);
+        let aggregated = aggregate_csr(&Level::frozen(&frozen), &compact, 3);
+        let aggregated = aggregated.view();
         let (targets, weights) = aggregated.row(0);
         assert_eq!(targets, &[1, 2]);
         assert_eq!(weights[0].to_bits(), 1e16f64.to_bits());
@@ -1500,6 +1591,145 @@ mod tests {
                 louvain_seeded(&frozen, &perturbed, &cfg),
                 "active-set refresh diverged on structured graph ({t} threads)"
             );
+        }
+    }
+
+    #[test]
+    fn a_self_loop_never_counts_as_a_link_home() {
+        // 128 gadgets: a hub with a self-loop of 4 and one link of 1 to a
+        // triangle of weight-2 edges. A self-loop links its node to no
+        // community, so the hub's best move is into its triangle's
+        // community; a scan that counted the loop as a link home (4) would
+        // keep it alone. Level 0 reads the frozen rows in place, loops
+        // included, so its scan must skip that entry; one pass
+        // (`max_passes: 1`) returns level 0's own partition, where a hub
+        // kept home would show. Enough rows for several chunks, so the
+        // parallel scans run at 2 and 4 threads.
+        let mut g = WeightedGraph::new_undirected();
+        for i in 0..128u64 {
+            let [hub, a, b, c] = [0, 1, 2, 3].map(|j| 10 * i + j);
+            g.add_edge(hub, hub, 4.0);
+            g.add_edge(hub, a, 1.0);
+            for (x, y) in [(a, b), (b, c), (a, c)] {
+                g.add_edge(x, y, 2.0);
+            }
+        }
+        let frozen = g.freeze();
+        let ids = frozen.node_ids();
+        let gadgets: Partition = ids.iter().map(|&id| (id, (id / 10) as usize)).collect();
+        let singletons = Partition::singletons(ids);
+        // Every triangle seeded together, every hub alone.
+        let hubs_apart: Partition = ids
+            .iter()
+            .map(|&id| (id, (id / 10) as usize * 2 + usize::from(id % 10 == 0)))
+            .collect();
+        for max_passes in [1, LouvainConfig::default().max_passes] {
+            let oracle = louvain_hashmap(
+                &g,
+                &LouvainConfig {
+                    max_passes,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(oracle, gadgets.renumbered(), "{max_passes} passes");
+            for t in [1usize, 2, 4] {
+                let cfg = LouvainConfig {
+                    max_passes,
+                    threads: Some(t),
+                    ..Default::default()
+                };
+                let at = format!("{max_passes} passes, {t} threads");
+                assert_eq!(louvain_csr(&frozen, &cfg), oracle, "cold, {at}");
+                for seed in [&singletons, &hubs_apart] {
+                    assert_eq!(louvain_seeded(&frozen, seed, &cfg), oracle, "seeded, {at}");
+                    assert_eq!(
+                        louvain_seeded_active(&frozen, seed, &cfg),
+                        oracle,
+                        "active, {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A ring of 30 five-cliques (internal and ring edges of weight 100)
+    /// plus a drifter, node 1 000, linked by weight 1 to cliques 0 and 1.
+    /// Clique 0 also has a self-loop of 0.5, so it is one unit of degree
+    /// heavier than clique 1. Node-level moves keep every clique whole;
+    /// merging adjacent cliques pays, so a run that aggregates the cliques
+    /// merges them.
+    fn ring_with_drifter() -> CsrGraph {
+        let mut g = WeightedGraph::new_undirected();
+        for c in 0..30u64 {
+            for i in 0..5 {
+                for j in (i + 1)..5 {
+                    g.add_edge(10 * c + i, 10 * c + j, 100.0);
+                }
+            }
+            g.add_edge(10 * c + 4, 10 * ((c + 1) % 30), 100.0);
+        }
+        g.add_edge(0, 0, 0.5);
+        g.add_edge(1_000, 1, 1.0);
+        g.add_edge(1_000, 11, 1.0);
+        g.freeze()
+    }
+
+    #[test]
+    fn the_pass_gate_starts_from_the_seed() {
+        let frozen = ring_with_drifter();
+        let q = |p: &Partition| modularity_csr_threads(&frozen, p, Some(1));
+        let clique = |id: NodeId| (id / 10) as usize;
+        for t in [1usize, 2, 4] {
+            let cfg = LouvainConfig {
+                threads: Some(t),
+                ..Default::default()
+            };
+            let first_pass = LouvainConfig {
+                max_passes: 1,
+                ..cfg.clone()
+            };
+            for active in [false, true] {
+                let run = |seed: &Partition, cfg: &LouvainConfig| {
+                    louvain_scored(&frozen, Some(seed), active, cfg).partition
+                };
+                // Seeded with the drifter in the heavier clique 0, the first
+                // pass moves the drifter alone, to clique 1, and gains less
+                // than the gate's minimum over the seed: the run must stop
+                // there, cliques unmerged. A gate that started anywhere
+                // below the seed's score would aggregate and merge them.
+                let drifter_home: Partition = frozen
+                    .node_ids()
+                    .iter()
+                    .map(|&id| (id, if id == 1_000 { 0 } else { clique(id) }))
+                    .collect();
+                let moved: Partition = frozen
+                    .node_ids()
+                    .iter()
+                    .map(|&id| (id, if id == 1_000 { 1 } else { clique(id) }))
+                    .collect();
+                let stalled = run(&drifter_home, &cfg);
+                assert_eq!(stalled, moved.renumbered(), "{t} threads, active {active}");
+                let gain = q(&stalled) - q(&drifter_home);
+                assert!(gain > 0.0 && gain < cfg.min_modularity_gain, "gain {gain}");
+
+                // Seeded with every clique split in two, the first pass
+                // rejoins the halves and gains far more than the minimum:
+                // the run must go on past it and merge cliques. A gate that
+                // started from the first pass's own result would stop.
+                let halves: Partition = frozen
+                    .node_ids()
+                    .iter()
+                    .map(|&id| (id, 2 * clique(id) + usize::from(id % 10 < 2)))
+                    .collect();
+                let one = run(&halves, &first_pass);
+                let full = run(&halves, &cfg);
+                assert_eq!(one.community_count(), 30, "{t} threads, active {active}");
+                assert!(
+                    full.community_count() < 30 && q(&full) > q(&one),
+                    "{t} threads, active {active}: {} communities",
+                    full.community_count()
+                );
+            }
         }
     }
 }

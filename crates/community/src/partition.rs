@@ -121,9 +121,10 @@ impl Partition {
     /// The partition that puts `nodes[u]` in community `labels[u]` (each
     /// label `< k`, node ids distinct), with the canonical labels of
     /// [`Partition::renumbered`]: communities ordered by smallest member.
-    pub(crate) fn from_dense(nodes: &[NodeId], labels: &[usize], k: usize) -> Partition {
+    /// `labels` is relabelled in place to those canonical labels.
+    pub(crate) fn from_dense(nodes: &[NodeId], labels: &mut [usize], k: usize) -> Partition {
         let mut smallest: Vec<Option<NodeId>> = vec![None; k];
-        for (&id, &c) in nodes.iter().zip(labels) {
+        for (&id, &c) in nodes.iter().zip(labels.iter()) {
             smallest[c] = Some(smallest[c].map_or(id, |s| s.min(id)));
         }
         let mut order: Vec<(NodeId, usize)> = smallest
@@ -138,8 +139,11 @@ impl Partition {
         }
         nodes
             .iter()
-            .zip(labels)
-            .map(|(&id, &c)| (id, relabel[c]))
+            .zip(labels.iter_mut())
+            .map(|(&id, c)| {
+                *c = relabel[*c];
+                (id, *c)
+            })
             .collect()
     }
 }
@@ -205,7 +209,9 @@ mod tests {
         let (ranked, k) = p.ranked_labels(&nodes);
         assert_eq!(ranked, vec![Some(0), Some(0), None, Some(1)]);
         assert_eq!(k, 2);
-        let dense = Partition::from_dense(&[9, 4, 6, 2], &[1, 1, 2, 0], 4);
+        let mut labels = [3, 3, 0, 2];
+        let dense = Partition::from_dense(&[9, 4, 6, 2], &mut labels, 4);
         assert_eq!(dense, p.renumbered());
+        assert_eq!(labels, [1, 1, 2, 0]);
     }
 }

@@ -8,11 +8,8 @@
 
 use crate::temporal::{TemporalGranularity, TemporalGraph};
 use moby_community::stats::{community_table, CommunityTable};
-use moby_community::{
-    label_propagation_csr, louvain_csr, louvain_seeded, louvain_seeded_active,
-    modularity_csr_threads,
-};
-use moby_community::{LabelPropagationConfig, LouvainConfig, Partition};
+use moby_community::{label_propagation_csr, louvain_scored, modularity_csr_threads};
+use moby_community::{LabelPropagationConfig, LouvainConfig, Partition, ScoredPartition};
 use moby_graph::{CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -84,46 +81,58 @@ impl CommunityDetection {
 /// layered-node order, so fractional weights fold to the same bits on
 /// every call.
 ///
-/// `raw` partitions the detection graph's nodes: each node is looked up
-/// once in `raw` and once in the layer map, and its strength is read from
-/// the graph's dense cache.
-fn fold_to_stations(temporal: &TemporalGraph, raw: &Partition) -> Partition {
-    let Some(map) = &temporal.layer_map else {
+/// `label(u)` is the community of the detection graph's dense node `u`
+/// (`None` leaves the node out). A layered id is `station * stride + key`,
+/// so one sort by id groups each station's layer nodes in ascending order,
+/// each node's station is its id over the stride, and its strength comes
+/// from the graph's dense cache: the fold looks nothing up. `GBasic` has
+/// no layers, and its station partition is `raw` itself.
+fn fold_to_stations(
+    temporal: &TemporalGraph,
+    raw: &Partition,
+    label: impl Fn(usize) -> Option<usize>,
+) -> Partition {
+    let stride = temporal.granularity.stride();
+    if stride == 1 {
         return raw.clone();
-    };
+    }
     let csr = &temporal.csr;
-    let mut layers: Vec<(NodeId, usize, NodeId, f64)> = csr
+    let mut layers: Vec<(NodeId, u32)> = csr
         .node_ids()
         .iter()
         .enumerate()
-        .filter_map(|(u, &layered)| {
-            let community = raw.community_of(layered)?;
-            let &(station, _) = map.get(&layered)?;
+        .map(|(u, &layered)| (layered, u as u32))
+        .collect();
+    layers.sort_unstable();
+
+    // Each station's layer nodes are one run, in ascending id; a station
+    // has at most `stride` of them, so its per-community sums sit in a
+    // short list.
+    let mut winners: Vec<(NodeId, usize)> = Vec::new();
+    let mut sums: Vec<(usize, f64)> = Vec::new();
+    for run in layers.chunk_by(|a, b| a.0 / stride == b.0 / stride) {
+        sums.clear();
+        for &(_, u) in run {
+            let Some(community) = label(u as usize) else {
+                continue;
+            };
             // Every layer node keeps some influence even if it only has
             // zero-weight presence.
-            Some((station, community, layered, csr.strength(u).max(1e-9)))
-        })
-        .collect();
-    layers.sort_unstable_by_key(|&(station, community, layered, _)| (station, community, layered));
-
-    // Sum each (station, community) run in ascending layered order; each
-    // station keeps its heaviest run, the first (smallest label) of equals.
-    let mut winners: Vec<(NodeId, usize)> = Vec::new();
-    let mut best = 0.0f64;
-    for run in layers.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-        let (station, community, _, _) = run[0];
-        let total = run.iter().fold(0.0, |sum, layer| sum + layer.3);
-        match winners.last_mut() {
-            Some(last) if last.0 == station => {
-                if total > best {
-                    last.1 = community;
-                    best = total;
-                }
+            let strength = csr.strength(u as usize).max(1e-9);
+            match sums.iter_mut().find(|(c, _)| *c == community) {
+                Some((_, sum)) => *sum += strength,
+                None => sums.push((community, strength)),
             }
-            _ => {
-                winners.push((station, community));
-                best = total;
+        }
+        let heaviest = sums.iter().copied().reduce(|best, next| {
+            if next.1 > best.1 || (next.1 == best.1 && next.0 < best.0) {
+                next
+            } else {
+                best
             }
+        });
+        if let Some((community, _)) = heaviest {
+            winners.push((run[0].0 / stride, community));
         }
     }
     winners.into_iter().collect::<Partition>().renumbered()
@@ -148,18 +157,9 @@ pub fn detect_communities(
     old_stations: &HashSet<NodeId>,
     config: &DetectConfig,
 ) -> CommunityDetection {
-    let (raw_partition, q) = match config.detector {
+    match config.detector {
         Detector::Louvain => {
-            let raw = louvain_csr(
-                &temporal.csr,
-                &LouvainConfig {
-                    seed: config.seed,
-                    threads: config.threads,
-                    ..Default::default()
-                },
-            );
-            let q = modularity_csr_threads(&temporal.csr, &raw, config.threads);
-            (raw, q)
+            detect_louvain(temporal, directed_trips, old_stations, None, false, config)
         }
         Detector::LabelPropagation => {
             let raw = label_propagation_csr(
@@ -171,22 +171,62 @@ pub fn detect_communities(
                 },
             );
             let q = modularity_csr_threads(&temporal.csr, &raw, config.threads);
-            (raw, q)
+            // One lookup a node hands the partition to the dense fold.
+            let ids = temporal.csr.node_ids();
+            let station_partition = fold_to_stations(temporal, &raw, |u| raw.community_of(ids[u]));
+            finish_detection(
+                temporal,
+                directed_trips,
+                old_stations,
+                raw,
+                station_partition,
+                q,
+            )
         }
-    };
-    finish_detection(temporal, directed_trips, old_stations, raw_partition, q)
+    }
 }
 
-/// Shared tail of every detection path: fold the raw partition to
-/// stations and produce the paper-style table.
+/// A Louvain detection, cold (`seed` `None`) or seeded from a previous
+/// raw partition: Louvain's dense labels fold to stations, and the table
+/// carries the modularity it scored on them.
+fn detect_louvain(
+    temporal: &TemporalGraph,
+    directed_trips: &CsrGraph,
+    old_stations: &HashSet<NodeId>,
+    seed: Option<&Partition>,
+    active: bool,
+    config: &DetectConfig,
+) -> CommunityDetection {
+    let louvain = LouvainConfig {
+        seed: config.seed,
+        threads: config.threads,
+        ..Default::default()
+    };
+    let ScoredPartition {
+        partition,
+        labels,
+        modularity,
+    } = louvain_scored(&temporal.csr, seed, active, &louvain);
+    let station_partition = fold_to_stations(temporal, &partition, |u| Some(labels[u]));
+    finish_detection(
+        temporal,
+        directed_trips,
+        old_stations,
+        partition,
+        station_partition,
+        modularity,
+    )
+}
+
+/// Shared tail of every detection path: produce the paper-style table.
 fn finish_detection(
     temporal: &TemporalGraph,
     directed_trips: &CsrGraph,
     old_stations: &HashSet<NodeId>,
     raw_partition: Partition,
+    station_partition: Partition,
     q: f64,
 ) -> CommunityDetection {
-    let station_partition = fold_to_stations(temporal, &raw_partition);
     let table = community_table(directed_trips, &station_partition, old_stations, q);
     CommunityDetection {
         granularity: temporal.granularity,
@@ -202,11 +242,14 @@ fn finish_detection(
 /// half of the windowed lifecycle.
 ///
 /// For the Louvain detector the first local-moving phase starts from
-/// `previous.raw_partition` ([`louvain_seeded`]): nodes that entered with
-/// the latest batch begin as singletons, entries for evicted layered
-/// nodes are ignored, and only neighbourhoods the window actually changed
-/// move — O(touched rows) in practice instead of a full re-run. Label
-/// propagation has no usable seed state, so it re-runs cold.
+/// `previous.raw_partition`
+/// ([`louvain_seeded`](moby_community::louvain_seeded)): nodes that
+/// entered with the latest batch begin as singletons and entries for
+/// evicted layered nodes are ignored. Every refresh still makes at least
+/// one whole-graph sweep and one scoring pass over the graph; what the
+/// seed saves is the work after that first sweep, which moves few nodes
+/// when the window shifts gently. Label propagation has no usable seed
+/// state, so it re-runs cold.
 ///
 /// The refreshed modularity is never below the seed partition's on the
 /// updated graph (local moving never commits a losing move); the windowed
@@ -229,9 +272,10 @@ pub fn refresh_communities(
 }
 
 /// [`refresh_communities`] with **active-set** local moving
-/// ([`louvain_seeded_active`]): after the first whole-graph sweep, only
-/// the nodes a committed move invalidated are re-examined, so sweeps
-/// shrink towards the rows the window actually touched. The refreshed
+/// ([`louvain_seeded_active`](moby_community::louvain_seeded_active)):
+/// after the first whole-graph sweep, only the nodes a committed move
+/// invalidated are re-examined, so the seeded pass's later sweeps shrink
+/// towards the rows the window actually touched. The refreshed
 /// detection is **bit-identical** to [`refresh_communities`] for the same
 /// inputs; callers switch on it purely as a performance policy — the
 /// windowed pipeline does when the delta touched a minority of stations
@@ -267,22 +311,19 @@ fn refresh_impl(
         temporal.granularity, previous.granularity,
         "seed detection is for a different granularity"
     );
-    let louvain_cfg = LouvainConfig {
-        seed: config.seed,
-        threads: config.threads,
-        ..Default::default()
-    };
-    let raw_partition = match config.detector {
-        Detector::Louvain if active => {
-            louvain_seeded_active(&temporal.csr, &previous.raw_partition, &louvain_cfg)
-        }
-        Detector::Louvain => louvain_seeded(&temporal.csr, &previous.raw_partition, &louvain_cfg),
+    match config.detector {
+        Detector::Louvain => detect_louvain(
+            temporal,
+            directed_trips,
+            old_stations,
+            Some(&previous.raw_partition),
+            active,
+            config,
+        ),
         Detector::LabelPropagation => {
-            return detect_communities(temporal, directed_trips, old_stations, config);
+            detect_communities(temporal, directed_trips, old_stations, config)
         }
-    };
-    let q = modularity_csr_threads(&temporal.csr, &raw_partition, config.threads);
-    finish_detection(temporal, directed_trips, old_stations, raw_partition, q)
+    }
 }
 
 #[cfg(test)]
@@ -498,7 +539,7 @@ mod tests {
         let station2 = (16u64..20).map(|id| (id, 0usize));
         let fold = || {
             let raw: Partition = layers.iter().copied().chain(station2.clone()).collect();
-            fold_to_stations(&gday, &raw)
+            fold_to_stations(&gday, &raw, |u| raw.community_of(gday.csr.node_ids()[u]))
         };
         let first = fold();
         assert_eq!(first.community_count(), 2);
@@ -526,7 +567,7 @@ mod tests {
         let raw: Partition = [(8u64, 5usize), (16, 5), (9, 2), (25, 2)]
             .into_iter()
             .collect();
-        let folded = fold_to_stations(&gday, &raw);
+        let folded = fold_to_stations(&gday, &raw, |u| raw.community_of(gday.csr.node_ids()[u]));
         let expected: Partition = [(1u64, 0usize), (3, 0), (2, 1)].into_iter().collect();
         assert_eq!(folded, expected);
     }

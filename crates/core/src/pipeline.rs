@@ -13,8 +13,10 @@ use crate::detect::{
 };
 use crate::reassign::{build_selected_network, SelectedNetwork, WindowOutcome};
 use crate::selection::{select_stations, SelectionOutcome};
-use crate::temporal::{apply_window_all, build_all_from_trips_spilled, TemporalGraph};
-use crate::{ExpansionConfig, Result};
+use crate::temporal::{
+    apply_window_all, build_all_from_trips_spilled, TemporalGranularity, TemporalGraph,
+};
+use crate::{CoreError, ExpansionConfig, Result};
 use moby_data::clean::{clean_dataset, CleaningReport};
 use moby_data::schema::{CleanDataset, RawDataset};
 use moby_data::stats::DatasetOverview;
@@ -148,9 +150,8 @@ impl ExpansionPipeline {
     ///
     /// Propagates configuration and data errors from the individual steps
     /// (empty station list, no rentals, invalid thresholds), and
-    /// [`CoreError::Spill`](crate::CoreError::Spill) when a temporal graph
-    /// build spills to disk under
-    /// [`PipelineConfig::spill_budget_mb`] and the spill I/O fails.
+    /// [`CoreError::Spill`] when a temporal graph build spills to disk
+    /// under [`PipelineConfig::spill_budget_mb`] and the spill I/O fails.
     pub fn run(&self, raw: &RawDataset) -> Result<ExpansionOutcome> {
         let (outcome, _temporals) = self.run_parts(raw)?;
         Ok(outcome)
@@ -202,7 +203,7 @@ impl ExpansionPipeline {
             self.config.spill_budget_mb,
             None,
         )?;
-        let communities = detect_set(&self.config.detect, &temporals, &selected);
+        let communities = detect_set(&self.config.detect, &temporals, &selected)?;
 
         let outcome = ExpansionOutcome {
             overview,
@@ -218,25 +219,43 @@ impl ExpansionPipeline {
 }
 
 /// Cold community detection over all three temporal graphs.
+///
+/// # Errors
+///
+/// [`CoreError::Internal`] unless `temporals` holds exactly the three
+/// graphs, in granularity order.
 fn detect_set(
     config: &DetectConfig,
     temporals: &[TemporalGraph],
     selected: &SelectedNetwork,
-) -> CommunitySet {
+) -> Result<CommunitySet> {
+    let [basic, day, hour] = granularities(temporals)?;
     let old_ids = selected.fixed_ids();
-    let mut detections = Vec::with_capacity(3);
-    for temporal in temporals {
-        detections.push(detect_communities(
-            temporal,
-            &selected.directed,
-            &old_ids,
-            config,
-        ));
+    let detect = |temporal| detect_communities(temporal, &selected.directed, &old_ids, config);
+    Ok(CommunitySet {
+        basic: detect(basic),
+        day: detect(day),
+        hour: detect(hour),
+    })
+}
+
+/// The three temporal graphs, `GBasic`, `GDay` and `GHour` in order.
+///
+/// # Errors
+///
+/// [`CoreError::Internal`] for any other shape.
+fn granularities(temporals: &[TemporalGraph]) -> Result<[&TemporalGraph; 3]> {
+    match temporals {
+        [basic, day, hour]
+            if [basic, day, hour].map(|t| t.granularity) == TemporalGranularity::ALL =>
+        {
+            Ok([basic, day, hour])
+        }
+        _ => Err(CoreError::Internal(format!(
+            "expected the GBasic, GDay and GHour graphs, got {:?}",
+            temporals.iter().map(|t| t.granularity).collect::<Vec<_>>()
+        ))),
     }
-    let hour = detections.pop().expect("three granularities");
-    let day = detections.pop().expect("three granularities");
-    let basic = detections.pop().expect("three granularities");
-    CommunitySet { basic, day, hour }
 }
 
 /// A pipeline outcome kept **live** for windowed operation.
@@ -281,10 +300,12 @@ impl WindowedPipeline {
     ///
     /// # Errors
     ///
-    /// [`crate::CoreError::UnknownStation`] if the batch references a
-    /// station outside the selected network, and
-    /// [`crate::CoreError::InvalidWeight`] if a batch weight is outside
-    /// the trip domain; the pipeline state is untouched on either error.
+    /// [`CoreError::UnknownStation`] if the batch references a station
+    /// outside the selected network, and [`CoreError::InvalidWeight`] if
+    /// a batch weight is outside the trip domain; the pipeline state is
+    /// untouched on either error. [`CoreError::Internal`] if the advanced
+    /// temporal graphs are not `GBasic`, `GDay` and `GHour` in order, a
+    /// broken invariant.
     pub fn advance(&mut self, batch: &TripBatch, window: WindowStart) -> Result<WindowOutcome> {
         let threads = self.config.detect.threads;
         let outcome = self
@@ -315,27 +336,29 @@ impl WindowedPipeline {
             let stations = selected.trips.station_ids().len().max(1);
             let active = (touched.len() as f64 / stations as f64)
                 <= self.config.window.active_refresh_threshold;
-            let mut refreshed = Vec::with_capacity(3);
-            for (temporal, previous) in self.temporals.iter().zip(self.outcome.communities.all()) {
-                let refresh = if active {
-                    refresh_communities_active
-                } else {
-                    refresh_communities
-                };
-                refreshed.push(refresh(
+            let refresh = if active {
+                refresh_communities_active
+            } else {
+                refresh_communities
+            };
+            let [basic, day, hour] = granularities(&self.temporals)?;
+            let previous = &self.outcome.communities;
+            let refresh_one = |temporal, previous| {
+                refresh(
                     temporal,
                     &selected.directed,
                     &old_ids,
                     previous,
                     &self.config.detect,
-                ));
+                )
+            };
+            CommunitySet {
+                basic: refresh_one(basic, &previous.basic),
+                day: refresh_one(day, &previous.day),
+                hour: refresh_one(hour, &previous.hour),
             }
-            let hour = refreshed.pop().expect("three granularities");
-            let day = refreshed.pop().expect("three granularities");
-            let basic = refreshed.pop().expect("three granularities");
-            CommunitySet { basic, day, hour }
         } else {
-            detect_set(&self.config.detect, &self.temporals, &self.outcome.selected)
+            detect_set(&self.config.detect, &self.temporals, &self.outcome.selected)?
         };
         Ok(outcome)
     }
@@ -522,6 +545,28 @@ mod tests {
     }
 
     #[test]
+    fn a_graph_set_of_another_shape_is_an_internal_error() {
+        let graph = |granularity| {
+            TemporalGraph::from_csr(
+                granularity,
+                moby_graph::WeightedGraph::new_undirected().freeze(),
+                None,
+            )
+        };
+        let [basic, day, hour] = TemporalGranularity::ALL.map(graph);
+        assert!(granularities(&[basic.clone(), day.clone(), hour.clone()]).is_ok());
+        for temporals in [
+            vec![],
+            vec![basic.clone(), day.clone()],
+            vec![day.clone(), basic.clone(), hour.clone()],
+            vec![basic, day, hour.clone(), hour],
+        ] {
+            let err = granularities(&temporals).unwrap_err();
+            assert!(matches!(err, CoreError::Internal(_)), "{err:?}");
+        }
+    }
+
+    #[test]
     fn windowed_refresh_toggle_matches_cold_detection() {
         let raw = generate(&SynthConfig::small_test());
         let cold_cfg = PipelineConfig {
@@ -538,7 +583,7 @@ mod tests {
         cold.advance(&TripBatch::new(), window).unwrap();
         // With seeding off, the refresh IS a fresh cold detection over the
         // advanced graphs.
-        let want = detect_set(&cold_cfg.detect, cold.temporals(), &cold.outcome.selected);
+        let want = detect_set(&cold_cfg.detect, cold.temporals(), &cold.outcome.selected).unwrap();
         for (a, b) in cold.outcome.communities.all().iter().zip(want.all()) {
             assert_eq!(a.station_partition, b.station_partition);
             assert_eq!(a.modularity, b.modularity);

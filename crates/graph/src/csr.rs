@@ -567,6 +567,24 @@ impl CsrGraph {
         self.inner.self_loops[u]
     }
 
+    /// The out-adjacency and its Louvain caches, borrowed in place for a
+    /// sweep that walks every row: `(offsets, targets, weights,
+    /// weighted_degree, self_loops)`. Row `u` is
+    /// `targets[offsets[u]..offsets[u + 1]]` with its weights, as
+    /// [`CsrGraph::row`] returns it (a self-loop stays in its row); the
+    /// last two hold [`CsrGraph::weighted_degree`] and
+    /// [`CsrGraph::self_loop`] of every node.
+    pub fn columns(&self) -> (&[u32], &[u32], &[f64], &[f64], &[f64]) {
+        let inner = &*self.inner;
+        (
+            &inner.offsets,
+            inner.targets.as_slice(),
+            inner.weights.as_slice(),
+            &inner.weighted_degree,
+            &inner.self_loops,
+        )
+    }
+
     /// Degree of an external node id.
     pub fn degree_of(&self, id: NodeId) -> Option<usize> {
         Some(self.degree(self.index_of(id)? as usize))

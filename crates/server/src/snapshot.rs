@@ -63,8 +63,9 @@ pub struct ServeConfig {
 /// * each degree summary depends on its own graph layer;
 /// * the community partition depends on the **undirected** graph and is
 ///   refreshed with [`louvain_seeded_active`] seeded from the previous
-///   epoch's partition — bit-identical to a whole-graph seeded run, but
-///   only dirty nodes and their frontier are swept after the first pass.
+///   epoch's partition — bit-identical to a whole-graph seeded run; after
+///   the seeded pass's first whole-graph sweep, the rest of that pass
+///   sweeps only dirty nodes and their frontier.
 #[derive(Debug, Clone)]
 pub struct MetricCache {
     /// Station positions → ids, built at epoch 0 and carried forever.

@@ -120,7 +120,7 @@ fn parallel_execution_matches_serial_on_synthetic_dataset() {
 }
 
 /// The columnar sort-merge construction — trip table → edge lists for all
-/// three granularities → `CsrBuilder` — must produce graphs identical to
+/// three granularities → `build_dense_csr` — must produce graphs identical to
 /// the hash-map reference (one `add_edge` per trip row, then freeze), and
 /// identical detections on top of them.
 #[test]

@@ -8,8 +8,8 @@
 //! of the detected communities. This crate provides:
 //!
 //! * [`Partition`] — an assignment of graph nodes to communities;
-//! * [`modularity`] — weighted Newman modularity (paper eq. 2);
-//! * [`louvain`] — the Louvain algorithm (greedy modularity optimisation
+//! * [`modularity()`] — weighted Newman modularity (paper eq. 2);
+//! * [`louvain()`] — the Louvain algorithm (greedy modularity optimisation
 //!   with graph aggregation), deterministic for a fixed seed;
 //! * [`label_propagation_csr`] — the Label Propagation algorithm the
 //!   paper names as future work, used here for the detector ablation;

@@ -12,8 +12,9 @@
 //! 2. a scatter fills the buckets in insertion order;
 //! 3. each row is ordered by a packed `u64` key,
 //!    `(target << 32) | position in the bucket`, and **merged in place**,
-//!    equal targets summing their weights in insertion order. The bucket
-//!    columns then become the graph's targets and weights.
+//!    equal targets summing their weights in insertion order. The graph
+//!    then takes the bucket columns over as its targets and weights,
+//!    trimmed to the merged length.
 //!
 //! The merge runs on the [`par`] scheduler over fixed edge-balanced row
 //! chunks, each in its own slice of the bucket columns, and one serial
@@ -218,11 +219,11 @@ fn assemble(
             directed,
             node_ids,
             offsets,
-            targets: targets.into(),
-            weights: weights.into(),
+            targets,
+            weights,
             in_offsets,
-            in_targets: in_targets.into(),
-            in_weights: in_weights.into(),
+            in_targets,
+            in_weights,
             degrees: None,
             edge_count,
             total_weight,
@@ -297,8 +298,10 @@ struct RowScratch {
 
 /// One adjacency's row buckets: row `u`'s half-edges sit at
 /// `offsets[u]..offsets[u + 1]` of `col`/`w`, and `shards` splits the rows
-/// into the ranges that fill them.
-struct RowBuckets {
+/// into the ranges that fill them. A build fills and merges them; the
+/// window kernel ([`crate::window`]) buckets each step's evicted and
+/// appended half-edges with [`RowBuckets::scan`] and reads them by row.
+pub(crate) struct RowBuckets {
     offsets: Vec<u32>,
     shards: par::RowChunks,
     col: Vec<u32>,
@@ -359,6 +362,29 @@ impl RowBuckets {
             col: vec![0u32; h],
             w: vec![0.0f64; h],
         }
+    }
+
+    /// Bucket every half-edge with one serial scan: one shard, filled in
+    /// insertion order on the calling thread.
+    pub(crate) fn scan(
+        n: usize,
+        rows: &[u32],
+        cols: &[u32],
+        weights: &[f64],
+        directed: bool,
+    ) -> RowBuckets {
+        let mut buckets = RowBuckets::new(n, rows, cols, weights, directed, 1);
+        buckets.fill(1, |_, shard| {
+            for_each_half_edge(rows, cols, weights, directed, |r, c, w| shard.put(r, c, w));
+        });
+        buckets
+    }
+
+    /// Row `u`'s bucket: its targets and weights, in insertion order.
+    #[inline]
+    pub(crate) fn row(&self, u: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
+        (&self.col[lo..hi], &self.w[lo..hi])
     }
 
     /// Fill the buckets, every row's oldest-first (the merge folds in that

@@ -28,133 +28,24 @@
 //! iteration — and therefore every floating-point accumulation order
 //! downstream — is deterministic regardless of hash-map iteration order in
 //! the builder.
+//!
+//! Every column is a plain `Vec` that the graph takes over from whichever
+//! path built it: the columnar build hands over the bucket columns it
+//! merged in place, the window kernel the rows it packed, and a freeze
+//! the rows it collected. `CsrGraph::from_parts`, the one place a graph
+//! is assembled, trims each column to its length, so
+//! [`CsrGraph::heap_bytes`] counts exactly what the graph holds.
 
 use crate::{build_dense_csr, par, NodeId, WeightedGraph};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Cache-line width (bytes) the adjacency slabs align to.
-pub const CACHE_LINE: usize = 64;
-
-/// A read-only array whose data starts on a cache-line boundary.
-///
-/// The hot CSR sweeps stream `targets`/`weights` linearly; starting each
-/// slab on a 64-byte boundary keeps the fixed-width batched loops (see
-/// the PageRank pull sweep and the Louvain scan) from straddling an extra
-/// line per block and gives the autovectorizer aligned loads to work
-/// with. The crate forbids `unsafe`, so alignment is achieved by
-/// over-allocating one cache line and exposing the aligned window —
-/// [`AlignedSlab::heap_bytes`] reports the *padded* capacity so
-/// [`CsrGraph::heap_bytes`] stays honest about the real footprint.
-///
-/// Equality, hashing-adjacent derives and `Debug` all go through the
-/// logical slice, so two slabs with identical contents compare equal even
-/// when their allocations landed at different alignments.
-pub struct AlignedSlab<T> {
-    buf: Vec<T>,
-    off: usize,
-    len: usize,
-}
-
-impl<T: Copy + Default> AlignedSlab<T> {
-    /// Elements per cache line (at least 1).
-    fn lane_count() -> usize {
-        (CACHE_LINE / std::mem::size_of::<T>().max(1)).max(1)
-    }
-
-    /// Copy `data` into a freshly aligned slab.
-    pub fn from_slice(data: &[T]) -> Self {
-        Self::concat(data.len(), [data])
-    }
-
-    /// Copy consecutive `parts`, `len` elements in all, into one freshly
-    /// aligned slab — how the window kernel packs its per-chunk rows
-    /// without an intermediate concatenated `Vec`.
-    pub(crate) fn concat<'a>(len: usize, parts: impl IntoIterator<Item = &'a [T]>) -> Self
-    where
-        T: 'a,
-    {
-        if len == 0 {
-            return Self::default();
-        }
-        let pad = Self::lane_count();
-        let mut buf = vec![T::default(); len + pad];
-        // `align_offset` may pessimistically refuse (returns usize::MAX);
-        // alignment is a pure optimisation, so fall back to offset 0.
-        let off = buf.as_ptr().align_offset(CACHE_LINE);
-        let off = if off > pad { 0 } else { off };
-        let mut at = off;
-        for part in parts {
-            buf[at..at + part.len()].copy_from_slice(part);
-            at += part.len();
-        }
-        assert_eq!(at, off + len, "slab parts must fill the slab");
-        Self { buf, off, len }
-    }
-
-    /// The logical contents.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.buf[self.off..self.off + self.len]
-    }
-
-    /// Bytes of backing allocation, **including** the alignment padding.
-    pub fn heap_bytes(&self) -> usize {
-        self.buf.capacity() * std::mem::size_of::<T>()
-    }
-}
-
-impl<T: Copy + Default> From<Vec<T>> for AlignedSlab<T> {
-    fn from(data: Vec<T>) -> Self {
-        Self::from_slice(&data)
-    }
-}
-
-impl<T: Copy + Default> Default for AlignedSlab<T> {
-    fn default() -> Self {
-        Self {
-            buf: Vec::new(),
-            off: 0,
-            len: 0,
-        }
-    }
-}
-
-impl<T: Copy + Default> Clone for AlignedSlab<T> {
-    fn clone(&self) -> Self {
-        // Re-pack instead of cloning the backing buffer: the clone's
-        // allocation lands at a different address, so the aligned window
-        // must be recomputed around the logical contents.
-        Self::from_slice(self.as_slice())
-    }
-}
-
-impl<T: Copy + Default> std::ops::Deref for AlignedSlab<T> {
-    type Target = [T];
-    #[inline]
-    fn deref(&self) -> &[T] {
-        self.as_slice()
-    }
-}
-
-impl<T: Copy + Default + std::fmt::Debug> std::fmt::Debug for AlignedSlab<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-impl<T: Copy + Default + PartialEq> PartialEq for AlignedSlab<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
 /// The raw arrays of a CSR graph, handed to
 /// [`CsrGraph::from_parts`] by construction paths that assemble the
-/// adjacency themselves (the freeze path, the columnar
-/// [`build_dense_csr`] and the window kernel). Rows must
+/// adjacency themselves (the freeze path, [`CsrGraph::to_undirected`],
+/// the columnar [`build_dense_csr`] and the window kernel). Rows must
 /// already be sorted by target index with duplicates merged.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub(crate) struct CsrParts {
     /// Whether the graph is directed.
     pub directed: bool,
@@ -163,15 +54,15 @@ pub(crate) struct CsrParts {
     /// Out-row offsets (`n + 1` entries).
     pub offsets: Vec<u32>,
     /// Out-row targets, sorted per row.
-    pub targets: AlignedSlab<u32>,
+    pub targets: Vec<u32>,
     /// Out-row merged weights, parallel to `targets`.
-    pub weights: AlignedSlab<f64>,
+    pub weights: Vec<f64>,
     /// In-row offsets (empty for undirected graphs).
     pub in_offsets: Vec<u32>,
     /// In-row targets (empty for undirected graphs).
-    pub in_targets: AlignedSlab<u32>,
+    pub in_targets: Vec<u32>,
     /// In-row merged weights (empty for undirected graphs).
-    pub in_weights: AlignedSlab<f64>,
+    pub in_weights: Vec<f64>,
     /// The cached degrees when the caller already has them; `None` has
     /// [`CsrGraph::from_parts`] sweep every row for them.
     pub degrees: Option<Degrees>,
@@ -241,7 +132,7 @@ pub(crate) fn row_degrees(u: usize, targets: &[u32], weights: &[f64]) -> (f64, f
 /// The frozen arrays behind a [`CsrGraph`]. Held behind an `Arc` so that
 /// cloning a graph — which the serving layer does on every snapshot
 /// publish — is a reference-count bump instead of a deep copy of the
-/// adjacency slabs. The inner arrays are never mutated after
+/// adjacency columns. The inner arrays are never mutated after
 /// construction, which is what makes the sharing sound; the id index is
 /// written once, on the first lookup by id, through its `OnceLock`.
 #[derive(Debug)]
@@ -252,11 +143,11 @@ struct CsrInner {
     /// function of `node_ids`, so equality ignores it.
     index: OnceLock<HashMap<NodeId, u32>>,
     offsets: Vec<u32>,
-    targets: AlignedSlab<u32>,
-    weights: AlignedSlab<f64>,
+    targets: Vec<u32>,
+    weights: Vec<f64>,
     in_offsets: Vec<u32>,
-    in_targets: AlignedSlab<u32>,
-    in_weights: AlignedSlab<f64>,
+    in_targets: Vec<u32>,
+    in_weights: Vec<f64>,
     strength: Vec<f64>,
     weighted_degree: Vec<f64>,
     self_loops: Vec<f64>,
@@ -319,11 +210,11 @@ impl CsrGraph {
                 directed: graph.is_directed(),
                 node_ids,
                 offsets,
-                targets: targets.into(),
-                weights: weights.into(),
+                targets,
+                weights,
                 in_offsets,
-                in_targets: in_targets.into(),
-                in_weights: in_weights.into(),
+                in_targets,
+                in_weights,
                 degrees: None,
                 edge_count: graph.edge_count(),
                 total_weight: graph.total_weight(),
@@ -332,23 +223,25 @@ impl CsrGraph {
         )
     }
 
-    /// Assemble a frozen graph from already-sorted-and-merged CSR arrays.
-    /// Shared by [`CsrGraph::from_weighted`], the columnar
-    /// [`build_dense_csr`] and the window kernel, so every
-    /// path caches the per-node weighted degrees through the same
+    /// Assemble a frozen graph from already-sorted-and-merged CSR arrays:
+    /// the one place a graph is put together. Shared by
+    /// [`CsrGraph::from_weighted`], [`CsrGraph::to_undirected`], the
+    /// columnar [`build_dense_csr`] and the window kernel, so every path
+    /// caches the per-node weighted degrees through the same
     /// [`row_degrees`] sweep — which is what makes them bit-identical.
     /// The kernel passes the degrees it already holds; otherwise every
-    /// row is swept here. The id index is left to the first lookup.
+    /// row is swept here. The graph takes the columns over, each trimmed
+    /// to its length. The id index is left to the first lookup.
     pub(crate) fn from_parts(parts: CsrParts, threads: usize) -> CsrGraph {
         let CsrParts {
             directed,
-            node_ids,
-            offsets,
-            targets,
-            weights,
-            in_offsets,
-            in_targets,
-            in_weights,
+            mut node_ids,
+            mut offsets,
+            mut targets,
+            mut weights,
+            mut in_offsets,
+            mut in_targets,
+            mut in_weights,
             degrees,
             edge_count,
             total_weight,
@@ -356,6 +249,18 @@ impl CsrGraph {
         let n = node_ids.len();
         assert!(n <= u32::MAX as usize, "CSR index space is u32");
         debug_assert_eq!(offsets.len(), n + 1);
+
+        // Keep each column at its length. A build's bucket columns arrive
+        // sized for every half-edge, which its merge shortened; trimming
+        // them first frees the tail before the degree sweep allocates.
+        // The degree columns are built at their length.
+        node_ids.shrink_to_fit();
+        for column in [&mut offsets, &mut targets, &mut in_offsets, &mut in_targets] {
+            column.shrink_to_fit();
+        }
+        for column in [&mut weights, &mut in_weights] {
+            column.shrink_to_fit();
+        }
 
         // Cache the per-node weighted degrees with a parallel row sweep.
         // Each row's accumulation is independent and runs in row order, so
@@ -400,7 +305,7 @@ impl CsrGraph {
 
     /// Whether two graphs share the same frozen storage (i.e. one is an
     /// O(1) clone of the other). Used by the serving layer's tests to
-    /// assert that snapshot publication never deep-copies the slabs.
+    /// assert that snapshot publication never deep-copies the columns.
     pub fn shares_storage(&self, other: &CsrGraph) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
@@ -431,28 +336,31 @@ impl CsrGraph {
         self.inner.node_ids.is_empty()
     }
 
-    /// Approximate heap footprint of the frozen arrays in bytes: the node
-    /// table, both adjacency halves, the cached degree sweeps and — once
-    /// a lookup by id has built it — the id index. The benchmark's
-    /// `city_build` workload reports this as `graph.bytes` next to peak
-    /// RSS, so the memory claims of city-scale builds stay auditable. The
-    /// adjacency slabs report their **padded** capacity (each aligned
-    /// slab over-allocates one cache line; see [`AlignedSlab`]), so the
-    /// figure tracks what the allocator really handed out.
+    /// Heap footprint of the frozen arrays in bytes: the node table, both
+    /// adjacency halves, the cached degree sweeps and — once a lookup by
+    /// id has built it — the id index. The benchmark's `city_build`
+    /// workload reports this as `graph.bytes` next to peak RSS, so the
+    /// memory claims of city-scale builds stay auditable. Every column is
+    /// held at its length (see `CsrGraph::from_parts`), so the columns
+    /// count exactly what the graph holds; the index counts the entries
+    /// its capacity has room for.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let index = self.inner.index.get().map_or(0, HashMap::capacity);
-        self.inner.node_ids.capacity() * size_of::<NodeId>()
+        let inner = &*self.inner;
+        let index = inner.index.get().map_or(0, HashMap::capacity);
+        let u32s = inner.offsets.capacity()
+            + inner.targets.capacity()
+            + inner.in_offsets.capacity()
+            + inner.in_targets.capacity();
+        let f64s = inner.weights.capacity()
+            + inner.in_weights.capacity()
+            + inner.strength.capacity()
+            + inner.weighted_degree.capacity()
+            + inner.self_loops.capacity();
+        inner.node_ids.capacity() * size_of::<NodeId>()
             + index * (size_of::<NodeId>() + size_of::<u32>())
-            + (self.inner.offsets.capacity() + self.inner.in_offsets.capacity()) * size_of::<u32>()
-            + self.inner.targets.heap_bytes()
-            + self.inner.in_targets.heap_bytes()
-            + self.inner.weights.heap_bytes()
-            + self.inner.in_weights.heap_bytes()
-            + (self.inner.strength.capacity()
-                + self.inner.weighted_degree.capacity()
-                + self.inner.self_loops.capacity())
-                * size_of::<f64>()
+            + u32s * size_of::<u32>()
+            + f64s * size_of::<f64>()
     }
 
     /// The id index, built on the first call (by whichever thread gets
@@ -635,9 +543,6 @@ impl CsrGraph {
         let mut targets = Vec::new();
         let mut weights = Vec::new();
         offsets.push(0u32);
-        let mut strength = vec![0.0f64; n];
-        let mut weighted_degree = vec![0.0f64; n];
-        let mut self_loops = vec![0.0f64; n];
         let mut edge_count = 0usize;
         let mut total_weight = 0.0f64;
         for u in 0..n {
@@ -667,40 +572,30 @@ impl CsrGraph {
                 };
                 targets.push(v);
                 weights.push(w);
-                strength[u] += w;
-                if v as usize == u {
-                    self_loops[u] = w;
-                    weighted_degree[u] += 2.0 * w;
+                // Each edge once: from its lower endpoint's row.
+                if v as usize >= u {
                     edge_count += 1;
                     total_weight += w;
-                } else {
-                    weighted_degree[u] += w;
-                    if (v as usize) > u {
-                        edge_count += 1;
-                        total_weight += w;
-                    }
                 }
             }
             offsets.push(targets.len() as u32);
         }
-        CsrGraph {
-            inner: Arc::new(CsrInner {
+        CsrGraph::from_parts(
+            CsrParts {
                 directed: false,
                 node_ids: self.inner.node_ids.clone(),
-                index: OnceLock::new(),
                 offsets,
-                targets: targets.into(),
-                weights: weights.into(),
+                targets,
+                weights,
                 in_offsets: Vec::new(),
-                in_targets: AlignedSlab::default(),
-                in_weights: AlignedSlab::default(),
-                strength,
-                weighted_degree,
-                self_loops,
+                in_targets: Vec::new(),
+                in_weights: Vec::new(),
+                degrees: None,
                 edge_count,
                 total_weight,
-            }),
-        }
+            },
+            par::thread_count(None),
+        )
     }
 
     /// A frozen graph containing only the nodes for which `keep` returns
@@ -983,40 +878,109 @@ mod tests {
         assert_eq!(via_csr.edge_weight(3, 3), Some(5.0));
     }
 
+    /// Bytes of the columns `graph` holds, counted by their lengths.
+    fn column_bytes(graph: &CsrGraph) -> usize {
+        use std::mem::size_of;
+        let c = &*graph.inner;
+        let u32s = c.offsets.len() + c.targets.len() + c.in_offsets.len() + c.in_targets.len();
+        let f64s = c.weights.len()
+            + c.in_weights.len()
+            + c.strength.len()
+            + c.weighted_degree.len()
+            + c.self_loops.len();
+        c.node_ids.len() * size_of::<NodeId>() + u32s * size_of::<u32>() + f64s * size_of::<f64>()
+    }
+
+    /// The graph of dense `edges` over `node_ids`, through every path that
+    /// builds one from an edge list.
+    fn through_every_path(
+        directed: bool,
+        node_ids: &[NodeId],
+        (src, dst, w): (&[u32], &[u32], &[f64]),
+    ) -> Vec<(&'static str, CsrGraph)> {
+        let build = |threads| build_dense_csr(directed, node_ids.to_vec(), src, dst, w, threads);
+        let budgeted = |budget| {
+            let (ids, shards, threads) = (node_ids.to_vec(), Some(4), Some(2));
+            crate::build_dense_csr_budgeted(
+                directed, ids, src, dst, w, shards, threads, budget, None,
+            )
+            .expect("build")
+        };
+        // A window step from the first half and some stray edges to the
+        // whole list: it evicts the strays and appends the second half.
+        let half = src.len() / 2;
+        let stray = (vec![20u32; 50], vec![21u32; 50], vec![2.0; 50]);
+        let base_src = [&src[..half], &stray.0].concat();
+        let base_dst = [&dst[..half], &stray.1].concat();
+        let base_w = [&w[..half], &stray.2].concat();
+        let base = build_dense_csr(
+            directed,
+            node_ids.to_vec(),
+            &base_src,
+            &base_dst,
+            &base_w,
+            None,
+        );
+        let step = base
+            .apply_window(
+                node_ids.to_vec(),
+                None,
+                crate::EdgeColumns::new(&stray.0, &stray.1, &stray.2),
+                crate::EdgeColumns::new(&src[half..], &dst[half..], &w[half..]),
+                Some(2),
+            )
+            .expect("window step");
+        let mut builder = if directed {
+            WeightedGraph::new_directed()
+        } else {
+            WeightedGraph::new_undirected()
+        };
+        for &id in node_ids {
+            builder.add_node(id);
+        }
+        for ((&s, &d), &w) in src.iter().zip(dst).zip(w) {
+            builder.add_edge(node_ids[s as usize], node_ids[d as usize], w);
+        }
+        vec![
+            ("build at 1 thread", build(Some(1))),
+            ("build at 4 threads", build(Some(4))),
+            ("build at 4 shards", budgeted(None)),
+            ("spilled build at 4 shards", budgeted(Some(0))),
+            ("window step", step),
+            ("freeze", builder.freeze()),
+        ]
+    }
+
+    #[test]
+    fn every_construction_path_reports_an_exact_footprint() {
+        // 6 000 edges but only 143 distinct ordered pairs, (k % 13, k % 11),
+        // each repeated about 42 times: a build's bucket columns hold a slot
+        // per half-edge, far more than the merged rows. Nodes 13 to 23 stay
+        // isolated.
+        let node_ids: Vec<NodeId> = (0..24).map(|i| 7 * i + 3).collect();
+        let src: Vec<u32> = (0..6000).map(|k| k % 13).collect();
+        let dst: Vec<u32> = (0..6000).map(|k| k % 11).collect();
+        let w: Vec<f64> = (0..6000).map(|k| f64::from(k % 4 + 1)).collect();
+        let edges = (&src[..], &dst[..], &w[..]);
+        let mut undirected = through_every_path(false, &node_ids, edges);
+        let directed = through_every_path(true, &node_ids, edges);
+        undirected.push(("to_undirected", directed[0].1.to_undirected()));
+        let merged = undirected[0].1.offsets()[node_ids.len()] as usize;
+        assert!(merged * 20 < 2 * src.len(), "{merged} merged entries");
+        for graphs in [&undirected, &directed] {
+            let want = column_bytes(&graphs[0].1);
+            for (path, graph) in graphs {
+                assert_eq!(graph.heap_bytes(), column_bytes(graph), "{path}");
+                assert_eq!(graph.heap_bytes(), want, "{path}");
+            }
+        }
+    }
+
     #[test]
     fn empty_graph_freezes() {
         let c = WeightedGraph::new_undirected().freeze();
         assert!(c.is_empty());
         assert_eq!(c.node_count(), 0);
         assert_eq!(c.edges().count(), 0);
-    }
-
-    /// Whether a slab's data starts on a cache-line boundary.
-    fn is_aligned<T: Copy + Default>(slab: &AlignedSlab<T>) -> bool {
-        slab.is_empty() || slab.as_ptr().align_offset(CACHE_LINE) == 0
-    }
-
-    #[test]
-    fn aligned_slab_round_trips_and_aligns() {
-        let data: Vec<u32> = (0..1000).collect();
-        let slab = AlignedSlab::from_slice(&data);
-        assert_eq!(slab.as_slice(), &data[..]);
-        assert!(is_aligned(&slab), "u32 slab starts on a cache line");
-        assert!(slab.heap_bytes() >= 1000 * 4, "padding counted");
-
-        let f: Vec<f64> = (0..77).map(|i| i as f64 * 0.5).collect();
-        let fslab: AlignedSlab<f64> = f.clone().into();
-        assert_eq!(&*fslab, &f[..]);
-        assert!(is_aligned(&fslab));
-
-        // Clone re-packs around a fresh allocation but compares equal.
-        let copy = slab.clone();
-        assert_eq!(copy, slab);
-        assert!(is_aligned(&copy));
-
-        let empty = AlignedSlab::<f64>::default();
-        assert!(empty.as_slice().is_empty());
-        assert!(is_aligned(&empty));
-        assert_eq!(empty.heap_bytes(), 0);
     }
 }

@@ -64,7 +64,7 @@ pub mod spill;
 pub mod window;
 
 pub use build::{build_dense_csr, build_dense_csr_budgeted};
-pub use csr::{AlignedSlab, CsrGraph, CACHE_LINE};
+pub use csr::CsrGraph;
 pub use graph::{NodeId, WeightedGraph};
 pub use window::EdgeColumns;
 

@@ -22,11 +22,9 @@ pub struct DegreeSummary {
 impl DegreeSummary {
     /// Summarise a collected degree list (`None` when empty).
     fn from_degrees(degrees: Vec<usize>) -> Option<Self> {
-        if degrees.is_empty() {
+        let (Some(&min), Some(&max)) = (degrees.iter().min(), degrees.iter().max()) else {
             return None;
-        }
-        let min = *degrees.iter().min().expect("non-empty");
-        let max = *degrees.iter().max().expect("non-empty");
+        };
         let mean = degrees.iter().sum::<usize>() as f64 / degrees.len() as f64;
         Some(Self {
             min,

@@ -15,7 +15,9 @@ pub fn gini_coefficient(values: &[f64]) -> f64 {
     if vals.len() < 2 {
         return 0.0;
     }
-    vals.sort_by(|a, b| a.partial_cmp(b).expect("filtered to finite"));
+    // `total_cmp` orders a kept -0.0 before 0.0. Zeros sort first and add
+    // only ±0 to the sums below, so their order changes no bit.
+    vals.sort_by(f64::total_cmp);
     let n = vals.len() as f64;
     let total: f64 = vals.iter().sum();
     if total <= 0.0 {
@@ -57,9 +59,10 @@ mod tests {
 
     #[test]
     fn order_does_not_matter() {
-        let a = gini_coefficient(&[3.0, 1.0, 2.0]);
-        let b = gini_coefficient(&[1.0, 2.0, 3.0]);
-        assert!((a - b).abs() < 1e-12);
+        // A -0.0 counts as a zero, whichever side of 0.0 it sorts to.
+        let a = gini_coefficient(&[3.0, -0.0, 1.0, 0.0, 2.0]);
+        let b = gini_coefficient(&[0.0, 0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

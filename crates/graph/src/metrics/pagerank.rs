@@ -133,9 +133,7 @@ pub fn pagerank_csr(graph: &CsrGraph, config: &PageRankConfig) -> HashMap<NodeId
         );
     }
     let rank = ranks[final_buf].to_vec();
-    (0..n)
-        .map(|i| (graph.id_of(i).expect("dense index valid"), rank[i]))
-        .collect()
+    graph.node_ids().iter().copied().zip(rank).collect()
 }
 
 /// The batched pull kernel: `Σ weights[i] * contrib[sources[i]]` over one
@@ -196,9 +194,7 @@ fn pagerank_hashmap(graph: &crate::WeightedGraph, config: &PageRankConfig) -> Ha
             break;
         }
     }
-    (0..n)
-        .map(|i| (graph.id_of(i).expect("dense index valid"), rank[i]))
-        .collect()
+    graph.node_ids().iter().copied().zip(rank).collect()
 }
 
 #[cfg(test)]

@@ -69,16 +69,19 @@
 //! row sweep a build runs. `edge_count` is counted from the new
 //! rows.
 //!
+//! A step's evicted and appended half-edges are bucketed by row through
+//! the build's own counting pass and stable scatter (`RowBuckets`), so
+//! each bucket lists its half-edges in the order a build would.
 //! Rows run on fixed [`par::RowChunks`], balanced by each new row's old
 //! length plus its appended half-edges, and each chunk's rows are copied
-//! once, straight into the new graph's [`AlignedSlab`]s. Chunk boundaries
+//! once, onto the end of the new graph's columns. Chunk boundaries
 //! depend only on the graph and the step, so the bits never depend on the
 //! thread count. The kernel's own unit tests, `tests/proptest_window_kernel.rs`
 //! and the windowed suites of `moby_core` enforce the contract.
 
-use crate::build::{for_each_half_edge, key_pos, key_target, sort_row};
+use crate::build::{key_pos, key_target, sort_row, RowBuckets};
 use crate::csr::{row_degrees, CsrParts, Degrees};
-use crate::{par, AlignedSlab, CsrGraph, GraphError, NodeId, Result};
+use crate::{par, CsrGraph, GraphError, NodeId, Result};
 
 /// The largest weight a window step may evict or append: 2^20, the cap
 /// `moby_data::trips::MAX_TRIP_WEIGHT` puts on a trip. With it every
@@ -194,15 +197,15 @@ impl CsrGraph {
         let (ev, ap) = (evicted, appended);
         let out = plan.rows(
             Half::Out,
-            &Buckets::new(n_old, ev.src, ev.dst, ev.weight, directed),
-            &Buckets::new(n_new, ap.src, ap.dst, ap.weight, directed),
+            &RowBuckets::scan(n_old, ev.src, ev.dst, ev.weight, directed),
+            &RowBuckets::scan(n_new, ap.src, ap.dst, ap.weight, directed),
             threads,
         )?;
         let in_rows = if directed {
             plan.rows(
                 Half::In,
-                &Buckets::new(n_old, ev.dst, ev.src, ev.weight, true),
-                &Buckets::new(n_new, ap.dst, ap.src, ap.weight, true),
+                &RowBuckets::scan(n_old, ev.dst, ev.src, ev.weight, true),
+                &RowBuckets::scan(n_new, ap.dst, ap.src, ap.weight, true),
                 threads,
             )?
         } else {
@@ -241,61 +244,19 @@ enum Half {
     In,
 }
 
-/// One step's half-edges bucketed by row, each bucket in insertion order.
-struct Buckets {
-    offsets: Vec<u32>,
-    col: Vec<u32>,
-    weight: Vec<f64>,
-}
-
-impl Buckets {
-    /// Bucket the half-edges of edges `rows[k] → cols[k]` (expanded as
-    /// the build expands them) over `n` rows: a counting pass, then a
-    /// stable scatter.
-    fn new(n: usize, rows: &[u32], cols: &[u32], weights: &[f64], directed: bool) -> Buckets {
-        let mut offsets = vec![0u32; n + 1];
-        for_each_half_edge(rows, cols, weights, directed, |r, _, _| {
-            offsets[r as usize + 1] += 1;
-        });
-        for u in 0..n {
-            offsets[u + 1] += offsets[u];
-        }
-        let h = offsets[n] as usize;
-        let (mut col, mut weight) = (vec![0u32; h], vec![0.0f64; h]);
-        let mut cursor = offsets[..n].to_vec();
-        for_each_half_edge(rows, cols, weights, directed, |r, c, w| {
-            let p = &mut cursor[r as usize];
-            col[*p as usize] = c;
-            weight[*p as usize] = w;
-            *p += 1;
-        });
-        Buckets {
-            offsets,
-            col,
-            weight,
-        }
-    }
-
-    /// Row `u`'s bucket: its targets and weights.
-    fn get(&self, u: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-        (&self.col[lo..hi], &self.weight[lo..hi])
-    }
-}
-
 /// One adjacency half after the step.
 #[derive(Default)]
 struct Rows {
     offsets: Vec<u32>,
-    targets: AlignedSlab<u32>,
-    weights: AlignedSlab<f64>,
+    targets: Vec<u32>,
+    weights: Vec<f64>,
     /// Entries with `row <= target` (the undirected edge count).
     pairs_once: usize,
     /// The out-rows' degree caches (empty for in-rows).
     degrees: Degrees,
 }
 
-/// One chunk's rows, before they are copied into the slabs.
+/// One chunk's rows, before they are copied into the graph's columns.
 struct Chunk {
     targets: Vec<u32>,
     weights: Vec<f64>,
@@ -427,8 +388,8 @@ impl<'a> Plan<'a> {
     fn rows(
         &self,
         half: Half,
-        evicted: &Buckets,
-        appended: &Buckets,
+        evicted: &RowBuckets,
+        appended: &RowBuckets,
         threads: usize,
     ) -> Result<Rows> {
         // A dropped row must lose every entry.
@@ -436,7 +397,7 @@ impl<'a> Plan<'a> {
             let mut survivors = Vec::new();
             for ou in (0..map.len()).filter(|&ou| map[ou] == u32::MAX) {
                 let (ot, ow) = self.old_row(half, ou);
-                subtract(ot, ow, evicted.get(ou), &mut survivors)
+                subtract(ot, ow, evicted.row(ou), &mut survivors)
                     .map_err(|c| self.not_held(half, ou, c))?;
                 if !survivors.is_empty() {
                     return Err(GraphError::NodeTable(self.graph.node_ids()[ou]));
@@ -452,8 +413,8 @@ impl<'a> Plan<'a> {
             let old_len = self
                 .old_of(nu)
                 .map_or(0, |ou| self.old_row(half, ou).0.len());
-            let appended_len = appended.offsets[nu + 1] - appended.offsets[nu];
-            prov.push(prov[nu] + old_len as u32 + appended_len);
+            let appended_len = appended.row(nu).0.len();
+            prov.push(prov[nu] + (old_len + appended_len) as u32);
         }
         let chunks = par::RowChunks::balanced(&prov, 64, 4096);
         let packed = par::par_map_with(&chunks, threads, Scratch::default, |scratch, _, range| {
@@ -495,9 +456,12 @@ impl<'a> Plan<'a> {
             rows.pairs_once += chunk.pairs_once;
             rows.degrees.extend(&chunk.degrees);
         }
-        let len = end as usize;
-        rows.targets = AlignedSlab::concat(len, chunks.iter().map(|c| &c.targets[..]));
-        rows.weights = AlignedSlab::concat(len, chunks.iter().map(|c| &c.weights[..]));
+        rows.targets = Vec::with_capacity(end as usize);
+        rows.weights = Vec::with_capacity(end as usize);
+        for chunk in &chunks {
+            rows.targets.extend_from_slice(&chunk.targets);
+            rows.weights.extend_from_slice(&chunk.weights);
+        }
         Ok(rows)
     }
 
@@ -506,15 +470,15 @@ impl<'a> Plan<'a> {
         &self,
         half: Half,
         nu: usize,
-        evicted: &Buckets,
-        appended: &Buckets,
+        evicted: &RowBuckets,
+        appended: &RowBuckets,
         scratch: &mut Scratch,
         chunk: &mut Chunk,
     ) -> Result<()> {
         let ou = self.old_of(nu);
         let (ot, ow) = ou.map_or((&[][..], &[][..]), |ou| self.old_row(half, ou));
-        let gone = ou.map_or((&[][..], &[][..]), |ou| evicted.get(ou));
-        let (added, added_w) = appended.get(nu);
+        let gone = ou.map_or((&[][..], &[][..]), |ou| evicted.row(ou));
+        let (added, added_w) = appended.row(nu);
         let start = chunk.targets.len();
         if gone.0.is_empty() && added.is_empty() {
             // Untouched: the same entries, remapped and at most re-sorted,

@@ -5,20 +5,17 @@
 //! detector ablation (Louvain vs label propagation).
 
 use crate::Partition;
-use moby_graph::NodeId;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// The contingency table of two partitions restricted to their common
 /// nodes, keyed in sorted order so every fold over it has a fixed sequence.
 fn contingency(a: &Partition, b: &Partition) -> (BTreeMap<(usize, usize), usize>, usize) {
-    let nodes_a: HashSet<NodeId> = a.iter().map(|(n, _)| n).collect();
     let mut table: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut n = 0usize;
     for (node, cb) in b.iter() {
-        if !nodes_a.contains(&node) {
+        let Some(ca) = a.community_of(node) else {
             continue;
-        }
-        let ca = a.community_of(node).expect("checked membership");
+        };
         *table.entry((ca, cb)).or_insert(0) += 1;
         n += 1;
     }

@@ -416,167 +416,6 @@ fn local_moving_csr(
     (community, moved_any)
 }
 
-/// Active-set variant of [`local_moving_csr`] for **seeded** sweeps.
-///
-/// The first sweep is whole-graph — it has to be, because modularity
-/// gains depend on the global totals (`2m`, `Σ_tot`) and any windowed
-/// delta perturbs them for every node, not just the touched rows. From
-/// the second sweep on, the only nodes whose decision can differ from
-/// the "stay" they already chose are the ones a committed move
-/// invalidated: the members of the move's source and target communities
-/// (their `Σ_tot` changed) plus every neighbour of those members (their
-/// link weights into a changed community). Exact membership lists are
-/// maintained across commits so each move marks precisely that dependent
-/// set — marks landing *after* the current order position re-examine the
-/// node in the same sweep (as the whole-graph sweep would), marks landing
-/// before it carry into the next sweep. Skipped nodes are provably
-/// no-ops, so the committed move sequence — and the returned assignment —
-/// is **bit-identical** to [`local_moving_csr`] with the same seed.
-///
-/// A per-sweep marking budget (the level's edge count) guards the
-/// degenerate case where moves cascade through huge communities: once
-/// exceeded, the rest of the sweep and the whole next sweep run
-/// whole-graph. Processing a superset is always exact — only the
-/// *pruning* needs the dependency argument — so the fallback never
-/// changes bits either.
-fn local_moving_csr_active(
-    graph: &Level,
-    order: &[usize],
-    threads: usize,
-    init: &[usize],
-) -> (Vec<usize>, bool) {
-    let n = graph.node_count();
-    assert_eq!(init.len(), n, "seed assignment must cover every node");
-    debug_assert!(init.iter().all(|&c| c < n));
-    let mut community: Vec<usize> = init.to_vec();
-    let mut comm_degree = vec![0.0f64; n];
-    for (u, &c) in community.iter().enumerate() {
-        comm_degree[c] += graph.degree[u];
-    }
-    let two_m = 2.0 * graph.m;
-    if two_m <= 0.0 {
-        return (community, false);
-    }
-
-    // Exact community membership lists (swap-remove order is irrelevant —
-    // they are only ever iterated to mark dependents).
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut member_pos: Vec<u32> = vec![0; n];
-    for (u, &c) in community.iter().enumerate() {
-        member_pos[u] = members[c].len() as u32;
-        members[c].push(u as u32);
-    }
-
-    let mut dirty = vec![true; n];
-    let mut dirty_count = n;
-    let mark_budget = graph.targets.len() + n + 1;
-
-    let mut moved_any = false;
-    let mut improved = true;
-    let mut scratch = ScanScratch::new(n);
-
-    let chunks = par::RowChunks::from_offsets(graph.offsets);
-    let can_speculate = threads > 1 && chunks.len() > 1;
-    let mut tick: u64 = 0;
-    let mut node_stamp = vec![0u64; if can_speculate { n } else { 0 }];
-    let mut comm_stamp = vec![0u64; if can_speculate { n } else { 0 }];
-    let mut best = vec![0u32; if can_speculate { n } else { 0 }];
-
-    while improved {
-        improved = false;
-        // The speculative whole-row scan only pays off when most nodes
-        // will be visited; a thin worklist is cheaper to rescan serially.
-        // Either way the committed sequence equals the serial one, so the
-        // heuristic cannot affect the result.
-        let speculate = can_speculate && dirty_count * 2 >= n;
-        if speculate {
-            let community = &community;
-            let comm_degree = &comm_degree;
-            par::par_fill_with(
-                &chunks,
-                threads,
-                &mut best,
-                || ScanScratch::new(n),
-                |scratch, _, range, out| {
-                    for (j, node) in range.clone().enumerate() {
-                        out[j] = scan_move_csr(graph, community, comm_degree, two_m, scratch, node)
-                            as u32;
-                    }
-                },
-            );
-        }
-        let scan_tick = tick;
-        let mut marked = 0usize;
-        let mut flood = false;
-        for &node in order {
-            if !(flood || dirty[node]) {
-                continue;
-            }
-            dirty[node] = false;
-            let node_comm = community[node];
-            let fresh = speculate
-                && comm_stamp[node_comm] <= scan_tick
-                && graph.row(node).0.iter().all(|&nbr| {
-                    let nbr = nbr as usize;
-                    node_stamp[nbr] <= scan_tick && comm_stamp[community[nbr]] <= scan_tick
-                });
-            let best_comm = if fresh {
-                best[node] as usize
-            } else {
-                scan_move_csr(graph, &community, &comm_degree, two_m, &mut scratch, node)
-            };
-            if best_comm != node_comm {
-                let k_i = graph.degree[node];
-                comm_degree[node_comm] -= k_i;
-                comm_degree[best_comm] += k_i;
-                community[node] = best_comm;
-                if speculate {
-                    tick += 1;
-                    node_stamp[node] = tick;
-                    comm_stamp[node_comm] = tick;
-                    comm_stamp[best_comm] = tick;
-                }
-                // Move the node between membership lists: swap-remove it,
-                // then record the new position of the member that took
-                // its slot, if any.
-                let pos = member_pos[node] as usize;
-                members[node_comm].swap_remove(pos);
-                if let Some(&swapped) = members[node_comm].get(pos) {
-                    member_pos[swapped as usize] = pos as u32;
-                }
-                member_pos[node] = members[best_comm].len() as u32;
-                members[best_comm].push(node as u32);
-                // Mark the dependent set of this move.
-                if !flood {
-                    for comm in [node_comm, best_comm] {
-                        for i in 0..members[comm].len() {
-                            let y = members[comm][i] as usize;
-                            dirty[y] = true;
-                            let (row_t, _) = graph.row(y);
-                            for &nbr in row_t {
-                                dirty[nbr as usize] = true;
-                            }
-                            marked += row_t.len() + 1;
-                        }
-                    }
-                    if marked > mark_budget {
-                        flood = true;
-                    }
-                }
-                improved = true;
-                moved_any = true;
-            }
-        }
-        if flood {
-            dirty.iter_mut().for_each(|d| *d = true);
-            dirty_count = n;
-        } else {
-            dirty_count = dirty.iter().filter(|&&d| d).count();
-        }
-    }
-    (community, moved_any)
-}
-
 /// Compact arbitrary labels (< n) to `0..k` in first-appearance order —
 /// the O(n) replacement for the old per-level `HashMap<NodeId, usize>`
 /// rebuild: labels are already dense node indices, so a vector suffices.
@@ -690,8 +529,7 @@ fn aggregate_csr(graph: &Level, compact: &[usize], k: usize) -> CsrLevel {
 
 /// Shared Louvain driver over an undirected graph `g`: the partition, with
 /// each dense node's label in it (canonical `0..k`) and `k`. `seed` seeds
-/// the first local-moving phase ([`seed_labels`]); `active` runs that
-/// phase's sweeps on the active set.
+/// the first local-moving phase ([`seed_labels`]).
 ///
 /// Level 0 reads `g`'s columns in place; every later level is an owned
 /// aggregate. The seed only changes where the *first* local-moving phase
@@ -703,7 +541,6 @@ fn aggregate_csr(graph: &Level, compact: &[usize], k: usize) -> CsrLevel {
 fn louvain_csr_impl(
     g: &CsrGraph,
     seed: Option<&Partition>,
-    active: bool,
     config: &LouvainConfig,
 ) -> (Partition, Vec<usize>, usize) {
     let n = g.node_count();
@@ -736,10 +573,7 @@ fn louvain_csr_impl(
         }
         // `take` leaves `None` behind: the seed applies to the first pass only.
         let level_init = init.take();
-        let (community, moved) = match &level_init {
-            Some(labels) if active => local_moving_csr_active(&level, &order, threads, labels),
-            _ => local_moving_csr(&level, &order, threads, level_init.as_deref()),
-        };
+        let (community, moved) = local_moving_csr(&level, &order, threads, level_init.as_deref());
         // In the first pass `membership` still holds the singletons a cold
         // start began from.
         let start = moved.then(|| {
@@ -776,7 +610,7 @@ fn louvain_csr_impl(
 /// (directed graphs are projected to undirected first) and return the
 /// detected partition with canonical community labels `0..k`.
 pub fn louvain_csr(graph: &CsrGraph, config: &LouvainConfig) -> Partition {
-    louvain_csr_impl(&graph.to_undirected(), None, false, config).0
+    louvain_csr_impl(&graph.to_undirected(), None, config).0
 }
 
 /// Run Louvain **seeded from a previous partition**: the first
@@ -797,27 +631,7 @@ pub fn louvain_csr(graph: &CsrGraph, config: &LouvainConfig) -> Partition {
 /// strict dominance over the cold run is not a theorem, but the seed
 /// floor is). An empty seed degenerates to the cold start bit-for-bit.
 pub fn louvain_seeded(graph: &CsrGraph, seed: &Partition, config: &LouvainConfig) -> Partition {
-    louvain_csr_impl(&graph.to_undirected(), Some(seed), false, config).0
-}
-
-/// [`louvain_seeded`] with **active-set** local moving: after the first
-/// sweep of the seeded pass, which is always whole-graph, only the nodes
-/// a committed move invalidated are re-examined — the members of the
-/// move's source and target communities plus their neighbours (the
-/// internal `local_moving_csr_active` scan). That trims the later sweeps
-/// of the first pass only: the run still makes that whole-graph sweep,
-/// and every later pass sweeps its whole aggregated level.
-///
-/// The returned partition is **bit-identical** to [`louvain_seeded`] for
-/// the same inputs — the skipped nodes are provably no-ops — so callers
-/// can switch on it purely as a performance policy (the windowed pipeline
-/// does, when the delta touched a minority of rows).
-pub fn louvain_seeded_active(
-    graph: &CsrGraph,
-    seed: &Partition,
-    config: &LouvainConfig,
-) -> Partition {
-    louvain_csr_impl(&graph.to_undirected(), Some(seed), true, config).0
+    louvain_csr_impl(&graph.to_undirected(), Some(seed), config).0
 }
 
 /// A Louvain partition handed over on the graph's dense node indices, with
@@ -837,21 +651,19 @@ pub struct ScoredPartition {
 }
 
 /// Run Louvain cold (`seed` `None`, as [`louvain_csr`]) or seeded (as
-/// [`louvain_seeded`], or [`louvain_seeded_active`] when `active` is set;
-/// `active` changes nothing in a cold run), and return its partition with
-/// each dense node's label and the partition's modularity. The three are
-/// bit for bit those entry points' partition and
+/// [`louvain_seeded`]), and return its partition with each dense node's
+/// label and the partition's modularity. The three are bit for bit those
+/// entry points' partition and
 /// [`modularity_csr_threads`](crate::modularity_csr_threads) of it, but a
 /// caller that folds or tables the result per node reads the labels
 /// without a lookup, and the score is taken on those labels directly.
 pub fn louvain_scored(
     graph: &CsrGraph,
     seed: Option<&Partition>,
-    active: bool,
     config: &LouvainConfig,
 ) -> ScoredPartition {
     let g = graph.to_undirected();
-    let (partition, labels, k) = louvain_csr_impl(&g, seed, active, config);
+    let (partition, labels, k) = louvain_csr_impl(&g, seed, config);
     let modularity = dense_modularity(&g, &labels, k, par::thread_count(config.threads));
     ScoredPartition {
         partition,
@@ -1345,11 +1157,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_thread_counts_produce_identical_partitions() {
-        // Big enough that the level's row space splits into several chunks
-        // and the speculative scan path actually runs.
-        let mut rng = StdRng::seed_from_u64(42);
+    /// Six clusters of 30 nodes, 180 random edges inside each and 60
+    /// light ones between them. Big enough that level 0's row space splits
+    /// into several chunks, so the speculative scan runs at 2 threads and
+    /// up.
+    fn clustered_graph(rng_seed: u64) -> WeightedGraph {
+        let mut rng = StdRng::seed_from_u64(rng_seed);
         let mut g = WeightedGraph::new_undirected();
         for c in 0..6u64 {
             for _ in 0..180 {
@@ -1363,6 +1176,12 @@ mod tests {
             let b = rng.gen_range(0..6u64) * 1_000 + rng.gen_range(0..30u64);
             g.add_edge(a, b, 1.0);
         }
+        g
+    }
+
+    #[test]
+    fn parallel_thread_counts_produce_identical_partitions() {
+        let g = clustered_graph(42);
         let frozen = g.freeze();
         for seed in [None, Some(7u64)] {
             let serial = louvain_csr(
@@ -1496,101 +1315,47 @@ mod tests {
 
     #[test]
     fn seeded_thread_counts_produce_identical_partitions() {
+        // A graph seeded from its own cold partition, then graphs whose
+        // seeds leave the refresh moves to make.
+        let cold = LouvainConfig::default();
         let frozen = random_graph(512, false).freeze();
-        let prior = louvain_csr(&frozen, &LouvainConfig::default());
-        let runs: Vec<Partition> = [1usize, 2, 4]
-            .iter()
-            .map(|&t| {
-                louvain_seeded(
-                    &frozen,
-                    &prior,
-                    &LouvainConfig {
-                        threads: Some(t),
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-    }
-
-    #[test]
-    fn active_seeded_matches_seeded_exactly() {
+        let prior = louvain_csr(&frozen, &cold);
+        let mut fixtures = vec![(frozen, prior)];
+        // Seeded from a shuffled run: a real partition, but not the one
+        // dense-order local moving settles in.
         for graph_seed in 0..8u64 {
             let frozen = random_graph(800 + graph_seed, false).freeze();
-            // Seed from a shuffled run so the seed is a real partition the
-            // refresh still has work to do on.
-            let prior = louvain_csr(
-                &frozen,
-                &LouvainConfig {
-                    seed: Some(graph_seed),
-                    ..Default::default()
-                },
-            );
-            for t in [1usize, 2, 4] {
-                let cfg = LouvainConfig {
-                    threads: Some(t),
-                    ..Default::default()
-                };
-                assert_eq!(
-                    louvain_seeded_active(&frozen, &prior, &cfg),
-                    louvain_seeded(&frozen, &prior, &cfg),
-                    "active-set refresh diverged (graph {graph_seed}, {t} threads)"
-                );
-            }
+            let shuffled = LouvainConfig {
+                seed: Some(graph_seed),
+                ..Default::default()
+            };
+            let prior = louvain_csr(&frozen, &shuffled);
+            fixtures.push((frozen, prior));
         }
-    }
-
-    #[test]
-    fn active_seeded_with_empty_seed_is_the_cold_start() {
-        for graph_seed in 0..4u64 {
-            let frozen = random_graph(900 + graph_seed, false).freeze();
-            let cfg = LouvainConfig::default();
-            assert_eq!(
-                louvain_seeded_active(&frozen, &Partition::new(), &cfg),
-                louvain_csr(&frozen, &cfg),
-                "empty active seed must degenerate to the cold start (graph {graph_seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn active_seeded_matches_on_community_structured_graph() {
-        // Big enough that the speculative scan, chunking, and the
-        // mark-budget flood paths all engage; the seed is the cold answer
-        // perturbed by reassigning a band of nodes to singletons.
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut g = WeightedGraph::new_undirected();
-        for c in 0..6u64 {
-            for _ in 0..180 {
-                let a = c * 1_000 + rng.gen_range(0..30u64);
-                let b = c * 1_000 + rng.gen_range(0..30u64);
-                g.add_edge(a, b, rng.gen_range(1.0..4.0));
-            }
-        }
-        for _ in 0..60 {
-            let a = rng.gen_range(0..6u64) * 1_000 + rng.gen_range(0..30u64);
-            let b = rng.gen_range(0..6u64) * 1_000 + rng.gen_range(0..30u64);
-            g.add_edge(a, b, 1.0);
-        }
-        let frozen = g.freeze();
-        let cold = louvain_csr(&frozen, &LouvainConfig::default());
-        let mut perturbed = cold.clone();
+        // The cold answer with every 7th node re-seeded as a singleton, on
+        // a graph whose rows split into several chunks: the speculative
+        // scan runs from a seed with moves left to make.
+        let frozen = clustered_graph(77).freeze();
+        assert!(par::RowChunks::from_offsets(frozen.columns().0).len() > 1);
+        let mut perturbed = louvain_csr(&frozen, &cold);
         let base = perturbed.community_count() + 100;
         for (k, &id) in frozen.node_ids().iter().step_by(7).enumerate() {
             perturbed.assign(id, base + k);
         }
-        for t in [1usize, 2, 4] {
-            let cfg = LouvainConfig {
-                threads: Some(t),
-                ..Default::default()
+        fixtures.push((frozen, perturbed));
+
+        for (i, (frozen, seed)) in fixtures.iter().enumerate() {
+            let run = |t| {
+                let cfg = LouvainConfig {
+                    threads: Some(t),
+                    ..Default::default()
+                };
+                louvain_seeded(frozen, seed, &cfg)
             };
-            assert_eq!(
-                louvain_seeded_active(&frozen, &perturbed, &cfg),
-                louvain_seeded(&frozen, &perturbed, &cfg),
-                "active-set refresh diverged on structured graph ({t} threads)"
-            );
+            let serial = run(1);
+            for t in [2usize, 4] {
+                assert_eq!(run(t), serial, "fixture {i}, {t} threads");
+            }
         }
     }
 
@@ -1642,11 +1407,6 @@ mod tests {
                 assert_eq!(louvain_csr(&frozen, &cfg), oracle, "cold, {at}");
                 for seed in [&singletons, &hubs_apart] {
                     assert_eq!(louvain_seeded(&frozen, seed, &cfg), oracle, "seeded, {at}");
-                    assert_eq!(
-                        louvain_seeded_active(&frozen, seed, &cfg),
-                        oracle,
-                        "active, {at}"
-                    );
                 }
             }
         }
@@ -1688,48 +1448,46 @@ mod tests {
                 max_passes: 1,
                 ..cfg.clone()
             };
-            for active in [false, true] {
-                let run = |seed: &Partition, cfg: &LouvainConfig| {
-                    louvain_scored(&frozen, Some(seed), active, cfg).partition
-                };
-                // Seeded with the drifter in the heavier clique 0, the first
-                // pass moves the drifter alone, to clique 1, and gains less
-                // than the gate's minimum over the seed: the run must stop
-                // there, cliques unmerged. A gate that started anywhere
-                // below the seed's score would aggregate and merge them.
-                let drifter_home: Partition = frozen
-                    .node_ids()
-                    .iter()
-                    .map(|&id| (id, if id == 1_000 { 0 } else { clique(id) }))
-                    .collect();
-                let moved: Partition = frozen
-                    .node_ids()
-                    .iter()
-                    .map(|&id| (id, if id == 1_000 { 1 } else { clique(id) }))
-                    .collect();
-                let stalled = run(&drifter_home, &cfg);
-                assert_eq!(stalled, moved.renumbered(), "{t} threads, active {active}");
-                let gain = q(&stalled) - q(&drifter_home);
-                assert!(gain > 0.0 && gain < cfg.min_modularity_gain, "gain {gain}");
+            let run = |seed: &Partition, cfg: &LouvainConfig| {
+                louvain_scored(&frozen, Some(seed), cfg).partition
+            };
+            // Seeded with the drifter in the heavier clique 0, the first
+            // pass moves the drifter alone, to clique 1, and gains less
+            // than the gate's minimum over the seed: the run must stop
+            // there, cliques unmerged. A gate that started anywhere
+            // below the seed's score would aggregate and merge them.
+            let drifter_home: Partition = frozen
+                .node_ids()
+                .iter()
+                .map(|&id| (id, if id == 1_000 { 0 } else { clique(id) }))
+                .collect();
+            let moved: Partition = frozen
+                .node_ids()
+                .iter()
+                .map(|&id| (id, if id == 1_000 { 1 } else { clique(id) }))
+                .collect();
+            let stalled = run(&drifter_home, &cfg);
+            assert_eq!(stalled, moved.renumbered(), "{t} threads");
+            let gain = q(&stalled) - q(&drifter_home);
+            assert!(gain > 0.0 && gain < cfg.min_modularity_gain, "gain {gain}");
 
-                // Seeded with every clique split in two, the first pass
-                // rejoins the halves and gains far more than the minimum:
-                // the run must go on past it and merge cliques. A gate that
-                // started from the first pass's own result would stop.
-                let halves: Partition = frozen
-                    .node_ids()
-                    .iter()
-                    .map(|&id| (id, 2 * clique(id) + usize::from(id % 10 < 2)))
-                    .collect();
-                let one = run(&halves, &first_pass);
-                let full = run(&halves, &cfg);
-                assert_eq!(one.community_count(), 30, "{t} threads, active {active}");
-                assert!(
-                    full.community_count() < 30 && q(&full) > q(&one),
-                    "{t} threads, active {active}: {} communities",
-                    full.community_count()
-                );
-            }
+            // Seeded with every clique split in two, the first pass
+            // rejoins the halves and gains far more than the minimum:
+            // the run must go on past it and merge cliques. A gate that
+            // started from the first pass's own result would stop.
+            let halves: Partition = frozen
+                .node_ids()
+                .iter()
+                .map(|&id| (id, 2 * clique(id) + usize::from(id % 10 < 2)))
+                .collect();
+            let one = run(&halves, &first_pass);
+            let full = run(&halves, &cfg);
+            assert_eq!(one.community_count(), 30, "{t} threads");
+            assert!(
+                full.community_count() < 30 && q(&full) > q(&one),
+                "{t} threads: {} communities",
+                full.community_count()
+            );
         }
     }
 }

@@ -7,10 +7,7 @@
 //! intermediate artefact needed to reproduce Tables I–VI and Figures 1–7.
 
 use crate::candidate::{build_candidate_network, CandidateNetwork};
-use crate::detect::{
-    detect_communities, refresh_communities, refresh_communities_active, CommunityDetection,
-    DetectConfig,
-};
+use crate::detect::{detect_communities, refresh_communities, CommunityDetection, DetectConfig};
 use crate::reassign::{build_selected_network, SelectedNetwork, WindowOutcome};
 use crate::selection::{select_stations, SelectionOutcome};
 use crate::temporal::{
@@ -55,16 +52,9 @@ pub struct WindowConfig {
     /// never lowers modularity and converges much faster when the window
     /// shifts gently; disable it to reproduce the cold-start baseline.
     pub seeded_refresh: bool,
-    /// When a seeded refresh runs and the window step touched at most
-    /// this fraction of the network's stations (evicted endpoints plus
-    /// the batch's stations, over the post-advance station count), route
-    /// the refresh through the **active-set** sweeps
-    /// ([`crate::detect::refresh_communities_active`]), which re-examine
-    /// only the nodes a committed move invalidated after the first
-    /// whole-graph sweep. The refreshed detections are bit-identical
-    /// either way — the touched fraction is a *policy* input choosing the
-    /// faster path, never a correctness input. `0.0` disables the
-    /// active-set route, `1.0` always takes it.
+    /// Read by no library code: every seeded refresh takes one path. The
+    /// repository benchmark still reads it, and its next revision deletes
+    /// it. Defaults to `0.5`.
     pub active_refresh_threshold: f64,
 }
 
@@ -325,26 +315,10 @@ impl WindowedPipeline {
         self.outcome.communities = if self.config.window.seeded_refresh {
             let selected = &self.outcome.selected;
             let old_ids = selected.fixed_ids();
-            // Policy gate for the active-set sweeps: the fraction of
-            // stations this step touched (evicted endpoints ∪ batch
-            // stations). Purely a performance decision — both refresh
-            // paths return identical detections.
-            let mut touched = outcome.evicted.touched_stations();
-            touched.extend(batch.station_ids());
-            touched.sort_unstable();
-            touched.dedup();
-            let stations = selected.trips.station_ids().len().max(1);
-            let active = (touched.len() as f64 / stations as f64)
-                <= self.config.window.active_refresh_threshold;
-            let refresh = if active {
-                refresh_communities_active
-            } else {
-                refresh_communities
-            };
             let [basic, day, hour] = granularities(&self.temporals)?;
             let previous = &self.outcome.communities;
             let refresh_one = |temporal, previous| {
-                refresh(
+                refresh_communities(
                     temporal,
                     &selected.directed,
                     &old_ids,
@@ -608,56 +582,6 @@ mod tests {
             assert_eq!(gs.csr, gc.csr);
             assert!(s.modularity.is_finite() && s.modularity > 0.0);
             assert!(s.community_count() >= 2);
-        }
-    }
-
-    #[test]
-    fn active_refresh_policy_never_changes_detections() {
-        // The touched-fraction gate only picks between two bit-identical
-        // refresh paths: forcing the active-set route (threshold 1.0) and
-        // forbidding it (threshold 0.0) must produce identical outcomes.
-        let raw = generate(&SynthConfig::small_test());
-        let mut pipes: Vec<WindowedPipeline> = [1.0f64, 0.0]
-            .iter()
-            .map(|&threshold| {
-                ExpansionPipeline::new(PipelineConfig {
-                    window: WindowConfig {
-                        active_refresh_threshold: threshold,
-                        ..WindowConfig::default()
-                    },
-                    ..PipelineConfig::default()
-                })
-                .run_windowed(&raw)
-                .unwrap()
-            })
-            .collect();
-        let mut batch = TripBatch::new();
-        {
-            let trips = &pipes[0].outcome.selected.trips;
-            for k in 0..20.min(trips.len()) {
-                batch.push(
-                    trips.station_id(trips.src()[k]),
-                    trips.station_id(trips.dst()[k]),
-                    pipes[0].outcome.dataset.rentals[k].start_time,
-                );
-            }
-        }
-        for window in [WindowStart::new(2, 0), WindowStart::new(4, 12)] {
-            for pipe in pipes.iter_mut() {
-                pipe.advance(&batch, window).unwrap();
-            }
-            let (always, never) = (&pipes[0], &pipes[1]);
-            for (a, b) in always
-                .outcome
-                .communities
-                .all()
-                .iter()
-                .zip(never.outcome.communities.all())
-            {
-                assert_eq!(a.raw_partition, b.raw_partition);
-                assert_eq!(a.station_partition, b.station_partition);
-                assert_eq!(a.modularity.to_bits(), b.modularity.to_bits());
-            }
         }
     }
 }

@@ -27,9 +27,6 @@
 //! isolated stations, and a batch re-adding a station the previous
 //! eviction compacted away.
 
-use moby_core::detect::{
-    detect_communities, refresh_communities, refresh_communities_active, DetectConfig,
-};
 use moby_core::reassign::WindowOutcome;
 use moby_core::temporal::{
     apply_window_all, build_all_from_trips, build_all_from_trips_spilled, reference_graph,
@@ -38,7 +35,7 @@ use moby_core::temporal::{
 use moby_data::trips::{AppendOutcome, EvictOutcome, TripBatch, TripTable, WindowStart};
 use moby_graph::{build_dense_csr, CsrGraph, EdgeColumns};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// A generated trip row: external endpoints, temporal keys, weight.
 type Row = (u64, u64, u8, u8, f64);
@@ -406,82 +403,6 @@ fn check_chain(base_rows: &[Row], ops: &[Op], threads: usize, shards: usize, pin
     }
 }
 
-/// Run a chain and, after every step, refresh the previous detections
-/// twice — whole-graph [`refresh_communities`] and the active-set
-/// [`refresh_communities_active`] (PR 8) — asserting the two are
-/// bit-identical at every temporal granularity. The active-set sweep is
-/// a pure performance policy: whatever the ingest/evict history did to
-/// the seed partition, it must land on the same bits.
-fn check_active_refresh_chain(base_rows: &[Row], ops: &[Op], threads: usize) {
-    let cfg = DetectConfig {
-        threads: Some(threads),
-        ..Default::default()
-    };
-    let build_directed = |table: &TripTable| {
-        build_dense_csr(
-            true,
-            table.station_ids().to_vec(),
-            table.src(),
-            table.dst(),
-            table.weights(),
-            Some(1),
-        )
-    };
-    let mut table = base_table(base_rows);
-    let mut directed = build_directed(&table);
-    let mut temporals = build_all_from_trips(&table, None, Some(1));
-    let old: HashSet<u64> = table.station_ids().iter().copied().collect();
-    let mut previous: Vec<_> = temporals
-        .iter()
-        .map(|t| detect_communities(t, &directed, &old, &cfg))
-        .collect();
-
-    for op in ops {
-        let snapshot: HashSet<u64> = table.station_ids().iter().copied().collect();
-        match op {
-            Op::Ingest(batch_rows) => {
-                append(&mut table, batch_rows);
-            }
-            Op::Evict(window) => {
-                table.evict_before(*window);
-            }
-            Op::Window(window, batch_rows) => {
-                let batch_rows = onto_known_stations(&table, batch_rows);
-                table.evict_before_pinned(*window);
-                append(&mut table, &batch_rows);
-            }
-        }
-        // The incremental paths are proven bitwise-equal to rebuilds above, so
-        // the refresh property can rebuild one-shot and focus on the
-        // seeded-sweep equivalence alone.
-        directed = build_directed(&table);
-        temporals = build_all_from_trips(&table, None, Some(1));
-        previous = temporals
-            .iter()
-            .zip(&previous)
-            .map(|(t, prev)| {
-                let whole = refresh_communities(t, &directed, &snapshot, prev, &cfg);
-                let active = refresh_communities_active(t, &directed, &snapshot, prev, &cfg);
-                let g = t.granularity;
-                assert_eq!(
-                    whole.raw_partition, active.raw_partition,
-                    "{g:?}: raw partition diverged"
-                );
-                assert_eq!(
-                    whole.station_partition, active.station_partition,
-                    "{g:?}: station partition diverged"
-                );
-                assert_eq!(
-                    whole.modularity.to_bits(),
-                    active.modularity.to_bits(),
-                    "{g:?}: modularity diverged"
-                );
-                whole
-            })
-            .collect();
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
@@ -494,16 +415,6 @@ proptest! {
             for shards in [1usize, 4] {
                 check_chain(&base, &ops, threads, shards, pinned == 1);
             }
-        }
-    }
-
-    #[test]
-    fn active_seeded_refresh_matches_whole_graph_over_chains(
-        base in prop::collection::vec(row(false), 10..80),
-        ops in prop::collection::vec(op(), 1..4),
-    ) {
-        for threads in [1usize, 4] {
-            check_active_refresh_chain(&base, &ops, threads);
         }
     }
 }

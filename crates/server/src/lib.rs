@@ -30,8 +30,8 @@
 //! degree summaries and the Louvain partition are carried forward
 //! *unchanged* when a write op does not touch the relevant graph layer,
 //! and refreshed (the partition via the seeded
-//! [`louvain_seeded_active`](moby_community::louvain_seeded_active) warm
-//! start) when it does. Every cached metric records the epoch it was
+//! [`louvain_seeded`](moby_community::louvain_seeded) warm start, the
+//! windowed pipeline's refresh) when it does. Every cached metric records the epoch it was
 //! computed at, so carry-forward is observable and testable.
 
 #![forbid(unsafe_code)]

@@ -19,7 +19,7 @@
 //! once, and dropping the last `Arc` frees the snapshot — no garbage
 //! collector, no deferred free list.
 
-use moby_community::{louvain_csr, louvain_seeded_active, LouvainConfig, Partition};
+use moby_community::{louvain_csr, louvain_seeded, LouvainConfig, Partition};
 use moby_core::reassign::{
     find_station, FinalStation, SelectedGraphTable, SelectedNetwork, WindowOutcome,
 };
@@ -30,7 +30,7 @@ use moby_graph::metrics::{pagerank_csr, DegreeSummary, PageRankConfig};
 use moby_graph::{CsrGraph, NodeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Number of ring slots. Publishing `SLOTS` epochs inside a reader's
 /// epoch-load → slot-lock window is the only way a reader can contend
@@ -62,10 +62,9 @@ pub struct ServeConfig {
 ///   iff a write op changed it;
 /// * each degree summary depends on its own graph layer;
 /// * the community partition depends on the **undirected** graph and is
-///   refreshed with [`louvain_seeded_active`] seeded from the previous
-///   epoch's partition — bit-identical to a whole-graph seeded run; after
-///   the seeded pass's first whole-graph sweep, the rest of that pass
-///   sweeps only dirty nodes and their frontier.
+///   refreshed with [`louvain_seeded`] seeded from the previous epoch's
+///   partition, the windowed pipeline's refresh: every sweep visits
+///   every node, and the seed spares the sweeps a cold start needs.
 #[derive(Debug, Clone)]
 pub struct MetricCache {
     /// Station positions → ids, built at epoch 0 and carried forever.
@@ -143,7 +142,7 @@ impl MetricCache {
             };
         let (partition, partition_epoch) = if undirected_changed {
             (
-                Arc::new(louvain_seeded_active(
+                Arc::new(louvain_seeded(
                     &network.undirected,
                     &self.partition,
                     &config.louvain,
@@ -232,7 +231,9 @@ impl SnapshotHandle {
     pub fn current(&self) -> Arc<ServeSnapshot> {
         let e = self.epoch.load(Ordering::Acquire);
         let slot = &self.slots[(e % SLOTS) as usize];
-        let guard = slot.read().expect("snapshot slot poisoned");
+        // Only an `Arc` clone or swap runs under a slot lock, and neither
+        // can panic, so a poisoned slot still holds a whole snapshot.
+        let guard = slot.read().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(&guard)
     }
 
@@ -249,7 +250,7 @@ impl SnapshotHandle {
         debug_assert_eq!(snap.epoch, next, "epochs advance one at a time");
         let slot = &self.slots[(next % SLOTS) as usize];
         let displaced = {
-            let mut guard = slot.write().expect("snapshot slot poisoned");
+            let mut guard = slot.write().unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *guard, Arc::new(snap))
         };
         // Release-publish the epoch *after* the slot holds the snapshot,
@@ -487,9 +488,8 @@ mod tests {
         assert_eq!(m.partition_epoch, 1);
         assert_eq!(m.degrees_epoch, 1);
         assert!(Arc::ptr_eq(&m.kd, &before.metrics.kd), "kd always carried");
-        // The seeded refresh equals a cold PageRank/Louvain recompute on
-        // the published graph (the active-set path is bit-identical to
-        // the whole-graph seeded sweep; seeding can only refine).
+        // PageRank is recomputed, not carried: it equals a cold run on
+        // the published graph.
         let want_pr = pagerank_csr(&out.snapshot.directed, &config.pagerank);
         assert_eq!(*m.pagerank, want_pr);
     }
